@@ -44,6 +44,7 @@ from repro.pipeline.workload import ConcreteWorkload
 from repro.runtime.collectives import Collectives
 from repro.runtime.context import SpmdContext
 from repro.runtime.rpc import RpcLayer
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["MicroBSPEngine", "MicroAsyncEngine"]
 
@@ -265,7 +266,7 @@ class MicroBSPEngine(_MicroBase):
         per_rank_remote: list[np.ndarray] = []
         for r in range(P):
             remote = plan.remote_read[rank_tasks[r]]
-            uniq = np.unique(remote[remote >= 0])
+            uniq = sorted_unique(remote[remote >= 0])
             per_rank_remote.append(uniq)
             owners = plan.owner_of_read(uniq)
             for read_id, owner in zip(uniq, owners):

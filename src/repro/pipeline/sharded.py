@@ -19,9 +19,10 @@ the same memory-limited idea to workload *construction*:
   float64 bins over the same element order).
 * Deduplicated remote-read structure — the one aggregate that genuinely
   needs global state — runs as an external bucket sort: each shard's
-  ``(requester, read)`` keys append to on-disk range buckets, and
-  finalization walks the buckets in ascending key order, matching the
-  materialized ``np.unique`` fold order exactly.
+  ``(requester, read)`` keys are sorted, deduplicated and appended to
+  on-disk range buckets, and finalization walks the buckets in ascending
+  key order — the order the materialized path's sorted distinct keys
+  (:func:`~repro.utils.arrays.sorted_unique`) fold in.
 * Resident shard columns are bounded by :class:`ShardStore`: an LRU of at
   most ``max_resident_shards`` shards, charged against a
   :class:`repro.machine.memory.NodeMemory` ledger (allocate on load, free
@@ -55,24 +56,26 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.align.cost import MEAN_TASK_COST, AlignmentCostModel
+from repro.align.cost import AlignmentCostModel
 from repro.errors import ConfigurationError
 from repro.genome.datasets import DatasetSpec
 from repro.machine.memory import NodeMemory
 from repro.pipeline.partition import (
+    PartitionMemo,
+    ReadPartition,
     assign_tasks_balanced,
-    owners_from_boundaries,
-    partition_reads_by_size,
 )
 from repro.pipeline.workload import (
     ASSIGNMENT_CACHE_CAP,
     ConcreteWorkload,
     MicroPlan,
-    TaskCostDistribution,
     WorkloadAssignment,
+    calibrated_cost_dist,
+    generate_read_lengths,
+    spec_rngs,
 )
+from repro.utils.arrays import sorted_unique
 from repro.utils.cache import LruCache
-from repro.utils.rng import RngFactory
 
 __all__ = [
     "ShardedWorkload",
@@ -231,36 +234,41 @@ class ShardStore:
 class _KeyBuckets:
     """External dedup of ``requester * n_reads + read`` keys.
 
-    Shards append their remote keys into range buckets on disk (bucket =
-    requester-rank range, so bucket order is global key order); draining
-    uniques each bucket and yields ascending key runs.  Processing the
-    runs in order reproduces the materialized ``np.unique(keys)`` fold
-    order exactly — the property the bit-identity contract rests on.
+    Each shard's keys are sorted and deduplicated once, then split into
+    range buckets on disk (bucket = requester-rank range, which is
+    monotone in the key, so every bucket is one contiguous slice of the
+    sorted shard and bucket order is global key order).  Draining dedups
+    each bucket across shards and yields ascending key runs; processing
+    the runs in order folds the same sorted distinct keys, in the same
+    order, as the materialized path — the property the bit-identity
+    contract rests on.
     """
 
     def __init__(self, num_ranks: int, n_reads: int, dirpath: str,
                  n_buckets: int | None = None):
-        self.num_ranks = num_ranks
-        self.n_reads = n_reads
         self.n_buckets = min(num_ranks, n_buckets or 64)
+        # bucket b holds requesters r with (r * n_buckets) // num_ranks == b,
+        # i.e. keys in [edges[b], edges[b + 1])
+        first_rank = -(-np.arange(self.n_buckets + 1, dtype=np.int64)
+                       * num_ranks // self.n_buckets)
+        self._edges = first_rank * n_reads
         self._dir = dirpath
         self._files: dict[int, object] = {}
-
-    def _bucket_of(self, keys: np.ndarray) -> np.ndarray:
-        req = keys // self.n_reads
-        return (req * self.n_buckets) // self.num_ranks
 
     def add(self, keys: np.ndarray) -> None:
         if keys.size == 0:
             return
-        buckets = self._bucket_of(keys)
-        for b in np.unique(buckets):
-            f = self._files.get(int(b))
+        keys = sorted_unique(np.asarray(keys, dtype=np.int64))
+        cuts = np.searchsorted(keys, self._edges)
+        for b in range(self.n_buckets):
+            lo, hi = cuts[b], cuts[b + 1]
+            if hi == lo:
+                continue
+            f = self._files.get(b)
             if f is None:
-                f = open(os.path.join(self._dir, f"bucket{int(b)}.keys"),
-                         "ab")
-                self._files[int(b)] = f
-            keys[buckets == b].astype(np.int64).tofile(f)
+                f = open(os.path.join(self._dir, f"bucket{b}.keys"), "ab")
+                self._files[b] = f
+            keys[lo:hi].tofile(f)
 
     def drain(self) -> Iterator[np.ndarray]:
         """Ascending runs of globally-distinct keys; removes the files."""
@@ -272,7 +280,7 @@ class _KeyBuckets:
                 keys = np.fromfile(path, dtype=np.int64)
                 os.unlink(path)
                 if keys.size:
-                    yield np.unique(keys)
+                    yield sorted_unique(keys)
         finally:
             self._files = {}
 
@@ -321,8 +329,8 @@ class ShardedWorkload:
         # shardings of one spec are distinct cache entries by construction
         self.assignment_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
         self._plan_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
-        self.partition_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
-        self._prefix: np.ndarray | None = None
+        self._partition = PartitionMemo(self.read_lengths,
+                                        ASSIGNMENT_CACHE_CAP)
 
     # -- constructors --------------------------------------------------------
 
@@ -396,36 +404,14 @@ class ShardedWorkload:
                 f"dataset {spec.name!r} has no statistical totals; shard a "
                 "sequence-level preset with ShardedWorkload.from_workload"
             )
-        # identical read-length blocks + calibration streams as
-        # StatisticalWorkload, so the stage-1 partition and mean task cost
-        # agree between the two generators for the same (spec, seed)
-        name_key = sum((i + 1) * ord(c) for i, c in enumerate(spec.name)) % (2**31)
-        rngs = RngFactory(seed).child(name_key)
-        mu = np.log(spec.mean_read_length) - 0.5 * spec.length_sigma**2
-        lo_len = max(200, int(spec.mean_read_length / 8))
-        hi_len = int(spec.mean_read_length * 8)
+        # the read lengths and calibration StatisticalWorkload builds, so
+        # the stage-1 partition and mean task cost agree between the two
+        # generators for the same (spec, seed)
+        rngs = spec_rngs(spec, seed)
         n_reads = spec.n_reads
-        read_lengths = np.empty(n_reads, dtype=np.int64)
-        block = 1 << 16
-        for b0 in range(0, n_reads, block):
-            b1 = min(b0 + block, n_reads)
-            rng = rngs.stream("workload-block", 1, b0 // block)
-            lens = rng.lognormal(mu, spec.length_sigma, b1 - b0)
-            read_lengths[b0:b1] = np.clip(lens, lo_len, hi_len).astype(np.int64)
-
-        cost_dist = TaskCostDistribution(
-            cost_model or AlignmentCostModel(), fp_rate=fp_rate
-        )
-        target = MEAN_TASK_COST.get(spec.name)
-        if target is None:
-            target = float(
-                (cost_model or AlignmentCostModel()).task_seconds(
-                    0.55 * spec.mean_read_length
-                )
-            )
-        cost_dist.calibrate(
-            spec.mean_read_length, spec.length_sigma, target,
-            rngs.stream("workload-block", 0xC0DE),
+        read_lengths = generate_read_lengths(spec, rngs)
+        cost_dist = calibrated_cost_dist(
+            spec, rngs, cost_model or AlignmentCostModel(), fp_rate
         )
 
         # one generator block at a time; memoized so shards smaller than a
@@ -523,24 +509,7 @@ class ShardedWorkload:
 
     # -- per-P rendering ------------------------------------------------------
 
-    def _partition(self, num_ranks: int):
-        """(boundaries, reads_per_rank, partition_bytes), memoized per P."""
-
-        def build():
-            boundaries = partition_reads_by_size(self.read_lengths, num_ranks)
-            if self._prefix is None:
-                self._prefix = np.concatenate(
-                    [[0], np.cumsum(self.read_lengths)]
-                )
-            return (
-                boundaries,
-                np.diff(boundaries).astype(np.float64),
-                np.diff(self._prefix[boundaries]).astype(np.float64),
-            )
-
-        return self.partition_cache.get_or_create(num_ranks, build)
-
-    def _shard_plan(self, columns: dict, boundaries: np.ndarray,
+    def _shard_plan(self, columns: dict, part: ReadPartition,
                     num_ranks: int, loads: np.ndarray):
         """One shard's (owner_a, owner_b, assigned, remote_read).
 
@@ -551,8 +520,8 @@ class ShardedWorkload:
         """
         read_a = columns["read_a"]
         read_b = columns["read_b"]
-        owner_a = owners_from_boundaries(read_a, boundaries)
-        owner_b = owners_from_boundaries(read_b, boundaries)
+        owner_a = part.owners(read_a)
+        owner_b = part.owners(read_b)
         if self._greedy:
             assigned = assign_tasks_balanced(owner_a, owner_b, num_ranks,
                                              loads=loads)
@@ -578,7 +547,7 @@ class ShardedWorkload:
         cached = self._plan_cache.get(key)
         if cached is not None:
             return cached
-        boundaries, _, _ = self._partition(num_ranks)
+        part = self._partition(num_ranks)
         n = self.n_tasks
         owner_a = np.empty(n, dtype=np.int64)
         owner_b = np.empty(n, dtype=np.int64)
@@ -587,7 +556,7 @@ class ShardedWorkload:
         loads = np.zeros(num_ranks, dtype=np.float64)
         for sid, columns in self.store:
             lo, hi = self.store.shard_range(sid)
-            oa, ob, asg, rem = self._shard_plan(columns, boundaries,
+            oa, ob, asg, rem = self._shard_plan(columns, part,
                                                 num_ranks, loads)
             owner_a[lo:hi] = oa
             owner_b[lo:hi] = ob
@@ -595,7 +564,7 @@ class ShardedWorkload:
             remote_read[lo:hi] = rem
         plan = MicroPlan(
             num_ranks=num_ranks,
-            boundaries=boundaries,
+            boundaries=part.boundaries,
             assigned=assigned,
             owner_a=owner_a,
             owner_b=owner_b,
@@ -618,8 +587,7 @@ class ShardedWorkload:
         if cached is not None:
             return cached
 
-        boundaries, reads_per_rank, partition_bytes = \
-            self._partition(num_ranks)
+        part = self._partition(num_ranks)
         n_reads = self.n_reads
         tasks_count = np.zeros(num_ranks, dtype=np.int64)
         compute_seconds = np.zeros(num_ranks, dtype=np.float64)
@@ -628,7 +596,7 @@ class ShardedWorkload:
         buckets = _KeyBuckets(num_ranks, n_reads, self.store._tmp.name)
         for _sid, columns in self.store:
             owner_a, owner_b, assigned, remote_read = self._shard_plan(
-                columns, boundaries, num_ranks, loads
+                columns, part, num_ranks, loads
             )
             cost = columns["cost"]
             tasks_count += np.bincount(assigned, minlength=num_ranks)
@@ -652,15 +620,15 @@ class ShardedWorkload:
             lengths = self.read_lengths[read_id].astype(np.float64)
             lookups_count += np.bincount(req_rank, minlength=num_ranks)
             np.add.at(lookup_bytes, req_rank, lengths)
-            owner = owners_from_boundaries(read_id, boundaries)
+            owner = part.owner_table[read_id]
             incoming_count += np.bincount(owner, minlength=num_ranks)
             np.add.at(incoming_bytes, owner, lengths)
 
         out = WorkloadAssignment(
             name=self.name,
             num_ranks=num_ranks,
-            reads_per_rank=reads_per_rank,
-            partition_bytes=partition_bytes,
+            reads_per_rank=part.reads_per_rank,
+            partition_bytes=part.partition_bytes,
             tasks_per_rank=tasks_count.astype(np.float64),
             compute_seconds=compute_seconds,
             local_pair_seconds=local_pair_seconds,

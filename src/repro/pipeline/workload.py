@@ -31,12 +31,12 @@ from repro.errors import ConfigurationError
 from repro.genome.datasets import DatasetSpec
 from repro.genome.sequence import ReadSet
 from repro.pipeline.partition import (
+    PartitionMemo,
     assign_tasks_balanced,
     owners_from_boundaries,
-    partition_reads_by_size,
 )
 from repro.pipeline.tasks import TaskTable
-from repro.utils.arrays import segment_sums
+from repro.utils.arrays import counts_to_offsets, segment_sums, sorted_unique
 from repro.utils.cache import LruCache
 from repro.utils.rng import RngFactory
 
@@ -124,7 +124,7 @@ def _dedup_remote(
     assigned: np.ndarray,
     remote_read: np.ndarray,
     read_lengths: np.ndarray,
-    boundaries: np.ndarray,
+    owner_table: np.ndarray,
     num_ranks: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-rank distinct remote reads and the mirrored serve-side load.
@@ -137,14 +137,14 @@ def _dedup_remote(
     n_reads = read_lengths.size
     has_remote = remote_read >= 0
     keys = assigned[has_remote].astype(np.int64) * n_reads + remote_read[has_remote]
-    uniq = np.unique(keys)
+    uniq = sorted_unique(keys)
     req_rank = uniq // n_reads
     read_id = uniq % n_reads
     lengths = read_lengths[read_id].astype(np.float64)
 
     lookups = np.bincount(req_rank, minlength=num_ranks).astype(np.float64)
     lookup_bytes = segment_sums(lengths, req_rank, num_ranks)
-    owner = owners_from_boundaries(read_id, boundaries)
+    owner = owner_table[read_id]
     incoming = np.bincount(owner, minlength=num_ranks).astype(np.float64)
     incoming_bytes = segment_sums(lengths, owner, num_ranks)
     return lookups, lookup_bytes, incoming, incoming_bytes
@@ -192,6 +192,8 @@ class ConcreteWorkload:
         self.read_lengths = reads.lengths.astype(np.int64)
         self.assignment_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
         self._plan_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
+        self._partition = PartitionMemo(self.read_lengths,
+                                        ASSIGNMENT_CACHE_CAP)
 
     @property
     def n_reads(self) -> int:
@@ -270,9 +272,9 @@ class ConcreteWorkload:
         cached = self._plan_cache.get(num_ranks)
         if cached is not None:
             return cached
-        boundaries = partition_reads_by_size(self.read_lengths, num_ranks)
-        owner_a = owners_from_boundaries(self.tasks.read_a, boundaries)
-        owner_b = owners_from_boundaries(self.tasks.read_b, boundaries)
+        part = self._partition(num_ranks)
+        owner_a = part.owners(self.tasks.read_a)
+        owner_b = part.owners(self.tasks.read_b)
         assigned = assign_tasks_balanced(owner_a, owner_b, num_ranks)
         both_local = owner_a == owner_b
         a_local = owner_a == assigned
@@ -281,7 +283,7 @@ class ConcreteWorkload:
         )
         plan = MicroPlan(
             num_ranks=num_ranks,
-            boundaries=boundaries,
+            boundaries=part.boundaries,
             assigned=assigned,
             owner_a=owner_a,
             owner_b=owner_b,
@@ -297,17 +299,9 @@ class ConcreteWorkload:
             return cached
 
         plan = self.micro_plan(num_ranks)
-        boundaries = plan.boundaries
+        part = self._partition(num_ranks)
         owner_a, owner_b, assigned = plan.owner_a, plan.owner_b, plan.assigned
 
-        reads_per_rank = np.diff(boundaries).astype(np.float64)
-        partition_bytes = np.array(
-            [
-                self.read_lengths[boundaries[r]: boundaries[r + 1]].sum()
-                for r in range(num_ranks)
-            ],
-            dtype=np.float64,
-        )
         tasks_per_rank = np.bincount(assigned, minlength=num_ranks).astype(np.float64)
         compute_seconds = segment_sums(self.task_costs, assigned, num_ranks)
 
@@ -317,14 +311,15 @@ class ConcreteWorkload:
         )
 
         lookups, lookup_bytes, incoming, incoming_bytes = _dedup_remote(
-            assigned, plan.remote_read, self.read_lengths, boundaries, num_ranks
+            assigned, plan.remote_read, self.read_lengths, part.owner_table,
+            num_ranks,
         )
 
         out = WorkloadAssignment(
             name=self.name,
             num_ranks=num_ranks,
-            reads_per_rank=reads_per_rank,
-            partition_bytes=partition_bytes,
+            reads_per_rank=part.reads_per_rank,
+            partition_bytes=part.partition_bytes,
             tasks_per_rank=tasks_per_rank,
             compute_seconds=compute_seconds,
             local_pair_seconds=local_pair_seconds,
@@ -388,6 +383,54 @@ class TaskCostDistribution:
         self.scale = target_mean / empirical
 
 
+#: reads generated per RNG block (keeps the draws a function of the read
+#: index alone)
+READ_BLOCK = 1 << 16
+
+
+def spec_rngs(spec: DatasetSpec, seed: int) -> RngFactory:
+    """The RNG stream family of one ``(dataset, seed)``."""
+    # stable (non-salted) name hash so runs reproduce across processes
+    name_key = sum((i + 1) * ord(c) for i, c in enumerate(spec.name)) % (2**31)
+    return RngFactory(seed).child(name_key)
+
+
+def generate_read_lengths(spec: DatasetSpec, rngs: RngFactory) -> np.ndarray:
+    """Clipped-lognormal read lengths, block-deterministic (int64)."""
+    mu = np.log(spec.mean_read_length) - 0.5 * spec.length_sigma**2
+    n = spec.n_reads
+    out = np.empty(n, dtype=np.int64)
+    lo = max(200, int(spec.mean_read_length / 8))
+    hi = int(spec.mean_read_length * 8)
+    for b0 in range(0, n, READ_BLOCK):
+        b1 = min(b0 + READ_BLOCK, n)
+        rng = rngs.stream("workload-block", 1, b0 // READ_BLOCK)
+        lengths = rng.lognormal(mu, spec.length_sigma, b1 - b0)
+        out[b0:b1] = np.clip(lengths, lo, hi).astype(np.int64)
+    return out
+
+
+def calibrated_cost_dist(
+    spec: DatasetSpec,
+    rngs: RngFactory,
+    cost_model: AlignmentCostModel,
+    fp_rate: float,
+) -> TaskCostDistribution:
+    """Task-cost mixture whose mean matches the paper's anchor for ``spec``."""
+    cost_dist = TaskCostDistribution(cost_model, fp_rate=fp_rate)
+    target = MEAN_TASK_COST.get(spec.name)
+    if target is None:
+        # datasets without a paper anchor: extrapolate from read scale
+        target = float(cost_model.task_seconds(0.55 * spec.mean_read_length))
+    cost_dist.calibrate(
+        spec.mean_read_length,
+        spec.length_sigma,
+        target,
+        rngs.stream("workload-block", 0xC0DE),
+    )
+    return cost_dist
+
+
 class StatisticalWorkload:
     """Table-1-exact workload generated from calibrated distributions.
 
@@ -402,9 +445,6 @@ class StatisticalWorkload:
     Determinism: identical ``(spec, seed, P)`` reproduce bit-identical
     assignments; totals (reads, tasks, bytes moved) are P-independent.
     """
-
-    #: reads generated per RNG block (keeps draws P-independent)
-    BLOCK = 1 << 16
 
     #: Cluster dispersion coefficients.  Task costs and remote-read demand
     #: are not independent across a rank's tasks: reads from the same genome
@@ -434,47 +474,15 @@ class StatisticalWorkload:
         self.spec = spec
         self.name = spec.name
         self.seed = seed
-        # stable (non-salted) name hash so runs reproduce across processes
-        name_key = sum((i + 1) * ord(c) for i, c in enumerate(spec.name)) % (2**31)
-        self.rngs = RngFactory(seed).child(name_key)
+        self.rngs = spec_rngs(spec, seed)
         self.cost_model = cost_model or AlignmentCostModel()
-        self.read_lengths = self._generate_read_lengths()
-        self.cost_dist = TaskCostDistribution(self.cost_model, fp_rate=fp_rate)
-        target = MEAN_TASK_COST.get(spec.name)
-        if target is None:
-            # datasets without a paper anchor: extrapolate from read scale
-            target = float(
-                self.cost_model.task_seconds(0.55 * spec.mean_read_length)
-            )
-        self.cost_dist.calibrate(
-            spec.mean_read_length,
-            spec.length_sigma,
-            target,
-            self.rngs.stream("workload-block", 0xC0DE),
-        )
+        self.read_lengths = generate_read_lengths(spec, self.rngs)
+        self.cost_dist = calibrated_cost_dist(spec, self.rngs,
+                                              self.cost_model, fp_rate)
         self.assignment_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
-        # stage-1 partition memo: boundaries and byte shares depend only on
-        # (read_lengths, P), and the byte prefix not even on P — recomputing
-        # both on every assignment-cache miss was pure waste (hit counters
-        # observable via partition_cache.stats())
-        self.partition_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
-        self._prefix: np.ndarray | None = None
-
-    # -- reads ---------------------------------------------------------------
-
-    def _generate_read_lengths(self) -> np.ndarray:
-        spec = self.spec
-        mu = np.log(spec.mean_read_length) - 0.5 * spec.length_sigma**2
-        n = spec.n_reads
-        out = np.empty(n, dtype=np.int64)
-        lo = max(200, int(spec.mean_read_length / 8))
-        hi = int(spec.mean_read_length * 8)
-        for b0 in range(0, n, self.BLOCK):
-            b1 = min(b0 + self.BLOCK, n)
-            rng = self.rngs.stream("workload-block", 1, b0 // self.BLOCK)
-            lengths = rng.lognormal(mu, spec.length_sigma, b1 - b0)
-            out[b0:b1] = np.clip(lengths, lo, hi).astype(np.int64)
-        return out
+        self._partition = PartitionMemo(self.read_lengths,
+                                        ASSIGNMENT_CACHE_CAP)
+        self.partition_cache = self._partition.cache
 
     @property
     def n_reads(self) -> int:
@@ -490,23 +498,6 @@ class StatisticalWorkload:
 
     # -- per-P rendering -------------------------------------------------------
 
-    def _partition(self, num_ranks: int):
-        """Memoized stage-1 shares: (boundaries, reads/rank, bytes/rank)."""
-
-        def build():
-            boundaries = partition_reads_by_size(self.read_lengths, num_ranks)
-            if self._prefix is None:
-                self._prefix = np.concatenate(
-                    [[0], np.cumsum(self.read_lengths)]
-                )
-            return (
-                boundaries,
-                np.diff(boundaries).astype(np.float64),
-                np.diff(self._prefix[boundaries]).astype(np.float64),
-            )
-
-        return self.partition_cache.get_or_create(num_ranks, build)
-
     def assignment(self, num_ranks: int) -> WorkloadAssignment:
         """Render the per-rank arrays for ``num_ranks`` ranks (LRU-cached)."""
         cached = self.assignment_cache.get(num_ranks)
@@ -516,8 +507,9 @@ class StatisticalWorkload:
         n_reads = self.n_reads
         n_tasks = self.n_tasks
         lengths = self.read_lengths
-        boundaries, reads_per_rank, partition_bytes = \
-            self._partition(num_ranks)
+        lengths_f = lengths.astype(np.float64)
+        part = self._partition(num_ranks)
+        boundaries = part.boundaries
 
         base, extra = divmod(n_tasks, num_ranks)
         tasks_per_rank = np.full(num_ranks, base, dtype=np.float64)
@@ -527,8 +519,8 @@ class StatisticalWorkload:
         local_pair_seconds = np.zeros(num_ranks)
         lookups = np.zeros(num_ranks)
         lookup_bytes = np.zeros(num_ranks)
-        incoming = np.zeros(num_ranks)
-        incoming_bytes = np.zeros(num_ranks)
+        # how many ranks request each read; the serve side folds from it
+        requests = np.zeros(n_reads, dtype=np.int64)
 
         cluster_scale = np.sqrt(num_ranks / n_tasks)
         cost_sigma = self.cost_kappa * cluster_scale
@@ -549,8 +541,8 @@ class StatisticalWorkload:
                 local_reads = rng.integers(0, n_reads, n_r)
             partners = rng.integers(0, n_reads, n_r)
 
-            len_local = lengths[local_reads].astype(np.float64)
-            len_partner = lengths[partners].astype(np.float64)
+            len_local = lengths_f[local_reads]
+            len_partner = lengths_f[partners]
             costs = self.cost_dist.sample_seconds(len_local, len_partner, rng)
             if cost_sigma > 0:
                 costs = costs * float(
@@ -561,15 +553,22 @@ class StatisticalWorkload:
             partner_local = (partners >= lo_r) & (partners < hi_r)
             local_pair_seconds[rank] = costs[partner_local].sum()
 
-            remote = np.unique(partners[~partner_local])
+            remote = sorted_unique(partners[~partner_local])
             lookups[rank] = remote.size
-            remote_lengths = lengths[remote].astype(np.float64)
-            lookup_bytes[rank] = remote_lengths.sum()
-            owners = owners_from_boundaries(remote, boundaries)
-            # O(n_r) scatter-adds, not O(P) temporaries: at 32K ranks an
-            # O(P)-per-rank accumulation would be quadratic in P
-            np.add.at(incoming, owners, 1.0)
-            np.add.at(incoming_bytes, owners, remote_lengths)
+            lookup_bytes[rank] = lengths_f[remote].sum()
+            requests[remote] += 1  # `remote` is distinct: no lost updates
+
+        # Serve side: what each owner receives is a sum over the reads it
+        # owns, i.e. a prefix difference at `boundaries`.  This re-associates
+        # the sums, which is exact only because request counts and byte
+        # lengths are integers far below 2**53 — every order gives the same
+        # float64.  The cost folds above (`compute_seconds`,
+        # `local_pair_seconds`) are not integer-valued and keep their order.
+        incoming = np.diff(
+            counts_to_offsets(requests)[boundaries]).astype(np.float64)
+        incoming_bytes = np.diff(
+            counts_to_offsets(requests * lengths)[boundaries]
+        ).astype(np.float64)
 
         if comm_sigma > 0 and num_ranks > 1:
             # per-rank demand clustering (Figure 6's exchange-load spread);
@@ -586,8 +585,8 @@ class StatisticalWorkload:
         out = WorkloadAssignment(
             name=self.name,
             num_ranks=num_ranks,
-            reads_per_rank=reads_per_rank,
-            partition_bytes=partition_bytes,
+            reads_per_rank=part.reads_per_rank,
+            partition_bytes=part.partition_bytes,
             tasks_per_rank=tasks_per_rank,
             compute_seconds=compute_seconds,
             local_pair_seconds=local_pair_seconds,

@@ -19,6 +19,7 @@ __all__ = [
     "segment_min",
     "chunked_ranges",
     "bincount_exact",
+    "sorted_unique",
 ]
 
 
@@ -52,6 +53,24 @@ def bincount_exact(keys: np.ndarray, num_groups: int) -> np.ndarray:
     if keys.size and (keys.min() < 0 or keys.max() >= num_groups):
         raise ValueError("key out of range for bincount_exact")
     return np.bincount(keys, minlength=num_groups).astype(np.int64)
+
+
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``x``: what ``np.unique(x)`` returns.
+
+    Same values, order and dtype, by one sort and a neighbour mask.  numpy
+    >= 2.3 routes flag-less ``np.unique`` through a hash table and then
+    sorts the survivors anyway, which on mostly-distinct integer keys (the
+    deduplicated exchange) is 18-47x slower than sorting outright
+    (docs/PERFORMANCE.md "Assignment rendering").
+    """
+    s = np.sort(x, axis=None)
+    if s.size < 2:
+        return s
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def segment_sums(values: np.ndarray, keys: np.ndarray, num_groups: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The CI import-hygiene check, run as a test.
 
 Mirrors ``tools/check_imports.py``: the real source tree must have no
-module-level import cycles and none of the banned cross-imports (engine
-siblings; utils reaching up the stack).  The synthetic cases prove the
-checker actually detects what it claims to.
+module-level import cycles, none of the banned cross-imports (engine
+siblings; utils reaching up the stack) and no flag-less ``np.unique`` in
+the assignment renderers.  The synthetic cases prove the checker actually
+detects what it claims to.
 """
 
 import sys
@@ -90,6 +91,33 @@ def test_detects_service_layering_violation(tmp_path):
     })
     problems = check_imports.run(tmp_path)
     assert any("top layer" in p for p in problems)
+
+
+def test_detects_flagless_unique_in_pipeline_and_engines(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "pipeline/__init__.py": "",
+        "pipeline/workload.py": """\
+            import numpy as np
+            def f(x):
+                return np.unique(x[x >= 0])
+            """,
+        "engines/__init__.py": "",
+        "engines/micro.py": """\
+            import numpy
+            def g(x):
+                counted = numpy.unique(x, return_counts=True)
+                return numpy.unique(x), counted
+            """,
+        # outside the two packages the call is allowed
+        "kmer/__init__.py": "",
+        "kmer/seeds.py": "import numpy as np\nu = np.unique([1, 1])\n",
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 2
+    assert all("repro.utils.arrays.sorted_unique" in p for p in problems)
+    assert any(p.startswith("repro.pipeline.workload:3 ") for p in problems)
+    assert any(p.startswith("repro.engines.micro:4 ") for p in problems)
 
 
 def test_cli_reaches_service_only_lazily():

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import PartitionError
 from repro.pipeline.partition import (
+    PartitionMemo,
     assign_tasks_balanced,
     check_ownership_invariant,
+    owner_table,
     owners_from_boundaries,
     partition_reads_by_size,
 )
@@ -68,6 +70,46 @@ def test_owners_from_boundaries():
     bounds = np.array([0, 3, 5, 9])
     owners = owners_from_boundaries(np.array([0, 2, 3, 4, 8]), bounds)
     assert owners.tolist() == [0, 0, 1, 1, 2]
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=30),
+)
+def test_owner_table_equals_searchsorted_owners(reads_per_rank):
+    # zero counts give repeated boundaries (empty ranks), and most draws
+    # have more ranks than reads
+    boundaries = np.concatenate([[0], np.cumsum(reads_per_rank)])
+    table = owner_table(boundaries)
+    every_read = np.arange(boundaries[-1])
+    assert table.dtype == np.int64
+    assert np.array_equal(table, owners_from_boundaries(every_read, boundaries))
+
+
+def test_read_partition_memoized_and_consistent():
+    lengths = np.array([5, 1, 1, 9, 4, 4], dtype=np.int64)
+    memo = PartitionMemo(lengths, maxsize=4)
+    part = memo(4)
+    assert memo(4) is part
+    assert memo.cache.stats()["misses"] == 1
+    assert np.array_equal(part.boundaries, partition_reads_by_size(lengths, 4))
+    assert part.reads_per_rank.sum() == lengths.size
+    assert part.partition_bytes.sum() == lengths.sum()
+    assert np.array_equal(part.owners(np.arange(6)), part.owner_table)
+    # more ranks than reads: empty ranks own nothing, every read has an owner
+    sparse = memo(16)
+    assert sparse.owner_table.size == lengths.size
+    assert np.array_equal(
+        np.bincount(sparse.owner_table, minlength=16), sparse.reads_per_rank
+    )
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_read_partition_owners_rejects_out_of_range_ids(bad):
+    # a bare table gather would wrap -1 to the last rank's reads
+    part = PartitionMemo(np.full(6, 10, dtype=np.int64), maxsize=1)(3)
+    with pytest.raises(PartitionError, match="out of range"):
+        part.owners(np.array([0, bad, 2]))
+    assert part.owners(np.array([], dtype=np.int64)).size == 0
 
 
 def test_assign_tasks_invariant_and_balance():

@@ -1,10 +1,14 @@
 """Tests for concrete and statistical workloads."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.align.cost import AlignmentCostModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PartitionError
 from repro.genome.datasets import DatasetSpec, DATASETS, synthesize_dataset
 from repro.pipeline.tasks import TaskTable
 from repro.pipeline.workload import (
@@ -12,6 +16,22 @@ from repro.pipeline.workload import (
     StatisticalWorkload,
     TaskCostDistribution,
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# the case matrix lives with the regeneration script, as for the run goldens
+_spec = importlib.util.spec_from_file_location(
+    "regen_goldens", REPO / "tools" / "regen_goldens.py"
+)
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+ASSIGNMENT_PINS = json.loads(
+    (REPO / "tests" / "goldens" / "assignments.json").read_text()
+)
+ASSIGNMENT_CASES = {key: (factory, p)
+                    for key, factory, p in regen.assignment_cases()}
 
 
 def tiny_spec(n_reads=3000, n_tasks=40_000):
@@ -160,3 +180,54 @@ def test_concrete_cost_length_mismatch():
     )
     with pytest.raises(ConfigurationError):
         ConcreteWorkload("c", reads, tasks, np.array([1.0, 2.0]))
+
+
+# -- assignment pins: every renderer, without going through an engine -------
+
+
+def test_assignment_pins_cover_the_case_matrix():
+    assert set(ASSIGNMENT_PINS) == set(ASSIGNMENT_CASES)
+
+
+@pytest.mark.parametrize("key", sorted(ASSIGNMENT_PINS))
+def test_assignment_matches_pinned_digest(key):
+    factory, num_ranks = ASSIGNMENT_CASES[key]
+    digest = regen.assignment_digest(factory().assignment(num_ranks))
+    assert digest == ASSIGNMENT_PINS[key], (
+        f"{key}: a per-rank assignment array changed bits (regenerate "
+        f"deliberately with tools/regen_goldens.py --assignments)"
+    )
+
+
+def test_statistical_empty_ranks_serve_nothing():
+    """More ranks than reads: the ``hi_r == lo_r`` branch of the rank loop."""
+    P = regen.EMPTY_RANK_RANKS
+    a = StatisticalWorkload(regen.EMPTY_RANK_SPEC, seed=0).assignment(P)
+    check_assignment_consistency(a)
+    empty = a.reads_per_rank == 0
+    assert empty.sum() >= P - regen.EMPTY_RANK_SPEC.n_reads
+    # an empty rank still computes its share of tasks, all of them remote...
+    assert np.all(a.tasks_per_rank[empty] > 0)
+    assert np.all(a.local_pair_seconds[empty] == 0)
+    assert np.all(a.lookups[empty] > 0)
+    # ...and owns no read anyone could ask it for
+    assert np.all(a.incoming_lookups[empty] == 0)
+    assert np.all(a.incoming_bytes[empty] == 0)
+    assert np.all(a.incoming_lookups[~empty] > 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_concrete_corrupt_read_column_fails_typed(bad):
+    from repro.genome.sequence import ReadSet
+
+    reads = ReadSet.from_strings(["ACGTACGT", "ACGTACGTAA", "GGGGCCCC"])
+    tasks = TaskTable(
+        read_a=np.array([0, bad]), read_b=np.array([1, 2]),
+        pos_a=np.array([0, 0]), pos_b=np.array([0, 0]),
+        reverse=np.array([False, False]), k=5,
+    )
+    wl = ConcreteWorkload("c", reads, tasks, np.array([1.0, 2.0]))
+    with pytest.raises(PartitionError, match="out of range"):
+        wl.micro_plan(3)
+    with pytest.raises(PartitionError, match="out of range"):
+        wl.assignment(3)

@@ -27,9 +27,9 @@ from repro.core.api import (
     get_workload,
     run_alignment,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PartitionError
 from repro.genome.datasets import DATASETS, DatasetSpec
-from repro.pipeline.sharded import ShardedWorkload, ShardStore
+from repro.pipeline.sharded import ShardedWorkload, ShardStore, _KeyBuckets
 from repro.pipeline.workload import StatisticalWorkload
 
 ENGINES = ("bsp", "async", "hybrid", "bsp-micro", "async-micro")
@@ -220,6 +220,52 @@ def test_store_single_shard_never_spills(concrete):
         stats = sw.store.stats()
         assert stats["n_shards"] == 1
         assert stats["evictions"] == 0 and stats["spilled"] == 0
+    finally:
+        sw.close()
+
+
+@pytest.mark.parametrize("num_ranks,n_buckets", [(5, None), (200, 64), (7, 3)])
+def test_key_buckets_drain_global_sorted_distinct_keys(tmp_path, num_ranks,
+                                                       n_buckets):
+    n_reads = 1_000
+    rng = np.random.default_rng(4)
+    shards = [rng.integers(0, num_ranks * n_reads, 3_000) for _ in range(4)]
+    shards[2] = np.concatenate([shards[2], shards[0][:500]])  # cross-shard dups
+    shards.insert(1, np.array([], dtype=np.int64))
+    buckets = _KeyBuckets(num_ranks, n_reads, str(tmp_path), n_buckets)
+    for keys in shards:
+        before = keys.copy()
+        buckets.add(keys)
+        assert np.array_equal(keys, before), "add() must not reorder its input"
+    assert any(tmp_path.iterdir())
+    runs = list(buckets.drain())
+    assert 1 < len(runs) <= buckets.n_buckets
+    for run in runs:
+        assert np.all(np.diff(run) > 0)
+    for prev, nxt in zip(runs, runs[1:]):
+        assert prev[-1] < nxt[0]
+    assert np.array_equal(np.concatenate(runs), np.unique(np.concatenate(shards)))
+    assert list(tmp_path.iterdir()) == [], "bucket files must be removed"
+
+
+def test_sharded_corrupt_read_column_fails_typed(concrete):
+    """An out-of-range read id raises instead of wrapping to another rank."""
+    def build(_sid, lo, hi):
+        read_a = np.ascontiguousarray(concrete.tasks.read_a[lo:hi]).copy()
+        if lo == 0:
+            read_a[0] = -1
+        return {"read_a": read_a,
+                "read_b": np.ascontiguousarray(concrete.tasks.read_b[lo:hi]),
+                "cost": np.ascontiguousarray(concrete.task_costs[lo:hi])}
+
+    sw = ShardedWorkload(concrete.name, concrete.read_lengths,
+                         concrete.n_tasks, build, shard_tasks=97,
+                         max_resident_shards=2, backing=concrete)
+    try:
+        with pytest.raises(PartitionError, match="out of range"):
+            sw.assignment(4)
+        with pytest.raises(PartitionError, match="out of range"):
+            sw.micro_plan(4)
     finally:
         sw.close()
 

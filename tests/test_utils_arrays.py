@@ -12,6 +12,7 @@ from repro.utils.arrays import (
     segment_max,
     segment_min,
     segment_sums,
+    sorted_unique,
 )
 
 
@@ -98,3 +99,27 @@ def test_chunked_ranges_partition_property(total, chunk):
         covered += stop - start
         prev_stop = stop
     assert covered == total
+
+
+@given(
+    st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=300),
+    st.sampled_from(["as-is", "sorted", "all-equal", "few-distinct"]),
+)
+def test_sorted_unique_equals_np_unique(values, shape):
+    x = np.array(values, dtype=np.int64)
+    if shape == "sorted":
+        x = np.sort(x)
+    elif shape == "all-equal" and x.size:
+        x = np.full(x.size, x[0])
+    elif shape == "few-distinct":
+        x = x % 5 - 2
+    got, want = sorted_unique(x), np.unique(x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_sorted_unique_leaves_its_input_alone():
+    x = np.array([3, 1, 3, 2], dtype=np.int32)
+    assert sorted_unique(x).tolist() == [1, 2, 3]
+    assert x.tolist() == [3, 1, 3, 2]
+    assert sorted_unique(x).dtype == np.int32

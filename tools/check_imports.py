@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Two classes of violation, both enforced in CI (and mirrored by
+Three classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -17,6 +17,14 @@ Two classes of violation, both enforced in CI (and mirrored by
      ``engines.common``, shared wiring in ``engines.harness``;
    * ``repro.utils`` is the bottom layer: it may import only itself and
      ``repro.errors``.
+
+3. **Flag-less ``np.unique(x)``** under ``repro/pipeline`` and
+   ``repro/engines``.  numpy >= 2.3 routes it through a hash table and
+   then sorts anyway — 18-47x slower than sorting outright on the
+   mostly-distinct keys of the deduplicated exchange, which made it half
+   of a cold request (docs/PERFORMANCE.md "Assignment rendering").  Use
+   ``repro.utils.arrays.sorted_unique``.  Calls with ``return_counts`` /
+   ``return_inverse`` take numpy's sort path and are fine.
 
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
@@ -37,6 +45,9 @@ ENGINE_IMPLS = {
     "repro.engines.micro",
     "repro.engines.hybrid",
 }
+
+#: packages whose hot paths must not call flag-less ``np.unique``
+NO_BARE_UNIQUE = ("repro.pipeline", "repro.engines")
 
 
 def module_name(path: Path, src_root: Path) -> str:
@@ -152,12 +163,39 @@ def banned_imports(graph: dict[str, set[str]]) -> list[str]:
     return problems
 
 
+def bare_unique_calls(src_root: Path) -> list[str]:
+    """``np.unique(<one argument>)`` calls in the :data:`NO_BARE_UNIQUE` packages."""
+    problems: list[str] = []
+    for path in sorted((src_root / PACKAGE).rglob("*.py")):
+        name = module_name(path, src_root)
+        if not name.startswith(NO_BARE_UNIQUE):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and len(node.args) == 1
+                and not node.keywords
+            ):
+                problems.append(
+                    f"{name}:{node.lineno} calls flag-less np.unique(x), a "
+                    f"hash-then-sort cliff on numpy >= 2.3; use "
+                    f"repro.utils.arrays.sorted_unique"
+                )
+    return problems
+
+
 def run(src_root: Path) -> list[str]:
     graph = build_graph(src_root)
     problems = [
         "import cycle: " + " -> ".join(c) for c in find_cycles(graph)
     ]
     problems += banned_imports(graph)
+    problems += bare_unique_calls(src_root)
     return problems
 
 
@@ -169,7 +207,8 @@ def main(argv: list[str]) -> int:
     if not problems:
         graph = build_graph(src_root)
         print(f"import hygiene OK: {len(graph)} modules, no cycles, "
-              f"no banned imports")
+              f"no banned imports, no flag-less np.unique in "
+              f"pipeline/engines")
     return 1 if problems else 0
 
 

@@ -16,6 +16,13 @@ change), regenerate deliberately::
 then review the diff of ``tests/goldens/signatures.json`` in the same
 commit as the behavioral change, stating why the numbers moved.
 
+``--assignments`` regenerates ``tests/goldens/assignments.json`` instead:
+SHA-256 digests of the nine per-rank :class:`WorkloadAssignment` arrays
+for each renderer (statistical, sharded-synthetic, concrete,
+sharded-concrete).  They pin the assignment layer without going through
+an engine, so a renderer optimization is checked against bits recorded
+*before* it (``tests/test_pipeline_workload.py``).
+
 The case matrix and the result-construction helper live here so the test
 module imports them — the suite and the regeneration script can never
 disagree about what a case means.
@@ -23,8 +30,10 @@ disagree about what a case means.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -35,9 +44,39 @@ from repro.core.api import get_workload, run_alignment  # noqa: E402
 from repro.engines.base import EngineConfig  # noqa: E402
 from repro.engines.registry import get_engine  # noqa: E402
 from repro.faults import parse_fault_spec  # noqa: E402
+from repro.genome.datasets import DATASETS, DatasetSpec  # noqa: E402
 from repro.machine.config import cori_knl  # noqa: E402
+from repro.pipeline.workload import StatisticalWorkload  # noqa: E402
 
 GOLDENS_PATH = REPO / "tests" / "goldens" / "signatures.json"
+ASSIGNMENTS_PATH = REPO / "tests" / "goldens" / "assignments.json"
+
+ASSIGNMENT_FIELDS = (
+    "reads_per_rank", "partition_bytes", "tasks_per_rank",
+    "compute_seconds", "local_pair_seconds", "lookups", "lookup_bytes",
+    "incoming_lookups", "incoming_bytes",
+)
+
+#: statistical renderer: 1 rank, few, many, a non-power-of-two count that
+#: does not divide the task total, and the benchmark's cold-request size
+STAT_RANKS = (1, 8, 64, 513, 4096)
+
+#: sharded-synthetic renderer: one generator block per shard, two, and a
+#: single shard holding everything (n_tasks + 1)
+SYNTH_RANKS = (8, 64)
+SYNTH_SHARDS = (1 << 16, 1 << 17, DATASETS["ecoli30x"].n_tasks + 1)
+
+CONCRETE_RANKS = (2, 8)
+CONCRETE_SHARD_TASKS = 97
+
+#: more ranks than reads: most ranks own an empty read range (repeated
+#: partition boundaries) yet still receive their share of the tasks
+EMPTY_RANK_SPEC = DatasetSpec(
+    name="empty_rank_stat", species="test", n_reads=6, n_tasks=2_000,
+    coverage=10.0, error_rate=0.1, mean_read_length=3_000,
+    length_sigma=0.5, genome_size=1_000_000, sequence_level=False,
+)
+EMPTY_RANK_RANKS = 16
 
 #: (workload preset, synthesis seed) — two small sequence-level workloads,
 #: fast enough that every engine runs them with the real kernel in seconds
@@ -119,24 +158,69 @@ def compute_signatures() -> dict[str, str]:
     return signatures
 
 
-def main() -> int:
-    signatures = compute_signatures()
-    GOLDENS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    old = (
-        json.loads(GOLDENS_PATH.read_text())
-        if GOLDENS_PATH.exists() else {}
-    )
-    for key in sorted(signatures):
+def assignment_digest(assignment) -> str:
+    """SHA-256 over the nine per-rank arrays: dtype, shape and raw bytes."""
+    h = hashlib.sha256()
+    for field in ASSIGNMENT_FIELDS:
+        arr = getattr(assignment, field)
+        h.update(f"{field}:{arr.dtype.str}:{arr.shape}:".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def assignment_cases():
+    """``(key, workload factory, num_ranks)`` per pinned rendering.
+
+    Factories go through :func:`get_workload`, whose LRU makes cases that
+    share a workload build it once.
+    """
+    stat = partial(get_workload, "ecoli30x", seed=0)
+    micro = partial(get_workload, "micro", seed=11)
+    for p in STAT_RANKS:
+        yield f"statistical/ecoli30x@0/p{p}", stat, p
+    yield (f"statistical/{EMPTY_RANK_SPEC.name}@0/p{EMPTY_RANK_RANKS}",
+           partial(StatisticalWorkload, EMPTY_RANK_SPEC, seed=0),
+           EMPTY_RANK_RANKS)
+    for shard in SYNTH_SHARDS:
+        synth = partial(stat, shard_tasks=shard, max_resident_shards=2)
+        for p in SYNTH_RANKS:
+            yield f"sharded-synthetic/ecoli30x@0/s{shard}/p{p}", synth, p
+    sharded = partial(micro, shard_tasks=CONCRETE_SHARD_TASKS,
+                      max_resident_shards=2)
+    for p in CONCRETE_RANKS:
+        yield f"concrete/micro@11/p{p}", micro, p
+        yield (f"sharded-concrete/micro@11/s{CONCRETE_SHARD_TASKS}/p{p}",
+               sharded, p)
+
+
+def compute_assignment_digests() -> dict[str, str]:
+    return {
+        key: assignment_digest(factory().assignment(p))
+        for key, factory, p in assignment_cases()
+    }
+
+
+def write_pins(path: Path, pins: dict[str, str], what: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for key in sorted(pins):
         status = (
-            "unchanged" if old.get(key) == signatures[key]
+            "unchanged" if old.get(key) == pins[key]
             else ("NEW" if key not in old else "CHANGED")
         )
-        print(f"  {key:30s} {signatures[key][:16]}…  {status}")
-    GOLDENS_PATH.write_text(json.dumps(signatures, indent=2, sort_keys=True)
-                            + "\n")
-    print(f"wrote {len(signatures)} signatures -> {GOLDENS_PATH}")
+        print(f"  {key:44s} {pins[key][:16]}…  {status}")
+    path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(pins)} {what} -> {path}")
+
+
+def main(argv: list[str]) -> int:
+    if "--assignments" in argv[1:]:
+        write_pins(ASSIGNMENTS_PATH, compute_assignment_digests(),
+                   "assignment digests")
+    else:
+        write_pins(GOLDENS_PATH, compute_signatures(), "signatures")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
