@@ -21,30 +21,18 @@ hides most of its communication latency".  Memory stays bounded: the window
 holds at most ``async_window`` in-flight reads (Figure 11's flat <256 MB
 line).
 
-The pull-phase math itself (compute split, overheads, RPC service model,
-fault adjustments, phase assembly) lives in :mod:`repro.engines.common`,
-shared with the ``hybrid`` engine.
+The pull model itself (phase costs, timeline, memory, fault adjustments)
+and the run body that charges it live in :mod:`repro.engines.common`,
+shared with the ``hybrid`` engine; this module only names the model's
+parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.engines.base import EngineConfig, ExecutionMode
-from repro.engines.common import (
-    ASYNC_BASE_MEMORY,
-    ASYNC_TASK_RECORD_BYTES,
-    apply_pull_faults,
-    assemble_pull_phases,
-    mean_read_bytes,
-    predict_pull_wall,
-    pull_comm,
-    pull_overheads,
-    split_pull_compute,
-)
-from repro.engines.harness import ExecutionContext
+from repro.engines.base import EngineConfig
+from repro.engines.common import pull_cost, run_pull_engine
 from repro.engines.registry import register_cost_hook, register_engine
 from repro.engines.report import RunResult
 from repro.machine.config import MachineSpec
@@ -53,8 +41,13 @@ from repro.pipeline.workload import WorkloadAssignment
 
 __all__ = ["AsyncEngine"]
 
-#: back-compat alias — the canonical constant lives in engines.common
-RUNTIME_BASE_MEMORY = ASYNC_BASE_MEMORY
+
+def _model_params(config: EngineConfig) -> dict:
+    """Aggregation coalesces ``k`` pulls into one message (same bytes,
+    fewer per-message costs and a shallower service queue); the window
+    holds single in-flight reads."""
+    return {"agg": float(config.async_aggregation),
+            "batch_fill_stall": False, "window_factor": 1.0}
 
 
 @register_engine("async", description="asynchronous one-sided pulls with "
@@ -71,93 +64,16 @@ class AsyncEngine:
             tracer: Tracer | None = None,
             metrics: MetricsRegistry | None = None,
             faults=None) -> RunResult:
-        ctx = ExecutionContext.open(self.name, assignment, machine,
-                                    self.config, tracer=tracer,
-                                    metrics=metrics, faults=faults)
-        P = ctx.num_ranks
-
-        comm_only = self.config.mode is ExecutionMode.COMM_ONLY
-        factors = ctx.noise.factors(P)
-        local_compute, remote_compute = split_pull_compute(
-            assignment, factors, comm_only
-        )
-        overhead = pull_overheads(self.config, assignment, machine)
-        # index-building overhead happens before the pull phase; the
-        # remainder is interleaved with the callbacks
-        overhead_pre = 0.5 * overhead
-        overhead_cb = overhead - overhead_pre
-
-        bar = ctx.net.barrier_time()
-        # aggregation coalesces `k` pulls into one message (same bytes,
-        # fewer per-message costs and a shallower service queue)
-        agg = float(self.config.async_aggregation)
-        comm = pull_comm(ctx.net, assignment, agg)
-
-        # --- fault adjustments (analytic; see docs/RESILIENCE.md) ---
-        fo = apply_pull_faults(
-            ctx, assignment, agg, self.config.async_min_visible, bar,
-            local_compute, remote_compute, overhead_pre, overhead_cb, comm,
-        )
-
-        wall, busy, _visible = assemble_pull_phases(
-            ctx, fo.local_compute, fo.overhead_pre, fo.remote_compute,
-            fo.overhead_cb, fo.comm, fo.fault_stall,
-            self.config.async_min_visible, bar,
-            start_delay=fo.start_delay,
-        )
-
-        avg_read = mean_read_bytes(assignment)
-        memory = (
-            RUNTIME_BASE_MEMORY
-            + assignment.partition_bytes
-            + assignment.tasks_per_rank * ASYNC_TASK_RECORD_BYTES
-            + self.config.async_window * avg_read  # in-flight reads only
-        )
-        details = {
-            "hidden_comm": float(np.minimum(fo.comm, busy).sum()),
-            "raw_comm": fo.comm,
-        }
-        if faults is not None:
-            details.update(ctx.fault_details(
-                {
-                    "rpc_retries": int(fo.retry_counts.sum()),
-                    "rpc_stall_total": float(fo.fault_stall.sum()),
-                },
-                fo.tasks_redistributed, fo.ranks_lost, ledger=fo.ledger,
-            ))
-        return ctx.finalize(
-            assignment, wall,
-            memory=memory,
-            exchange_rounds=0,
-            details=details,
-            extra_counters=(
-                ("rpc_issued", np.ceil(assignment.lookups / agg)),
-                ("rpc_bytes", assignment.lookup_bytes),
-            ),
-            redist_counts=fo.redist_counts,
-            tasks_redistributed=fo.tasks_redistributed,
+        return run_pull_engine(
+            self.name, self.config, assignment, machine,
+            **_model_params(self.config),
+            tracer=tracer, metrics=metrics, faults=faults,
         )
 
 
 @register_cost_hook("async")
 def _predict_async(assignment: WorkloadAssignment, machine: MachineSpec,
                    config: EngineConfig) -> dict:
-    """Analytic fault-free wall clock of :class:`AsyncEngine`.
-
-    The shared pull predictor evaluated at ``async_aggregation`` — on a
-    noise-free machine this is bit-equal to the engine's measured wall.
-    """
-    wall = predict_pull_wall(config, assignment, machine,
-                             float(config.async_aggregation))
-    avg_read = mean_read_bytes(assignment)
-    memory = (
-        RUNTIME_BASE_MEMORY
-        + assignment.partition_bytes
-        + assignment.tasks_per_rank * ASYNC_TASK_RECORD_BYTES
-        + config.async_window * avg_read
-    )
-    return {
-        "wall": wall,
-        "peak_memory": float(memory.max(initial=0.0)),
-        "rounds": 0,
-    }
+    """Fault-free wall clock and footprint of :class:`AsyncEngine`: the
+    phases :meth:`AsyncEngine.run` charges, evaluated without charging."""
+    return pull_cost(config, assignment, machine, **_model_params(config))

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engines.base import EngineConfig, ExecutionMode
+from repro.engines.base import EngineConfig
 from repro.engines.common import (
-    BSP_BASE_MEMORY,
     BSP_TASK_RECORD_BYTES,
+    bsp_memory,
+    bsp_model,
     bsp_num_rounds,
+    bsp_superstep,
     exchange_budget,
-    internode_fraction,
-    survivor_share,
 )
 from repro.engines.harness import ExecutionContext
 from repro.engines.rebalance import MigrationLedger
@@ -45,9 +45,6 @@ from repro.obs import ENGINE_LANE, MetricsRegistry, Tracer
 from repro.pipeline.workload import WorkloadAssignment
 
 __all__ = ["BSPEngine"]
-
-#: back-compat aliases — the canonical constants live in engines.common
-RUNTIME_BASE_MEMORY = BSP_BASE_MEMORY
 
 
 @register_engine("bsp", description="bulk-synchronous aggregated exchange "
@@ -83,23 +80,10 @@ class BSPEngine:
                                     metrics=metrics, faults=faults)
         P = ctx.num_ranks
 
-        rounds = self.num_rounds(machine, assignment)
-        send = assignment.send_bytes
-        recv = assignment.recv_bytes
-        # how many peers a typical rank exchanges nonempty messages with:
-        # bounded by its distinct remote reads and by P-1
-        avg_sources = float(np.minimum(assignment.lookups, P - 1).mean()) if P > 1 else 1.0
-
-        comm_only = self.config.mode is ExecutionMode.COMM_ONLY
-        compute = np.zeros(P) if comm_only else assignment.compute_seconds
-        internode = internode_fraction(machine)
-        overhead = (
-            assignment.tasks_per_rank * self.config.bsp_task_overhead
-            + assignment.lookups * self.config.bsp_read_overhead * internode
-        )
-
-        eff_scale = self.config.multiround_efficiency if rounds > 1 else 1.0
+        model = bsp_model(self.config, machine, assignment)
+        rounds = model.rounds
         factors = ctx.noise.factors(P)
+        traced = ctx.tracer is not None
         wall = 0.0
         exchange_total = 0.0
         # fault bookkeeping: survivors absorb dead ranks' per-round quotas
@@ -217,8 +201,10 @@ class BSPEngine:
                     )
             n_alive = int(alive.sum())
 
-            round_send = survivor_share(send, rounds, alive, n_alive)
-            round_recv = survivor_share(recv, rounds, alive, n_alive)
+            # the model's fault-free superstep for this round's membership;
+            # everything below adjusts and charges it
+            duration, personal, align_part, phase = bsp_superstep(
+                ctx.net, model, factors, alive, n_alive)
             if n_alive < P:
                 lost_mask = redist_mask if churn else ~alive
                 moved = float(
@@ -240,33 +226,17 @@ class BSPEngine:
                                         mig_dur * n_alive)
                 ctx.instant(ENGINE_LANE, "migrate", wall, round=r,
                             ranks=movers, nbytes=mig_bytes)
-                for i in range(P):
-                    if alive[i]:
-                        ctx.phase(i, "comm", wall, mig_dur,
-                                  name=f"migrate[{r}]")
-                    else:
-                        ctx.phase(i, "sync", wall, mig_dur,
-                                  name=f"migrate-wait[{r}]")
+                if traced:
+                    for i in range(P):
+                        if alive[i]:
+                            ctx.phase(i, "comm", wall, mig_dur,
+                                      name=f"migrate[{r}]")
+                        else:
+                            ctx.phase(i, "sync", wall, mig_dur,
+                                      name=f"migrate-wait[{r}]")
                 wall += mig_dur
 
             # --- exchange phase (blocking collective) ---
-            # a rank exchanges with roughly the same peer set every round;
-            # splitting volume across rounds shrinks per-source messages
-            round_sources = avg_sources
-            duration = ctx.net.alltoallv_time(
-                round_send.max(initial=0.0),
-                round_recv.max(initial=0.0),
-                round_sources,
-                efficiency_scale=eff_scale,
-            )
-            personal = np.array([
-                ctx.net.alltoallv_rank_time(
-                    float(round_send[i]), float(round_recv[i]),
-                    round_sources,
-                    efficiency_scale=eff_scale,
-                )
-                for i in range(P)
-            ])
             if faults is not None:
                 # degraded links dilate the whole exchange window
                 dil = faults.mean_link_dilation(t0, t0 + duration)
@@ -292,18 +262,15 @@ class BSPEngine:
                                 round=r, attempt=a + 1)
                 label = (f"exchange[{r}]!a{a}" if retried
                          else f"exchange[{r}]")
-                for i in range(P):
-                    p_comm = float(comm_round[i])
-                    ctx.phase(i, "comm", ta, p_comm, name=label)
-                    ctx.phase(i, "sync", ta + p_comm, duration - p_comm,
-                              name=f"exchange-skew[{r}]")
+                if traced:
+                    for i in range(P):
+                        p_comm = float(comm_round[i])
+                        ctx.phase(i, "comm", ta, p_comm, name=label)
+                        ctx.phase(i, "sync", ta + p_comm, duration - p_comm,
+                                  name=f"exchange-skew[{r}]")
 
             # --- compute phase (ends at the slowest rank) ---
             tc = wall
-            align_part = factors * survivor_share(compute, rounds,
-                                                  alive, n_alive)
-            phase = align_part + factors * survivor_share(overhead, rounds,
-                                                          alive, n_alive)
             if faults is not None:
                 # stragglers dilate busy time inside their windows
                 straggle = np.array([
@@ -319,21 +286,23 @@ class BSPEngine:
             ctx.timers.add_array("sync", phase_end - phase)
             wall += phase_end
 
-            for i in range(P):
-                a_ = float(align_part[i])
-                o = float(phase[i]) - a_
-                ctx.phase(i, "compute_align", tc, a_, name=f"align[{r}]")
-                ctx.phase(i, "compute_overhead", tc + a_, o,
-                          name=f"overhead[{r}]")
-                ctx.phase(i, "sync", tc + float(phase[i]),
-                          phase_end - float(phase[i]),
-                          name=f"compute-wait[{r}]")
+            if traced:
+                for i in range(P):
+                    a_ = float(align_part[i])
+                    o = float(phase[i]) - a_
+                    ctx.phase(i, "compute_align", tc, a_, name=f"align[{r}]")
+                    ctx.phase(i, "compute_overhead", tc + a_, o,
+                              name=f"overhead[{r}]")
+                    ctx.phase(i, "sync", tc + float(phase[i]),
+                              phase_end - float(phase[i]),
+                              name=f"compute-wait[{r}]")
 
         # final barrier closing the last superstep
         bar = ctx.net.barrier_time()
         ctx.timers.add_array("sync", np.full(P, bar))
-        for i in range(P):
-            ctx.phase(i, "sync", wall, bar, name="exit-barrier")
+        if traced:
+            for i in range(P):
+                ctx.phase(i, "sync", wall, bar, name="exit-barrier")
         wall += bar
 
         # deaths inside the final superstep surface at the exit barrier:
@@ -381,15 +350,9 @@ class BSPEngine:
                 ranks_lost.append(kill.rank)
                 ctx.record_kill(kill.rank, kill.time)
 
-        memory = (
-            RUNTIME_BASE_MEMORY
-            + assignment.partition_bytes
-            + assignment.tasks_per_rank * BSP_TASK_RECORD_BYTES
-            + (recv + send) / rounds  # receive buffer + send staging
-        )
         details = {
             "exchange_budget": self.exchange_budget(machine, assignment),
-            "avg_sources": avg_sources,
+            "avg_sources": model.avg_sources,
             "exchange_time_total": exchange_total,
         }
         if faults is not None:
@@ -399,10 +362,11 @@ class BSPEngine:
             ))
         return ctx.finalize(
             assignment, wall,
-            memory=memory,
+            memory=bsp_memory(assignment, rounds),
             exchange_rounds=rounds,
             details=details,
-            extra_counters=(("bytes_sent", send), ("bytes_recv", recv)),
+            extra_counters=(("bytes_sent", model.send),
+                            ("bytes_recv", model.recv)),
             redist_counts=redist_counts,
             tasks_redistributed=tasks_redistributed,
         )
@@ -411,51 +375,28 @@ class BSPEngine:
 @register_cost_hook("bsp")
 def _predict_bsp(assignment: WorkloadAssignment, machine: MachineSpec,
                  config: EngineConfig) -> dict:
-    """Analytic fault-free wall clock of :class:`BSPEngine`.
+    """Fault-free wall clock and footprint of :class:`BSPEngine`.
 
-    Replays the engine's per-round arithmetic (same float operations,
-    same association order) without timers, trace, or fault bookkeeping,
-    so on a noise-free machine the prediction is bit-equal to the
-    engine's measured wall.  Raises ``ConfigurationError`` when the
-    partition does not fit per-rank memory — the planner records such
-    grid points as infeasible.
+    Every fault-free round is the same superstep (everyone alive, unit
+    noise factors on an isolated machine), so the model is evaluated once
+    and accumulated the way :meth:`BSPEngine.run` accumulates it.  Raises
+    ``ConfigurationError`` when the partition does not fit per-rank
+    memory — the planner records such grid points as infeasible.
     """
     net = NetworkModel(machine)
     P = assignment.num_ranks
-    rounds = bsp_num_rounds(config, machine, assignment)
-    send = assignment.send_bytes
-    recv = assignment.recv_bytes
-    avg_sources = (float(np.minimum(assignment.lookups, P - 1).mean())
-                   if P > 1 else 1.0)
-    comm_only = config.mode is ExecutionMode.COMM_ONLY
-    compute = np.zeros(P) if comm_only else assignment.compute_seconds
-    overhead = (
-        assignment.tasks_per_rank * config.bsp_task_overhead
-        + assignment.lookups * config.bsp_read_overhead
-        * internode_fraction(machine)
-    )
-    eff_scale = config.multiround_efficiency if rounds > 1 else 1.0
-    duration = net.alltoallv_time(
-        (send / rounds).max(initial=0.0),
-        (recv / rounds).max(initial=0.0),
-        avg_sources,
-        efficiency_scale=eff_scale,
-    )
-    phase = compute / rounds + overhead / rounds
+    model = bsp_model(config, machine, assignment)
+    duration, _, _, phase = bsp_superstep(
+        net, model, np.ones(P), np.ones(P, dtype=bool), P)
     phase_end = float(phase.max(initial=0.0))
     wall = 0.0
-    for _ in range(rounds):
+    for _ in range(model.rounds):
         wall += duration
         wall += phase_end
     wall += net.barrier_time()
-    memory = (
-        BSP_BASE_MEMORY
-        + assignment.partition_bytes
-        + assignment.tasks_per_rank * BSP_TASK_RECORD_BYTES
-        + (recv + send) / rounds
-    )
+    memory = bsp_memory(assignment, model.rounds)
     return {
         "wall": wall,
         "peak_memory": float(memory.max(initial=0.0)),
-        "rounds": rounds,
+        "rounds": model.rounds,
     }

@@ -1,30 +1,37 @@
-"""Shared macro-engine math: constants, round sizing, and the pull model.
+"""The macro engines' cost model: one function per phase formula.
 
-Everything here used to be duplicated across (or cross-imported between)
-the engine implementations: the per-rank memory-footprint constants, the
-BSP round-sizing logic, the redistribute-to-survivors quota helper, and
-the entire asynchronous pull phase model — which the ``hybrid`` engine
-(§5's aggregated pulls) shares with the plain ``async`` engine, differing
-only in how many pulls coalesce into one RPC.
+Each paper equation lives here exactly once — BSP round sizing and the
+superstep (:func:`bsp_model`, :func:`bsp_superstep`, §3.1), the
+asynchronous pull phases and their timeline (:func:`pull_phases`,
+:func:`pull_timeline`, §3.2; the ``hybrid`` engine of §5 is the same
+model at a different aggregation), and the two memory footprints
+(:func:`bsp_memory`, :func:`pull_memory`).  An engine run computes its
+phases through these functions and *charges* them (timers, trace, fault
+adjustments); the engine's planner cost hook calls the same functions and
+reads the wall clock off the result, so a prediction cannot drift from
+the run it predicts.
 
-The functions are deliberately *pure over their inputs* (arrays in, arrays
-out) so that moving them here preserved bit-identical results: the same
-floating-point operations run in the same order as before the refactor.
+The model functions are pure over their inputs (arrays in, fresh arrays
+out); everything that touches a tracer, a timer or a fault injector is
+layered on top (:func:`apply_pull_faults`, :func:`assemble_pull_phases`,
+:func:`run_pull_engine`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.engines.base import EngineConfig, ExecutionMode
 from repro.engines.harness import ExecutionContext
 from repro.engines.rebalance import MigrationLedger
+from repro.engines.report import RunResult
 from repro.errors import ConfigurationError, RankFailureError
 from repro.machine.config import MachineSpec
 from repro.machine.network import NetworkModel
-from repro.obs import ENGINE_LANE
+from repro.obs import ENGINE_LANE, MetricsRegistry, Tracer
 from repro.pipeline.workload import WorkloadAssignment
 from repro.utils.units import MB
 
@@ -39,13 +46,20 @@ __all__ = [
     "survivor_share",
     "membership_share",
     "mean_read_bytes",
-    "split_pull_compute",
-    "pull_overheads",
-    "pull_comm",
+    "BspModel",
+    "bsp_model",
+    "bsp_superstep",
+    "bsp_memory",
+    "PullPhases",
+    "PullTimeline",
+    "pull_phases",
+    "pull_timeline",
+    "pull_memory",
+    "pull_cost",
     "PullFaultOutcome",
     "apply_pull_faults",
     "assemble_pull_phases",
-    "predict_pull_wall",
+    "run_pull_engine",
 ]
 
 #: fixed per-rank footprint: program image + MPI runtime + output buffers
@@ -136,79 +150,152 @@ def mean_read_bytes(assignment: WorkloadAssignment) -> float:
     )
 
 
+# -- the BSP superstep model (§3.1) ------------------------------------------
+
+@dataclass(frozen=True)
+class BspModel:
+    """Per-run constants of the superstep model, built once per run."""
+
+    rounds: int
+    send: np.ndarray
+    recv: np.ndarray
+    #: how many peers a typical rank exchanges nonempty messages with:
+    #: bounded by its distinct remote reads and by P-1
+    avg_sources: float
+    compute: np.ndarray
+    overhead: np.ndarray
+    #: multi-round exchanges cannot pipeline pack/unpack with transmission
+    eff_scale: float
+
+
+def bsp_model(config: EngineConfig, machine: MachineSpec,
+              assignment: WorkloadAssignment) -> BspModel:
+    """Size the rounds and price one run's exchange and compute totals.
+
+    Raises ``ConfigurationError`` when the partition does not fit per-rank
+    memory (the planner records such grid points as infeasible).
+    """
+    P = assignment.num_ranks
+    rounds = bsp_num_rounds(config, machine, assignment)
+    comm_only = config.mode is ExecutionMode.COMM_ONLY
+    return BspModel(
+        rounds=rounds,
+        send=assignment.send_bytes,
+        recv=assignment.recv_bytes,
+        avg_sources=(float(np.minimum(assignment.lookups, P - 1).mean())
+                     if P > 1 else 1.0),
+        compute=np.zeros(P) if comm_only else assignment.compute_seconds,
+        overhead=(
+            assignment.tasks_per_rank * config.bsp_task_overhead
+            + assignment.lookups * config.bsp_read_overhead
+            * internode_fraction(machine)
+        ),
+        eff_scale=config.multiround_efficiency if rounds > 1 else 1.0,
+    )
+
+
+def bsp_superstep(
+    net: NetworkModel, model: BspModel, factors: np.ndarray,
+    alive: np.ndarray, n_alive: int,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """One fault-free superstep for a membership mask.
+
+    Returns ``(duration, personal, align_part, phase)``: the blocking
+    exchange's duration, each rank's personal (pre-wait) share of it, and
+    the noise-dilated per-rank alignment and total (alignment + overhead)
+    compute seconds of the round.  A rank exchanges with roughly the same
+    peer set every round, so splitting the volume across rounds shrinks
+    the per-source messages.
+    """
+    rounds = model.rounds
+    round_send = survivor_share(model.send, rounds, alive, n_alive)
+    round_recv = survivor_share(model.recv, rounds, alive, n_alive)
+    duration = net.alltoallv_time(
+        round_send.max(initial=0.0), round_recv.max(initial=0.0),
+        model.avg_sources, efficiency_scale=model.eff_scale,
+    )
+    personal = net.alltoallv_rank_time(
+        round_send, round_recv, model.avg_sources,
+        efficiency_scale=model.eff_scale,
+    )
+    align_part = factors * survivor_share(model.compute, rounds,
+                                          alive, n_alive)
+    phase = align_part + factors * survivor_share(model.overhead, rounds,
+                                                  alive, n_alive)
+    return duration, personal, align_part, phase
+
+
+def bsp_memory(assignment: WorkloadAssignment, rounds: int) -> np.ndarray:
+    """Per-rank BSP footprint: runtime + partition + flat task records +
+    one round's receive buffer and send staging."""
+    return (
+        BSP_BASE_MEMORY
+        + assignment.partition_bytes
+        + assignment.tasks_per_rank * BSP_TASK_RECORD_BYTES
+        + (assignment.recv_bytes + assignment.send_bytes) / rounds
+    )
+
+
 # -- the asynchronous pull model (shared by async and hybrid) ---------------
 
-def split_pull_compute(assignment: WorkloadAssignment, factors: np.ndarray,
-                       comm_only: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-dilated (local-pair, remote-pair) compute seconds per rank."""
-    P = assignment.num_ranks
-    if comm_only:
-        return np.zeros(P), np.zeros(P)
-    local_compute = factors * assignment.local_pair_seconds
-    remote_compute = factors * (
-        assignment.compute_seconds - assignment.local_pair_seconds
-    )
-    return local_compute, remote_compute
+@dataclass
+class PullPhases:
+    """Per-rank phase costs of one pull-engine run (§3.2).
+
+    The arrays are freshly computed, never views of the assignment: the
+    fault code adjusts them in place.
+    """
+
+    local_compute: np.ndarray
+    remote_compute: np.ndarray
+    #: index-building overhead, paid before the pull phase
+    overhead_pre: np.ndarray
+    #: the remainder, interleaved with the callbacks
+    overhead_cb: np.ndarray
+    comm: np.ndarray
+    bar: float
 
 
-def pull_overheads(config: EngineConfig, assignment: WorkloadAssignment,
-                   machine: MachineSpec) -> np.ndarray:
-    """Per-rank traversal/callback overhead of the pull-based engines."""
-    internode = internode_fraction(machine)
-    return (
-        assignment.tasks_per_rank * config.async_task_overhead
-        + assignment.lookups * config.async_read_overhead * internode
-        + config.async_base_overhead
-    )
+class PullTimeline(NamedTuple):
+    """Where every rank's phases land (see :func:`pull_timeline`)."""
+
+    phase_a_busy: np.ndarray
+    phase_a_end: np.ndarray
+    #: callback-phase compute available for hiding communication
+    busy: np.ndarray
+    visible_comm: np.ndarray
+    finish: np.ndarray
+    wall: float
 
 
-def pull_comm(net: NetworkModel, assignment: WorkloadAssignment,
-              agg: float) -> np.ndarray:
-    """Per-rank pull time with ``agg`` reads coalesced per RPC.
+def pull_phases(config: EngineConfig, assignment: WorkloadAssignment,
+                net: NetworkModel, agg: float, factors: np.ndarray, *,
+                batch_fill_stall: bool) -> PullPhases:
+    """Fault-free phase costs with ``agg`` reads coalesced per RPC.
 
     Aggregation keeps the bytes and halves nothing — it divides the
     *message counts* (injection gaps, service-queue depth, window slots).
+    With ``batch_fill_stall`` a batch must fill before it injects:
+    ``agg - 1`` pulls' worth of accumulation stall per batch (zero at
+    ``agg == 1``).
     """
     P = assignment.num_ranks
-    return np.array([
-        net.rpc_pull_time(
-            float(assignment.lookups[i]) / agg,
-            float(assignment.lookup_bytes[i]),
-            float(assignment.incoming_lookups[i]) / agg,
-            float(assignment.incoming_bytes[i]),
-        )
-        for i in range(P)
-    ])
-
-
-def predict_pull_wall(config: EngineConfig, assignment: WorkloadAssignment,
-                      machine: MachineSpec, agg: float, *,
-                      batch_fill_stall: bool = False) -> float:
-    """Closed-form fault-free, noise-free wall clock of the pull engines.
-
-    The exact arithmetic of :func:`assemble_pull_phases` with unit noise
-    factors and no injector, evaluated without timers or trace emission —
-    the shared body of the ``async`` and ``hybrid`` cost hooks (the two
-    differ only in ``agg`` and in the batch-fill stall, just like the
-    engines themselves).  On an isolated machine (the default Cori
-    configuration leaves 4 cores to the OS, so noise is off) the
-    prediction reproduces the engine's fault-free wall clock to the last
-    bit: the same float operations run in the same association order.
-    """
-    P = assignment.num_ranks
-    net = NetworkModel(machine)
-    comm_only = config.mode is ExecutionMode.COMM_ONLY
-    if comm_only:
-        local_compute = np.zeros(P)
-        remote_compute = np.zeros(P)
+    machine = net.machine
+    if config.mode is ExecutionMode.COMM_ONLY:
+        local_compute, remote_compute = np.zeros(P), np.zeros(P)
     else:
-        local_compute = assignment.local_pair_seconds
-        remote_compute = assignment.compute_seconds - assignment.local_pair_seconds
-    overhead = pull_overheads(config, assignment, machine)
+        local_compute = factors * assignment.local_pair_seconds
+        remote_compute = factors * (
+            assignment.compute_seconds - assignment.local_pair_seconds
+        )
+    overhead = (
+        assignment.tasks_per_rank * config.async_task_overhead
+        + assignment.lookups * config.async_read_overhead
+        * internode_fraction(machine)
+        + config.async_base_overhead
+    )
     overhead_pre = 0.5 * overhead
-    overhead_cb = overhead - overhead_pre
-    bar = net.barrier_time()
-    comm = net.rpc_pull_time_batch(
+    comm = net.rpc_pull_time(
         assignment.lookups / agg,
         assignment.lookup_bytes,
         assignment.incoming_lookups / agg,
@@ -217,23 +304,76 @@ def predict_pull_wall(config: EngineConfig, assignment: WorkloadAssignment,
     if batch_fill_stall:
         n_batches = np.ceil(assignment.lookups / agg)
         comm = comm + n_batches * (agg - 1.0) * machine.network.msg_gap
-    phase_a_end = np.maximum(local_compute + overhead_pre, bar)
-    busy = remote_compute + overhead_cb
-    visible_comm = np.maximum(comm - busy, config.async_min_visible * comm)
-    phase_b = busy + visible_comm
-    finish = phase_a_end + phase_b
-    return float(finish.max(initial=0.0)) + bar
+    return PullPhases(
+        local_compute, remote_compute, overhead_pre, overhead - overhead_pre,
+        comm, net.barrier_time(),
+    )
+
+
+def pull_timeline(phases: PullPhases, min_visible: float,
+                  fault_stall: np.ndarray | None = None,
+                  start_delay: np.ndarray | None = None) -> PullTimeline:
+    """The per-rank pull timeline (§3.2), a pure function of the phases.
+
+    Phase A is local-pair compute overlapped with the split-phase barrier;
+    phase B is pulls with callback compute, where visible communication is
+    whatever compute could not hide — floored at ``min_visible`` of the
+    pull time, since callbacks bunch between application-level polls —
+    plus ``fault_stall`` (a response that never came cannot be hidden);
+    then everyone waits at the exit barrier for the slowest rank.
+
+    ``start_delay`` (churn runs only) is per-rank idle time before phase A
+    can begin; ``None`` means everyone starts at t=0.
+    """
+    phase_a_busy = phases.local_compute + phases.overhead_pre
+    if start_delay is None:
+        phase_a_end = np.maximum(phase_a_busy, phases.bar)
+    else:
+        phase_a_end = np.maximum(start_delay + phase_a_busy, phases.bar)
+    busy = phases.remote_compute + phases.overhead_cb
+    visible_comm = np.maximum(phases.comm - busy, min_visible * phases.comm)
+    if fault_stall is not None:
+        visible_comm = visible_comm + fault_stall
+    finish = phase_a_end + (busy + visible_comm)
+    wall = float(finish.max(initial=0.0)) + phases.bar
+    return PullTimeline(phase_a_busy, phase_a_end, busy, visible_comm,
+                        finish, wall)
+
+
+def pull_memory(config: EngineConfig, assignment: WorkloadAssignment,
+                window_factor: float) -> np.ndarray:
+    """Per-rank pull-engine footprint: runtime + partition + pointer-based
+    task records + the in-flight window (``window_factor`` reads staged
+    per slot)."""
+    return (
+        ASYNC_BASE_MEMORY
+        + assignment.partition_bytes
+        + assignment.tasks_per_rank * ASYNC_TASK_RECORD_BYTES
+        + config.async_window * window_factor * mean_read_bytes(assignment)
+    )
+
+
+def pull_cost(config: EngineConfig, assignment: WorkloadAssignment,
+              machine: MachineSpec, *, agg: float, batch_fill_stall: bool,
+              window_factor: float) -> dict:
+    """Cost-hook result of a pull engine: the phases :func:`run_pull_engine`
+    charges, at unit noise factors, read off without charging them."""
+    phases = pull_phases(config, assignment, NetworkModel(machine), agg,
+                         np.ones(assignment.num_ranks),
+                         batch_fill_stall=batch_fill_stall)
+    memory = pull_memory(config, assignment, window_factor)
+    return {
+        "wall": pull_timeline(phases, config.async_min_visible).wall,
+        "peak_memory": float(memory.max(initial=0.0)),
+        "rounds": 0,
+    }
 
 
 @dataclass
 class PullFaultOutcome:
-    """Fault-adjusted phase arrays plus degradation bookkeeping."""
+    """Fault-adjusted phases plus degradation bookkeeping."""
 
-    local_compute: np.ndarray
-    remote_compute: np.ndarray
-    overhead_pre: np.ndarray
-    overhead_cb: np.ndarray
-    comm: np.ndarray
+    phases: PullPhases
     fault_stall: np.ndarray
     retry_counts: np.ndarray
     tasks_redistributed: float
@@ -241,22 +381,42 @@ class PullFaultOutcome:
     ranks_lost: list[int]
     #: churn accounting (``None`` unless the plan has membership churn)
     ledger: MigrationLedger | None = None
-    #: per-rank pre-join idle seconds (``None`` = everyone starts at t=0,
-    #: which keeps :func:`assemble_pull_phases` on its original code path)
+    #: per-rank pre-join idle seconds (``None`` = everyone starts at t=0)
     start_delay: np.ndarray | None = None
+
+
+def _hand_off_unfinished(phases: PullPhases, fault_stall: np.ndarray,
+                         alive: np.ndarray, d: int, t: float,
+                         finish0: np.ndarray,
+                         tasks_per_rank: np.ndarray) -> float:
+    """Rank ``d`` (already cleared from ``alive``) stops at time ``t``.
+
+    It keeps the fraction of every phase it finished on the fault-free
+    timeline; the ``alive`` ranks absorb the rest equally as extra
+    callback-phase compute and pull traffic (unfinished local pairs are
+    redone remotely).  Returns the number of tasks that moved.
+    """
+    done = min(1.0, t / float(finish0[d])) if finish0[d] > 0 else 1.0
+    n_alive = int(alive.sum())
+    lost_align = (1.0 - done) * (phases.local_compute[d]
+                                 + phases.remote_compute[d])
+    lost_oh = (1.0 - done) * (phases.overhead_pre[d] + phases.overhead_cb[d])
+    lost_comm = (1.0 - done) * (phases.comm[d] + fault_stall[d])
+    for arr in (phases.local_compute, phases.remote_compute,
+                phases.overhead_pre, phases.overhead_cb, phases.comm,
+                fault_stall):
+        arr[d] = arr[d] * done
+    phases.remote_compute[alive] += lost_align / n_alive
+    phases.overhead_cb[alive] += lost_oh / n_alive
+    phases.comm[alive] += lost_comm / n_alive
+    return (1.0 - done) * float(tasks_per_rank[d])
 
 
 def apply_pull_faults(
     ctx: ExecutionContext,
     assignment: WorkloadAssignment,
     agg: float,
-    min_visible: float,
-    bar: float,
-    local_compute: np.ndarray,
-    remote_compute: np.ndarray,
-    overhead_pre: np.ndarray,
-    overhead_cb: np.ndarray,
-    comm: np.ndarray,
+    phases: PullPhases,
 ) -> PullFaultOutcome:
     """Fault adjustments of the pull model (analytic; docs/RESILIENCE.md).
 
@@ -269,41 +429,35 @@ def apply_pull_faults(
     faults = ctx.faults
     fault_stall = np.zeros(P)
     retry_counts = np.zeros(P)
-    tasks_redistributed = 0.0
     redist_counts = np.zeros(P)
-    ranks_lost: list[int] = []
     if faults is None:
-        return PullFaultOutcome(
-            local_compute, remote_compute, overhead_pre, overhead_cb, comm,
-            fault_stall, retry_counts, tasks_redistributed, redist_counts,
-            ranks_lost,
-        )
+        return PullFaultOutcome(phases, fault_stall, retry_counts, 0.0,
+                                redist_counts, [])
 
     net = ctx.net
-    machine = ctx.machine
     plan = faults.plan
     # fault-free horizon: where each rank *would* finish — places
-    # degradation windows and kills on this analytic timeline
-    busy0 = remote_compute + overhead_cb
-    visible0 = np.maximum(comm - busy0, min_visible * comm)
-    finish0 = (
-        np.maximum(local_compute + overhead_pre, bar)
-        + busy0 + visible0
-    )
-    wall0 = float(finish0.max(initial=0.0)) + bar
+    # degradation windows and kills on this analytic timeline.  Summed
+    # left to right from the timeline's terms; the fault goldens pin that
+    # order, which can sit an ulp off ``horizon.finish``
+    horizon = pull_timeline(phases, ctx.config.async_min_visible)
+    finish0 = horizon.phase_a_end + horizon.busy + horizon.visible_comm
+    wall0 = float(finish0.max(initial=0.0)) + phases.bar
 
-    # stragglers dilate every busy second inside their windows
+    # stragglers dilate every busy second inside their windows;
+    # degraded links dilate the pull traffic
     straggle = np.array([
         faults.mean_straggle_factor(i, 0.0, float(finish0[i]))
         for i in range(P)
     ])
-    local_compute = local_compute * straggle
-    remote_compute = remote_compute * straggle
-    overhead_pre = overhead_pre * straggle
-    overhead_cb = overhead_cb * straggle
-
-    # degraded links dilate the pull traffic
-    comm = comm * faults.mean_link_dilation(0.0, wall0)
+    phases = PullPhases(
+        phases.local_compute * straggle,
+        phases.remote_compute * straggle,
+        phases.overhead_pre * straggle,
+        phases.overhead_cb * straggle,
+        phases.comm * faults.mean_link_dilation(0.0, wall0),
+        phases.bar,
+    )
 
     # message faults: a dropped pull stalls its caller for the
     # timeout plus the first backoff before the retry lands; a
@@ -312,7 +466,7 @@ def apply_pull_faults(
     timeout = (plan.rpc_timeout if plan.rpc_timeout is not None
                else net.suggested_rpc_timeout())
     backoff = (plan.rpc_backoff if plan.rpc_backoff is not None
-               else 10.0 * machine.network.rtt)
+               else 10.0 * ctx.machine.network.rtt)
     for i in range(P):
         n_calls = int(np.ceil(float(assignment.lookups[i]) / agg))
         drops, delays, dups = faults.rank_rpc_fault_counts(i, n_calls)
@@ -337,19 +491,19 @@ def apply_pull_faults(
         ledger = MigrationLedger()
         start_delay = np.zeros(P)
         tasks_redistributed, redist_counts, ranks_lost = _pull_churn_events(
-            ctx, assignment, finish0, wall0,
-            local_compute, remote_compute, overhead_pre, overhead_cb, comm,
-            fault_stall, ledger, start_delay,
+            ctx, assignment, finish0, wall0, phases, fault_stall,
+            ledger, start_delay,
         )
         return PullFaultOutcome(
-            local_compute, remote_compute, overhead_pre, overhead_cb, comm,
-            fault_stall, retry_counts, tasks_redistributed, redist_counts,
-            ranks_lost, ledger=ledger, start_delay=start_delay,
+            phases, fault_stall, retry_counts, tasks_redistributed,
+            redist_counts, ranks_lost, ledger=ledger,
+            start_delay=start_delay,
         )
 
     # rank deaths: the killed rank stops at its death time; the
-    # survivors absorb its unfinished work as extra callback-phase
-    # compute and pull traffic
+    # survivors absorb its unfinished work
+    tasks_redistributed = 0.0
+    ranks_lost: list[int] = []
     alive = np.ones(P, dtype=bool)
     for kill in sorted(plan.kills, key=lambda k: (k.time, k.rank)):
         if kill.time >= wall0 or not alive[kill.rank]:
@@ -374,29 +528,14 @@ def apply_pull_faults(
                                kind="rank_kill", victim=d)
         if ctx.metrics is not None:
             ctx.metrics.inc("faults_injected", d)
-        done = (min(1.0, kill.time / float(finish0[d]))
-                if finish0[d] > 0 else 1.0)
-        n_alive = int(alive.sum())
-        # unfinished local pairs are redone remotely by survivors
-        lost_align = (1.0 - done) * (local_compute[d]
-                                     + remote_compute[d])
-        lost_oh = (1.0 - done) * (overhead_pre[d] + overhead_cb[d])
-        lost_comm = (1.0 - done) * (comm[d] + fault_stall[d])
-        for arr in (local_compute, remote_compute, overhead_pre,
-                    overhead_cb, comm, fault_stall):
-            arr[d] = arr[d] * done
-        remote_compute[alive] += lost_align / n_alive
-        overhead_cb[alive] += lost_oh / n_alive
-        comm[alive] += lost_comm / n_alive
-        moved = (1.0 - done) * float(assignment.tasks_per_rank[d])
+        moved = _hand_off_unfinished(phases, fault_stall, alive, d,
+                                     kill.time, finish0,
+                                     assignment.tasks_per_rank)
         tasks_redistributed += moved
-        redist_counts[alive] += moved / n_alive
+        redist_counts[alive] += moved / int(alive.sum())
 
-    return PullFaultOutcome(
-        local_compute, remote_compute, overhead_pre, overhead_cb, comm,
-        fault_stall, retry_counts, tasks_redistributed, redist_counts,
-        ranks_lost,
-    )
+    return PullFaultOutcome(phases, fault_stall, retry_counts,
+                            tasks_redistributed, redist_counts, ranks_lost)
 
 
 def _pull_churn_events(
@@ -404,11 +543,7 @@ def _pull_churn_events(
     assignment: WorkloadAssignment,
     finish0: np.ndarray,
     wall0: float,
-    local_compute: np.ndarray,
-    remote_compute: np.ndarray,
-    overhead_pre: np.ndarray,
-    overhead_cb: np.ndarray,
-    comm: np.ndarray,
+    phases: PullPhases,
     fault_stall: np.ndarray,
     ledger: MigrationLedger,
     start_delay: np.ndarray,
@@ -419,10 +554,10 @@ def _pull_churn_events(
     the unfinished fraction (``1 - t/wall0``) of the loan plus a migration
     transfer of the joiner's partition and remaining task records.  A
     graced eviction hands its unfinished work off at the departure time as
-    a checkpoint (same piecewise math as a redistributed kill, plus the
-    checkpoint's transfer cost, accounted as migration); ``grace=0``
-    degenerates to exactly the redistributed-kill arithmetic.  Kills keep
-    requiring the ``redistribute`` flag; announced departures never do.
+    a checkpoint (the redistributed-kill hand-off, plus the checkpoint's
+    transfer cost, accounted as migration); at ``grace=0`` it *is* the
+    redistributed-kill hand-off.  Kills keep requiring the
+    ``redistribute`` flag; announced departures never do.
 
     Events at or beyond the fault-free horizon ``wall0`` are not honored,
     matching the existing kill semantics.
@@ -436,7 +571,9 @@ def _pull_churn_events(
     ranks_lost: list[int] = []
 
     alive = np.ones(P, dtype=bool)
-    arrays = (local_compute, remote_compute, overhead_pre, overhead_cb, comm)
+    comm = phases.comm
+    arrays = (phases.local_compute, phases.remote_compute,
+              phases.overhead_pre, phases.overhead_cb, comm)
     for j in plan.joins:
         alive[j.rank] = False
     if not alive.any():
@@ -463,19 +600,9 @@ def _pull_churn_events(
                 "every rank left before the run finished; nothing "
                 "left to hand the work to"
             )
+        moved = _hand_off_unfinished(phases, fault_stall, alive, d, t,
+                                     finish0, assignment.tasks_per_rank)
         n_alive = int(alive.sum())
-        done = (min(1.0, t / float(finish0[d]))
-                if finish0[d] > 0 else 1.0)
-        lost_align = (1.0 - done) * (local_compute[d] + remote_compute[d])
-        lost_oh = (1.0 - done) * (overhead_pre[d] + overhead_cb[d])
-        lost_comm = (1.0 - done) * (comm[d] + fault_stall[d])
-        for arr in (local_compute, remote_compute, overhead_pre,
-                    overhead_cb, comm, fault_stall):
-            arr[d] = arr[d] * done
-        remote_compute[alive] += lost_align / n_alive
-        overhead_cb[alive] += lost_oh / n_alive
-        comm[alive] += lost_comm / n_alive
-        moved = (1.0 - done) * float(assignment.tasks_per_rank[d])
         if checkpointed:
             # the remaining task records + the partition travel as a
             # checkpoint; every member receives an equal slice in parallel
@@ -561,75 +688,48 @@ def _pull_churn_events(
 
 def assemble_pull_phases(
     ctx: ExecutionContext,
-    local_compute: np.ndarray,
-    overhead_pre: np.ndarray,
-    remote_compute: np.ndarray,
-    overhead_cb: np.ndarray,
-    comm: np.ndarray,
+    phases: PullPhases,
     fault_stall: np.ndarray,
-    min_visible: float,
-    bar: float,
     start_delay: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Charge the three pull phases to the timers and emit their trace.
+) -> PullTimeline:
+    """Charge :func:`pull_timeline` to the timers and emit its trace.
 
-    Timeline per rank (§3.2): local-pair compute overlapped with the
-    split-phase barrier, then pulls with callback compute (visible comm =
-    whatever compute could not hide, floored at ``min_visible``), then the
-    exit-barrier wait.  Returns ``(wall, busy, visible_comm)`` where
-    ``busy`` is the callback-phase compute available for hiding.
-
-    ``start_delay`` (churn runs only) is per-rank idle time before phase A
-    can begin — a joiner waits out its pre-join window at the (split)
-    barrier, charged as sync.  ``None`` keeps the original code path.
+    A joiner (``start_delay``, churn runs only) waits out its pre-join
+    window at the split barrier, charged as sync.
     """
-    P = ctx.num_ranks
     timers = ctx.timers
+    tl = pull_timeline(phases, ctx.config.async_min_visible,
+                       fault_stall, start_delay)
+    wall = tl.wall
 
     # --- phase A: local-pair compute overlapped with split barrier ---
-    phase_a_busy = local_compute + overhead_pre
-    if start_delay is None:
-        phase_a_end = np.maximum(phase_a_busy, bar)
-    else:
-        phase_a_end = np.maximum(start_delay + phase_a_busy, bar)
-    timers.add_array("compute_align", local_compute)
-    timers.add_array("compute_overhead", overhead_pre)
-    timers.add_array("sync", phase_a_end - phase_a_busy)
-
+    timers.add_array("compute_align", phases.local_compute)
+    timers.add_array("compute_overhead", phases.overhead_pre)
+    timers.add_array("sync", tl.phase_a_end - tl.phase_a_busy)
     # --- phase B: pull remote reads, compute from callbacks ---
-    busy = remote_compute + overhead_cb
-    # even abundant computation cannot hide everything: callbacks bunch
-    # between application-level polls (§3.2), leaving a floor of
-    # visible latency
-    visible_comm = np.maximum(
-        comm - busy, min_visible * comm
-    ) + fault_stall
-    phase_b = busy + visible_comm
-    timers.add_array("compute_align", remote_compute)
-    timers.add_array("compute_overhead", overhead_cb)
-    timers.add_array("comm", visible_comm)
-
+    timers.add_array("compute_align", phases.remote_compute)
+    timers.add_array("compute_overhead", phases.overhead_cb)
+    timers.add_array("comm", tl.visible_comm)
     # --- exit barrier: everyone waits for the slowest rank ---
-    finish = phase_a_end + phase_b
-    wall = float(finish.max(initial=0.0)) + bar
-    timers.add_array("sync", wall - finish)
+    timers.add_array("sync", wall - tl.finish)
 
     if ctx.tracer is not None:
-        ctx.tracer.instant(ENGINE_LANE, "split_barrier_release", bar)
+        ctx.tracer.instant(ENGINE_LANE, "split_barrier_release", phases.bar)
         ctx.tracer.instant(ENGINE_LANE, "exit_barrier",
-                           float(finish.max(initial=0.0)))
-        for i in range(P):
+                           float(tl.finish.max(initial=0.0)))
+        for i in range(ctx.num_ranks):
             # phase A: local pairs + pre-overhead overlapped with the
             # split barrier, idle gap (if any) is sync
             sd = 0.0 if start_delay is None else float(start_delay[i])
-            la = float(local_compute[i])
-            pre = float(overhead_pre[i])
-            a_busy = float(phase_a_busy[i])
-            a_end = float(phase_a_end[i])
+            la = float(phases.local_compute[i])
+            pre = float(phases.overhead_pre[i])
+            a_busy = float(tl.phase_a_busy[i])
+            a_end = float(tl.phase_a_end[i])
             # phase B: callbacks + visible comm, then exit-barrier wait
-            rc = float(remote_compute[i])
-            cb = float(overhead_cb[i])
-            vis = float(visible_comm[i])
+            rc = float(phases.remote_compute[i])
+            cb = float(phases.overhead_cb[i])
+            vis = float(tl.visible_comm[i])
+            fin = float(tl.finish[i])
             for cat, start, dur, label in (
                 ("sync", 0.0, sd, "pre-join-idle"),
                 ("compute_align", sd, la, "local-pairs"),
@@ -639,10 +739,65 @@ def assemble_pull_phases(
                 ("compute_align", a_end, rc, "callback-align"),
                 ("compute_overhead", a_end + rc, cb, "callback-overhead"),
                 ("comm", a_end + rc + cb, vis, "visible-pull"),
-                ("sync", float(finish[i]), wall - float(finish[i]),
-                 "exit-barrier"),
+                ("sync", fin, wall - fin, "exit-barrier"),
             ):
                 if dur > 0:
                     ctx.tracer.phase(i, cat, start, dur, name=label)
 
-    return wall, busy, visible_comm
+    return tl
+
+
+def run_pull_engine(
+    name: str,
+    config: EngineConfig,
+    assignment: WorkloadAssignment,
+    machine: MachineSpec,
+    *,
+    agg: float,
+    batch_fill_stall: bool,
+    window_factor: float,
+    extra_details: dict | None = None,
+    tracer: Tracer | None = None,
+    metrics: MetricsRegistry | None = None,
+    faults=None,
+) -> RunResult:
+    """The run body of the pull engines: compute the phases once, adjust
+    them for faults, charge them.
+
+    ``async`` and ``hybrid`` differ only in the three model parameters
+    (see :func:`pull_phases` and :func:`pull_memory`) and in
+    ``extra_details``, engine-specific keys of the result's ``details``.
+    """
+    ctx = ExecutionContext.open(name, assignment, machine, config,
+                                tracer=tracer, metrics=metrics,
+                                faults=faults)
+    phases = pull_phases(config, assignment, ctx.net, agg,
+                         ctx.noise.factors(ctx.num_ranks),
+                         batch_fill_stall=batch_fill_stall)
+    fo = apply_pull_faults(ctx, assignment, agg, phases)
+    tl = assemble_pull_phases(ctx, fo.phases, fo.fault_stall,
+                              start_delay=fo.start_delay)
+
+    details = dict(extra_details or {})
+    details["hidden_comm"] = float(np.minimum(fo.phases.comm, tl.busy).sum())
+    details["raw_comm"] = fo.phases.comm
+    if faults is not None:
+        details.update(ctx.fault_details(
+            {
+                "rpc_retries": int(fo.retry_counts.sum()),
+                "rpc_stall_total": float(fo.fault_stall.sum()),
+            },
+            fo.tasks_redistributed, fo.ranks_lost, ledger=fo.ledger,
+        ))
+    return ctx.finalize(
+        assignment, tl.wall,
+        memory=pull_memory(config, assignment, window_factor),
+        exchange_rounds=0,
+        details=details,
+        extra_counters=(
+            ("rpc_issued", np.ceil(assignment.lookups / agg)),
+            ("rpc_bytes", assignment.lookup_bytes),
+        ),
+        redist_counts=fo.redist_counts,
+        tasks_redistributed=fo.tasks_redistributed,
+    )

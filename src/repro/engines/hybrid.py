@@ -20,8 +20,8 @@ deltas against the plain ``async`` engine:
   engine degenerates to ``async`` exactly.
 
 This file is also the registry's proof of extensibility: a complete fifth
-engine in ~100 lines, with zero edits to the driver API or the CLI (see
-``docs/ARCHITECTURE.md``).
+engine that only names its model parameters, with zero edits to the
+driver API or the CLI (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -30,19 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engines.base import EngineConfig, ExecutionMode
-from repro.engines.common import (
-    ASYNC_BASE_MEMORY,
-    ASYNC_TASK_RECORD_BYTES,
-    apply_pull_faults,
-    assemble_pull_phases,
-    mean_read_bytes,
-    predict_pull_wall,
-    pull_comm,
-    pull_overheads,
-    split_pull_compute,
-)
-from repro.engines.harness import ExecutionContext
+from repro.engines.base import EngineConfig
+from repro.engines.common import pull_cost, run_pull_engine
 from repro.engines.registry import register_cost_hook, register_engine
 from repro.engines.report import RunResult
 from repro.machine.config import MachineSpec
@@ -50,6 +39,14 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.pipeline.workload import WorkloadAssignment
 
 __all__ = ["HybridEngine"]
+
+
+def _model_params(config: EngineConfig) -> dict:
+    """Fewer, larger messages through the same service model — but a batch
+    must fill before it injects, and each window slot stages a whole
+    batch, not a single read."""
+    agg = float(config.hybrid_aggregation)
+    return {"agg": agg, "batch_fill_stall": True, "window_factor": agg}
 
 
 @register_engine("hybrid", description="asynchronous pulls aggregated into "
@@ -66,99 +63,22 @@ class HybridEngine:
             tracer: Tracer | None = None,
             metrics: MetricsRegistry | None = None,
             faults=None) -> RunResult:
-        ctx = ExecutionContext.open(self.name, assignment, machine,
-                                    self.config, tracer=tracer,
-                                    metrics=metrics, faults=faults)
-        P = ctx.num_ranks
-
-        comm_only = self.config.mode is ExecutionMode.COMM_ONLY
-        factors = ctx.noise.factors(P)
-        local_compute, remote_compute = split_pull_compute(
-            assignment, factors, comm_only
-        )
-        overhead = pull_overheads(self.config, assignment, machine)
-        overhead_pre = 0.5 * overhead
-        overhead_cb = overhead - overhead_pre
-
-        bar = ctx.net.barrier_time()
-        agg = float(self.config.hybrid_aggregation)
-        n_batches = np.ceil(assignment.lookups / agg)
-        # fewer, larger messages through the same service model ...
-        comm = pull_comm(ctx.net, assignment, agg)
-        # ... but a batch must fill before it injects: (agg-1) pulls'
-        # worth of accumulation stall per batch (zero at agg=1)
-        msg_gap = ctx.net.machine.network.msg_gap
-        comm = comm + n_batches * (agg - 1.0) * msg_gap
-
-        fo = apply_pull_faults(
-            ctx, assignment, agg, self.config.async_min_visible, bar,
-            local_compute, remote_compute, overhead_pre, overhead_cb, comm,
-        )
-
-        wall, busy, _visible = assemble_pull_phases(
-            ctx, fo.local_compute, fo.overhead_pre, fo.remote_compute,
-            fo.overhead_cb, fo.comm, fo.fault_stall,
-            self.config.async_min_visible, bar,
-            start_delay=fo.start_delay,
-        )
-
-        avg_read = mean_read_bytes(assignment)
-        memory = (
-            ASYNC_BASE_MEMORY
-            + assignment.partition_bytes
-            + assignment.tasks_per_rank * ASYNC_TASK_RECORD_BYTES
-            # each window slot stages a whole batch, not a single read
-            + self.config.async_window * agg * avg_read
-        )
-        details = {
-            "aggregation": int(agg),
-            "rpc_messages": float(n_batches.sum()),
-            "hidden_comm": float(np.minimum(fo.comm, busy).sum()),
-            "raw_comm": fo.comm,
-        }
-        if faults is not None:
-            details.update(ctx.fault_details(
-                {
-                    "rpc_retries": int(fo.retry_counts.sum()),
-                    "rpc_stall_total": float(fo.fault_stall.sum()),
-                },
-                fo.tasks_redistributed, fo.ranks_lost, ledger=fo.ledger,
-            ))
-        return ctx.finalize(
-            assignment, wall,
-            memory=memory,
-            exchange_rounds=0,
-            details=details,
-            extra_counters=(
-                ("rpc_issued", n_batches),
-                ("rpc_bytes", assignment.lookup_bytes),
-            ),
-            redist_counts=fo.redist_counts,
-            tasks_redistributed=fo.tasks_redistributed,
+        params = _model_params(self.config)
+        agg = params["agg"]
+        return run_pull_engine(
+            self.name, self.config, assignment, machine, **params,
+            extra_details={
+                "aggregation": int(agg),
+                "rpc_messages": float(
+                    np.ceil(assignment.lookups / agg).sum()),
+            },
+            tracer=tracer, metrics=metrics, faults=faults,
         )
 
 
 @register_cost_hook("hybrid")
 def _predict_hybrid(assignment: WorkloadAssignment, machine: MachineSpec,
                     config: EngineConfig) -> dict:
-    """Analytic fault-free wall clock of :class:`HybridEngine`.
-
-    The shared pull predictor at ``hybrid_aggregation`` with the
-    batch-fill accumulation stall enabled — bit-equal to the engine's
-    measured wall on a noise-free machine.
-    """
-    agg = float(config.hybrid_aggregation)
-    wall = predict_pull_wall(config, assignment, machine, agg,
-                             batch_fill_stall=True)
-    avg_read = mean_read_bytes(assignment)
-    memory = (
-        ASYNC_BASE_MEMORY
-        + assignment.partition_bytes
-        + assignment.tasks_per_rank * ASYNC_TASK_RECORD_BYTES
-        + config.async_window * agg * avg_read
-    )
-    return {
-        "wall": wall,
-        "peak_memory": float(memory.max(initial=0.0)),
-        "rounds": 0,
-    }
+    """Fault-free wall clock and footprint of :class:`HybridEngine`: the
+    phases :meth:`HybridEngine.run` charges, evaluated without charging."""
+    return pull_cost(config, assignment, machine, **_model_params(config))

@@ -106,6 +106,12 @@ def register_cost_hook(name: str):
     the planner records such grid points as infeasible instead of
     crashing the plan.
 
+    A hook does not price a phase itself: it calls the phase functions
+    in :mod:`repro.engines.common` that the engine's ``run`` charges and
+    reads the wall clock off their result, so the prediction is the run's
+    own model (``tools/check_imports.py`` rejects a hook that calls a
+    ``NetworkModel`` cost method directly).
+
     Engines without a hook (the micro SPMD engines) are simply not
     rankable analytically: ``repro.perf.planner`` lists them as
     "measure instead" and ``run --engine auto`` falls back to exhaustive

@@ -32,6 +32,15 @@ from repro.machine.config import MachineSpec
 __all__ = ["NetworkModel"]
 
 
+#: the per-rank formulas take one rank's value or an array of all ranks'
+FloatOrArray = float | np.ndarray
+
+
+def _scalar_or_array(x) -> FloatOrArray:
+    """A Python float for 0-d results, the array itself otherwise."""
+    return x if np.ndim(x) else float(x)
+
+
 @dataclass(frozen=True)
 class NetworkModel:
     """Timing formulas bound to one machine configuration."""
@@ -63,14 +72,16 @@ class NetworkModel:
         bisection_share = self.bisection_bw / self.machine.total_ranks
         return min(self.rank_bw, bisection_share)
 
-    def message_size_efficiency(self, avg_msg_bytes: float) -> float:
-        """Bandwidth fraction achieved at a given aggregate message size."""
+    def message_size_efficiency(self, avg_msg_bytes: FloatOrArray) -> FloatOrArray:
+        """Bandwidth fraction achieved at a given aggregate message size
+        (a scalar, or one size per rank)."""
         net = self.machine.network
         if self.machine.nodes == 1:
-            return 1.0
-        m = max(1.0, float(avg_msg_bytes))
-        eff = m / (m + net.msg_half_size) if net.msg_half_size > 0 else 1.0
-        return min(eff, net.alltoallv_peak_efficiency)
+            return _scalar_or_array(np.ones(np.shape(avg_msg_bytes)))
+        m = np.maximum(1.0, avg_msg_bytes)
+        # msg_half_size >= 0 and m >= 1, so a zero half-size gives exactly 1
+        return _scalar_or_array(np.minimum(
+            m / (m + net.msg_half_size), net.alltoallv_peak_efficiency))
 
     # -- point to point ------------------------------------------------------
 
@@ -115,7 +126,8 @@ class NetworkModel:
         avg_sources: float,
         efficiency_scale: float = 1.0,
     ) -> float:
-        """Duration of one irregular all-to-all exchange round.
+        """Duration of one irregular all-to-all exchange round: the most
+        loaded rank's :meth:`alltoallv_rank_time` plus the closing barrier.
 
         ``avg_sources`` is the typical number of peers a rank exchanges
         nonempty messages with; it sets the per-source aggregate size and
@@ -123,33 +135,32 @@ class NetworkModel:
         callers model further degradation (e.g. memory-limited multi-round
         buffering that cannot pipeline pack/unpack with transmission).
         """
-        p = self.machine.total_ranks
-        net = self.machine.network
-        volume = max(float(max_send_bytes), float(max_recv_bytes))
-        sources = max(1.0, min(float(avg_sources), p - 1.0)) if p > 1 else 1.0
-        eff = self.message_size_efficiency(volume / sources) * efficiency_scale
-        setup = (p - 1) * net.msg_overhead if p > 1 else 0.0
-        return setup + volume / (self.schedulable_rank_bw() * eff) + self.barrier_time()
+        return self.alltoallv_rank_time(
+            float(max_send_bytes), float(max_recv_bytes), avg_sources,
+            efficiency_scale=efficiency_scale,
+        ) + self.barrier_time()
 
     def alltoallv_rank_time(
         self,
-        own_send_bytes: float,
-        own_recv_bytes: float,
+        own_send_bytes: FloatOrArray,
+        own_recv_bytes: FloatOrArray,
         avg_sources: float,
         efficiency_scale: float = 1.0,
-    ) -> float:
-        """The *personal* (pre-wait) cost of one rank in the exchange.
+    ) -> FloatOrArray:
+        """The *personal* (pre-wait) cost of one rank in the exchange —
+        or of every rank at once, given per-rank send/recv arrays.
 
         The difference between the collective duration and this value is
         time spent waiting on more-loaded ranks.
         """
         p = self.machine.total_ranks
         net = self.machine.network
-        volume = max(float(own_send_bytes), float(own_recv_bytes))
+        volume = np.maximum(own_send_bytes, own_recv_bytes)
         sources = max(1.0, min(float(avg_sources), p - 1.0)) if p > 1 else 1.0
         eff = self.message_size_efficiency(volume / sources) * efficiency_scale
         setup = (p - 1) * net.msg_overhead if p > 1 else 0.0
-        return setup + volume / (self.schedulable_rank_bw() * eff)
+        return _scalar_or_array(
+            setup + volume / (self.schedulable_rank_bw() * eff))
 
     # -- asynchronous RPC batches ---------------------------------------------
 
@@ -168,96 +179,59 @@ class NetworkModel:
         net = self.machine.network
         return max(2e-3, 250.0 * (net.rtt + net.rpc_service_gap))
 
-    def rpc_overload_extra(self, incoming_lookups: float) -> float:
-        """Extra seconds in the degraded deep-queue regime (§4.3).
+    def rpc_overload_extra(self, incoming_lookups: FloatOrArray) -> FloatOrArray:
+        """Extra seconds in the degraded deep-queue regime (§4.3), for one
+        rank's incoming-lookup count or an array of them.
 
         Applies only across the network: intranode pulls resolve through
         shared memory and never hit the NIC attentiveness limits.
         """
         if self.machine.nodes == 1:
-            return 0.0
+            return _scalar_or_array(np.zeros(np.shape(incoming_lookups)))
         net = self.machine.network
-        excess = max(0.0, float(incoming_lookups) - net.rpc_overload_threshold)
-        if excess <= 0:
-            return 0.0
-        return net.rpc_overload_entry + excess * net.rpc_overload_cost
+        excess = np.maximum(0.0, incoming_lookups - net.rpc_overload_threshold)
+        return _scalar_or_array(np.where(
+            excess > 0,
+            net.rpc_overload_entry + excess * net.rpc_overload_cost,
+            0.0,
+        ))
 
     def rpc_pull_time(
         self,
-        lookups: float,
-        response_bytes_total: float,
-        incoming_lookups: float,
-        incoming_bytes_total: float,
-    ) -> float:
+        lookups: FloatOrArray,
+        response_bytes_total: FloatOrArray,
+        incoming_lookups: FloatOrArray,
+        incoming_bytes_total: FloatOrArray,
+    ) -> FloatOrArray:
         """Time for one rank to pull ``lookups`` remote reads via RPC while
-        serving ``incoming_lookups`` for other ranks.
+        serving ``incoming_lookups`` for other ranks — or, given per-rank
+        arrays, for every rank in one vector pass (which is what lets a
+        macro run and its planner prediction both skip a per-rank loop).
 
         With a deep-enough outstanding window the round trip is paid ~once;
         steady state is the max of (a) CPU-side work — injection gaps plus
         serial service of incoming lookups — and (b) payload movement both
         directions at the async bandwidth share; plus the overload penalty.
+        A rank that neither pulls nor serves pays nothing.
         """
-        if lookups <= 0 and incoming_lookups <= 0:
-            return 0.0
         net = self.machine.network
         inject = lookups * (net.msg_gap + net.msg_overhead)
         service = incoming_lookups * (net.rpc_service_gap + net.msg_overhead)
         # links are full duplex: inbound responses and outbound serves
         # stream concurrently, so the payload term is the larger direction
-        volume = max(response_bytes_total, incoming_bytes_total) / self.async_rank_bw()
+        volume = (np.maximum(response_bytes_total, incoming_bytes_total)
+                  / self.async_rank_bw())
         ramp = 2 * net.alpha + net.msg_overhead
         # window-limited throughput: at most `outstanding_limit` requests in
         # flight, so sustained rate is bounded by window/rtt — this is what
         # makes aggregation "necessary on a high-latency network" (§5)
         rtt = 2 * net.alpha + net.msg_overhead + net.rpc_service_gap
         window_limited = lookups * rtt / net.outstanding_limit
-        return (
-            max(inject + service, volume, window_limited)
+        busy = (
+            np.maximum(np.maximum(inject + service, volume), window_limited)
             + ramp
             + self.rpc_overload_extra(incoming_lookups)
         )
-
-    def rpc_pull_time_batch(
-        self,
-        lookups: np.ndarray,
-        response_bytes_total: np.ndarray,
-        incoming_lookups: np.ndarray,
-        incoming_bytes_total: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`rpc_pull_time` over per-rank arrays, in one vector pass.
-
-        Same formulas, term for term — including the zero short-circuit
-        for idle ranks and the overload penalty (which vanishes on a
-        single node, where pulls resolve through shared memory).  The
-        planner's cost hooks evaluate the whole pull phase through this
-        method instead of a 32K-iteration Python loop, which is what
-        keeps ``predict()`` orders of magnitude cheaper than running the
-        engine it predicts.
-        """
-        l = np.asarray(lookups, dtype=np.float64)
-        inc = np.asarray(incoming_lookups, dtype=np.float64)
-        resp = np.asarray(response_bytes_total, dtype=np.float64)
-        incb = np.asarray(incoming_bytes_total, dtype=np.float64)
-        net = self.machine.network
-        inject = l * (net.msg_gap + net.msg_overhead)
-        service = inc * (net.rpc_service_gap + net.msg_overhead)
-        # full-duplex links: the payload term is the larger direction
-        volume = np.maximum(resp, incb) / self.async_rank_bw()
-        ramp = 2 * net.alpha + net.msg_overhead
-        rtt = 2 * net.alpha + net.msg_overhead + net.rpc_service_gap
-        window_limited = l * rtt / net.outstanding_limit
-        if self.machine.nodes == 1:
-            overload = np.zeros_like(inc)
-        else:
-            excess = np.maximum(0.0, inc - net.rpc_overload_threshold)
-            overload = np.where(
-                excess > 0,
-                net.rpc_overload_entry + excess * net.rpc_overload_cost,
-                0.0,
-            )
-        out = (
-            np.maximum(np.maximum(inject + service, volume), window_limited)
-            + ramp
-            + overload
-        )
-        return np.where((l <= 0) & (inc <= 0), 0.0, out)
+        idle = np.logical_and(np.less_equal(lookups, 0),
+                              np.less_equal(incoming_lookups, 0))
+        return _scalar_or_array(np.where(idle, 0.0, busy))

@@ -12,11 +12,12 @@ the top-ranked plan and records predicted-vs-actual in
 ``RunResult.details["plan"]``; the ``repro plan`` CLI prints the table
 without running anything.
 
-On the default (noise-isolated) Cori configuration the hooks replay the
-engines' float operations in the same association order, so predictions
-are *bit-equal* to the fault-free measured walls and top-1 regret is
-zero; ``benchmarks/bench_planner.py`` measures the regret empirically
-and ``docs/PLANNER.md`` documents the methodology.
+A hook calls the phase functions its engine's ``run`` charges
+(:mod:`repro.engines.common`), so on the default (noise-isolated) Cori
+configuration predictions *equal* the fault-free measured walls by
+construction and top-1 regret is zero; ``benchmarks/bench_planner.py``
+measures the regret empirically and ``docs/PLANNER.md`` documents the
+methodology.
 
 The knob grid covers the knobs that change an engine's predicted wall:
 BSP round sizing (``exchange_memory_fraction``), async and hybrid
@@ -65,10 +66,10 @@ DEFAULT_KNOB_GRID: dict[str, dict[str, tuple]] = {
 class WorkloadStats:
     """The workload summary the planner predicts from.
 
-    Carries the rendered per-rank assignment (the cost hooks are exact
-    analytic replays, so they want the real per-rank arrays, not just
-    scalar aggregates) plus the scalar headline numbers that the plan
-    table and ``details["plan"]`` report.
+    Carries the rendered per-rank assignment (the cost hooks evaluate
+    the engines' own per-rank phase functions, so they want the real
+    arrays, not just scalar aggregates) plus the scalar headline numbers
+    that the plan table and ``details["plan"]`` report.
     """
 
     name: str

@@ -53,7 +53,11 @@ class WorkloadAssignment:
     """Per-rank arrays of one workload rendered onto ``num_ranks`` ranks.
 
     All arrays have length ``num_ranks``.  Byte quantities are bytes; time
-    quantities are seconds of simulated KNL-core work.
+    quantities are seconds of simulated KNL-core work.  The arrays are
+    read-only: one rendered assignment is cached per rank count and shared
+    by the planner, every engine run, grid workers and service jobs, so an
+    in-place write (the fault code adjusts *derived* phase arrays that
+    way) must fail loudly instead of corrupting every later run.
     """
 
     name: str
@@ -86,6 +90,7 @@ class WorkloadAssignment:
                     f"assignment array {name} has shape {arr.shape}, "
                     f"expected ({self.num_ranks},)"
                 )
+            arr.setflags(write=False)
 
     # -- derived quantities used by the engines and figures ----------------
 

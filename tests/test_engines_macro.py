@@ -94,23 +94,22 @@ def test_async_hides_communication(wl, machine):
 
 def test_memory_accounting(wl, machine):
     """BSP footprint carries the exchange buffers; async only a window."""
-    from repro.engines import async_ as async_mod
-    from repro.engines import bsp as bsp_mod
+    from repro.engines import common
 
     a = wl.assignment(machine.total_ranks)
     bsp = BSPEngine().run(a, machine)
     asy = AsyncEngine().run(a, machine)
     # BSP holds at least its per-round receive volume beyond fixed state
     assert bsp.max_memory_per_rank >= (
-        bsp_mod.RUNTIME_BASE_MEMORY
+        common.BSP_BASE_MEMORY
         + float(a.recv_bytes.max()) / bsp.exchange_rounds
     )
     # async in-flight data is bounded by the window, independent of volume
     avg_read = a.lookup_bytes.sum() / a.lookups.sum()
     bound = (
-        async_mod.RUNTIME_BASE_MEMORY
+        common.ASYNC_BASE_MEMORY
         + float(a.partition_bytes.max())
-        + float(a.tasks_per_rank.max()) * async_mod.ASYNC_TASK_RECORD_BYTES
+        + float(a.tasks_per_rank.max()) * common.ASYNC_TASK_RECORD_BYTES
         + AsyncEngine().config.async_window * avg_read
     )
     assert asy.max_memory_per_rank <= bound * (1 + 1e-9)

@@ -102,3 +102,39 @@ def test_sharded_process_backend_hits_golden(engine):
     res = regen.compute_result(engine, "micro", 11, shard_tasks=97,
                                backend="process", workers=2, chunk_tasks=7)
     assert res.signature() == GOLDENS[key]
+
+
+@pytest.mark.parametrize("engine", ["bsp", "async", "hybrid"])
+def test_fault_runs_leave_cached_assignment_untouched(engine):
+    """One rendered assignment per rank count is shared by every run.
+
+    The fault code adjusts phase arrays in place (a dead rank's remainder
+    is added onto the survivors'); those arrays are derived from the
+    assignment and must never be the assignment's own.  The arrays are
+    read-only, so aliasing would raise — and after a redistributed kill
+    and a churn run on the cached object it is byte-identical and the
+    next fault-free run still hits its golden.
+    """
+    w = regen.get_workload("micro", seed=11)
+    machine = regen.cori_knl(regen.NODES,
+                             app_cores_per_node=regen.CORES_PER_NODE)
+    a = w.assignment(machine.total_ranks)
+    before = regen.assignment_digest(a)
+    for field in regen.ASSIGNMENT_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, field)[0] += 1
+
+    killed = regen.run_alignment(
+        w, regen.NODES, engine, machine=machine,
+        fault_plan=regen.parse_fault_spec("kill=r1@0.005,redistribute"),
+        fault_seed=regen.CHURN_FAULT_SEED)
+    assert killed.details["ranks_lost"] == [1]
+    churned = regen.compute_churn_result(engine)
+    assert churned.details["churn"]["evictions_honored"] == [1]
+    assert churned.details["churn"]["joins_honored"] == [3]
+
+    assert w.assignment(machine.total_ranks) is a
+    assert regen.assignment_digest(a) == before
+    key = regen.case_key(engine, "micro", 11)
+    assert regen.compute_result(engine, "micro", 11).signature() \
+        == GOLDENS[key]

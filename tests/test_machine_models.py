@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, MemoryLimitError
 from repro.machine.config import MachineSpec, NetworkSpec, NodeSpec, cori_knl
@@ -108,6 +109,73 @@ def test_rpc_overload_regime():
     above = net.rpc_overload_extra(threshold * 2)
     assert below == 0.0
     assert above > 0.0
+
+
+# -- array-capable formulas: one code path for a rank and for all ranks -----
+
+def _reference_rpc_pull_time(net, lookups, resp, incoming, incoming_bytes):
+    """§3.2's service equation in plain Python floats, one rank at a time
+    (the form the macro engines looped over before it took arrays)."""
+    if lookups <= 0 and incoming <= 0:
+        return 0.0
+    n = net.machine.network
+    inject = lookups * (n.msg_gap + n.msg_overhead)
+    service = incoming * (n.rpc_service_gap + n.msg_overhead)
+    volume = max(resp, incoming_bytes) / net.async_rank_bw()
+    ramp = 2 * n.alpha + n.msg_overhead
+    rtt = 2 * n.alpha + n.msg_overhead + n.rpc_service_gap
+    window_limited = lookups * rtt / n.outstanding_limit
+    overload = 0.0
+    if net.machine.nodes > 1 and incoming > n.rpc_overload_threshold:
+        overload = n.rpc_overload_entry + (
+            incoming - n.rpc_overload_threshold) * n.rpc_overload_cost
+    return max(inject + service, volume, window_limited) + ramp + overload
+
+
+_THRESHOLD = NetworkSpec().rpc_overload_threshold
+#: idle ranks (exact zeros), counts around the overload threshold, bulk
+_COUNTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=2 * _THRESHOLD),
+    st.sampled_from([_THRESHOLD, np.nextafter(_THRESHOLD, np.inf)]),
+)
+_BYTES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4 * GB))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.sampled_from([1, 2, 8]),
+    ranks=st.lists(st.tuples(_COUNTS, _BYTES, _COUNTS, _BYTES),
+                   min_size=1, max_size=12),
+    sources=st.floats(min_value=0.5, max_value=600.0),
+    eff_scale=st.floats(min_value=0.1, max_value=1.0),
+)
+def test_array_formulas_equal_scalar_formulas_bitwise(nodes, ranks, sources,
+                                                      eff_scale):
+    """``f(arrays)[i] == f(scalars_i)`` to the last bit, for every formula
+    that takes either — and the RPC equation equals its plain-float form."""
+    net = NetworkModel(cori_knl(nodes))
+    cols = [np.array(c) for c in zip(*ranks)]
+    lookups, resp, incoming, incoming_bytes = cols
+    per_formula = {
+        "rpc_pull_time": (net.rpc_pull_time, cols),
+        "rpc_overload_extra": (net.rpc_overload_extra, [incoming]),
+        "message_size_efficiency": (net.message_size_efficiency, [resp]),
+        "alltoallv_rank_time": (
+            lambda s, r: net.alltoallv_rank_time(
+                s, r, sources, efficiency_scale=eff_scale),
+            [incoming_bytes, resp]),
+    }
+    for name, (fn, args) in per_formula.items():
+        batched = fn(*args)
+        assert batched.shape == lookups.shape, name
+        for i in range(len(ranks)):
+            one = fn(*(float(a[i]) for a in args))
+            assert type(one) is float, name
+            assert one == batched[i], (name, i)
+    pulled = net.rpc_pull_time(*cols)
+    for i, rank in enumerate(ranks):
+        assert pulled[i] == _reference_rpc_pull_time(net, *rank)
 
 
 def test_memory_tracker_budget_and_high_water():

@@ -16,7 +16,7 @@ from repro.core.api import (
     scaling_sweep,
 )
 from repro.cli import main
-from repro.engines.base import EngineConfig
+from repro.engines.base import EngineConfig, ExecutionMode
 from repro.engines.registry import (
     MACRO,
     available_engines,
@@ -103,13 +103,45 @@ def test_predicted_wall_finite_positive_over_knob_space(
     assert point.predicted_memory > 0.0
 
 
-@pytest.mark.parametrize("engine", available_engines(kind=MACRO))
-def test_prediction_matches_engine_exactly(workload, machine, stats, engine):
-    """Noise is off on the default allocation: predictions are bit-equal."""
-    point = predict(stats, machine, engine)
-    res = run_alignment(workload, NODES, engine, cores_per_node=CORES)
+def _exactness_cases():
+    """(workload, nodes, cores, engine, config overrides): the default
+    config, every ``DEFAULT_KNOB_GRID`` value, comm-only mode, and a BSP
+    exchange squeezed into 98 rounds."""
+    engines = available_engines(kind=MACRO)
+    cases = [pytest.param("micro", NODES, CORES, e, {}, id=e)
+             for e in engines]
+    for e, knobs in DEFAULT_KNOB_GRID.items():
+        for knob, values in knobs.items():
+            cases += [pytest.param("micro", NODES, CORES, e, {knob: v},
+                                   id=f"{e}-{knob}={v}") for v in values]
+    cases += [pytest.param("micro", NODES, CORES, e,
+                           {"mode": ExecutionMode.COMM_ONLY},
+                           id=f"{e}-comm_only") for e in engines]
+    cases.append(pytest.param(
+        "ecoli30x", 1, 8, "bsp", {"exchange_memory_fraction": 0.001},
+        id="bsp-98-rounds"))
+    return cases
+
+
+@pytest.mark.parametrize("name,nodes,cores,engine,overrides",
+                         _exactness_cases())
+def test_prediction_matches_engine_exactly(name, nodes, cores, engine,
+                                           overrides):
+    """The hook evaluates the phases the engine charges (noise is off on
+    the default allocation), so wall, memory and rounds are equal — not
+    close — under every config the planner can hand it."""
+    workload = get_workload(name)
+    machine = make_machine(nodes, cores)
+    config = EngineConfig(**overrides)
+    point = predict(WorkloadStats.from_workload(workload, machine),
+                    machine, engine, config=config)
+    res = run_alignment(workload, nodes, engine, cores_per_node=cores,
+                        config=config)
     assert point.predicted_wall == res.breakdown.wall_time
     assert point.predicted_memory == res.max_memory_per_rank
+    assert point.predicted_rounds == res.exchange_rounds
+    if name == "ecoli30x":
+        assert res.exchange_rounds == 98  # the multi-round case is one
 
 
 def test_predict_unknown_engine_fails_fast(stats, machine):
