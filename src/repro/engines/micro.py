@@ -4,8 +4,10 @@ These are genuine SPMD programs: one generator per rank, communicating
 through :mod:`repro.runtime` — the rendezvous collectives for the BSP code,
 the async RPC layer with a bounded outstanding window and a split-phase
 barrier for the async code.  They move real data (global read ids, byte
-volumes from real read lengths) and can run the real X-drop kernel per
-task (``kernel="real"``) to produce actual :class:`Alignment` outputs.
+volumes from real read lengths) and can run the real X-drop kernel over
+the tasks they executed (``kernel="real"``, resolved in large batches
+once the simulation has drained) to produce actual :class:`Alignment`
+outputs.
 
 They exist to (1) execute concrete workloads end-to-end, and (2) validate
 the macro engines: ``tests/test_micro_macro_agreement.py`` checks that both
@@ -39,7 +41,7 @@ from repro.engines.registry import MICRO, register_engine
 from repro.engines.report import RunResult
 from repro.errors import ConfigurationError, RankFailureError
 from repro.machine.config import MachineSpec
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import ENGINE_LANE, MetricsRegistry, Tracer
 from repro.pipeline.workload import ConcreteWorkload
 from repro.runtime.collectives import Collectives
 from repro.runtime.context import SpmdContext
@@ -47,6 +49,25 @@ from repro.runtime.rpc import RpcLayer
 from repro.utils.arrays import sorted_unique
 
 __all__ = ["MicroBSPEngine", "MicroAsyncEngine"]
+
+#: most tasks one kernel call resolves at the end of a run (see
+#: :meth:`_MicroBase._resolve_alignments`).  The batched kernel keeps
+#: getting faster with batch size, and past ~550 tasks its working set
+#: shows in peak RSS (~5 KiB/task).  ``benchmarks/e2e`` ``micro_bsp_real``
+#: (1 639 tasks, median of 3 interleaved runs; per-callback dispatch at the
+#: parent commit: 1.83 s, 109.7 MiB):
+#:
+#:     cap  calls x tasks   wall_s   peak_rss_mb
+#:     128     13 x 126      2.78      109.3
+#:     256      7 x 234      2.22      109.6
+#:     512      4 x 410      1.32      109.7
+#:     768      3 x 546      1.20      110.2
+#:    1024      2 x 820      1.07      111.9   <- +1.9 % RSS
+#:    none      1 x 1639     0.95      116.2   <- +5.9 % RSS, grows with n
+#:
+#: 1024 keeps ~90 % of the uncapped speed at a bounded footprint
+#: (docs/PERFORMANCE.md "Kernel dispatch").
+FLUSH_TASKS = 1024
 
 
 def _rank_task_lists(plan, num_ranks: int) -> list[np.ndarray]:
@@ -68,12 +89,15 @@ class _MicroBase:
             faults=None) -> RunResult:
         """Open the run's compute backend, then hand off to the engine body.
 
-        ``kernel="real"`` builds a :class:`SeedExtendAligner` and routes
-        every task batch through the configured backend
-        (``config.backend``/``workers``/``chunk_tasks``, see
-        docs/PARALLEL.md); ``kernel="model"`` charges modeled costs only.
-        The ``with`` block guarantees pool + shared-memory teardown even
-        when a fault plan kills a rank mid-run.
+        Both kernels charge the same modeled costs while the simulation
+        runs.  ``kernel="real"`` additionally builds a
+        :class:`SeedExtendAligner`, records every executed task, and —
+        once the simulation has drained — resolves the recording through
+        the configured backend (``config.backend``/``workers``/
+        ``chunk_tasks``, see docs/PARALLEL.md) in a few large kernel
+        calls.  A run that aborts (fault plan, cancellation) before that
+        point spends no kernel time; the ``with`` block guarantees pool +
+        shared-memory teardown either way.
         """
         aligner = SeedExtendAligner() if kernel == "real" else None
         with resolve_executor(self.config, workload, aligner) as executor:
@@ -162,51 +186,63 @@ class _MicroBase:
             return seconds
         return seconds * ctx.faults.straggle_factor(rank, ctx.engine.now)
 
-    def _task_compute(self, workload, task_idx, executor):
-        """(simulated seconds, alignment or None) for one task."""
-        return self._tasks_compute(workload, [task_idx], executor)[0]
+    def _charge_tasks(self, ctx: SpmdContext, workload, rank: int, tasks,
+                      executed: list | None):
+        """Charge ``rank`` each task's modeled seconds; record it for the flush.
 
-    def _tasks_compute(self, workload, task_indices, executor):
-        """[(simulated seconds, alignment or None)] for a group of tasks.
-
-        The whole group routes through the run's compute backend in one
-        call: the serial backend makes a single batched wavefront call
-        (amortizing per-antidiagonal dispatch overhead across the group),
-        the process backend fans chunks of the group out to its worker
-        pool.  Simulated seconds and per-task alignment outputs are
-        identical either way — the backend only spends real wall-clock.
-
-        Sharded workloads dispatch shard-at-a-time: the group is split by
-        shard id (``index // shard_tasks``) so each backend call touches
-        one shard's rows — the process backend then publishes one compact
-        per-shard read store instead of mapping the whole read set.
-        Results are restitched into input order, and the batched kernel is
-        bit-identical per pair regardless of batch composition, so the
-        regrouping is invisible in the outputs (golden-pinned).
+        The one task-charging site of both engines (a generator: callers
+        ``yield from`` it).  Simulated seconds come from
+        ``workload.task_costs`` alone, so the kernel need not run here —
+        ``(rank, task)`` goes onto the run's ``executed`` list and
+        :meth:`_resolve_alignments` produces the alignments afterwards.
+        ``COMM_ONLY`` charges and records nothing; ``executed`` is ``None``
+        in model-kernel runs.
         """
-        if self.config.mode is ExecutionMode.COMM_ONLY:
-            return [(0.0, None)] * len(task_indices)
-        costs = [float(workload.task_costs[i]) for i in task_indices]
-        if executor.aligner is None:
-            return [(c, None) for c in costs]
-        shard = int(getattr(workload, "shard_tasks", 0))
-        if shard and len(task_indices) > 1:
-            idx = np.asarray(task_indices, dtype=np.int64)
-            order = np.argsort(idx // shard, kind="stable")
-            sids = idx[order] // shard
-            results: list = [None] * idx.size
-            for group in np.split(
-                    order, np.flatnonzero(np.diff(sids)) + 1):
-                for pos, al in zip(group,
-                                   executor.align_tasks(idx[group])):
-                    results[int(pos)] = al
-            return list(zip(costs, results))
-        return list(zip(costs, executor.align_tasks(task_indices)))
+        comm_only = self.config.mode is ExecutionMode.COMM_ONLY
+        for t in tasks:
+            if not comm_only:
+                seconds = self._dilated(ctx, rank,
+                                        float(workload.task_costs[t]))
+                if seconds:
+                    yield ctx.charge("compute_align", rank, seconds,
+                                     name=f"task{t}")
+                if executed is not None:
+                    executed.append((rank, int(t)))
+            ctx.metrics.inc("tasks", rank)
 
-    def _finish(self, name, workload, machine, ctx, memory, rounds, alignments,
+    def _resolve_alignments(self, ctx: SpmdContext, executor, executed,
+                            wall_time: float) -> list:
+        """Run the kernel over everything the simulation executed.
+
+        The recorded tasks go through the run's compute backend in
+        recording order, split evenly into the fewest calls of at most
+        :data:`FLUSH_TASKS`; per-pair results do not depend on batch
+        composition, so the alignments are the ones per-callback dispatch
+        produced, in the same order.  ``cells`` is booked to the rank that
+        executed each task.  With a tracer attached every call emits one
+        ``alignments_resolved`` counter on the engine lane — real-clock
+        progress for the service, and its cancellation point.
+        """
+        tasks = [t for _, t in executed]
+        calls = -(-len(tasks) // FLUSH_TASKS)
+        alignments: list = []
+        for c in range(calls):
+            lo, hi = c * len(tasks) // calls, (c + 1) * len(tasks) // calls
+            alignments.extend(executor.align_tasks(tasks[lo:hi]))
+            if ctx.tracer is not None:
+                ctx.tracer.counter(ENGINE_LANE, "alignments_resolved",
+                                   wall_time, len(alignments))
+        for (rank, _), alignment in zip(executed, alignments):
+            ctx.metrics.inc("cells", rank, alignment.cells)
+        return alignments
+
+    def _finish(self, name, workload, machine, ctx, memory, rounds, executed,
                 details=None, wall_time=None, executor=None):
         if wall_time is None:
             wall_time = ctx.engine.now
+        alignments = (None if executed is None else
+                      self._resolve_alignments(ctx, executor, executed,
+                                               wall_time))
         details = dict(details or {})
         if ctx.faults is not None:
             details["faults_injected"] = ctx.faults.total_injected
@@ -272,7 +308,7 @@ class MicroBSPEngine(_MicroBase):
             for read_id, owner in zip(uniq, owners):
                 need[int(owner)].setdefault(r, []).append(int(read_id))
 
-        alignments: list = []
+        executed = [] if executor.aligner is not None else None
         finish_times: dict[int, float] = {}
 
         # --- membership churn state (docs/RESILIENCE.md) -------------------
@@ -405,17 +441,8 @@ class MicroBSPEngine(_MicroBase):
                     for t, rid in zip(tasks, remote):
                         if rid >= 0 and int(rid) in got:
                             todo.append(int(t))
-                # one batched wavefront call per round's ready set
-                for t, (seconds, alignment) in zip(
-                        todo, self._tasks_compute(workload, todo, executor)):
-                    seconds = self._dilated(ctx, rank, seconds)
-                    if seconds:
-                        yield ctx.charge("compute_align", rank, seconds,
-                                         name=f"task{t}")
-                    ctx.metrics.inc("tasks", rank)
-                    if alignment is not None:
-                        ctx.metrics.inc("cells", rank, alignment.cells)
-                        alignments.append(alignment)
+                yield from self._charge_tasks(ctx, workload, rank, todo,
+                                              executed)
                 oh = self._dilated(ctx, rank, (
                     len(todo) * self.config.bsp_task_overhead
                     + len(got) * self.config.bsp_read_overhead * internode
@@ -443,7 +470,7 @@ class MicroBSPEngine(_MicroBase):
         return self._finish(
             self.name, workload, machine, ctx,
             ctx.memory.rank_high_water(), rounds,
-            alignments if executor.aligner is not None else None,
+            executed,
             details=details,
             wall_time=wall,
             executor=executor,
@@ -478,7 +505,7 @@ class MicroAsyncEngine(_MicroBase):
             # and its true byte size
             rpc.register(r, lambda rid: (rid, float(lengths[rid])))
 
-        alignments: list = []
+        executed = [] if executor.aligner is not None else None
         finish_times: dict[int, float] = {}
 
         # --- membership churn state (docs/RESILIENCE.md) -------------------
@@ -582,18 +609,8 @@ class MicroAsyncEngine(_MicroBase):
                     ctx.record("comm", rank, ctx.engine.now - t0,
                                name="inbox-wait")
                     ctx.memory.free(rank, f"inflight{response.token}")
-                for t, (seconds, alignment) in zip(
-                        item.tasks,
-                        self._tasks_compute(workload, list(item.tasks),
-                                            executor)):
-                    seconds = self._dilated(ctx, rank, seconds)
-                    if seconds:
-                        yield ctx.charge("compute_align", rank, seconds,
-                                         name=f"task{t}")
-                    ctx.metrics.inc("tasks", rank)
-                    if alignment is not None:
-                        ctx.metrics.inc("cells", rank, alignment.cells)
-                        alignments.append(alignment)
+                yield from self._charge_tasks(ctx, workload, rank,
+                                              item.tasks, executed)
             yield ctx.charge("compute_overhead", rank,
                              self._dilated(ctx, rank, 0.5 * base_oh))
             yield from coll.barrier(rank, tag="exit")
@@ -619,20 +636,9 @@ class MicroAsyncEngine(_MicroBase):
                              self._dilated(ctx, rank, 0.5 * oh))
 
             # split-phase barrier overlapped with local-local tasks
-            # (one batched wavefront call for the whole local group)
             coll.split_barrier_enter(rank)
-            local_list = [int(t) for t in local_tasks]
-            for t, (seconds, alignment) in zip(
-                    local_list,
-                    self._tasks_compute(workload, local_list, executor)):
-                seconds = self._dilated(ctx, rank, seconds)
-                if seconds:
-                    yield ctx.charge("compute_align", rank, seconds,
-                                     name=f"task{t}")
-                ctx.metrics.inc("tasks", rank)
-                if alignment is not None:
-                    ctx.metrics.inc("cells", rank, alignment.cells)
-                    alignments.append(alignment)
+            yield from self._charge_tasks(ctx, workload, rank, local_tasks,
+                                          executed)
             yield from coll.split_barrier_wait(rank)
             self._check_deaths(ctx)
 
@@ -676,19 +682,10 @@ class MicroAsyncEngine(_MicroBase):
                 if next_req < len(pending):
                     yield ctx.charge("comm", rank, rpc.injection_cost())
                     issue_one()
-                # one batched wavefront call per callback group (the tasks
-                # unblocked by this read's arrival)
-                group = by_read[int(response.token)]
-                for t, (seconds, alignment) in zip(
-                        group, self._tasks_compute(workload, group, executor)):
-                    seconds = self._dilated(ctx, rank, seconds)
-                    if seconds:
-                        yield ctx.charge("compute_align", rank, seconds,
-                                         name=f"task{t}")
-                    ctx.metrics.inc("tasks", rank)
-                    if alignment is not None:
-                        ctx.metrics.inc("cells", rank, alignment.cells)
-                        alignments.append(alignment)
+                # the callback group: tasks unblocked by this read's arrival
+                yield from self._charge_tasks(
+                    ctx, workload, rank, by_read[int(response.token)],
+                    executed)
             yield ctx.charge("compute_overhead", rank,
                              self._dilated(ctx, rank, 0.5 * oh))
 
@@ -721,7 +718,7 @@ class MicroAsyncEngine(_MicroBase):
         return self._finish(
             self.name, workload, machine, ctx,
             ctx.memory.rank_high_water(), 0,
-            alignments if executor.aligner is not None else None,
+            executed,
             details=details,
             wall_time=wall,
             executor=executor,

@@ -35,8 +35,9 @@ Two backings share all of that machinery:
   :class:`~repro.pipeline.workload.ConcreteWorkload`.  Its streamed
   :meth:`assignment`/:meth:`micro_plan` are bit-identical to the
   materialized ones (golden-signature-pinned), and the micro engines +
-  process backend keep working — the fork pool maps per-shard compact
-  read stores instead of the whole read set (docs/PARALLEL.md).
+  process backend keep working through the ``reads``/``tasks``/
+  ``task_costs`` delegation to the backing — they cannot tell the two
+  apart (docs/PARALLEL.md).
 * :meth:`ShardedWorkload.synthetic` generates Table-1-scale task rows
   from the statistical presets.  Unlike
   :class:`~repro.pipeline.workload.StatisticalWorkload` (which models

@@ -19,17 +19,21 @@ align_batch`:
   compact ``(n, 7)`` int64 result rows **directly into a preallocated
   shared-memory output array at their chunk offsets**.  Nothing is
   pickled on the return path beyond a ``(pid, seconds, count)`` triple;
-  the parent rehydrates :class:`Alignment` objects lazily from the shared
-  rows only where a consumer needs objects (:meth:`align_tasks`), or
-  hands the raw rows out untouched (:meth:`align_tasks_rows`).
+  the parent rehydrates :class:`Alignment` objects from the shared rows
+  (:meth:`align_tasks`).
 * ``auto`` — :class:`AutoExecutor` measures, then chooses.  The first
   real batches run serial to sample kernel throughput; if the machine has
   spare cores and the batches are big enough to amortize dispatch, the
   next batches probe a process pool, and whichever side measures faster
-  wins the rest of the run.  Single-core machines and tiny-batch
-  workloads (the async engine's per-callback groups) commit to serial
-  without ever paying for a pool, so ``auto`` is a safe default
-  everywhere.
+  wins the rest of the run.  Single-core machines and runs too small to
+  fill the probe commit to serial without ever paying for a pool, so
+  ``auto`` is a safe default everywhere.
+
+Who calls: the micro engines record the tasks their simulation executes
+and resolve the recording once, after it drains, in a few kernel calls of
+up to ``engines.micro.FLUSH_TASKS`` tasks each — so every backend sees
+large batches whichever engine ran, and one store published at pool
+start serves the whole run.
 
 Determinism contract: the batched kernel is bit-identical to the scalar
 kernel per pair (``repro.align.batch``), so chunk boundaries cannot change
@@ -40,11 +44,11 @@ bit-identical to a ``serial`` run for any worker count and chunk size —
 locked down by ``tests/test_executor.py`` and the golden-signature suite.
 
 When ``serial`` wins: dispatching a chunk costs roughly a millisecond of
-IPC, so tiny per-callback groups only pay off once the kernel work per
-chunk dominates — ``auto`` exists precisely to make that call from
-measurements instead of folklore; see
-``benchmarks/bench_executor_scaling.py`` for the measured crossover and
-``docs/PARALLEL.md`` for the design discussion.
+IPC and starting the pool tens of milliseconds, which a run of a few
+hundred tasks cannot earn back — ``auto`` exists precisely to make that
+call from measurements instead of folklore; see ``docs/PARALLEL.md`` for
+the design discussion and ``docs/PERFORMANCE.md`` ("Kernel dispatch")
+for the measurements.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ __all__ = [
     "ProcessExecutor",
     "AutoExecutor",
     "SharedReadStore",
-    "SharedShardStore",
     "make_task_executor",
     "active_shm_segments",
     "fanout_map",
@@ -155,10 +158,9 @@ class TaskExecutor:
     """Common surface of the compute backends.
 
     ``align_tasks(task_indices)`` returns one
-    :class:`~repro.align.seedextend.Alignment` per index, in input order;
-    ``align_tasks_rows`` returns the same results as a compact ``(n, 7)``
-    int64 array for consumers that never need objects.  ``aligner`` is
-    ``None`` in model-kernel runs — engines then skip the call entirely.
+    :class:`~repro.align.seedextend.Alignment` per index, in input order.
+    ``aligner`` is ``None`` in model-kernel runs — engines then skip the
+    call entirely.
     Executors are context managers; :meth:`close` is idempotent and must
     run even when a fault plan aborts the engine mid-run (the engines hold
     the executor in a ``with`` block).
@@ -168,9 +170,6 @@ class TaskExecutor:
     aligner: SeedExtendAligner | None = None
 
     def align_tasks(self, task_indices) -> list[Alignment]:
-        raise NotImplementedError
-
-    def align_tasks_rows(self, task_indices) -> np.ndarray:
         raise NotImplementedError
 
     def stats(self) -> dict:
@@ -209,9 +208,6 @@ class SerialExecutor(TaskExecutor):
                         task_indices)
         )
 
-    def align_tasks_rows(self, task_indices) -> np.ndarray:
-        return _pack_rows(self.align_tasks(task_indices))
-
     def stats(self) -> dict:
         s = {"backend": self.backend}
         if self.downgraded_from is not None:
@@ -223,12 +219,29 @@ class SerialExecutor(TaskExecutor):
 # -- process backend ---------------------------------------------------------
 
 
-class _ShmArrayPublisher:
-    """Base: publish named numpy arrays as POSIX shared-memory segments."""
+class SharedReadStore:
+    """The workload's read bytes + task columns, in POSIX shared memory.
 
-    def _publish(self, k: int, arrays: dict) -> None:
+    Wraps the *existing* numpy arrays — the ``ReadSet``'s flat uint8 code
+    buffer and int64 CSR offsets, plus the five flat ``TaskTable`` columns
+    — one segment each, copied once at pool start.  Workers attach by name
+    and reconstruct zero-copy ndarray views, so per-batch traffic is task
+    indices in, rows written straight into the shared output array out.
+    """
+
+    def __init__(self, workload):
+        arrays = {
+            "buffer": workload.reads.buffer,
+            "offsets": workload.reads.offsets,
+            "read_a": workload.tasks.read_a,
+            "read_b": workload.tasks.read_b,
+            "pos_a": workload.tasks.pos_a,
+            "pos_b": workload.tasks.pos_b,
+            "reverse": workload.tasks.reverse,
+        }
         self._segments: list[shared_memory.SharedMemory] = []
-        self.spec: dict = {"k": int(k), "arrays": {}}
+        self._closed = False
+        self.spec: dict = {"k": int(workload.tasks.k), "arrays": {}}
         try:
             for name, arr in arrays.items():
                 arr = np.ascontiguousarray(arr)
@@ -243,11 +256,10 @@ class _ShmArrayPublisher:
         except BaseException:
             self.close()
             raise
-        self._closed = False
 
     def close(self) -> None:
         """Unlink every segment (idempotent; safe mid-construction)."""
-        if getattr(self, "_closed", False):
+        if self._closed:
             return
         for shm in self._segments:
             shm.close()
@@ -258,69 +270,6 @@ class _ShmArrayPublisher:
             _ACTIVE_SEGMENTS.discard(shm.name)
         self._segments = []
         self._closed = True
-
-
-class SharedReadStore(_ShmArrayPublisher):
-    """The workload's read bytes + task columns, in POSIX shared memory.
-
-    Wraps the *existing* numpy arrays — the ``ReadSet``'s flat uint8 code
-    buffer and int64 CSR offsets, plus the five flat ``TaskTable`` columns
-    — one segment each, copied once at pool start.  Workers attach by name
-    and reconstruct zero-copy ndarray views, so per-batch traffic is task
-    indices in, rows written straight into the shared output array out.
-    """
-
-    def __init__(self, workload):
-        self._publish(workload.tasks.k, {
-            "buffer": workload.reads.buffer,
-            "offsets": workload.reads.offsets,
-            "read_a": workload.tasks.read_a,
-            "read_b": workload.tasks.read_b,
-            "pos_a": workload.tasks.pos_a,
-            "pos_b": workload.tasks.pos_b,
-            "reverse": workload.tasks.reverse,
-        })
-
-
-class SharedShardStore(_ShmArrayPublisher):
-    """One batch's reads + task rows, compacted into shared memory.
-
-    The out-of-core variant of :class:`SharedReadStore` for sharded
-    workloads: instead of seeding the pool once with the *whole* read set,
-    each batch publishes only the reads its tasks touch — gathered into a
-    compact code buffer with local CSR offsets — plus the batch's task
-    columns with read ids **remapped to local ids**.  The remap is
-    invisible in the results: read ids only select code slices inside the
-    worker (the result rows carry no ids; the parent rehydrates from its
-    own global columns), so resident shared memory scales with the batch,
-    never with the workload.
-    """
-
-    def __init__(self, workload, idx: np.ndarray):
-        tasks = workload.tasks
-        reads = workload.reads
-        read_a = tasks.read_a[idx]
-        read_b = tasks.read_b[idx]
-        uniq, inverse = np.unique(
-            np.concatenate([read_a, read_b]), return_inverse=True
-        )
-        g_off = reads.offsets
-        lengths = g_off[uniq + 1] - g_off[uniq]
-        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        buffer = np.empty(int(offsets[-1]), dtype=np.uint8)
-        for j in range(uniq.size):
-            r = uniq[j]
-            buffer[offsets[j]: offsets[j + 1]] = \
-                reads.buffer[g_off[r]: g_off[r + 1]]
-        self._publish(tasks.k, {
-            "buffer": buffer,
-            "offsets": offsets,
-            "read_a": inverse[: idx.size].astype(np.int64),
-            "read_b": inverse[idx.size:].astype(np.int64),
-            "pos_a": tasks.pos_a[idx],
-            "pos_b": tasks.pos_b[idx],
-            "reverse": tasks.reverse[idx],
-        })
 
 
 class _SharedOutput:
@@ -402,72 +351,32 @@ def _disown_tracker_claim(shm: shared_memory.SharedMemory) -> None:
 
 
 class _WorkerState:
-    """Per-worker-process view of the shared store + a private aligner.
+    """Per-worker-process view of the shared store + a private aligner."""
 
-    ``spec=None`` is the per-batch (sharded) mode: no pool-lifetime read
-    store exists; each chunk call carries its batch's
-    :class:`SharedShardStore` spec instead, and the worker caches exactly
-    one batch attachment at a time (keyed by the buffer segment name — a
-    new batch means new segments, so a name change is the refresh signal).
-    """
-
-    def __init__(self, spec: dict | None, x_drop: int, scoring,
+    def __init__(self, spec: dict, x_drop: int, scoring,
                  disown_tracker: bool = False):
         self._disown = disown_tracker
         self._out_shm: shared_memory.SharedMemory | None = None
         self._out_name: str | None = None
         self._out_view: np.ndarray | None = None
-        self._batch_name: str | None = None
-        self._batch_shms: list[shared_memory.SharedMemory] = []
-        self.buffer: np.ndarray | None = None
-        self.offsets: np.ndarray | None = None
-        self.tasks: _TaskColumns | None = None
-        if spec is not None:
-            self._shms, arrays = self._attach(spec)
-            self.buffer = arrays["buffer"]
-            self.offsets = arrays["offsets"]
-            self.tasks = _TaskColumns(
-                read_a=arrays["read_a"], read_b=arrays["read_b"],
-                pos_a=arrays["pos_a"], pos_b=arrays["pos_b"],
-                reverse=arrays["reverse"], k=spec["k"],
-            )
-        self.aligner = SeedExtendAligner(x_drop=x_drop, scoring=scoring)
-
-    def _attach(self, spec: dict):
-        shms: list[shared_memory.SharedMemory] = []
+        self._shms: list[shared_memory.SharedMemory] = []
         arrays: dict[str, np.ndarray] = {}
         for name, (shm_name, shape, dtype) in spec["arrays"].items():
             shm = shared_memory.SharedMemory(name=shm_name)
-            if self._disown:
+            if disown_tracker:
                 _disown_tracker_claim(shm)
-            shms.append(shm)
+            self._shms.append(shm)
             arrays[name] = np.ndarray(
                 shape, dtype=np.dtype(dtype), buffer=shm.buf
             )
-        return shms, arrays
-
-    def batch(self, spec: dict):
-        """(codes, tasks) view of one batch store; cached until replaced."""
-        name = spec["arrays"]["buffer"][0]
-        if name != self._batch_name:
-            for shm in self._batch_shms:
-                shm.close()
-            self._batch_shms, arrays = self._attach(spec)
-            self._batch_name = name
-            self._batch_buffer = arrays["buffer"]
-            self._batch_offsets = arrays["offsets"]
-            self._batch_tasks = _TaskColumns(
-                read_a=arrays["read_a"], read_b=arrays["read_b"],
-                pos_a=arrays["pos_a"], pos_b=arrays["pos_b"],
-                reverse=arrays["reverse"], k=spec["k"],
-            )
-
-        def codes(read_id: int) -> np.ndarray:
-            return self._batch_buffer[
-                self._batch_offsets[read_id]: self._batch_offsets[read_id + 1]
-            ]
-
-        return codes, self._batch_tasks
+        self.buffer = arrays["buffer"]
+        self.offsets = arrays["offsets"]
+        self.tasks = _TaskColumns(
+            read_a=arrays["read_a"], read_b=arrays["read_b"],
+            pos_a=arrays["pos_a"], pos_b=arrays["pos_b"],
+            reverse=arrays["reverse"], k=spec["k"],
+        )
+        self.aligner = SeedExtendAligner(x_drop=x_drop, scoring=scoring)
 
     def codes(self, read_id: int) -> np.ndarray:
         return self.buffer[self.offsets[read_id]: self.offsets[read_id + 1]]
@@ -506,34 +415,25 @@ class _TaskColumns:
 _WORKER_STATE: _WorkerState | None = None
 
 
-def _worker_init(spec: dict | None, x_drop: int, scoring,
+def _worker_init(spec: dict, x_drop: int, scoring,
                  disown_tracker: bool = False) -> None:
     global _WORKER_STATE
     _WORKER_STATE = _WorkerState(spec, x_drop, scoring, disown_tracker)
 
 
 def _align_chunk(indices: np.ndarray, offset: int, out_name: str,
-                 out_capacity: int,
-                 batch_spec: dict | None = None) -> tuple[int, float, int]:
+                 out_capacity: int) -> tuple[int, float, int]:
     """Worker entry: align one chunk, write rows into the shared output.
 
     Results land directly in the parent's preallocated output array at
     ``[offset, offset + len(indices))`` — score, begin_a, end_a, begin_b,
     end_b, cells, terminated_early per row — so the only thing pickled
     back is this ``(pid, seconds, count)`` triple.
-
-    ``batch_spec`` selects the per-batch mode: ``indices`` are then
-    positions *within* the batch's :class:`SharedShardStore` (whose task
-    columns are already batch-sliced) rather than global task indices.
     """
     st = _WORKER_STATE
-    if batch_spec is not None:
-        codes, tasks = st.batch(batch_spec)
-    else:
-        codes, tasks = st.codes, st.tasks
     t0 = time.perf_counter()
     alignments = st.aligner.align_batch(
-        _task_pairs(codes, tasks, indices)
+        _task_pairs(st.codes, st.tasks, indices)
     )
     out = st.output(out_name, out_capacity)
     out[offset: offset + len(alignments)] = _pack_rows(alignments)
@@ -566,18 +466,7 @@ class ProcessExecutor(TaskExecutor):
             "dispatch_s": 0.0, "wait_s": 0.0, "merge_s": 0.0,
         }
         self._per_worker: dict[int, dict] = {}
-        # sharded workloads get the per-batch store: the pool is seeded
-        # with *no* read data at all, and each batch ships only the reads
-        # it touches (SharedShardStore) — shared-memory residency tracks
-        # the batch size instead of the workload size
-        self._per_batch = bool(getattr(workload, "shard_tasks", 0))
-        if self._per_batch:
-            self._store = None
-            self._stats["batch_stores"] = 0
-            spec = None
-        else:
-            self._store = SharedReadStore(workload)
-            spec = self._store.spec
+        self._store = SharedReadStore(workload)
         self._out = _SharedOutput()
         try:
             ctx = _pool_context()
@@ -585,12 +474,11 @@ class ProcessExecutor(TaskExecutor):
                 max_workers=workers,
                 mp_context=ctx,
                 initializer=_worker_init,
-                initargs=(spec, aligner.x_drop, aligner.scoring,
+                initargs=(self._store.spec, aligner.x_drop, aligner.scoring,
                           ctx.get_start_method() != "fork"),
             )
         except BaseException:
-            if self._store is not None:
-                self._store.close()
+            self._store.close()
             self._out.close()
             raise
         self._closed = False
@@ -621,49 +509,31 @@ class ProcessExecutor(TaskExecutor):
         n = int(idx.size)
         self._out.ensure(n)
         chunk = self._chunk_size(n)
-        starts = range(0, n, chunk)
-        batch_store: SharedShardStore | None = None
-        batch_spec = None
-        if self._per_batch:
-            # per-batch mode: publish this batch's compact store and hand
-            # workers batch-local positions; closed in the finally below
-            # only after every future settled (success or cancel+wait), so
-            # no straggler can touch an unlinked segment
-            batch_store = SharedShardStore(self.workload, idx)
-            batch_spec = batch_store.spec
-            self._stats["batch_stores"] += 1
         t0 = time.perf_counter()
         try:
-            try:
-                futures = [
-                    self._pool.submit(
-                        _align_chunk,
-                        (idx[s: s + chunk] if batch_spec is None
-                         else np.arange(s, min(s + chunk, n),
-                                        dtype=np.int64)),
-                        s, self._out.name, self._out.capacity, batch_spec,
-                    )
-                    for s in starts
-                ]
-            except BrokenProcessPool as exc:
-                self._stats["failed_batches"] += 1
+            futures = [
+                self._pool.submit(
+                    _align_chunk, idx[s: s + chunk], s,
+                    self._out.name, self._out.capacity,
+                )
+                for s in range(0, n, chunk)
+            ]
+        except BrokenProcessPool as exc:
+            self._stats["failed_batches"] += 1
+            raise self._crash(n, exc) from exc
+        t1 = time.perf_counter()
+        results: list[tuple[int, float, int]] = []
+        try:
+            for fut in futures:
+                results.append(fut.result())
+        except BaseException as exc:
+            for fut in futures:
+                fut.cancel()
+            futures_wait(futures)
+            self._stats["failed_batches"] += 1
+            if isinstance(exc, BrokenProcessPool):
                 raise self._crash(n, exc) from exc
-            t1 = time.perf_counter()
-            results: list[tuple[int, float, int]] = []
-            try:
-                for fut in futures:
-                    results.append(fut.result())
-            except BaseException as exc:
-                for fut in futures:
-                    fut.cancel()
-                futures_wait(futures)
-                self._stats["failed_batches"] += 1
-                if isinstance(exc, BrokenProcessPool):
-                    raise self._crash(n, exc) from exc
-                raise
-        finally:
-            if batch_store is not None:
-                batch_store.close()
+            raise
         t2 = time.perf_counter()
         for pid, align_s, _count in results:
             w = self._per_worker.setdefault(
@@ -689,21 +559,6 @@ class ProcessExecutor(TaskExecutor):
         self._stats["merge_s"] += time.perf_counter() - t0
         return out
 
-    def align_tasks_rows(self, task_indices) -> np.ndarray:
-        """Raw result rows, skipping object rehydration entirely.
-
-        The returned array is a copy — the shared output array is reused
-        by the next batch.
-        """
-        idx = np.asarray(task_indices, dtype=np.int64)
-        if idx.size == 0:
-            return np.empty((0, _ROW_WIDTH), dtype=np.int64)
-        rows = self._run_chunks(idx)
-        t0 = time.perf_counter()
-        out = rows.copy()
-        self._stats["merge_s"] += time.perf_counter() - t0
-        return out
-
     def stats(self) -> dict:
         return {
             "backend": self.backend,
@@ -721,8 +576,7 @@ class ProcessExecutor(TaskExecutor):
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        if self._store is not None:
-            self._store.close()
+        self._store.close()
         self._out.close()
 
 
@@ -800,7 +654,7 @@ class AutoExecutor(TaskExecutor):
             self._process.close()
             self._process = None
 
-    def _probe(self, task_indices, runner):
+    def _probe(self, task_indices) -> list[Alignment]:
         """Route one batch while undecided; commit when samples suffice."""
         n = len(task_indices)
         if n < AUTO_MIN_PROBE_TASKS or \
@@ -816,11 +670,11 @@ class AutoExecutor(TaskExecutor):
                     )
                 except OSError:  # pragma: no cover - resource exhaustion
                     self._commit(self._serial, "pool_unavailable")
-                    return runner(self._serial, task_indices)
+                    return self._serial.align_tasks(task_indices)
                 self._pool_start_s = time.perf_counter() - t0
             target, samples = self._process, self._process_samples
         t0 = time.perf_counter()
-        out = runner(target, task_indices)
+        out = target.align_tasks(task_indices)
         if n >= AUTO_MIN_PROBE_TASKS:
             samples.append((n, time.perf_counter() - t0))
         if len(self._process_samples) >= AUTO_PROBE_BATCHES:
@@ -831,26 +685,19 @@ class AutoExecutor(TaskExecutor):
                 self._commit(self._serial, "pool_cannot_pay")
         return out
 
-    def _route(self, task_indices, runner):
-        if len(task_indices) == 0:
-            return runner(self._serial, task_indices)
-        if self._chosen is not None:
-            # committed — but sub-probe-size batches stay inline even when
-            # the pool won: per-chunk IPC dominates at that size
-            if (self._chosen is self._process
-                    and len(task_indices) < AUTO_MIN_PROBE_TASKS):
-                return runner(self._serial, task_indices)
-            return runner(self._chosen, task_indices)
-        return self._probe(task_indices, runner)
-
     # -- TaskExecutor surface ------------------------------------------------
 
     def align_tasks(self, task_indices) -> list[Alignment]:
-        return self._route(task_indices, lambda ex, t: ex.align_tasks(t))
-
-    def align_tasks_rows(self, task_indices) -> np.ndarray:
-        return self._route(task_indices,
-                           lambda ex, t: ex.align_tasks_rows(t))
+        if len(task_indices) == 0:
+            return []
+        if self._chosen is None:
+            return self._probe(task_indices)
+        # committed — but sub-probe-size batches stay inline even when
+        # the pool won: per-chunk IPC dominates at that size
+        if (self._chosen is self._process
+                and len(task_indices) < AUTO_MIN_PROBE_TASKS):
+            return self._serial.align_tasks(task_indices)
+        return self._chosen.align_tasks(task_indices)
 
     @property
     def chosen(self) -> str:

@@ -9,9 +9,11 @@ Two pieces:
   attaches to every executed run.  It records events exactly as the plain
   tracer does (so run-exit conservation checks still re-sum the stream),
   *and* forwards a service-facing digest into the job's event log: phase
-  starts, fault injections, churn membership/migration events, and
+  starts, fault injections, churn membership/migration events,
   periodic percent-complete estimates against the planner's predicted
-  wall when one is available.  It is also the cancellation hook: every
+  wall when one is available, and — for real-kernel micro jobs — one
+  ``alignments_resolved`` progress event per kernel call of the flush
+  that follows the simulation.  It is also the cancellation hook: every
   record call checks the job's cancel flag and raises the typed
   :class:`~repro.errors.JobCancelledError`, which aborts the engine
   mid-run while its ``with``-held executors tear down cleanly.
@@ -48,6 +50,9 @@ _INSTANT_KINDS = {
     "rank_evict": "churn",
     "migrate": "churn",
 }
+
+#: counters forwarded as ``progress`` events, under their own name
+_PROGRESS_COUNTERS = ("alignments_resolved",)
 
 #: event kinds that bypass the cap — a client must always see these
 _ALWAYS_KEPT = ("state", "done", "truncated")
@@ -150,9 +155,9 @@ class ProgressTracer(Tracer):
                 f"sim t={self._sim_time:.6g}s)"
             )
 
-    def _progress(self) -> None:
+    def _progress(self, **extra: Any) -> None:
         payload: dict[str, Any] = {"sim_time": self._sim_time,
-                                   "phases": self._phases_seen}
+                                   "phases": self._phases_seen, **extra}
         if self.predicted_wall and self.predicted_wall > 0:
             payload["percent"] = min(
                 99.0, 100.0 * self._sim_time / self.predicted_wall
@@ -193,6 +198,10 @@ class ProgressTracer(Tracer):
                 value: float) -> None:
         self._check_cancel()
         super().counter(rank, name, time, value)
+        if name in _PROGRESS_COUNTERS:
+            # the micro engines' kernel flush, after the simulation has
+            # drained: the only progress a real-kernel job still makes
+            self._progress(**{name: int(value)})
 
 
 def _plain(value: Any) -> Any:

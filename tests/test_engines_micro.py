@@ -87,3 +87,50 @@ def test_micro_deterministic(wl, machine):
     r1 = MicroAsyncEngine().run(wl, machine)
     r2 = MicroAsyncEngine().run(wl, machine)
     assert r1.wall_time == r2.wall_time
+
+
+@pytest.mark.parametrize("churn", [False, True], ids=["plain", "churn"])
+@pytest.mark.parametrize("engine", ["bsp-micro", "async-micro"])
+def test_cells_booked_to_the_rank_that_executed_each_task(engine, churn, wl,
+                                                          machine):
+    """``cells`` per rank == kernel cells of the tasks that rank executed.
+
+    The executing rank is read off the trace (one ``task<i>`` compute
+    phase per task, on the executor's lane — under churn that is not
+    always ``plan.assigned``), the per-task cells off a direct kernel call.
+    """
+    from repro.align.seedextend import SeedExtendAligner
+    from repro.core.api import run_alignment
+    from repro.faults import parse_fault_spec
+    from repro.obs import MetricsRegistry, Tracer
+    from repro.runtime.executor import SerialExecutor
+
+    cells_of = np.array([
+        al.cells for al in
+        SerialExecutor(wl, SeedExtendAligner()).align_tasks(range(wl.n_tasks))
+    ])
+    tracer = Tracer()
+    metrics = MetricsRegistry(machine.total_ranks)
+    # the churn goldens' plan; bsp needs several rounds for it to land
+    res = run_alignment(
+        wl, machine.nodes, engine, machine=machine, kernel="real",
+        config=(EngineConfig(exchange_memory_fraction=1e-5) if churn
+                else EngineConfig()),
+        tracer=tracer, metrics=metrics, fault_seed=7,
+        fault_plan=(parse_fault_spec("evict=r1@0.005:grace=0.01,join=r3@0.02")
+                    if churn else None))
+
+    want = np.zeros(machine.total_ranks)
+    executed_by = np.full(wl.n_tasks, -1)
+    for e in tracer.phase_events():
+        if e.category == "compute_align":
+            t = int(e.name.removeprefix("task"))
+            assert executed_by[t] == -1, f"task {t} executed twice"
+            executed_by[t] = e.rank
+            want[e.rank] += cells_of[t]
+    assert (executed_by >= 0).all()
+    assigned = wl.micro_plan(machine.total_ranks).assigned
+    assert (executed_by != assigned).any() == churn
+    assert want.sum() > 0
+    assert np.array_equal(metrics.get("cells"), want)
+    assert metrics.get("tasks").sum() == len(res.alignments) == wl.n_tasks

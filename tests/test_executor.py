@@ -87,8 +87,6 @@ def test_empty_batch(serial, pools, workload):
     # model-kernel runs hold aligner=None and an empty group would
     # otherwise explode on align_batch (asymmetric with process)
     assert SerialExecutor(workload, None).align_tasks([]) == []
-    assert serial.align_tasks_rows([]).shape == (0, 7)
-    assert pools[2].align_tasks_rows([]).shape == (0, 7)
 
 
 def test_chunk_size_policy(workload):
@@ -124,14 +122,19 @@ def test_stats_shape(workload):
         ex.close()
 
 
-def test_rows_api_matches_objects(serial, pools):
-    idx = list(range(24))
-    rows = pools[2].align_tasks_rows(idx)
+def test_worker_rows_round_trip_to_objects(workload, serial, pools):
+    """The worker return path: packed rows rehydrate to the serial objects."""
+    from repro.runtime.executor import _pack_rows, _rehydrate
+
+    idx = np.arange(24)
     want = serial.align_tasks(idx)
+    rows = _pack_rows(want)
     assert rows.shape == (24, 7)
     for r, al in zip(rows, want):
         assert list(r) == [al.score, al.begin_a, al.end_a, al.begin_b,
                            al.end_b, al.cells, int(al.terminated_early)]
+    assert _rehydrate(workload.tasks, idx, rows) == want
+    assert pools[2].align_tasks(idx) == want
 
 
 def test_output_array_grows_and_is_reused(workload, serial):
@@ -242,14 +245,27 @@ def test_resource_tracker_claims_balance(workload, monkeypatch):
     assert len(set(registered)) == len(registered)
 
 
-def test_fault_abort_leaves_no_leaks(workload):
-    """A rank death mid-run still tears the pool + segments down."""
+def test_fault_abort_leaves_no_leaks(workload, monkeypatch):
+    """A rank death mid-run still tears the pool + segments down — and,
+    since the kernel only runs once the simulation has drained, spends no
+    kernel time on work the abort throws away."""
+    calls = []
+    real = ProcessExecutor.align_tasks
+    monkeypatch.setattr(
+        ProcessExecutor, "align_tasks",
+        lambda self, idx: calls.append(len(idx)) or real(self, idx))
     baseline = active_shm_segments()
     machine = cori_knl(1, app_cores_per_node=4)
     cfg = EngineConfig(backend="process", workers=2)
     with pytest.raises(RankFailureError):
         run_alignment(workload, 1, "bsp-micro", config=cfg, machine=machine,
                       kernel="real", fault_plan=parse_fault_spec("kill=r1@0"))
+    assert calls == []
+    assert active_shm_segments() == baseline
+    # the counter is live: the same run without the kill does dispatch
+    run_alignment(workload, 1, "bsp-micro", config=cfg, machine=machine,
+                  kernel="real")
+    assert sum(calls) == workload.n_tasks
     assert active_shm_segments() == baseline
 
 
@@ -431,13 +447,13 @@ def test_engine_results_identical_across_backends(workload):
     assert active_shm_segments() == baseline
 
 
-# -- per-shard shared stores (sharded workloads; docs/PARALLEL.md) -----------
+# -- sharded workloads (docs/PARALLEL.md) ------------------------------------
 
 
-def test_per_batch_store_matches_serial(workload, serial):
-    """Sharded workloads flip the pool into per-batch SharedShardStore
-    mode: compact per-batch read stores with remapped local ids must be
-    invisible in the results."""
+def test_sharded_workload_publishes_one_store(workload, serial):
+    """A sharded concrete workload runs through the pool like any other:
+    its ``reads``/``tasks`` delegation feeds the one pool-lifetime store,
+    published once however many batches follow."""
     from repro.pipeline.sharded import ShardedWorkload
 
     baseline = active_shm_segments()
@@ -445,44 +461,22 @@ def test_per_batch_store_matches_serial(workload, serial):
                                        max_resident_shards=2)
     rng = np.random.default_rng(4)
     idx = rng.choice(workload.n_tasks, size=N_TASK_CAP, replace=False)
+    want = serial.align_tasks(idx)
     try:
         with ProcessExecutor(sw, SeedExtendAligner(), workers=2,
                              chunk_tasks=13) as ex:
-            assert ex._per_batch and ex._store is None
-            got = ex.align_tasks(idx)
-            want = serial.align_tasks(idx)
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert _fields(a) == _fields(b)
-            rows = ex.align_tasks_rows(idx)
-            assert np.array_equal(rows, _pack(want))
-            stats = ex.stats()
-            assert stats["batch_stores"] == 2  # one per batch dispatched
+            store = {name for name, _, _ in
+                     ex._store.spec["arrays"].values()}
+            assert active_shm_segments() - baseline == store
+            for _ in range(2):
+                got = ex.align_tasks(idx)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert _fields(a) == _fields(b)
+                # still the same store, plus the output array: no batch
+                # published anything of its own
+                assert active_shm_segments() - baseline == \
+                    store | {ex._out.name}
     finally:
         sw.close()
     assert active_shm_segments() == baseline
-
-
-def test_shared_shard_store_compacts_reads(workload):
-    """The per-batch store publishes only the batch's reads."""
-    from repro.runtime.executor import SharedShardStore
-
-    idx = np.array([0, 1, 2], dtype=np.int64)
-    store = SharedShardStore(workload, idx)
-    try:
-        arrays = store.spec["arrays"]
-        touched = np.unique(np.concatenate([
-            workload.tasks.read_a[idx], workload.tasks.read_b[idx]]))
-        assert arrays["offsets"][1][0] == touched.size + 1
-        # local ids index the compact buffer, not the global read set
-        _, shape, _ = arrays["read_a"]
-        assert shape[0] == idx.size
-    finally:
-        store.close()
-    assert store.spec["arrays"]["buffer"][0] not in active_shm_segments()
-
-
-def _pack(alignments):
-    from repro.runtime.executor import _pack_rows
-
-    return _pack_rows(alignments)

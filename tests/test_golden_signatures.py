@@ -81,8 +81,8 @@ def test_parallel_backends_hit_serial_golden(engine, backend):
 def test_sharded_path_hits_materialized_golden(engine):
     """The out-of-core workload path must reproduce the pinned digests.
 
-    Sharding (generation, streamed aggregation, spill/reload, per-shard
-    micro dispatch) is a pure memory knob: the same engine on the same
+    Sharding (generation, streamed aggregation, spill/reload) is a pure
+    memory knob: the same engine on the same
     preset through ``shard_tasks > 0`` cannot move a single bit of the
     result.  A shard size well below n_tasks forces multiple shards,
     evictions, and spill reloads on every existing golden workload.
@@ -97,7 +97,8 @@ def test_sharded_path_hits_materialized_golden(engine):
 
 @pytest.mark.parametrize("engine", ["bsp-micro"])
 def test_sharded_process_backend_hits_golden(engine):
-    """Per-shard shared stores (SharedShardStore) keep the serial digest."""
+    """A sharded workload through the pool's one store keeps the serial
+    digest."""
     key = regen.case_key(engine, "micro", 11)
     res = regen.compute_result(engine, "micro", 11, shard_tasks=97,
                                backend="process", workers=2, chunk_tasks=7)

@@ -3,8 +3,9 @@
 Mirrors ``tools/check_imports.py``: the real source tree must have no
 module-level import cycles, none of the banned cross-imports (engine
 siblings; utils reaching up the stack), no flag-less ``np.unique`` in
-the assignment renderers and no cost hook calling a ``NetworkModel`` cost
-method directly.  The synthetic cases prove the checker actually
+the assignment renderers, no cost hook calling a ``NetworkModel`` cost
+method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``
+and exactly one ``align_tasks`` call in ``engines/micro.py``.  The synthetic cases prove the checker actually
 detects what it claims to.
 """
 
@@ -104,7 +105,7 @@ def test_detects_flagless_unique_in_pipeline_and_engines(tmp_path):
                 return np.unique(x[x >= 0])
             """,
         "engines/__init__.py": "",
-        "engines/micro.py": """\
+        "engines/bsp.py": """\
             import numpy
             def g(x):
                 counted = numpy.unique(x, return_counts=True)
@@ -118,7 +119,7 @@ def test_detects_flagless_unique_in_pipeline_and_engines(tmp_path):
     assert len(problems) == 2
     assert all("repro.utils.arrays.sorted_unique" in p for p in problems)
     assert any(p.startswith("repro.pipeline.workload:3 ") for p in problems)
-    assert any(p.startswith("repro.engines.micro:4 ") for p in problems)
+    assert any(p.startswith("repro.engines.bsp:4 ") for p in problems)
 
 
 def test_detects_cost_hook_calling_network_model(tmp_path):
@@ -142,6 +143,46 @@ def test_detects_cost_hook_calling_network_model(tmp_path):
     assert all("cost hook _predict" in p for p in problems)
     assert any("NetworkModel.alltoallv_time" in p for p in problems)
     assert any("NetworkModel.rpc_pull_time" in p for p in problems)
+
+
+def test_detects_shard_awareness_and_extra_dispatch_sites(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "engines/__init__.py": "",
+        "engines/micro.py": """\
+            def run(workload, executor, todo):
+                \"\"\"Prose may say shard; identifiers may not.\"\"\"
+                if getattr(workload, "shard_tasks", 0):
+                    return executor.align_tasks(todo[:1])
+                return executor.align_tasks(todo)
+            """,
+        "runtime/__init__.py": "",
+        "runtime/executor.py": """\
+            class SharedShardStore:
+                def __init__(self, workload):
+                    self.per_batch = workload.n_shards > 1
+            """,
+        # the pipeline is where sharding lives
+        "pipeline/__init__.py": "",
+        "pipeline/sharded.py": "class ShardedWorkload:\n    shard_tasks = 0\n",
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 4
+    assert any(p.startswith("repro.engines.micro:3 names 'shard_tasks'")
+               for p in problems)
+    assert any("calls align_tasks at lines [4, 5]" in p for p in problems)
+    assert any("'SharedShardStore'" in p for p in problems)
+    assert any("'n_shards'" in p for p in problems)
+
+
+def test_micro_engines_have_one_kernel_dispatch_site(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "engines/__init__.py": "",
+        "engines/micro.py": "def run(executor, todo):\n    return todo\n",
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 1 and "calls align_tasks at lines []" in problems[0]
 
 
 def test_cli_reaches_service_only_lazily():

@@ -175,6 +175,47 @@ def test_cancel_mid_run_aborts_via_the_tracer():
         assert retry.state == JobState.DONE and not retry.cache_hit
 
 
+def test_cancel_during_the_kernel_flush_lands_within_one_call(monkeypatch):
+    """A real-kernel micro job cancelled *after* its simulation drained.
+
+    Every tracer record call of the simulation is over by then; the flush
+    loop's per-call counter is the cancellation point, so the job stops
+    after the kernel call in flight instead of resolving everything.
+    """
+    from repro.runtime.executor import SerialExecutor
+
+    real = SerialExecutor.align_tasks
+    calls = {"full": [], "cancelled": []}
+
+    def align_tasks(self, idx):
+        # one slot: the second job only runs once the first is DONE, and
+        # is flagged from inside its own first kernel call
+        if full.state == JobState.DONE:
+            calls["cancelled"].append(len(idx))
+            job.request_cancel()
+        else:
+            calls["full"].append(len(idx))
+        return real(self, idx)
+
+    monkeypatch.setattr(SerialExecutor, "align_tasks", align_tasks)
+    request = dict(engine="bsp-micro", kernel="real", nodes=1,
+                   cores_per_node=4)
+    with RunQueue(slots=1, start=False) as q:
+        full = q.submit(JobRequest(seed=11, **request))
+        job = q.submit(JobRequest(seed=12, **request))
+        q.start()
+        _drain(q, [full, job])
+    assert full.state == JobState.DONE
+    resolved = [e["alignments_resolved"] for e in full.events.snapshot()
+                if e["event"] == "progress" and "alignments_resolved" in e]
+    assert len(resolved) == len(calls["full"]) > 1
+    assert resolved[-1] == sum(calls["full"]) == len(full.result.alignments)
+    assert job.state == JobState.CANCELLED
+    assert job.error["type"] == "JobCancelledError"
+    assert len(calls["cancelled"]) == 1
+    assert not active_shm_segments()
+
+
 def test_cancelling_a_queued_leader_promotes_its_follower():
     q = RunQueue(slots=1, start=False)
     leader = q.submit(JobRequest(seed=72))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Four classes of violation, all enforced in CI (and mirrored by
+Five classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -33,6 +33,15 @@ Four classes of violation, all enforced in CI (and mirrored by
    ``engines.common`` that the engine's ``run`` charges, so a prediction
    cannot become a second copy of the model (docs/PLANNER.md).
 
+5. **Shards below ``pipeline/``, or a second kernel dispatch site.**  No
+   identifier or attribute under ``repro/engines`` or ``repro/runtime``
+   may contain ``shard``: a sharded concrete workload reaches those layers
+   through the same ``reads``/``tasks``/``task_costs`` surface as a
+   materialized one, and code that asks which kind it got is a second
+   data path.  And ``engines/micro.py`` calls ``align_tasks`` exactly
+   once — the flush in ``_resolve_alignments``; every other site records
+   (docs/PERFORMANCE.md "Kernel dispatch").
+
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
 """
@@ -60,6 +69,14 @@ NO_BARE_UNIQUE = ("repro.pipeline", "repro.engines")
 COST_HOOK_PACKAGE = "repro.engines"
 NETWORK_COST_METHODS = ("rpc_pull_time", "ptp_time")
 NETWORK_COST_PREFIX = "alltoallv_"
+
+
+#: packages that must not know how a workload is stored
+SHARD_BLIND = ("repro.engines", "repro.runtime")
+
+#: the module with the one kernel dispatch site, and the method it calls
+DISPATCH_MODULE = "repro.engines.micro"
+DISPATCH_METHOD = "align_tasks"
 
 
 def module_name(path: Path, src_root: Path) -> str:
@@ -239,6 +256,60 @@ def cost_hook_network_calls(src_root: Path) -> list[str]:
     return problems
 
 
+def _identifiers(tree: ast.Module):
+    """``(name, lineno)`` of every identifier-like token in a module:
+    names, attributes, parameters, keywords, def/class names, and string
+    literals spelled like one (``getattr(w, "name")``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.arg):
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.value.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            yield node.name, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
+
+
+def dispatch_path_violations(src_root: Path) -> list[str]:
+    """``shard`` identifiers in the :data:`SHARD_BLIND` packages, and any
+    count but one of :data:`DISPATCH_METHOD` calls in
+    :data:`DISPATCH_MODULE`."""
+    problems: list[str] = []
+    for path in sorted((src_root / PACKAGE).rglob("*.py")):
+        name = module_name(path, src_root)
+        if not name.startswith(SHARD_BLIND):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for ident, lineno in _identifiers(tree):
+            if "shard" in ident.lower():
+                problems.append(
+                    f"{name}:{lineno} names {ident!r}; engines and the "
+                    f"runtime must not know how a workload is stored — "
+                    f"sharding ends at repro.pipeline"
+                )
+        if name == DISPATCH_MODULE:
+            calls = sorted(
+                node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == DISPATCH_METHOD
+            )
+            if len(calls) != 1:
+                problems.append(
+                    f"{name} calls {DISPATCH_METHOD} at lines {calls}; the "
+                    f"micro engines record tasks and resolve them in "
+                    f"exactly one place"
+                )
+    return problems
+
+
 def run(src_root: Path) -> list[str]:
     graph = build_graph(src_root)
     problems = [
@@ -247,6 +318,7 @@ def run(src_root: Path) -> list[str]:
     problems += banned_imports(graph)
     problems += bare_unique_calls(src_root)
     problems += cost_hook_network_calls(src_root)
+    problems += dispatch_path_violations(src_root)
     return problems
 
 
@@ -259,7 +331,9 @@ def main(argv: list[str]) -> int:
         graph = build_graph(src_root)
         print(f"import hygiene OK: {len(graph)} modules, no cycles, "
               f"no banned imports, no flag-less np.unique in "
-              f"pipeline/engines, no cost hook pricing a phase itself")
+              f"pipeline/engines, no cost hook pricing a phase itself, "
+              f"no shard-aware engine/runtime code, one kernel dispatch "
+              f"site")
     return 1 if problems else 0
 
 

@@ -113,8 +113,7 @@ def compute_churn_result(engine: str):
     Runs the model kernel everywhere — these cases pin the churn
     scheduling arithmetic (membership boundaries, checkpoint handoffs,
     migration accounting); kernel output is already pinned by the base
-    matrix, and the churned async pull path computes task-by-task, which
-    would make a real-kernel run needlessly slow.
+    matrix.
     """
     w = get_workload("micro", seed=11)
     machine = cori_knl(NODES, app_cores_per_node=CORES_PER_NODE)
