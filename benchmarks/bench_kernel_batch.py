@@ -14,6 +14,7 @@ Writes ``BENCH_KERNEL.json`` at the repo root.  Also runnable standalone:
 """
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -95,6 +96,7 @@ def sweep(num_pairs: int = 256, length: int = 1500) -> dict:
         "seed_k": SEED_K,
         "pair_length": length,
         "num_pairs": num_pairs,
+        "cpus": os.cpu_count(),
         "workloads": {},
     }
     for name, pairs in workloads.items():

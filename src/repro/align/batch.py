@@ -6,14 +6,45 @@ pure-python reproduction even though the paper's cost model counts only DP
 cells (§4.2).  This module amortizes that overhead the way GPU ports of the
 kernel do (LOGAN-style batching, PAPERS.md): ``B`` extensions advance in
 lockstep behind **one shared antidiagonal counter**, with each step
-computing one ``(B_active, window)`` block of cells.
+computing one ``(B_active, W)`` block of cells.
 
-Per pair the kernel keeps the scalar state — live-window bounds, the two
-trailing wavefront rows, best score/position, cell and antidiagonal
-counters — as rows of padded 2-D arrays.  Pairs terminate independently
-(window death, X-drop kill, or exhaustion) and finished pairs are compacted
-out of the active set, so a batch mixing early-terminating false positives
-with long true overlaps never pays for the dead rows.
+**The shared frame.**  Cell ``(i, j)`` of antidiagonal ``d = i + j`` of a
+pair sits at column ``c = i + K - d // 2`` of that pair's row, where ``K``
+is a per-pair origin.  In that frame the three DP moves are the same
+column shift for every pair — which shift depends only on the parity of
+the shared ``d``:
+
+* up ``(i-1, j)`` is column ``c`` of diagonal ``d-1`` when ``d`` is even,
+  ``c-1`` when it is odd;
+* left ``(i, j-1)`` is column ``c+1`` (even) or ``c`` (odd) of ``d-1``;
+* diag ``(i-1, j-1)`` is column ``c`` of diagonal ``d-2``.
+
+Rows are stored back to back, each led by one pad column, so a wavefront
+is one contiguous array and up/left/diag are that array read at a flat
+offset of -1, 0 or +1: every cell update is a handful of 1-D numpy calls
+over the whole batch, with no per-row index arithmetic and no per-row
+inner loops.  The pads hold ``-inf`` (they also end each row's left move),
+and the sequence codes under a row are one contiguous window of a packed
+code array.
+
+The frame follows the alignment diagonal (``c`` moves with ``i - j``), so
+an X-drop window drifts across it only as fast as the alignment's indels
+walk; a pair whose window reaches an edge is re-centred by moving its
+origin ``K`` (a rare shift, not a per-step gather), and ``W`` widens if a
+window outgrows it.
+
+Scores are stored shifted by the antidiagonal, ``w = score - gap * d``:
+every path to diagonal ``d`` pays ``gap`` per antidiagonal for a gap move
+and ``2 * gap`` per two for a substitution, so in ``w`` the gap moves add
+nothing and a substitution adds ``s - 2 * gap`` — one add per step fewer.
+A pruned cell is exactly the pad value ``_NEG``, never below it.
+
+Per pair the kernel keeps the scalar state — live-window bounds, best
+score/position, cell counter — as one column of a stacked state array.
+Pairs terminate independently (window death, X-drop kill, or exhaustion)
+and finished pairs are compacted out of the active set, so a batch mixing
+early-terminating false positives with long true overlaps never pays for
+the dead rows.
 
 Results are **bit-identical** to running :class:`~repro.align.xdrop.
 XDropExtender` per pair (same scores, extents, cells, antidiagonal counts,
@@ -27,6 +58,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.align.scoring import DEFAULT_SCORING, ScoringScheme
 from repro.align.xdrop import ExtensionResult, _NEG
@@ -34,24 +66,55 @@ from repro.errors import AlignmentError
 
 __all__ = ["BatchedXDropExtender"]
 
+#: Frame width (data columns per row) a batch starts with.  A window is
+#: kept ``_MARGIN`` columns clear of each frame edge when it is re-centred;
+#: the frame widens in steps of 8 when a live window no longer fits so.
+_FRAME0 = 16
+_MARGIN = 4
 
-def _gather_rows(vals: np.ndarray, vals_lo: np.ndarray, vals_len: np.ndarray,
-                 want_lo: np.ndarray, width: int) -> np.ndarray:
-    """Per-row diagonal gather: row r gets ``vals[r]`` at indices
-    ``[want_lo[r], want_lo[r] + width)``, NEG-filled outside the stored span.
+# Rows of the stacked per-pair state (one column per active pair).  All
+# positions are in "g" coordinates, g = i + K, so a re-centring that moves
+# the origin K shifts every one of them by the same amount.
+_FIELDS = 13
+(_ROW, _MN, _NLO, _MHI, _K, _ABASE, _BBASE, _BEST, _BEST_G, _BEST_D,
+ _CELLS, _WLO, _WHI) = range(_FIELDS)
+#: the fields a re-centring by ``shift`` moves by ``+shift`` (origin and
+#: g-positions) and by ``-shift`` (code-window bases)
+_SHIFT_UP = [_NLO, _MHI, _K, _BEST_G, _WLO, _WHI]
+_SHIFT_DOWN = [_ABASE, _BBASE]
 
-    The 2-D analogue of the scalar kernel's ``_gather``.
-    """
-    rows = vals.shape[0]
-    if vals.shape[1] == 0:
-        return np.full((rows, width), _NEG, dtype=np.int64)
-    col = want_lo[:, None] + np.arange(width, dtype=np.int64)[None, :] \
-        - vals_lo[:, None]
-    ok = (col >= 0) & (col < vals_len[:, None])
-    np.clip(col, 0, vals.shape[1] - 1, out=col)
-    out = np.take_along_axis(vals, col, axis=1)
-    out[~ok] = _NEG
-    return out
+
+def _pack(segments: list[np.ndarray], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate code arrays with ``pad`` filler codes before and after
+    each; returns the flat array and each segment's start."""
+    sizes = np.array([s.size for s in segments], dtype=np.int64)
+    starts = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1] + pad, out=starts[1:])
+    starts += pad
+    flat = np.zeros(int(starts[-1] + sizes[-1]) + pad, dtype=np.uint8)
+    for s, seg in zip(starts.tolist(), segments):
+        flat[s: s + seg.size] = seg
+    return flat, starts
+
+
+def _caps(pitch: int) -> np.ndarray:
+    """Window caps: row ``span * 3P + P - lo`` of the returned ``(·, P)``
+    view is ``-_NEG`` on columns ``lo .. lo + span`` and ``_NEG`` elsewhere,
+    so ``np.minimum`` with it prunes a row to its window."""
+    t = np.arange(3 * pitch)
+    span = np.arange(pitch)[:, None]
+    inside = (t >= pitch) & (t <= pitch + span)
+    return sliding_window_view(np.where(inside, -_NEG, _NEG).ravel(), pitch)
+
+
+def _shift_rows(buf: np.ndarray, shift: np.ndarray) -> None:
+    """Move row ``r``'s data columns (all but the leading pad) right by
+    ``shift[r]`` in place, filling with ``_NEG``."""
+    pitch = buf.shape[1]
+    src = np.arange(1, pitch)[None, :] - shift[:, None]
+    inside = (src >= 1) & (src < pitch)
+    np.clip(src, 0, pitch - 1, out=src)
+    buf[:, 1:] = np.where(inside, np.take_along_axis(buf, src, axis=1), _NEG)
 
 
 @dataclass(frozen=True)
@@ -96,139 +159,180 @@ class BatchedXDropExtender:
         if not orig_ids:
             return results  # type: ignore[return-value]
 
-        table = self.scoring.substitution_table
-        gap = np.int64(self.scoring.gap)
-        x = np.int64(self.x_drop)
+        scoring = self.scoring
+        table = scoring.substitution_table
+        ncode = table.shape[1]
+        gap = int(scoring.gap)
+        x = int(self.x_drop)
 
         k0 = len(orig_ids)
-        orig = np.array(orig_ids, dtype=np.int64)
         m = np.array([a.size for a in seqs_a], dtype=np.int64)
         n = np.array([b.size for b in seqs_b], dtype=np.int64)
+        table_w = (table - 2 * gap).ravel()
+        # b is packed reversed, so the codes under a frame row run forward
+        # in both sequences.
+        seqs_b = [b[::-1] for b in seqs_b]
 
-        # Shifted sequence lookups packed flat: row r's a-codes live at
-        # a_off[r] + i with a_flat[a_off[r] + i] == a[max(i - 1, 0)].
-        a_flat = np.concatenate([np.concatenate((a[:1], a)) for a in seqs_a])
-        b_flat = np.concatenate([np.concatenate((b[:1], b)) for b in seqs_b])
-        a_off = np.zeros(k0, dtype=np.int64)
-        np.cumsum(m[:-1] + 1, out=a_off[1:])
-        b_off = np.zeros(k0, dtype=np.int64)
-        np.cumsum(n[:-1] + 1, out=b_off[1:])
+        W = _FRAME0
+        st = np.zeros((_FIELDS, k0), dtype=np.int64)
+        st[_ROW] = np.arange(k0)
+        st[_MN] = m + n
+        st[_K] = W // 2
+        st[_NLO] = st[_K] - n
+        st[_MHI] = st[_K] + m
+        st[_WLO] = st[_BEST_G] = st[_K]   # best so far: S(0,0) = 0
+        st[_WHI] = st[_K] + 1             # window of diagonal 1: i in [0, 1]
+        # Wavefront buffers: one row per pair, pitch W + 1 (the pad column
+        # first), plus a trailing all-pad row that ends the last pair's
+        # left move.  Diagonal 0 holds only S(0,0) = 0, at column K;
+        # diagonal -1 is empty.
+        prev = np.full((k0 + 1, W + 1), _NEG, dtype=np.int64)
+        prev[:k0, W // 2 + 1] = 0
+        prev2 = np.full_like(prev, _NEG)
+        free = np.full_like(prev, _NEG)
+        rows = np.arange(k0)
 
-        # Per-pair scalar state, vectorized across the active set.
-        win_lo = np.zeros(k0, dtype=np.int64)
-        win_hi = np.ones(k0, dtype=np.int64)
-        best = np.zeros(k0, dtype=np.int64)
-        best_i = np.zeros(k0, dtype=np.int64)
-        best_j = np.zeros(k0, dtype=np.int64)
-        cells = np.zeros(k0, dtype=np.int64)
+        def reframe():
+            """Code windows and caps for pitch W + 1; the code pads keep
+            every frame row inside the packed arrays.
 
-        # Trailing wavefront rows as padded 2-D blocks + per-row (lo, len).
-        prev = np.zeros((k0, 1), dtype=np.int64)       # diagonal d-1
-        prev_lo = np.zeros(k0, dtype=np.int64)
-        prev_len = np.ones(k0, dtype=np.int64)
-        prev2 = np.zeros((k0, 0), dtype=np.int64)      # diagonal d-2
-        prev2_lo = np.zeros(k0, dtype=np.int64)
-        prev2_len = np.zeros(k0, dtype=np.int64)
+            Cell (i, j) scores a[i-1] against b[j-1]: a[i-1] sits at
+            a_off + i - 1 and b[j-1] at b_off + n - j.  Row i = 0 or j = 0
+            reads a pad code, harmlessly: its diag move starts outside the
+            matrix.  a codes are pre-scaled by ``ncode`` so a code pair is
+            one add away from its table index.
+            """
+            a_flat, a_off = _pack(seqs_a, W + 1)
+            a_flat *= np.uint8(ncode)
+            b_flat, b_off = _pack(seqs_b, W + 1)
+            # a row's window starts at its pad column, c = -1
+            return (sliding_window_view(a_flat, W + 1), a_off - 2,
+                    sliding_window_view(b_flat, W + 1), b_off + n - 1,
+                    _caps(W + 1))
+
+        a_win, a_base0, b_win, b_base0, caps = reframe()
+        st[_ABASE] = a_base0 - st[_K]
+        st[_BBASE] = b_base0 - st[_K]
+
+        # Finished pairs' state columns, with the diagonal d they ended at
+        # and whether X-drop killed d (1) or the window closed before it.
+        ended: list[tuple[np.ndarray, int, int]] = []
 
         d = 0
-
-        def finish(rows: np.ndarray, early: np.ndarray) -> None:
-            """Record results for active rows that terminate at diagonal d."""
-            for r in rows:
-                results[int(orig[r])] = ExtensionResult(
-                    score=int(best[r]),
-                    length_a=int(best_i[r]),
-                    length_b=int(best_j[r]),
-                    cells=int(cells[r]),
-                    antidiagonals=d - 1,
-                    terminated_early=bool(early[r]),
-                )
-
-        while orig.size:
+        while True:
             d += 1
-            mn = m + n
-
-            # Termination before computing diagonal d: natural exhaustion
-            # (d > m+n, not early) or a dead window (lo > hi, early).
-            lo = np.maximum(np.maximum(win_lo, 0), d - n)
-            hi = np.minimum(np.minimum(win_hi, d), m)
-            exhausted = d > mn
-            dead = ~exhausted & (lo > hi)
-            fin = exhausted | dead
-            if fin.any():
-                finish(np.nonzero(fin)[0], dead)
-                keep = ~fin
-                (orig, m, n, a_off, b_off, win_lo, win_hi, best, best_i,
-                 best_j, cells, mn, lo, hi, prev_lo, prev_len, prev2_lo,
-                 prev2_len) = (
-                    arr[keep] for arr in (
-                        orig, m, n, a_off, b_off, win_lo, win_hi, best,
-                        best_i, best_j, cells, mn, lo, hi, prev_lo,
-                        prev_len, prev2_lo, prev2_len))
-                prev = prev[keep]
-                prev2 = prev2[keep]
-                if not orig.size:
+            hk = d >> 1
+            # Window of diagonal d in g: the live window of d-1 clipped to
+            # the matrix (i <= m, j <= n; i >= 0 and j >= 0 already hold).
+            lo = np.maximum(st[_WLO], st[_NLO] + d)
+            hi = np.minimum(st[_WHI], st[_MHI])
+            done = lo > hi
+            if done.any():
+                # Natural exhaustion (d > m+n) or a dead window.
+                ended.append((st[:, done], d, 0))
+                keep = ~done
+                st, lo, hi = st[:, keep], lo[keep], hi[keep]
+                if not st.shape[1]:
                     break
+                keep = np.append(keep, True)   # the trailing pad row
+                prev, prev2 = prev[keep], prev2[keep]
+                free = free[:st.shape[1] + 1]
+                free[-1] = _NEG
+                rows = rows[:st.shape[1]]
+            span = hi - lo
+            st[_CELLS] += span
 
-            count = hi - lo + 1
-            width = int(count.max())
-            cols = np.arange(width, dtype=np.int64)
-            valid = cols[None, :] < count[:, None]
-            i_vals = lo[:, None] + cols[None, :]
+            codes = a_win[st[_ABASE] + hk]
+            codes += b_win[st[_BBASE] + (hk - d)]
+            diag = table_w.take(codes)
+            diag += prev2[:-1]
+            size = diag.size
+            flat_prev, flat_cur = prev.reshape(-1), free.reshape(-1)
+            if d & 1:   # up = c - 1, left = c
+                np.maximum(flat_prev[:size - 1], flat_prev[1:size],
+                           out=flat_cur[1:size])
+            else:       # up = c, left = c + 1
+                np.maximum(flat_prev[:size], flat_prev[1:size + 1],
+                           out=flat_cur[:size])
+            cur = free[:-1]
+            np.maximum(cur, diag, out=cur)
+            # Cells outside [lo, hi], and the pads, are not part of d.
+            np.minimum(cur, caps[span * (3 * W + 3) + ((W + hk) - lo)],
+                       out=cur)
 
-            # Moves: up (i-1, j) and left (i, j-1) live on diagonal d-1 at
-            # indices i-1 and i; diagonal (i-1, j-1) lives on d-2 at i-1.
-            up = _gather_rows(prev, prev_lo, prev_len, lo - 1, width)
-            up += gap
-            left = _gather_rows(prev, prev_lo, prev_len, lo, width)
-            left += gap
-            diag = _gather_rows(prev2, prev2_lo, prev2_len, lo - 1, width)
-
-            # Padded columns index past the window; clamp them into range
-            # (their cells are forced dead below, the codes don't matter).
-            ai = a_flat[a_off[:, None] + np.minimum(i_vals, m[:, None])]
-            bj = b_flat[b_off[:, None]
-                        + np.clip(d - i_vals, 0, n[:, None])]
-            diag += table[ai, bj]
-
-            cur = np.maximum(np.maximum(up, left), diag)
-            cur[~valid] = _NEG
-            cells += count
-
-            cmax = cur.max(axis=1)
+            gd = gap * d
             karg = cur.argmax(axis=1)
-            improved = cmax > best
-            bi = lo + karg
-            best = np.where(improved, cmax, best)
-            best_i = np.where(improved, bi, best_i)
-            best_j = np.where(improved, d - bi, best_j)
+            cmax = cur[rows, karg]
+            improved = cmax > st[_BEST] - gd
+            if improved.any():
+                np.copyto(st[_BEST], cmax + gd, where=improved)
+                np.copyto(st[_BEST_G], karg + (hk - 1), where=improved)
+                np.copyto(st[_BEST_D], d, where=improved)
+            thr = st[_BEST] - (x + gd)
 
-            live = cur >= (best - x)[:, None]
-            live &= valid
-            has_live = live.any(axis=1)
-            if not has_live.all():
-                # X-drop killed the whole window: early unless the pair was
-                # already on its final antidiagonal.
-                finish(np.nonzero(~has_live)[0], d < mn)
-                keep = has_live
-                (orig, m, n, a_off, b_off, best, best_i, best_j, cells,
-                 lo, count) = (
-                    arr[keep] for arr in (
-                        orig, m, n, a_off, b_off, best, best_i, best_j,
-                        cells, lo, count))
-                live = live[keep]
-                cur = cur[keep]
-                prev = prev[keep]
-                prev_lo, prev_len = prev_lo[keep], prev_len[keep]
-                if not orig.size:
+            has_live = cmax >= thr
+            if has_live.all():
+                cur_buf, free = free, prev2
+            else:
+                # X-drop killed the whole window.
+                ended.append((st[:, ~has_live], d, 1))
+                st, thr = st[:, has_live], thr[has_live]
+                if not st.shape[1]:
                     break
+                keep = np.append(has_live, True)
+                prev, cur_buf = prev[keep], free[keep]
+                free = prev2[:st.shape[1] + 1]
+                free[-1] = _NEG
+                rows = rows[:st.shape[1]]
+                cur = cur_buf[:-1]
 
+            live = cur >= thr[:, None]
             first = live.argmax(axis=1)
-            last = live.shape[1] - 1 - live[:, ::-1].argmax(axis=1)
-            win_lo = lo + first
-            win_hi = lo + last + 1
+            rev = live[:, ::-1].argmax(axis=1)
+            np.add(first, hk - 1, out=st[_WLO])
+            np.subtract(W + hk, rev, out=st[_WHI])
+            prev2, prev = prev, cur_buf
 
-            prev2, prev2_lo, prev2_len = prev, prev_lo, prev_len
-            prev, prev_lo, prev_len = cur, lo, count
+            # In data columns (buffer column - 1), diagonal d+1's window
+            # starts no left of first - 2 and ends no right of W - rev;
+            # re-centre rows before it would leave [0, W).
+            if first.min() < 2 or rev.min() < 1:
+                width = W + 1 - rev - first
+                need = int(width.max()) + 2 * _MARGIN
+                grow = need > W
+                if grow:
+                    wider = -(-need // 8) * 8
+                    prev, prev2 = (
+                        np.pad(buf, ((0, 0), (0, wider - W)),
+                               constant_values=_NEG)
+                        for buf in (prev, prev2))
+                    free = np.full_like(prev, _NEG)
+                    W = wider
+                    a_win, a_base0, b_win, b_base0, caps = reframe()
+                shift = (W - width) // 2 + 1 - first
+                _shift_rows(prev[:-1], shift)
+                _shift_rows(prev2[:-1], shift)
+                st[_SHIFT_UP] += shift
+                if grow:
+                    st[_ABASE] = a_base0[st[_ROW]] - st[_K]
+                    st[_BBASE] = b_base0[st[_ROW]] - st[_K]
+                else:
+                    st[_SHIFT_DOWN] -= shift
 
+        # A pair that ended at diagonal d reports d - 1 antidiagonals and
+        # computed d - 1 + killed of them; as in the scalar kernel it
+        # stopped early iff that is fewer than m + n.
+        st = np.concatenate([cols for cols, _, _ in ended], axis=1)
+        counts = [cols.shape[1] for cols, _, _ in ended]
+        anti = np.repeat([end - 1 for _, end, _ in ended], counts)
+        computed = anti + np.repeat([k for _, _, k in ended], counts)
+        length_a = st[_BEST_G] - st[_K]
+        fields = zip(st[_ROW].tolist(), st[_BEST].tolist(), length_a.tolist(),
+                     (st[_BEST_D] - length_a).tolist(),
+                     (st[_CELLS] + computed).tolist(), anti.tolist(),
+                     (st[_MN] > computed).tolist())
+        for row, score, ext_a, ext_b, cells, antidiagonals, early in fields:
+            results[orig_ids[row]] = ExtensionResult(
+                score=score, length_a=ext_a, length_b=ext_b, cells=cells,
+                antidiagonals=antidiagonals, terminated_early=early)
         return results  # type: ignore[return-value]

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.align import batch as batch_module
 from repro.align.batch import BatchedXDropExtender
 from repro.align.scoring import ScoringScheme
 from repro.align.seedextend import SeedExtendAligner
 from repro.align.xdrop import XDropExtender
 from repro.errors import AlignmentError
 from repro.genome import alphabet
+from repro.genome.synth import ErrorModel
 
 dna = st.text(alphabet="ACGTN", min_size=0, max_size=40)
 
@@ -114,6 +116,64 @@ def test_mixed_early_termination_within_batch():
     assert want == got
     assert not got[0].terminated_early
     assert got[1].terminated_early
+
+
+def _drifting_pairs(rng, count, length):
+    """Overlaps whose alignment walks off the main diagonal: b carries
+    mostly insertions, so ``i - j`` drifts by ~10 % of the length."""
+    drift = ErrorModel(error_rate=0.15, insertion_frac=0.8, deletion_frac=0.1,
+                       substitution_frac=0.1)
+    plain = ErrorModel(error_rate=0.1)
+    pairs = []
+    for _ in range(count):
+        core = alphabet.random_sequence(length, rng)
+        pairs.append((plain.apply(core, rng), drift.apply(core, rng)))
+        pairs.append((drift.apply(core, rng), plain.apply(core, rng)))
+    return pairs
+
+
+@pytest.mark.parametrize("x", [5, 15, 40])
+def test_drifting_overlaps_recentre_and_widen_the_frame(x, monkeypatch):
+    # Long overlaps drift across the shared frame (re-centring) and, at
+    # large X, their windows outgrow it (widening): both must be exact.
+    calls = {"shift": 0, "pack": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(batch_module, "_shift_rows",
+                        counted("shift", batch_module._shift_rows))
+    monkeypatch.setattr(batch_module, "_pack",
+                        counted("pack", batch_module._pack))
+    pairs = _drifting_pairs(np.random.default_rng(x), 4, 700)
+    got = BatchedXDropExtender(x_drop=x).extend_batch(pairs)
+    scalar = XDropExtender(x_drop=x)
+    for (a, b), g in zip(pairs, got):
+        assert _ext_tuple(g) == _ext_tuple(scalar.extend(a, b))
+    assert max(g.antidiagonals for g in got) > 300
+    assert calls["shift"] > 0
+    if x == 40:
+        assert calls["pack"] > 2   # packed once per frame width
+
+
+def test_unbounded_x_drop_computes_every_cell():
+    # X so large that nothing is ever pruned: every window is the whole
+    # antidiagonal, the widest frame there is, and extensions end only by
+    # exhausting both sequences.
+    rng = np.random.default_rng(5)
+    pairs = [(alphabet.random_sequence(40, rng),
+              alphabet.random_sequence(int(s), rng))
+             for s in rng.integers(1, 60, 12)]
+    x = 2**31
+    got = BatchedXDropExtender(x_drop=x).extend_batch(pairs)
+    scalar = XDropExtender(x_drop=x)
+    for (a, b), g in zip(pairs, got):
+        assert _ext_tuple(g) == _ext_tuple(scalar.extend(a, b))
+        assert g.cells == (a.size + 1) * (b.size + 1) - 1
+        assert not g.terminated_early
 
 
 def test_empty_batch():
