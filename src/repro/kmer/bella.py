@@ -16,8 +16,10 @@ length ``k`` to choose which k-mer multiplicities mark *reliable* seeds:
   = the smallest m whose binomial survival probability drops below
   ``tail_prob``).
 
-This module implements that calculation with :mod:`scipy.stats` and exposes
-both the bounds and the retention probability curve for tests.
+This module implements that calculation in exact integer arithmetic (the
+float ``p`` and ``tail_prob`` are dyadic rationals, so every binomial term
+scaled by ``den**d`` is an integer) and exposes both the bounds and the
+retention probability curve for tests.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -76,17 +77,34 @@ class BellaModel:
         """Smallest m with ``P[Binomial(d, p) >= m] < tail_prob``.
 
         k-mers seen ``> hi`` times are treated as repeats and discarded.
+
+        Exact: with ``p = a / den`` and ``tail_prob = t_num / t_den`` (floats
+        are dyadic rationals), ``P[X >= j] >= tail_prob`` iff
+        ``t_num * den**d - t_den * sum_{i >= j} C(d, i) a**i (den - a)**(d - i)
+        <= 0``, all integers.  The tail is summed from ``j = d`` downward and
+        the first ``j`` whose mass reaches ``tail_prob`` gives ``hi = j + 1``.
+        Term ``j - 1`` is term ``j`` times ``j (den - a) / ((d - j + 1) a)``;
+        rather than divide the term, the loop multiplies the running deficit
+        by the denominator (only its sign is read), so each step is two
+        small-factor products and no bigint division.
         """
         d = max(1, int(round(self.coverage)))
-        p = self.p_correct
-        # sf(m-1) = P[X >= m]; find smallest m where this drops below tail.
-        m = np.arange(0, d + 2)
-        sf = stats.binom.sf(m - 1, d, p)
-        below = np.nonzero(sf < self.tail_prob)[0]
-        if below.size == 0:  # pathological (p ~ 1 and tiny tail_prob)
-            return d
-        hi = int(below[0])
-        return max(hi, self.min_count)
+        a, den = self.p_correct.as_integer_ratio()
+        b = den - a
+        t_num, t_den = float(self.tail_prob).as_integer_ratio()
+        deficit = t_num * den**d
+        term = t_den * a**d  # t_den * C(d, d) a**d b**0
+        # a == 0 (p underflowed): every term above j = 0 vanishes
+        j = d if a else 0
+        while j > 0:
+            deficit -= term
+            if deficit <= 0:
+                break
+            deficit *= (d - j + 1) * a
+            term *= j * b
+            j -= 1
+        # j == 0 here means P[X >= 1] < tail_prob <= P[X >= 0] = 1
+        return max(j + 1, self.min_count)
 
     def bounds(self) -> tuple[int, int]:
         """``(lo, hi)`` multiplicity band of reliable k-mers."""

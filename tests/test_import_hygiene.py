@@ -4,11 +4,14 @@ Mirrors ``tools/check_imports.py``: the real source tree must have no
 module-level import cycles, none of the banned cross-imports (engine
 siblings; utils reaching up the stack), no flag-less ``np.unique`` in
 the assignment renderers, no cost hook calling a ``NetworkModel`` cost
-method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``
-and exactly one ``align_tasks`` call in ``engines/micro.py``.  The synthetic cases prove the checker actually
-detects what it claims to.
+method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``,
+exactly one ``align_tasks`` call in ``engines/micro.py`` and no scipy import
+anywhere.  The synthetic cases prove the checker actually detects what it
+claims to; a subprocess proves the public entry points load no scipy.
 """
 
+import os
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -193,3 +196,36 @@ def test_cli_reaches_service_only_lazily():
         "repro.cli must import repro.service inside the serve command, "
         f"not at module level: {service_deps}"
     )
+
+
+def test_detects_scipy_imports_at_any_depth(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "kmer/__init__.py": "",
+        "kmer/bella.py": """\
+            import numpy as np
+            import scipy.special as sp
+            def sf(m, d, p):
+                from scipy import stats
+                return stats.binom.sf(m, d, p)
+            """,
+        # a relative import of a local module named scipy is not the package
+        "kmer/local.py": "from .scipy import x\n",
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 2
+    assert any(p.startswith("repro.kmer.bella:2 imports scipy.special")
+               for p in problems)
+    assert any(p.startswith("repro.kmer.bella:4 imports scipy")
+               for p in problems)
+
+
+def test_entry_points_load_no_scipy():
+    code = ("import sys\n"
+            "import repro.core.api, repro.cli, repro.service.http\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Five classes of violation, all enforced in CI (and mirrored by
+Six classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -42,6 +42,12 @@ Five classes of violation, all enforced in CI (and mirrored by
    once — the flush in ``_resolve_alignments``; every other site records
    (docs/PERFORMANCE.md "Kernel dispatch").
 
+6. **A scipy import anywhere under ``repro/``**, module-level or
+   function-local.  The runtime depends on numpy alone: scipy once came in
+   through the BELLA tail and cost every process ~1 s of import and
+   ~60 MiB of RSS (docs/PERFORMANCE.md "Cold start").  Tests may still
+   use it as an oracle.
+
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
 """
@@ -77,6 +83,9 @@ SHARD_BLIND = ("repro.engines", "repro.runtime")
 #: the module with the one kernel dispatch site, and the method it calls
 DISPATCH_MODULE = "repro.engines.micro"
 DISPATCH_METHOD = "align_tasks"
+
+#: top-level packages nothing under ``repro`` may import
+BANNED_PACKAGES = ("scipy",)
 
 
 def module_name(path: Path, src_root: Path) -> str:
@@ -310,6 +319,29 @@ def dispatch_path_violations(src_root: Path) -> list[str]:
     return problems
 
 
+def banned_package_imports(src_root: Path) -> list[str]:
+    """Imports of a :data:`BANNED_PACKAGES` package, at any depth."""
+    problems: list[str] = []
+    for path in sorted((src_root / PACKAGE).rglob("*.py")):
+        name = module_name(path, src_root)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                mods = [node.module or ""]
+            else:
+                continue
+            for mod in mods:
+                if mod.split(".")[0] in BANNED_PACKAGES:
+                    problems.append(
+                        f"{name}:{node.lineno} imports {mod}; the runtime "
+                        f"depends on numpy only (docs/PERFORMANCE.md "
+                        f"\"Cold start\")"
+                    )
+    return problems
+
+
 def run(src_root: Path) -> list[str]:
     graph = build_graph(src_root)
     problems = [
@@ -319,6 +351,7 @@ def run(src_root: Path) -> list[str]:
     problems += bare_unique_calls(src_root)
     problems += cost_hook_network_calls(src_root)
     problems += dispatch_path_violations(src_root)
+    problems += banned_package_imports(src_root)
     return problems
 
 
@@ -333,7 +366,7 @@ def main(argv: list[str]) -> int:
               f"no banned imports, no flag-less np.unique in "
               f"pipeline/engines, no cost hook pricing a phase itself, "
               f"no shard-aware engine/runtime code, one kernel dispatch "
-              f"site")
+              f"site, no scipy")
     return 1 if problems else 0
 
 
