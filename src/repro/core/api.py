@@ -269,10 +269,7 @@ def run_alignment(
     engine = info.factory(config=config or EngineConfig())
     faults = _make_faults(fault_plan, fault_seed)
     if info.kind == _registry.MICRO:
-        concrete = isinstance(workload, ConcreteWorkload) or (
-            isinstance(workload, ShardedWorkload) and workload.is_concrete
-        )
-        if not concrete:
+        if not getattr(workload, "is_concrete", False):
             raise ConfigurationError(
                 f"approach {approach!r} is a message-level engine and needs "
                 f"a ConcreteWorkload (sequence-level dataset) or a sharded "

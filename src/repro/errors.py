@@ -55,6 +55,10 @@ class PartitionError(ReproError):
     """Read/task partitioning violated an invariant."""
 
 
+class ShardSpillError(ReproError):
+    """A spilled workload shard could not be read back (truncated/corrupt)."""
+
+
 class ExecutorError(ReproError):
     """The compute backend failed outside the simulation model."""
 

@@ -9,13 +9,16 @@ inputs in two interchangeable forms:
 * :class:`StatisticalWorkload` — Table-1-exact totals with calibrated
   distributions, generated deterministically from a seed (figure benches up
   to 32,768 simulated cores);
-* :class:`ShardedWorkload` — either of the above, generated and aggregated
-  in fixed-size shards under a bounded resident-shard budget, so
-  paper-scale task tables (10^7–10^8 rows) never exist in memory at once.
+* :class:`ShardedWorkload` — task rows (a concrete table's, or generated
+  from a statistical preset) streamed in fixed-size shards under a
+  bounded resident-shard budget, so paper-scale task tables (10^7–10^8
+  rows) never exist in memory at once.
 
 All render, for any machine size P, a :class:`WorkloadAssignment`: the
 per-rank arrays (task counts, compute seconds, exchange volumes, lookup
-counts, partition bytes) the BSP and Async engines consume.
+counts, partition bytes) the BSP and Async engines consume.  Concrete and
+sharded workloads render through one task-row renderer, the concrete
+table being its one-resident-chunk case.
 """
 
 from repro.pipeline.partition import (

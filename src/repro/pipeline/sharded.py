@@ -10,19 +10,16 @@ the same memory-limited idea to workload *construction*:
 
 * :class:`ShardedWorkload` generates (or slices) task rows in fixed-size
   shards, each seeded deterministically by shard-independent generator
-  blocks, so the shard size is a pure memory knob — it can never change a
-  single result.
-* The per-rank aggregates every engine consumes (:meth:`assignment`) are
-  accumulated shard-by-shard with in-order ``np.add.at`` folds, which
-  reproduce the materialized path's ``bincount``/``segment_sums`` results
-  **bit-identically** (both are sequential left-to-right folds into
-  float64 bins over the same element order).
+  blocks, and feeds them one at a time to the task-row renderer a
+  materialized workload runs as one chunk
+  (:class:`~repro.pipeline.workload.TaskRowWorkload`), so the shard size
+  is a pure memory knob — it can never change a single bit.
 * Deduplicated remote-read structure — the one aggregate that genuinely
-  needs global state — runs as an external bucket sort: each shard's
-  ``(requester, read)`` keys are sorted, deduplicated and appended to
-  on-disk range buckets, and finalization walks the buckets in ascending
-  key order — the order the materialized path's sorted distinct keys
-  (:func:`~repro.utils.arrays.sorted_unique`) fold in.
+  needs global state — runs as an external bucket sort
+  (:class:`_KeyBuckets`): each shard's ``(requester, read)`` keys are
+  sorted, deduplicated and written to on-disk range buckets, and
+  finalization walks the buckets in ascending key order — the order an
+  in-memory :func:`~repro.utils.arrays.sorted_unique` folds in.
 * Resident shard columns are bounded by :class:`ShardStore`: an LRU of at
   most ``max_resident_shards`` shards, charged against a
   :class:`repro.machine.memory.NodeMemory` ledger (allocate on load, free
@@ -31,13 +28,12 @@ the same memory-limited idea to workload *construction*:
 
 Two backings share all of that machinery:
 
-* :meth:`ShardedWorkload.from_workload` wraps an existing
-  :class:`~repro.pipeline.workload.ConcreteWorkload`.  Its streamed
-  :meth:`assignment`/:meth:`micro_plan` are bit-identical to the
-  materialized ones (golden-signature-pinned), and the micro engines +
-  process backend keep working through the ``reads``/``tasks``/
-  ``task_costs`` delegation to the backing — they cannot tell the two
-  apart (docs/PARALLEL.md).
+* :meth:`ShardedWorkload.from_workload` shards an existing
+  :class:`~repro.pipeline.workload.ConcreteWorkload`'s rows.  Its
+  renderings equal the materialized ones (golden-signature-pinned), and
+  the micro engines + process backend keep working through the
+  ``reads``/``tasks``/``task_costs`` delegation to the backing — they
+  cannot tell the two apart (docs/PARALLEL.md).
 * :meth:`ShardedWorkload.synthetic` generates Table-1-scale task rows
   from the statistical presets.  Unlike
   :class:`~repro.pipeline.workload.StatisticalWorkload` (which models
@@ -51,32 +47,27 @@ Two backings share all of that machinery:
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
+import zipfile
 from collections import OrderedDict
 from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.align.cost import AlignmentCostModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShardSpillError
 from repro.genome.datasets import DatasetSpec
 from repro.machine.memory import NodeMemory
-from repro.pipeline.partition import (
-    PartitionMemo,
-    ReadPartition,
-    assign_tasks_balanced,
-)
 from repro.pipeline.workload import (
-    ASSIGNMENT_CACHE_CAP,
     ConcreteWorkload,
     MicroPlan,
-    WorkloadAssignment,
+    TaskRowWorkload,
     calibrated_cost_dist,
     generate_read_lengths,
     spec_rngs,
 )
 from repro.utils.arrays import sorted_unique
-from repro.utils.cache import LruCache
 
 __all__ = [
     "ShardedWorkload",
@@ -113,7 +104,10 @@ class ShardStore:
     silently growing).  Evicted shards spill once to ``.npz`` files in the
     spill directory and reload from there — cheaper than regenerating
     draws, and the file is the out-of-core copy the resident budget
-    assumes exists.
+    assumes exists.  A spill is written under a temporary name and
+    renamed into place, so a failed write leaves no file; one that still
+    cannot be read back raises :class:`~repro.errors.ShardSpillError` and
+    is dropped, so the next pass rebuilds the shard.
     """
 
     def __init__(
@@ -161,12 +155,25 @@ class ShardStore:
     def _nbytes(self, columns: dict) -> float:
         return float(sum(arr.nbytes for arr in columns.values()))
 
+    def _spill(self, shard_id: int, columns: dict) -> None:
+        path = self._spill_path(shard_id)
+        part = path + ".part"
+        try:
+            with open(part, "wb") as f:
+                np.savez(f, **columns)
+            os.replace(part, path)
+        except BaseException:
+            if os.path.exists(part):
+                os.unlink(part)
+            raise
+        self._spilled.add(shard_id)
+
     def _admit(self, shard_id: int, columns: dict) -> None:
         while len(self._resident) >= self.max_resident:
-            old_id, old_cols = self._resident.popitem(last=False)
+            old_id, old_cols = next(iter(self._resident.items()))
             if old_id not in self._spilled:
-                np.savez(self._spill_path(old_id), **old_cols)
-                self._spilled.add(old_id)
+                self._spill(old_id, old_cols)
+            del self._resident[old_id]
             self.ledger.free(f"shard{old_id}")
             self.evictions += 1
         self.ledger.allocate(f"shard{shard_id}", self._nbytes(columns))
@@ -180,8 +187,16 @@ class ShardStore:
             self.hits += 1
             return columns
         if shard_id in self._spilled:
-            with np.load(self._spill_path(shard_id)) as npz:
-                columns = {name: npz[name] for name in npz.files}
+            path = self._spill_path(shard_id)
+            try:
+                with np.load(path) as npz:
+                    columns = {name: npz[name] for name in npz.files}
+            except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+                self._spilled.discard(shard_id)
+                raise ShardSpillError(
+                    f"spilled shard {shard_id} at {path} is unreadable: "
+                    f"{exc}"
+                ) from exc
             self.reloads += 1
         else:
             lo, hi = self.shard_range(shard_id)
@@ -241,8 +256,10 @@ class _KeyBuckets:
     sorted shard and bucket order is global key order).  Draining dedups
     each bucket across shards and yields ascending key runs; processing
     the runs in order folds the same sorted distinct keys, in the same
-    order, as the materialized path — the property the bit-identity
-    contract rests on.
+    order, as one in-memory sort — the property the bit-identity
+    contract rests on.  Each instance (one pass) owns a fresh directory
+    under ``dirpath``, removed by :meth:`drain` or :meth:`close`, so a
+    pass that raised leaves no keys for the next.
     """
 
     def __init__(self, num_ranks: int, n_reads: int, dirpath: str,
@@ -253,7 +270,7 @@ class _KeyBuckets:
         first_rank = -(-np.arange(self.n_buckets + 1, dtype=np.int64)
                        * num_ranks // self.n_buckets)
         self._edges = first_rank * n_reads
-        self._dir = dirpath
+        self._dir = tempfile.mkdtemp(prefix="keys-", dir=dirpath)
         self._files: dict[int, object] = {}
 
     def add(self, keys: np.ndarray) -> None:
@@ -267,7 +284,7 @@ class _KeyBuckets:
                 continue
             f = self._files.get(b)
             if f is None:
-                f = open(os.path.join(self._dir, f"bucket{b}.keys"), "ab")
+                f = open(os.path.join(self._dir, f"bucket{b}.keys"), "wb")
                 self._files[b] = f
             keys[lo:hi].tofile(f)
 
@@ -283,21 +300,28 @@ class _KeyBuckets:
                 if keys.size:
                     yield sorted_unique(keys)
         finally:
-            self._files = {}
+            self.close()
+
+    def close(self) -> None:
+        """Close and remove this pass's bucket files (idempotent)."""
+        for f in self._files.values():
+            f.close()
+        self._files = {}
+        shutil.rmtree(self._dir, ignore_errors=True)
 
 
-class ShardedWorkload:
+class ShardedWorkload(TaskRowWorkload):
     """A workload no layer ever holds in full (see the module docstring).
 
-    Exposes the same surface the engines consume — ``name``, ``n_reads``,
-    ``n_tasks``, ``read_lengths``, :meth:`assignment`, :meth:`micro_plan`
-    — plus delegation of ``reads``/``tasks``/``task_costs`` when backed by
-    a :class:`~repro.pipeline.workload.ConcreteWorkload` (the micro
-    engines and the process backend need row access; the synthetic backing
-    is macro-only and refuses).  Read lengths stay materialized — they are
-    O(reads), not O(tasks), exactly as the statistical generator already
-    does — while task columns live in the bounded :class:`ShardStore`.
+    Rendering is inherited; ``reads``/``tasks``/``task_costs`` delegate to
+    a :class:`~repro.pipeline.workload.ConcreteWorkload` backing (the
+    micro engines and the process backend need row access; the synthetic
+    backing is macro-only and refuses).  Read lengths stay materialized —
+    they are O(reads), not O(tasks) — while task columns live in the
+    bounded :class:`ShardStore`.
     """
+
+    rows_resident = False
 
     def __init__(
         self,
@@ -311,27 +335,16 @@ class ShardedWorkload:
         spill_dir: str | None = None,
         bytes_per_task: int = 24,
         backing: ConcreteWorkload | None = None,
-        greedy_assign: bool = True,
     ):
         if n_tasks <= 0:
             raise ConfigurationError("sharded workload needs n_tasks >= 1")
-        self.name = name
-        self.read_lengths = np.asarray(read_lengths, dtype=np.int64)
-        self._n_tasks = int(n_tasks)
-        self.shard_tasks = int(shard_tasks)
-        self.max_resident_shards = int(max_resident_shards)
+        super().__init__(name, np.asarray(read_lengths, dtype=np.int64),
+                         int(n_tasks))
         self._backing = backing
-        self._greedy = greedy_assign
         self.store = ShardStore(
             n_tasks, shard_tasks, build_shard, bytes_per_task,
             max_resident=max_resident_shards, spill_dir=spill_dir,
         )
-        # per-P renderings key on (num_ranks, shard identity): distinct
-        # shardings of one spec are distinct cache entries by construction
-        self.assignment_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
-        self._plan_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
-        self._partition = PartitionMemo(self.read_lengths,
-                                        ASSIGNMENT_CACHE_CAP)
 
     # -- constructors --------------------------------------------------------
 
@@ -345,22 +358,15 @@ class ShardedWorkload:
     ) -> "ShardedWorkload":
         """Shard an existing concrete workload's task table.
 
-        The streamed aggregation is bit-identical to the materialized
-        :meth:`ConcreteWorkload.assignment`/:meth:`~ConcreteWorkload.
-        micro_plan` for *any* shard size (pinned by the golden-signature
-        suite): owners and the greedy assignment are computed shard-by-
-        shard with persistent stream state, float accumulators fold in
-        the same element order, and the dedup bucket walk matches the
-        global sorted-key order.
+        Renderings are bit-identical to the materialized workload's for
+        *any* shard size (pinned by the golden-signature suite): both run
+        the one task-row renderer over the same rows in the same order.
         """
-        tasks = workload.tasks
+        rows = next(workload._row_chunks())
 
         def build(_sid: int, lo: int, hi: int) -> dict:
-            return {
-                "read_a": np.ascontiguousarray(tasks.read_a[lo:hi]),
-                "read_b": np.ascontiguousarray(tasks.read_b[lo:hi]),
-                "cost": np.ascontiguousarray(workload.task_costs[lo:hi]),
-            }
+            return {key: np.ascontiguousarray(col[lo:hi])
+                    for key, col in rows.items()}
 
         return cls(
             workload.name,
@@ -372,7 +378,6 @@ class ShardedWorkload:
             spill_dir=spill_dir,
             bytes_per_task=3 * 8,
             backing=workload,
-            greedy_assign=True,
         )
 
     @classmethod
@@ -395,10 +400,11 @@ class ShardedWorkload:
         reads uniform over the read set (SRA read order carries no genome
         locality, §1), cost from the calibrated
         :class:`~repro.pipeline.workload.TaskCostDistribution`, and a
-        deterministic coin picking which read's owner executes the task —
-        the vectorized stand-in for the greedy by-count heuristic, which
-        preserves the ownership invariant and balances in expectation
-        (the O(T) Python greedy loop cannot stream 10^8 tasks).
+        deterministic ``coin`` column picking which read's owner executes
+        the task — the vectorized stand-in for the greedy by-count
+        heuristic, which preserves the ownership invariant and balances in
+        expectation (the O(T) Python greedy loop cannot stream 10^8
+        tasks); the renderer uses the coin wherever a chunk carries one.
         """
         if spec.n_reads <= 0 or spec.n_tasks <= 0:
             raise ConfigurationError(
@@ -469,7 +475,6 @@ class ShardedWorkload:
             spill_dir=spill_dir,
             bytes_per_task=4 * 8,
             backing=None,
-            greedy_assign=False,
         )
 
     # -- identity / delegation ----------------------------------------------
@@ -478,14 +483,6 @@ class ShardedWorkload:
     def is_concrete(self) -> bool:
         """True when backed by a concrete workload (rows + sequences)."""
         return self._backing is not None
-
-    @property
-    def n_reads(self) -> int:
-        return int(self.read_lengths.size)
-
-    @property
-    def n_tasks(self) -> int:
-        return self._n_tasks
 
     def _need_backing(self, what: str) -> ConcreteWorkload:
         if self._backing is None:
@@ -510,138 +507,17 @@ class ShardedWorkload:
 
     # -- per-P rendering ------------------------------------------------------
 
-    def _shard_plan(self, columns: dict, part: ReadPartition,
-                    num_ranks: int, loads: np.ndarray):
-        """One shard's (owner_a, owner_b, assigned, remote_read).
+    def _row_chunks(self) -> Iterator[dict]:
+        for _sid, columns in self.store:
+            yield columns
 
-        Mirrors :meth:`ConcreteWorkload.micro_plan` element-for-element;
-        ``loads`` carries the greedy stream state across shards.  The
-        synthetic backing replaces the greedy loop with its per-task coin
-        (drawn in the generator block, so it is shard-size independent).
-        """
-        read_a = columns["read_a"]
-        read_b = columns["read_b"]
-        owner_a = part.owners(read_a)
-        owner_b = part.owners(read_b)
-        if self._greedy:
-            assigned = assign_tasks_balanced(owner_a, owner_b, num_ranks,
-                                             loads=loads)
-        else:
-            assigned = np.where(columns["coin"] < 0.5, owner_a, owner_b)
-        both_local = owner_a == owner_b
-        a_local = owner_a == assigned
-        remote_read = np.where(
-            both_local, -1, np.where(a_local, read_b, read_a)
-        ).astype(np.int64)
-        return owner_a, owner_b, assigned, remote_read
+    def _key_sink(self, num_ranks: int) -> _KeyBuckets:
+        return _KeyBuckets(num_ranks, self.n_reads, self.store._tmp.name)
 
     def micro_plan(self, num_ranks: int) -> MicroPlan:
-        """Per-task rendering for the micro engines (concrete backing only).
-
-        The full per-task arrays are what the message-level engines
-        consume, so this necessarily materializes O(tasks) — but it is
-        only reachable through a concrete backing, whose scale already
-        fits; the arrays are assembled shard-at-a-time from the store.
-        """
+        """Per-task rendering (O(tasks) arrays: concrete backing only)."""
         self._need_backing("a micro plan")
-        key = (num_ranks, self.shard_tasks)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
-        part = self._partition(num_ranks)
-        n = self.n_tasks
-        owner_a = np.empty(n, dtype=np.int64)
-        owner_b = np.empty(n, dtype=np.int64)
-        assigned = np.empty(n, dtype=np.int64)
-        remote_read = np.empty(n, dtype=np.int64)
-        loads = np.zeros(num_ranks, dtype=np.float64)
-        for sid, columns in self.store:
-            lo, hi = self.store.shard_range(sid)
-            oa, ob, asg, rem = self._shard_plan(columns, part,
-                                                num_ranks, loads)
-            owner_a[lo:hi] = oa
-            owner_b[lo:hi] = ob
-            assigned[lo:hi] = asg
-            remote_read[lo:hi] = rem
-        plan = MicroPlan(
-            num_ranks=num_ranks,
-            boundaries=part.boundaries,
-            assigned=assigned,
-            owner_a=owner_a,
-            owner_b=owner_b,
-            remote_read=remote_read,
-        )
-        self._plan_cache.put(key, plan)
-        return plan
-
-    def assignment(self, num_ranks: int) -> WorkloadAssignment:
-        """Per-rank arrays via streaming aggregation (LRU-cached).
-
-        No global task array exists at any point: per-rank totals fold
-        shard-by-shard, and the dedup walks on-disk key buckets.  For a
-        concrete backing the result is bit-identical to the materialized
-        :meth:`ConcreteWorkload.assignment`; for the synthetic backing it
-        is bit-identical across shard sizes.
-        """
-        key = (num_ranks, self.shard_tasks)
-        cached = self.assignment_cache.get(key)
-        if cached is not None:
-            return cached
-
-        part = self._partition(num_ranks)
-        n_reads = self.n_reads
-        tasks_count = np.zeros(num_ranks, dtype=np.int64)
-        compute_seconds = np.zeros(num_ranks, dtype=np.float64)
-        local_pair_seconds = np.zeros(num_ranks, dtype=np.float64)
-        loads = np.zeros(num_ranks, dtype=np.float64)
-        buckets = _KeyBuckets(num_ranks, n_reads, self.store._tmp.name)
-        for _sid, columns in self.store:
-            owner_a, owner_b, assigned, remote_read = self._shard_plan(
-                columns, part, num_ranks, loads
-            )
-            cost = columns["cost"]
-            tasks_count += np.bincount(assigned, minlength=num_ranks)
-            np.add.at(compute_seconds, assigned, cost)
-            both_local = owner_a == owner_b
-            np.add.at(local_pair_seconds, assigned[both_local],
-                      cost[both_local])
-            has_remote = remote_read >= 0
-            buckets.add(
-                assigned[has_remote].astype(np.int64) * n_reads
-                + remote_read[has_remote]
-            )
-
-        lookups_count = np.zeros(num_ranks, dtype=np.int64)
-        lookup_bytes = np.zeros(num_ranks, dtype=np.float64)
-        incoming_count = np.zeros(num_ranks, dtype=np.int64)
-        incoming_bytes = np.zeros(num_ranks, dtype=np.float64)
-        for uniq in buckets.drain():
-            req_rank = uniq // n_reads
-            read_id = uniq % n_reads
-            lengths = self.read_lengths[read_id].astype(np.float64)
-            lookups_count += np.bincount(req_rank, minlength=num_ranks)
-            np.add.at(lookup_bytes, req_rank, lengths)
-            owner = part.owner_table[read_id]
-            incoming_count += np.bincount(owner, minlength=num_ranks)
-            np.add.at(incoming_bytes, owner, lengths)
-
-        out = WorkloadAssignment(
-            name=self.name,
-            num_ranks=num_ranks,
-            reads_per_rank=part.reads_per_rank,
-            partition_bytes=part.partition_bytes,
-            tasks_per_rank=tasks_count.astype(np.float64),
-            compute_seconds=compute_seconds,
-            local_pair_seconds=local_pair_seconds,
-            lookups=lookups_count.astype(np.float64),
-            lookup_bytes=lookup_bytes,
-            incoming_lookups=incoming_count.astype(np.float64),
-            incoming_bytes=incoming_bytes,
-            total_reads=self.n_reads,
-            total_tasks=self.n_tasks,
-        )
-        self.assignment_cache.put(key, out)
-        return out
+        return super().micro_plan(num_ranks)
 
     def close(self) -> None:
         """Release spill files and resident shards (idempotent)."""
@@ -650,5 +526,5 @@ class ShardedWorkload:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "concrete" if self.is_concrete else "synthetic"
         return (f"ShardedWorkload({self.name!r}, {kind}, "
-                f"tasks={self.n_tasks:,}, shard={self.shard_tasks:,}, "
-                f"resident<={self.max_resident_shards})")
+                f"tasks={self.n_tasks:,}, shard={self.store.shard_tasks:,}, "
+                f"resident<={self.store.max_resident})")

@@ -15,7 +15,9 @@ both engines consume:
   incoming_bytes``.
 
 :class:`ConcreteWorkload` computes all of this exactly from real reads and
-candidate tasks.  :class:`StatisticalWorkload` generates it from calibrated
+candidate tasks, through :class:`TaskRowWorkload` — the one task-row
+renderer, which the sharded workload feeds shard by shard.
+:class:`StatisticalWorkload` generates it from calibrated
 distributions with totals matching Table 1 exactly, deterministically from a
 seed — the substitution for the unavailable SRA datasets (DESIGN.md §2).
 """
@@ -23,6 +25,7 @@ seed — the substitution for the unavailable SRA datasets (DESIGN.md §2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -32,11 +35,12 @@ from repro.genome.datasets import DatasetSpec
 from repro.genome.sequence import ReadSet
 from repro.pipeline.partition import (
     PartitionMemo,
+    ReadPartition,
     assign_tasks_balanced,
     owners_from_boundaries,
 )
 from repro.pipeline.tasks import TaskTable
-from repro.utils.arrays import counts_to_offsets, segment_sums, sorted_unique
+from repro.utils.arrays import counts_to_offsets, sorted_unique
 from repro.utils.cache import LruCache
 from repro.utils.rng import RngFactory
 
@@ -125,36 +129,6 @@ class WorkloadAssignment:
         return float(self.compute_seconds.sum() / total) if total else 0.0
 
 
-def _dedup_remote(
-    assigned: np.ndarray,
-    remote_read: np.ndarray,
-    read_lengths: np.ndarray,
-    owner_table: np.ndarray,
-    num_ranks: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-rank distinct remote reads and the mirrored serve-side load.
-
-    ``remote_read`` is -1 for both-local tasks.  Deduplication is global:
-    one (requester, read) pair counts once — "parallel processors retrieve
-    remote reads no more than once" (§3.2), and the aggregated BSP exchange
-    ships each read at most once per requester (§3.1).
-    """
-    n_reads = read_lengths.size
-    has_remote = remote_read >= 0
-    keys = assigned[has_remote].astype(np.int64) * n_reads + remote_read[has_remote]
-    uniq = sorted_unique(keys)
-    req_rank = uniq // n_reads
-    read_id = uniq % n_reads
-    lengths = read_lengths[read_id].astype(np.float64)
-
-    lookups = np.bincount(req_rank, minlength=num_ranks).astype(np.float64)
-    lookup_bytes = segment_sums(lengths, req_rank, num_ranks)
-    owner = owner_table[read_id]
-    incoming = np.bincount(owner, minlength=num_ranks).astype(np.float64)
-    incoming_bytes = segment_sums(lengths, owner, num_ranks)
-    return lookups, lookup_bytes, incoming, incoming_bytes
-
-
 @dataclass(frozen=True)
 class MicroPlan:
     """Per-task detail of a concrete workload rendered onto P ranks.
@@ -174,11 +148,170 @@ class MicroPlan:
         return owners_from_boundaries(read_ids, self.boundaries)
 
 
-class ConcreteWorkload:
+class _ResidentKeys:
+    """Distinct remote-read keys of resident rows: one in-memory sort."""
+
+    def __init__(self) -> None:
+        self._chunks: list[np.ndarray] = []
+
+    def add(self, keys: np.ndarray) -> None:
+        self._chunks.append(keys)
+
+    def drain(self) -> Iterator[np.ndarray]:
+        if self._chunks:
+            yield sorted_unique(np.concatenate(self._chunks))
+
+    def close(self) -> None:
+        self._chunks = []
+
+
+class TaskRowWorkload:
+    """The one renderer of :meth:`micro_plan` and :meth:`assignment` from
+    task rows (``read_a``, ``read_b``, ``cost`` and optionally ``coin``).
+
+    Subclasses supply the rows as chunks in task order (:meth:`_row_chunks`)
+    and where distinct ``requester * n_reads + read`` keys are deduplicated
+    (:meth:`_key_sink`).  A task goes to the owner the chunk's ``coin``
+    picks, else to the less-loaded owner of its two reads (the greedy
+    stream, its loads carried across chunks).  Folds are in-order
+    ``np.add.at`` and distinct keys fold ascending, so any chunking gives
+    bit-identical arrays.
+    """
+
+    #: rows are in memory: :meth:`assignment` folds the cached micro plan
+    #: as one chunk, so the greedy stream runs once per rank count
+    rows_resident = True
+    is_concrete = True
+
+    def __init__(self, name: str, read_lengths: np.ndarray, n_tasks: int):
+        self.name = name
+        self.read_lengths = read_lengths
+        self.n_tasks = n_tasks
+        self.assignment_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
+        self._plan_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
+        self._partition = PartitionMemo(self.read_lengths,
+                                        ASSIGNMENT_CACHE_CAP)
+
+    @property
+    def n_reads(self) -> int:
+        return int(self.read_lengths.size)
+
+    def _row_chunks(self) -> Iterator[dict]:
+        raise NotImplementedError
+
+    def _key_sink(self, num_ranks: int):
+        return _ResidentKeys()
+
+    def _plan_chunks(self, num_ranks: int, part: ReadPartition):
+        """``(owner_a, owner_b, assigned, remote_read, cost)`` per chunk."""
+        loads = np.zeros(num_ranks, dtype=np.float64)
+        for columns in self._row_chunks():
+            read_a, read_b = columns["read_a"], columns["read_b"]
+            owner_a = part.owners(read_a)
+            owner_b = part.owners(read_b)
+            if "coin" in columns:
+                assigned = np.where(columns["coin"] < 0.5, owner_a, owner_b)
+            else:
+                assigned = assign_tasks_balanced(owner_a, owner_b, num_ranks,
+                                                 loads=loads)
+            remote_read = np.where(
+                owner_a == owner_b, -1,
+                np.where(owner_a == assigned, read_b, read_a),
+            ).astype(np.int64)
+            yield owner_a, owner_b, assigned, remote_read, columns["cost"]
+
+    def micro_plan(self, num_ranks: int) -> MicroPlan:
+        """Per-task rendering for the message-level engines (cached)."""
+        cached = self._plan_cache.get(num_ranks)
+        if cached is not None:
+            return cached
+        part = self._partition(num_ranks)
+        owner_a, owner_b, assigned, remote_read = (
+            np.concatenate(col) for col in
+            list(zip(*self._plan_chunks(num_ranks, part)))[:4]
+        )
+        plan = MicroPlan(
+            num_ranks=num_ranks,
+            boundaries=part.boundaries,
+            assigned=assigned,
+            owner_a=owner_a,
+            owner_b=owner_b,
+            remote_read=remote_read,
+        )
+        self._plan_cache.put(num_ranks, plan)
+        return plan
+
+    def assignment(self, num_ranks: int) -> WorkloadAssignment:
+        """Render the per-rank arrays for ``num_ranks`` ranks (LRU-cached)."""
+        cached = self.assignment_cache.get(num_ranks)
+        if cached is not None:
+            return cached
+
+        part = self._partition(num_ranks)
+        if self.rows_resident:
+            plan = self.micro_plan(num_ranks)
+            chunks = [(plan.owner_a, plan.owner_b, plan.assigned,
+                       plan.remote_read, self.task_costs)]
+        else:
+            chunks = self._plan_chunks(num_ranks, part)
+        n_reads = self.n_reads
+        tasks_count = np.zeros(num_ranks, dtype=np.int64)
+        compute_seconds = np.zeros(num_ranks, dtype=np.float64)
+        local_pair_seconds = np.zeros(num_ranks, dtype=np.float64)
+        lookups_count = np.zeros(num_ranks, dtype=np.int64)
+        lookup_bytes = np.zeros(num_ranks, dtype=np.float64)
+        incoming_count = np.zeros(num_ranks, dtype=np.int64)
+        incoming_bytes = np.zeros(num_ranks, dtype=np.float64)
+        keys = self._key_sink(num_ranks)
+        try:
+            for owner_a, owner_b, assigned, remote_read, cost in chunks:
+                tasks_count += np.bincount(assigned, minlength=num_ranks)
+                np.add.at(compute_seconds, assigned, cost)
+                both_local = owner_a == owner_b
+                np.add.at(local_pair_seconds, assigned[both_local],
+                          cost[both_local])
+                has_remote = remote_read >= 0
+                keys.add(assigned[has_remote] * n_reads
+                         + remote_read[has_remote])
+            # one (requester, read) pair counts once — "parallel processors
+            # retrieve remote reads no more than once" (§3.2)
+            for uniq in keys.drain():
+                req_rank = uniq // n_reads
+                read_id = uniq % n_reads
+                lengths = self.read_lengths[read_id].astype(np.float64)
+                lookups_count += np.bincount(req_rank, minlength=num_ranks)
+                np.add.at(lookup_bytes, req_rank, lengths)
+                owner = part.owner_table[read_id]
+                incoming_count += np.bincount(owner, minlength=num_ranks)
+                np.add.at(incoming_bytes, owner, lengths)
+        finally:
+            keys.close()
+
+        out = WorkloadAssignment(
+            name=self.name,
+            num_ranks=num_ranks,
+            reads_per_rank=part.reads_per_rank,
+            partition_bytes=part.partition_bytes,
+            tasks_per_rank=tasks_count.astype(np.float64),
+            compute_seconds=compute_seconds,
+            local_pair_seconds=local_pair_seconds,
+            lookups=lookups_count.astype(np.float64),
+            lookup_bytes=lookup_bytes,
+            incoming_lookups=incoming_count.astype(np.float64),
+            incoming_bytes=incoming_bytes,
+            total_reads=self.n_reads,
+            total_tasks=self.n_tasks,
+        )
+        self.assignment_cache.put(num_ranks, out)
+        return out
+
+
+class ConcreteWorkload(TaskRowWorkload):
     """A workload materialized from real reads and a real task table.
 
     ``task_costs`` are per-task simulated seconds (from the cost model, or
-    measured from the real kernel's cell counts).
+    measured from the real kernel's cell counts).  The whole table is one
+    resident chunk.
     """
 
     def __init__(
@@ -190,23 +323,14 @@ class ConcreteWorkload:
     ):
         if len(tasks) != np.asarray(task_costs).size:
             raise ConfigurationError("task_costs length must match task count")
-        self.name = name
+        super().__init__(name, reads.lengths.astype(np.int64), len(tasks))
         self.reads = reads
         self.tasks = tasks
         self.task_costs = np.asarray(task_costs, dtype=np.float64)
-        self.read_lengths = reads.lengths.astype(np.int64)
-        self.assignment_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
-        self._plan_cache: LruCache = LruCache(ASSIGNMENT_CACHE_CAP)
-        self._partition = PartitionMemo(self.read_lengths,
-                                        ASSIGNMENT_CACHE_CAP)
 
-    @property
-    def n_reads(self) -> int:
-        return len(self.reads)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
+    def _row_chunks(self) -> Iterator[dict]:
+        yield {"read_a": self.tasks.read_a, "read_b": self.tasks.read_b,
+               "cost": self.task_costs}
 
     @classmethod
     def from_pipeline(
@@ -271,72 +395,6 @@ class ConcreteWorkload:
 
         costs = cm.cells_to_seconds(est_cells * scale)
         return cls(name, reads, tasks, np.asarray(costs, dtype=np.float64))
-
-    def micro_plan(self, num_ranks: int) -> MicroPlan:
-        """Per-task rendering for the message-level engines (cached)."""
-        cached = self._plan_cache.get(num_ranks)
-        if cached is not None:
-            return cached
-        part = self._partition(num_ranks)
-        owner_a = part.owners(self.tasks.read_a)
-        owner_b = part.owners(self.tasks.read_b)
-        assigned = assign_tasks_balanced(owner_a, owner_b, num_ranks)
-        both_local = owner_a == owner_b
-        a_local = owner_a == assigned
-        remote_read = np.where(
-            both_local, -1, np.where(a_local, self.tasks.read_b, self.tasks.read_a)
-        )
-        plan = MicroPlan(
-            num_ranks=num_ranks,
-            boundaries=part.boundaries,
-            assigned=assigned,
-            owner_a=owner_a,
-            owner_b=owner_b,
-            remote_read=remote_read.astype(np.int64),
-        )
-        self._plan_cache.put(num_ranks, plan)
-        return plan
-
-    def assignment(self, num_ranks: int) -> WorkloadAssignment:
-        """Render the per-rank arrays for ``num_ranks`` ranks (LRU-cached)."""
-        cached = self.assignment_cache.get(num_ranks)
-        if cached is not None:
-            return cached
-
-        plan = self.micro_plan(num_ranks)
-        part = self._partition(num_ranks)
-        owner_a, owner_b, assigned = plan.owner_a, plan.owner_b, plan.assigned
-
-        tasks_per_rank = np.bincount(assigned, minlength=num_ranks).astype(np.float64)
-        compute_seconds = segment_sums(self.task_costs, assigned, num_ranks)
-
-        both_local = owner_a == owner_b
-        local_pair_seconds = segment_sums(
-            self.task_costs[both_local], assigned[both_local], num_ranks
-        )
-
-        lookups, lookup_bytes, incoming, incoming_bytes = _dedup_remote(
-            assigned, plan.remote_read, self.read_lengths, part.owner_table,
-            num_ranks,
-        )
-
-        out = WorkloadAssignment(
-            name=self.name,
-            num_ranks=num_ranks,
-            reads_per_rank=part.reads_per_rank,
-            partition_bytes=part.partition_bytes,
-            tasks_per_rank=tasks_per_rank,
-            compute_seconds=compute_seconds,
-            local_pair_seconds=local_pair_seconds,
-            lookups=lookups,
-            lookup_bytes=lookup_bytes,
-            incoming_lookups=incoming,
-            incoming_bytes=incoming_bytes,
-            total_reads=self.n_reads,
-            total_tasks=self.n_tasks,
-        )
-        self.assignment_cache.put(num_ranks, out)
-        return out
 
 
 @dataclass

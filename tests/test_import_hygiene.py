@@ -5,8 +5,8 @@ module-level import cycles, none of the banned cross-imports (engine
 siblings; utils reaching up the stack), no flag-less ``np.unique`` in
 the assignment renderers, no cost hook calling a ``NetworkModel`` cost
 method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``,
-exactly one ``align_tasks`` call in ``engines/micro.py`` and no scipy import
-anywhere.  The synthetic cases prove the checker actually detects what it
+exactly one ``align_tasks`` call in ``engines/micro.py``, no scipy import
+anywhere, and one task-row renderer under ``pipeline/``.  The synthetic cases prove the checker actually detects what it
 claims to; a subprocess proves the public entry points load no scipy.
 """
 
@@ -186,6 +186,61 @@ def test_micro_engines_have_one_kernel_dispatch_site(tmp_path):
     })
     problems = check_imports.run(tmp_path)
     assert len(problems) == 1 and "calls align_tasks at lines []" in problems[0]
+
+
+def test_detects_second_task_row_renderer(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "pipeline/__init__.py": "",
+        "pipeline/partition.py": """\
+            def assign_tasks_balanced(owner_a, owner_b, num_ranks):
+                return assign_tasks_balanced(owner_a, owner_b, num_ranks)
+            """,
+        "pipeline/workload.py": """\
+            from repro.pipeline import partition
+            from repro.pipeline.partition import assign_tasks_balanced
+            class TaskRowWorkload:
+                def micro_plan(self, num_ranks):
+                    return assign_tasks_balanced(0, 0, num_ranks)
+            """,
+        "pipeline/sharded.py": """\
+            from repro.pipeline import partition
+            from repro.pipeline.workload import TaskRowWorkload
+            class ShardedWorkload(TaskRowWorkload):
+                def micro_plan(self, num_ranks):
+                    \"\"\"The synthetic refusal is the one allowed override.\"\"\"
+                    self._need_backing("a micro plan")
+                    return super().micro_plan(num_ranks)
+                def assignment(self, num_ranks):
+                    return partition.assign_tasks_balanced(1, 1, num_ranks)
+            class Other(TaskRowWorkload):
+                def micro_plan(self, num_ranks):
+                    plan = super().micro_plan(num_ranks)
+                    plan.extra = 1
+                    return super().micro_plan(num_ranks)
+            """,
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 3
+    assert any(p.startswith("repro.pipeline.sharded:8 defines assignment")
+               for p in problems)
+    assert any(p.startswith("repro.pipeline.sharded:11 defines micro_plan")
+               for p in problems)
+    assert any("calls assign_tasks_balanced at ['repro.pipeline.sharded:9', "
+               "'repro.pipeline.workload:5']" in p for p in problems)
+
+
+def test_one_task_row_renderer_needs_its_greedy_call(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "pipeline/__init__.py": "",
+        "pipeline/partition.py": "def assign_tasks_balanced(a, b, p):\n"
+                                 "    return a\n",
+        "pipeline/workload.py": "class TaskRowWorkload:\n    pass\n",
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 1
+    assert "calls assign_tasks_balanced at []" in problems[0]
 
 
 def test_cli_reaches_service_only_lazily():

@@ -2,11 +2,14 @@
 
 import importlib.util
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.pipeline.workload as workload_mod
 from repro.align.cost import AlignmentCostModel
 from repro.errors import ConfigurationError, PartitionError
 from repro.genome.datasets import DatasetSpec, DATASETS, synthesize_dataset
@@ -231,3 +234,46 @@ def test_concrete_corrupt_read_column_fails_typed(bad):
         wl.micro_plan(3)
     with pytest.raises(PartitionError, match="out of range"):
         wl.assignment(3)
+
+
+def _fresh_micro():
+    """An uncached concrete workload over the ``micro`` rows."""
+    from repro.core.api import get_workload
+
+    wl = get_workload("micro", seed=11)
+    return ConcreteWorkload(wl.name, wl.reads, wl.tasks, wl.task_costs)
+
+
+@pytest.mark.parametrize("order", ["plan_first", "assignment_first"])
+def test_resident_rows_run_the_greedy_stream_once(monkeypatch, order):
+    """Materialized rows: ``assignment`` folds the cached micro plan, so the
+    Python greedy loop runs once per (workload, P) whichever is asked first."""
+    calls = []
+    real = workload_mod.assign_tasks_balanced
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(workload_mod, "assign_tasks_balanced", counting)
+    wl = _fresh_micro()
+    for num_ranks in (8, 3):
+        calls.clear()
+        if order == "plan_first":
+            plan = wl.micro_plan(num_ranks)
+            a = wl.assignment(num_ranks)
+        else:
+            a = wl.assignment(num_ranks)
+            plan = wl.micro_plan(num_ranks)
+        assert calls == [num_ranks]
+        assert a.tasks_per_rank.sum() == plan.assigned.size == wl.n_tasks
+
+
+def test_resident_rows_never_touch_disk(tmp_path, monkeypatch):
+    """The in-memory dedup of a materialized workload creates no file."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    wl = _fresh_micro()
+    wl.assignment(8)
+    wl.assignment(16)
+    assert os.listdir(tmp_path) == []

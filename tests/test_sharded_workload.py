@@ -16,11 +16,14 @@ cache keying on the full calibration tuple.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import errors
 from repro.align import cost as cost_mod
 from repro.core.api import (
     clear_workload_cache,
@@ -266,6 +269,83 @@ def test_sharded_corrupt_read_column_fails_typed(concrete):
             sw.assignment(4)
         with pytest.raises(PartitionError, match="out of range"):
             sw.micro_plan(4)
+    finally:
+        sw.close()
+
+
+def test_failed_pass_leaves_no_stale_bucket_keys(concrete):
+    """A pass that raises mid-stream must not leak its dedup keys into the
+    next one: a retry at another rank count reproduces the materialized
+    exchange exactly, and only shard spills are left in the store's dir."""
+    sw = ShardedWorkload.from_workload(concrete, shard_tasks=97,
+                                       max_resident_shards=2)
+    build, failed = sw.store._build, []
+
+    def flaky(sid, lo, hi):
+        if sid == 5 and not failed:
+            failed.append(sid)
+            raise OSError(f"shard {sid} unavailable")
+        return build(sid, lo, hi)
+
+    sw.store._build = flaky
+    try:
+        with pytest.raises(OSError, match="shard 5"):
+            sw.assignment(8)
+        leftovers = [f for f in os.listdir(sw.store.stats()["spill_dir"])
+                     if not f.startswith("shard")]
+        for num_ranks in (16, 4, 8):
+            assert_assignments_equal(
+                sw.assignment(num_ranks), concrete.assignment(num_ranks),
+                f"retry P={num_ranks}",
+            )
+        assert leftovers == []
+    finally:
+        sw.close()
+
+
+def test_truncated_spill_fails_typed(concrete):
+    """A spill cut short (crash, full disk) is reported as a typed error
+    naming the shard and file, not a raw zipfile error; the bad copy is
+    dropped, so the next pass rebuilds the shard from its source."""
+    sw = ShardedWorkload.from_workload(concrete, shard_tasks=97,
+                                       max_resident_shards=2)
+    try:
+        sw.assignment(8)
+        path = os.path.join(sw.store.stats()["spill_dir"], "shard0.npz")
+        size = os.path.getsize(path)
+        with open(path, "r+b") as f:
+            f.truncate(size // 2)
+        with pytest.raises(errors.ShardSpillError, match="shard 0") as info:
+            sw.assignment(16)
+        assert path in str(info.value)
+        assert isinstance(info.value, errors.ReproError)
+        assert_assignments_equal(sw.assignment(16), concrete.assignment(16),
+                                 "after a corrupt spill")
+    finally:
+        sw.close()
+
+
+def test_spill_is_written_whole_or_not_at_all(concrete, monkeypatch):
+    """A spill write that fails midway leaves no file a reload could trust."""
+    sw = ShardedWorkload.from_workload(concrete, shard_tasks=97,
+                                       max_resident_shards=2)
+
+    def broken_savez(file, **columns):
+        if hasattr(file, "write"):
+            file.write(b"PK\x03\x04 partial")
+        else:
+            with open(file, "wb") as f:
+                f.write(b"PK\x03\x04 partial")
+        raise OSError("no space left on device")
+
+    try:
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="no space"):
+            sw.assignment(8)
+        monkeypatch.undo()
+        assert os.listdir(sw.store.stats()["spill_dir"]) == []
+        assert_assignments_equal(sw.assignment(8), concrete.assignment(8),
+                                 "after a failed spill")
     finally:
         sw.close()
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Six classes of violation, all enforced in CI (and mirrored by
+Seven classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -48,6 +48,14 @@ Six classes of violation, all enforced in CI (and mirrored by
    ~60 MiB of RSS (docs/PERFORMANCE.md "Cold start").  Tests may still
    use it as an oracle.
 
+7. **A second task-row renderer.**  Outside ``pipeline/partition.py``
+   (where it is defined), ``assign_tasks_balanced`` is called exactly once
+   under ``repro/pipeline`` — in ``TaskRowWorkload``, which renders both
+   the materialized and the sharded workload — and ``pipeline/sharded.py``
+   defines no ``assignment`` and no ``micro_plan`` beyond the override
+   that refuses the synthetic backing and returns ``super().micro_plan``
+   (docs/ARCHITECTURE.md "Sharded workloads").
+
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
 """
@@ -86,6 +94,14 @@ DISPATCH_METHOD = "align_tasks"
 
 #: top-level packages nothing under ``repro`` may import
 BANNED_PACKAGES = ("scipy",)
+
+#: the one task-row renderer: where the greedy stream is defined, the
+#: package that calls it once, and the module that inherits the rendering
+GREEDY_MODULE = "repro.pipeline.partition"
+GREEDY_FUNC = "assign_tasks_balanced"
+RENDER_PACKAGE = "repro.pipeline"
+STREAMED_MODULE = "repro.pipeline.sharded"
+RENDER_METHODS = ("assignment", "micro_plan")
 
 
 def module_name(path: Path, src_root: Path) -> str:
@@ -319,6 +335,66 @@ def dispatch_path_violations(src_root: Path) -> list[str]:
     return problems
 
 
+def _is_refusal_override(fn: ast.FunctionDef) -> bool:
+    """``micro_plan`` that only guards, then returns ``super().micro_plan``."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(
+            getattr(body[0], "value", None), ast.Constant):
+        body = body[1:]
+    last = body[-1] if body else None
+    return (
+        fn.name == "micro_plan"
+        and len(body) <= 2
+        and isinstance(last, ast.Return)
+        and isinstance(last.value, ast.Call)
+        and isinstance(last.value.func, ast.Attribute)
+        and last.value.func.attr == "micro_plan"
+        and isinstance(last.value.func.value, ast.Call)
+        and getattr(last.value.func.value.func, "id", "") == "super"
+    )
+
+
+def renderer_violations(src_root: Path) -> list[str]:
+    """Any count but one of :data:`GREEDY_FUNC` calls in the
+    :data:`RENDER_PACKAGE` outside :data:`GREEDY_MODULE`, and rendering
+    methods defined in :data:`STREAMED_MODULE`."""
+    problems: list[str] = []
+    calls: list[str] = []
+    has_greedy = False
+    for path in sorted((src_root / PACKAGE).rglob("*.py")):
+        name = module_name(path, src_root)
+        if not name.startswith(RENDER_PACKAGE):
+            continue
+        if name == GREEDY_MODULE:
+            has_greedy = True
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and GREEDY_FUNC in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))
+        ]
+        if name != STREAMED_MODULE:
+            continue
+        for fn in ast.walk(tree):
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name in RENDER_METHODS
+                    and not _is_refusal_override(fn)):
+                problems.append(
+                    f"{name}:{fn.lineno} defines {fn.name}; the sharded "
+                    f"workload inherits task-row rendering from "
+                    f"TaskRowWorkload and may only refuse a synthetic "
+                    f"backing before returning super().micro_plan"
+                )
+    if has_greedy and len(calls) != 1:
+        problems.append(
+            f"{RENDER_PACKAGE} calls {GREEDY_FUNC} at {calls}; task rows "
+            f"are rendered in exactly one place (TaskRowWorkload)"
+        )
+    return problems
+
+
 def banned_package_imports(src_root: Path) -> list[str]:
     """Imports of a :data:`BANNED_PACKAGES` package, at any depth."""
     problems: list[str] = []
@@ -352,6 +428,7 @@ def run(src_root: Path) -> list[str]:
     problems += cost_hook_network_calls(src_root)
     problems += dispatch_path_violations(src_root)
     problems += banned_package_imports(src_root)
+    problems += renderer_violations(src_root)
     return problems
 
 
@@ -366,7 +443,7 @@ def main(argv: list[str]) -> int:
               f"no banned imports, no flag-less np.unique in "
               f"pipeline/engines, no cost hook pricing a phase itself, "
               f"no shard-aware engine/runtime code, one kernel dispatch "
-              f"site, no scipy")
+              f"site, no scipy, one task-row renderer")
     return 1 if problems else 0
 
 
