@@ -1,10 +1,13 @@
 """Per-job progress events: the bus between a running engine and clients.
 
-Two pieces:
+Three pieces:
 
 * :class:`JobEventLog` — an append-only, capped, thread-safe event log
   with blocking iteration.  Every job owns one; the HTTP layer's SSE
-  endpoint replays it from any sequence number and then tails it live.
+  endpoint replays it from any sequence number and then tails it live,
+  one batch of new events per wake-up.
+* :func:`sse_frame` — one event as the Server-Sent Events frame the HTTP
+  layer writes, with a direct renderer for the dominant ``phase`` kind.
 * :class:`ProgressTracer` — a :class:`repro.obs.Tracer` subclass the queue
   attaches to every executed run.  It records events exactly as the plain
   tracer does (so run-exit conservation checks still re-sum the stream),
@@ -27,13 +30,16 @@ golden-signature suite).
 
 from __future__ import annotations
 
+import functools
+import json
 import threading
+from math import isfinite
 from typing import Any, Iterator
 
-from repro.errors import JobCancelledError
+from repro.errors import ConfigurationError, JobCancelledError
 from repro.obs.tracer import Tracer
 
-__all__ = ["JobEventLog", "ProgressTracer",
+__all__ = ["JobEventLog", "ProgressTracer", "sse_frame",
            "DEFAULT_EVENT_CAP", "PROGRESS_EVERY"]
 
 #: events retained per job before non-essential kinds are dropped (state
@@ -57,75 +63,164 @@ _PROGRESS_COUNTERS = ("alignments_resolved",)
 #: event kinds that bypass the cap — a client must always see these
 _ALWAYS_KEPT = ("state", "done", "truncated")
 
+#: the one kind that does not wake a tail: it rides along with the next
+#: event of any other kind (a ``progress`` every PROGRESS_EVERY phases)
+_DEFERRED = "phase"
+
+#: a forwarded ``phase`` event's keys, in the order ProgressTracer builds
+_PHASE_KEYS = ("rank", "category", "name", "sim_start", "sim_end", "seq",
+               "event")
+
+#: ``json.dumps`` of phase categories and names: a run repeats a handful
+_json_str = functools.lru_cache(maxsize=1024)(json.dumps)
+
+
+def sse_frame(event: dict) -> str:
+    """One Server-Sent Events frame: kind, ``seq`` as the id, JSON data.
+
+    Always the bytes of ``json.dumps(event)`` in the data line.  A
+    ``phase`` event as :class:`ProgressTracer` forwards it — 98 % of a
+    micro job's frames — is rendered directly (``float.__repr__`` is what
+    ``json.dumps`` writes for a finite float); any other kind, key set,
+    value type or a non-finite float goes through ``json.dumps``.
+    """
+    if event["event"] == "phase" and tuple(event) == _PHASE_KEYS:
+        rank, category, name, start, end, seq, _ = event.values()
+        if (type(rank) is int and type(seq) is int
+                and type(category) is str and type(name) is str
+                and type(start) is float and type(end) is float
+                and isfinite(start) and isfinite(end)):
+            return (
+                f'event: phase\nid: {seq}\ndata: {{"rank": {rank}, '
+                f'"category": {_json_str(category)}, '
+                f'"name": {_json_str(name)}, "sim_start": {start!r}, '
+                f'"sim_end": {end!r}, "seq": {seq}, "event": "phase"}}\n\n'
+            )
+    return (f"event: {event['event']}\nid: {event['seq']}\n"
+            f"data: {json.dumps(event)}\n\n")
+
 
 class JobEventLog:
     """Append-only capped event list with blocking tail iteration.
 
-    Events are dicts carrying at least ``seq`` (monotonic per log) and
-    ``event`` (the kind).  ``close()`` marks the log terminal: tailing
-    iterators drain what remains and stop instead of blocking forever.
+    Events are dicts carrying at least ``seq`` and ``event`` (the kind).
+    Every append that lands — the one ``truncated`` marker included —
+    adds exactly one entry with the next ``seq``, so an event's ``seq``
+    is its index in the log and a tail reads a slice of ``events``
+    instead of rescanning the history.  ``close()`` marks the log
+    terminal: tailing iterators drain what remains and stop instead of
+    blocking forever.
+
+    A tail's batches end where the log's content says, not where thread
+    scheduling happens to wake it: ``phase`` events are released to a
+    tail only by the next event of another kind (or ``close()``), so a
+    run's stream splits at the same events on every run.
     """
 
     def __init__(self, cap: int = DEFAULT_EVENT_CAP):
         self._events: list[dict] = []
-        self._cond = threading.Condition()
-        self._seq = 0
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: tailers blocked in ``wait``: appends notify only when one is
+        self._waiting = 0
+        #: events before this index are released to tails
+        self._ready = 0
         self._cap = cap
         self.closed = False
         self.dropped = 0
 
     def append(self, kind: str, /, **payload: Any) -> None:
-        with self._cond:
+        self.append_event(kind, payload)
+
+    def append_event(self, kind: str, event: dict) -> None:
+        """Append ``event`` (the log takes ownership and stamps it).
+
+        ``seq`` and ``event`` are set on the dict itself, so they win
+        over payload keys of the same name and a key the payload lacks
+        lands after the payload's own keys.
+        """
+        with self._lock:
             if self.closed:
                 return
-            if len(self._events) >= self._cap and kind not in _ALWAYS_KEPT:
-                if self.dropped == 0:
-                    self._events.append(
-                        {"seq": self._seq, "event": "truncated",
-                         "cap": self._cap}
-                    )
-                    self._seq += 1
+            events = self._events
+            if len(events) < self._cap or kind in _ALWAYS_KEPT:
+                event["seq"] = len(events)
+                event["event"] = kind
+                events.append(event)
+                if kind == _DEFERRED:
+                    return
+            else:
                 self.dropped += 1
-                return
-            # seq/event always win over payload keys of the same name
-            self._events.append({**payload, "seq": self._seq, "event": kind})
-            self._seq += 1
-            self._cond.notify_all()
+                if self.dropped > 1:
+                    return
+                events.append({"seq": len(events), "event": "truncated",
+                               "cap": self._cap})
+            self._ready = len(events)
+            if self._waiting:
+                self._cond.notify_all()
 
     def close(self) -> None:
         """Mark the log terminal; tailing iterators finish draining."""
-        with self._cond:
+        with self._lock:
             self.closed = True
+            self._ready = len(self._events)
             self._cond.notify_all()
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._events)
 
     def snapshot(self, since: int = 0) -> list[dict]:
         """Copy of the events with ``seq >= since`` recorded so far."""
-        with self._cond:
-            return [e for e in self._events if e["seq"] >= since]
+        _check_since(since)
+        with self._lock:
+            return self._events[since:]
 
-    def stream(self, since: int = 0, poll: float = 10.0) -> Iterator[dict]:
-        """Yield events from ``since`` onward, blocking for new ones.
+    def batches(self, since: int = 0,
+                poll: float = 10.0) -> Iterator[list[dict]]:
+        """Yield the events from ``since`` onward, one list per wake-up.
 
-        Ends when the log is closed and fully drained.  ``poll`` bounds
-        each wait so a consumer thread can notice its client went away
-        even if the job stalls.
+        Each batch is every released event since the previous batch, so a
+        consumer pays its per-write costs once per batch, not per event.
+        A batch ends at an event that is not a ``phase`` (or at the end
+        of a closed log): the writer's thread hands over the GIL at every
+        blocking call, and a tail that took whatever was there would wake
+        about once per event, as often as scheduling allowed.  A wait
+        that times out after ``poll`` seconds takes the held-back phases
+        too, so a stalled job's stream still moves; ``poll`` also lets a
+        consumer thread notice its client went away.  Ends when the log
+        is closed and fully drained.
         """
+        _check_since(since)
         cursor = since
         while True:
-            with self._cond:
-                batch = [e for e in self._events if e["seq"] >= cursor]
-                if not batch:
+            with self._lock:
+                end = self._ready
+                if cursor >= end:
                     if self.closed:
                         return
-                    self._cond.wait(timeout=poll)
-                    batch = [e for e in self._events if e["seq"] >= cursor]
-            for event in batch:
-                cursor = event["seq"] + 1
-                yield event
+                    self._waiting += 1
+                    try:
+                        woken = self._cond.wait(timeout=poll)
+                    finally:
+                        self._waiting -= 1
+                    end = self._ready if woken else len(self._events)
+                batch = self._events[cursor:end]
+            if batch:
+                cursor += len(batch)
+                yield batch
+
+    def stream(self, since: int = 0, poll: float = 10.0) -> Iterator[dict]:
+        """Yield events from ``since`` onward, blocking for new ones."""
+        for batch in self.batches(since, poll):
+            yield from batch
+
+
+def _check_since(since: int) -> None:
+    if since < 0:
+        raise ConfigurationError(
+            f"since must be a non-negative integer, got {since}"
+        )
 
 
 class ProgressTracer(Tracer):
@@ -169,13 +264,15 @@ class ProgressTracer(Tracer):
         self._check_cancel()
         super().phase(rank, category, start, duration, name=name)
         self._phases_seen += 1
-        self._sim_time = max(self._sim_time, start + duration)
+        end = start + duration
+        self._sim_time = max(self._sim_time, end)
         if (self._phases_seen - 1) % self.phase_stride == 0:
-            self.job.events.append(
-                "phase", rank=int(rank), category=category,
-                name=name or category, sim_start=float(start),
-                sim_end=float(start + duration),
-            )
+            # built once, in the key order the SSE renderer expects
+            self.job.events.append_event("phase", {
+                "rank": int(rank), "category": category,
+                "name": name or category, "sim_start": float(start),
+                "sim_end": float(end),
+            })
         if self._phases_seen % PROGRESS_EVERY == 0:
             self._progress()
 

@@ -22,8 +22,9 @@ shared :class:`~repro.service.queue.RunQueue`.  The API surface:
     The job's event log as Server-Sent Events — ``state`` transitions,
     tracer-derived ``phase``/``fault``/``churn`` events, periodic
     ``progress`` estimates, and a terminal ``done`` event, after which
-    the stream closes.  ``since`` replays from a sequence number, so a
-    reconnecting client can resume where it dropped off.
+    the stream closes.  ``since`` (a non-negative integer, else 400)
+    replays from a sequence number, so a reconnecting client can resume
+    where it dropped off.
 
 ``GET /jobs/{id}/result``
     The completed result: signature, wall clock, category fractions,
@@ -47,6 +48,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
+from repro.service.events import sse_frame
 from repro.service.jobs import Job, JobRequest, JobState
 from repro.service.queue import RunQueue
 
@@ -190,8 +192,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
             query = parse_qs(split.query)
             try:
                 since = int(query.get("since", ["0"])[0])
+                if since < 0:
+                    raise ValueError(since)
             except ValueError:
-                self._error(400, "BadRequest", "since must be an integer")
+                self._error(400, "BadRequest",
+                            "since must be a non-negative integer")
                 return
             self._stream_events(job, since)
             return
@@ -233,6 +238,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _stream_events(self, job: Job, since: int) -> None:
         """Tail the job's event log as an SSE stream until it closes.
 
+        Each wake-up of the tail is one batch of frames and one socket
+        write; the bytes are those of writing the frames one by one.
         The log closes at the job's terminal transition, so the stream
         always ends with the ``done`` event; a vanished client surfaces
         as a broken pipe and simply ends the handler thread.
@@ -243,13 +250,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         try:
-            for event in job.events.stream(since=since, poll=1.0):
-                frame = (
-                    f"event: {event['event']}\n"
-                    f"id: {event['seq']}\n"
-                    f"data: {json.dumps(event)}\n\n"
-                )
-                self.wfile.write(frame.encode())
+            for batch in job.events.batches(since=since, poll=1.0):
+                self.wfile.write("".join(map(sse_frame, batch)).encode())
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):
             return

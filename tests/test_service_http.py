@@ -21,10 +21,21 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.service import JobRequest, RunQueue, ServiceServer
+from repro.service import (
+    Job,
+    JobRequest,
+    ProgressTracer,
+    RunQueue,
+    ServiceHandler,
+    ServiceServer,
+)
+from repro.service import events as events_mod
+from repro.service.events import sse_frame
 
 WAIT = 120.0
 
@@ -36,6 +47,16 @@ GOLDENS = json.loads(
 GOLDEN_REQUEST = {"workload": "micro", "seed": 11, "engine": "bsp",
                   "nodes": 2, "cores_per_node": 4}
 GOLDEN_SIGNATURE = GOLDENS["bsp/micro@11"]
+
+#: one job per kind of stream: ~1 700 and ~1 800 phase-dominated micro
+#: frames, and a macro engine's per-superstep digest
+WIRE_REQUESTS = [
+    {"workload": "micro", "seed": 11, "engine": "bsp-micro", "nodes": 2,
+     "cores_per_node": 4},
+    {"workload": "micro", "seed": 11, "engine": "async-micro", "nodes": 1,
+     "cores_per_node": 2},
+    {"workload": "ecoli30x", "seed": 11, "engine": "hybrid", "nodes": 4},
+]
 
 
 @pytest.fixture()
@@ -146,6 +167,118 @@ def test_sse_since_replays_from_cursor(server):
                           since=full[2]["data"]["seq"])
     assert [e["data"]["seq"] for e in resumed] == \
         [e["data"]["seq"] for e in full[2:]]
+
+
+def _reference_body(events: list[dict]) -> str:
+    """The SSE body as one ``json.dumps`` per frame renders it."""
+    return "".join(f"event: {e['event']}\nid: {e['seq']}\n"
+                   f"data: {json.dumps(e)}\n\n" for e in events)
+
+
+@pytest.mark.parametrize("body", WIRE_REQUESTS,
+                         ids=lambda b: f"{b['engine']}/{b['workload']}")
+def test_sse_body_is_the_per_frame_json_rendering(server, body):
+    job = _submit(server, body)
+    with _request(server.url(f"/jobs/{job['id']}/events")) as stream:
+        raw = stream.read().decode()
+    events = server.queue.get(job["id"]).events.snapshot()
+    assert events[-1]["event"] == "done"
+    assert raw == _reference_body(events)
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile``; keeps every write it passes on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes: list[bytes] = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_finished_job_streams_in_one_write(server, monkeypatch):
+    job = _submit(server, WIRE_REQUESTS[0])
+    _poll_done(server, job["id"])
+    writers: list[_CountingWriter] = []
+    setup = ServiceHandler.setup
+
+    def counting_setup(handler):
+        setup(handler)
+        handler.wfile = _CountingWriter(handler.wfile)
+        writers.append(handler.wfile)
+
+    monkeypatch.setattr(ServiceHandler, "setup", counting_setup)
+    with _request(server.url(f"/jobs/{job['id']}/events")) as stream:
+        raw = stream.read()
+    (writer,) = writers
+    headers, *body = writer.writes
+    assert headers.startswith(b"HTTP/1.0 200")
+    assert raw.count(b"\nid: ") > 1_000
+    assert body == [raw]  # the whole history in one socket write
+
+
+def test_negative_since_is_400(server):
+    job = _submit(server, GOLDEN_REQUEST)
+    for since in ("-2", "x"):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _request(server.url(f"/jobs/{job['id']}/events?since={since}"))
+        assert err.value.code == 400
+        assert json.load(err.value) == {
+            "error": "BadRequest",
+            "message": "since must be a non-negative integer"}
+
+
+# -- the phase frame renderer ------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.5e-310, 1e300, -1e300, 1.0 / 3,
+                float("inf"), float("-inf"), float("nan")]
+_NUMBERS = (st.integers(min_value=-1, max_value=2**63)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from(_EDGE_FLOATS) | st.booleans())
+_TEXT = st.text() | st.sampled_from(['say "hi"', "back\\slash", "café",
+                                     "\u2028\x00\ud800", "comm"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(rank=_NUMBERS, category=_TEXT, name=_TEXT, start=_NUMBERS,
+       end=_NUMBERS, seq=st.integers(min_value=-1, max_value=2**40))
+def test_phase_frame_is_the_json_dumps_frame(rank, category, name, start,
+                                             end, seq):
+    event = {"rank": rank, "category": category, "name": name,
+             "sim_start": start, "sim_end": end, "seq": seq,
+             "event": "phase"}
+    assert sse_frame(event) == _reference_body([event])
+
+
+@pytest.mark.parametrize("event", [
+    # another kind, an extra key, another key order: json.dumps renders
+    {"seq": 3, "event": "state", "state": "RUNNING", "job": "job-1"},
+    {"rank": 0, "category": "comm", "name": "x", "sim_start": 0.0,
+     "sim_end": 1.0, "seq": 4, "event": "phase", "extra": [1, None]},
+    {"category": "comm", "rank": 0, "name": "x", "sim_start": 0.0,
+     "sim_end": 1.0, "seq": 5, "event": "phase"},
+])
+def test_other_frames_are_the_json_dumps_frame(event):
+    assert sse_frame(event) == _reference_body([event])
+
+
+def test_forwarded_phase_takes_the_direct_path(monkeypatch):
+    job = Job(JobRequest())
+    ProgressTracer(job).phase(1, "compute_align", 0.25, 0.5)
+    event = job.events.snapshot()[-1]
+    expected = _reference_body([event])
+    assert sse_frame(event) == expected  # caches the two strings
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("json.dumps called for a forwarded phase")
+
+    monkeypatch.setattr(events_mod, "json", SimpleNamespace(dumps=no_dumps))
+    assert sse_frame(event) == expected
 
 
 def test_cache_hit_signature_is_bit_identical_to_fresh(server):

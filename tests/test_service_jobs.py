@@ -10,6 +10,10 @@ capped, closable, replayable stream.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.engines.base import EngineConfig
@@ -225,6 +229,140 @@ def test_event_log_stream_ends_after_close():
     assert len(log) == 2
 
 
+def test_event_log_seq_is_the_index_and_snapshot_slices_like_the_filter():
+    log = JobEventLog(cap=5)
+    for i in range(9):
+        log.append("phase", i=i)
+    log.append("done", state="DONE")
+    full = log.snapshot()
+    assert [e["seq"] for e in full] == list(range(len(full)))
+    for since in range(len(full) + 3):
+        assert log.snapshot(since) == [e for e in full if e["seq"] >= since]
+
+
+@pytest.mark.parametrize("read", [
+    lambda log: log.snapshot(-1),
+    lambda log: list(log.stream(since=-2, poll=0.01)),
+    lambda log: next(log.batches(since=-1, poll=0.01)),
+])
+def test_event_log_rejects_negative_since(read):
+    log = JobEventLog()
+    for i in range(4):
+        log.append("phase", i=i)
+    log.close()
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        read(log)
+
+
+def test_truncated_marker_wakes_a_live_tailer():
+    log = JobEventLog(cap=3)
+    seen: list[str] = []
+    marker = threading.Event()
+
+    def tail():
+        for event in log.stream(poll=5.0):
+            seen.append(event["event"])
+            if event["event"] == "truncated":
+                marker.set()
+
+    tailer = threading.Thread(target=tail, daemon=True)
+    tailer.start()
+    for i in range(3):
+        log.append("progress", phases=i)
+    deadline = time.monotonic() + 5.0
+    while len(seen) < 3 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    time.sleep(0.1)  # the tailer is blocked waiting for the next event
+    log.append("phase", i=3)  # past the cap: dropped, marker recorded
+    assert marker.wait(1.0), "truncated marker not delivered live"
+    log.close()
+    tailer.join(5.0)
+    assert seen == ["progress"] * 3 + ["truncated"]
+
+
+def test_phases_ride_with_the_next_other_event():
+    log = JobEventLog()
+    tail = log.batches(poll=10.0)
+    log.append("phase", i=0)
+    log.append("progress", phases=1)
+    log.append("phase", i=1)  # held back: no later event releases it yet
+    log.append("phase", i=2)
+    assert [e["event"] for e in next(tail)] == ["phase", "progress"]
+    log.append("state", state="DONE")
+    assert [e["event"] for e in next(tail)] == ["phase", "phase", "state"]
+    log.append("phase", i=3)
+    log.close()  # the end of the log releases everything
+    assert [e["event"] for e in next(tail)] == ["phase"]
+    assert next(tail, None) is None
+
+
+def test_a_poll_timeout_releases_held_phases():
+    log = JobEventLog()
+    log.append("phase", i=0)
+    start = time.monotonic()
+    assert [e["event"] for e in next(log.batches(poll=0.05))] == ["phase"]
+    assert time.monotonic() - start < 2.0
+
+
+def test_batches_end_at_the_same_events_whatever_the_scheduling():
+    log = JobEventLog()
+    got: list[list[dict]] = []
+
+    def tail():
+        for batch in log.batches(poll=10.0):
+            got.append(batch)
+
+    tailer = threading.Thread(target=tail)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        tailer.start()
+        for block in range(40):
+            for i in range(64):
+                log.append("phase", i=i)
+            log.append("progress", phases=64 * (block + 1))
+        log.append("done", state="DONE")
+        log.close()
+        tailer.join(10.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not tailer.is_alive()
+    assert [e for batch in got for e in batch] == log.snapshot()
+    # a live tail may merge blocks when it falls behind, never split one
+    assert all(batch[-1]["event"] != "phase" for batch in got)
+
+
+def test_concurrent_tailers_yield_each_retained_event_once_in_order():
+    log = JobEventLog(cap=1000)
+    got: list[list[dict]] = [[] for _ in range(3)]
+
+    def tail(out: list[dict]):
+        for batch in log.batches(poll=1.0):
+            out.extend(batch)
+
+    tailers = [threading.Thread(target=tail, args=(out,)) for out in got]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in tailers:
+            t.start()
+        for i in range(10_000):
+            log.append("phase", i=i)
+        log.append("done", state="DONE")
+        log.close()
+        for t in tailers:
+            t.join(10.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in tailers)
+    events = log.snapshot()
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    assert len(events) == 1000 + 2  # cap, one truncated marker, done
+    assert log.dropped == 10_000 - 1000
+    for out in got:
+        assert out == events
+
+
 # -- the progress tracer -----------------------------------------------------
 
 def test_progress_tracer_forwards_phases_and_keeps_recording():
@@ -236,6 +374,9 @@ def test_progress_tracer_forwards_phases_and_keeps_recording():
     assert [e["name"] for e in forwarded] == ["exchange", "compute_align"]
     assert forwarded[0]["sim_end"] == 1.0
     assert len(tracer.events) == 2  # conservation stream intact
+    # the key order the SSE renderer's direct path expects
+    assert list(forwarded[0]) == ["rank", "category", "name", "sim_start",
+                                  "sim_end", "seq", "event"]
 
 
 def test_progress_tracer_strides_the_digest_not_the_record():
