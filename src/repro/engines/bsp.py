@@ -93,42 +93,40 @@ class BSPEngine:
         redist_counts = np.zeros(P)
         retry_counts = np.zeros(P)
 
-        # --- membership churn (joins / graced evictions; docs/RESILIENCE.md)
-        # Everything below is gated on has_churn so non-churn plans run the
-        # exact pre-churn float-op sequence.  BSP reassigns at superstep
-        # boundaries: events are honored at the first round start at/after
-        # their time, so a single-round run only sees events at t=0.
-        churn = faults is not None and faults.plan.has_churn
-        ledger = MigrationLedger() if churn else None
-        if churn:
-            for j in faults.plan.joins:
+        # --- membership (kills, graced evictions, joins; docs/RESILIENCE.md)
+        # One deterministic, time-ordered event stream; same-time events
+        # are ordered join < evict < kill, then by rank.  BSP reassigns at
+        # superstep boundaries: events are honored at the first round start
+        # at/after their time, so a single-round run only sees events at t=0.
+        ledger = MigrationLedger()
+        pending: list[tuple] = []
+        # ranks whose unfinished quotas are *redone* by survivors (kills
+        # and grace-0 evictions); graced evictions hand their remainder off
+        # via checkpoint instead, and pre-join rounds of a joiner are simply
+        # covered by the members of those rounds
+        redist_mask = np.zeros(P, dtype=bool)
+        if faults is not None:
+            plan = faults.plan
+            for j in plan.joins:
                 alive[j.rank] = False  # absent until the join is honored
             if not alive.any():
                 raise RankFailureError(
                     "no initial members: every rank of the machine joins "
                     "mid-run; at least one rank must start the job"
                 )
-            # one deterministic event stream; kills ride along so same-time
-            # ordering is fixed (join < evict < kill, then by rank)
             pending = sorted(
-                [(j.time, 0, "join", j.rank, 0.0) for j in faults.plan.joins]
+                [(j.time, 0, "join", j.rank, 0.0) for j in plan.joins]
                 + [(e.departure, 1, "evict", e.rank, e.grace)
-                   for e in faults.plan.evictions]
-                + [(k.time, 2, "kill", k.rank, 0.0)
-                   for k in faults.plan.kills]
+                   for e in plan.evictions]
+                + [(k.time, 2, "kill", k.rank, 0.0) for k in plan.kills]
             )
-            # ranks whose unfinished quotas are *redone* by survivors
-            # (kills and grace-0 evictions); graced evictions hand their
-            # remainder off via checkpoint instead, and pre-join rounds of
-            # a joiner are simply covered by the members of those rounds
-            redist_mask = np.zeros(P, dtype=bool)
         for r in range(rounds):
             t0 = wall  # superstep start
             ctx.instant(ENGINE_LANE, "superstep", t0, round=r, rounds=rounds)
             mig_bytes = 0.0
             mig_tasks = 0.0
             movers: list[int] = []
-            if churn:
+            if pending:
                 remaining = (rounds - r) / rounds
                 while pending and pending[0][0] <= t0:
                     t, _, kind, d, grace = pending.pop(0)
@@ -166,7 +164,7 @@ class BSPEngine:
                         else:
                             redist_mask[d] = True
                     else:  # kill — abrupt, still needs the redistribute flag
-                        if not faults.plan.redistribute:
+                        if not plan.redistribute:
                             raise RankFailureError(
                                 f"rank {d} died at t={t:.6g}s before BSP "
                                 f"round {r}; add 'redistribute' to the "
@@ -181,24 +179,6 @@ class BSPEngine:
                         "every rank died before the run finished; nothing "
                         "left to redistribute to"
                     )
-            elif faults is not None:
-                for kill in faults.plan.kills:
-                    if not (alive[kill.rank] and kill.time <= t0):
-                        continue
-                    if not faults.plan.redistribute:
-                        raise RankFailureError(
-                            f"rank {kill.rank} died at t={kill.time:.6g}s "
-                            f"before BSP round {r}; add 'redistribute' to "
-                            f"the fault plan for graceful degradation"
-                        )
-                    alive[kill.rank] = False
-                    ranks_lost.append(kill.rank)
-                    ctx.record_kill(kill.rank, t0, round=r)
-                if not alive.any():
-                    raise RankFailureError(
-                        "every rank died before the run finished; nothing "
-                        "left to redistribute to"
-                    )
             n_alive = int(alive.sum())
 
             # the model's fault-free superstep for this round's membership;
@@ -206,18 +186,17 @@ class BSPEngine:
             duration, personal, align_part, phase = bsp_superstep(
                 ctx.net, model, factors, alive, n_alive)
             if n_alive < P:
-                lost_mask = redist_mask if churn else ~alive
                 moved = float(
-                    (assignment.tasks_per_rank / rounds)[lost_mask].sum()
+                    (assignment.tasks_per_rank / rounds)[redist_mask].sum()
                 )
                 if moved:
                     tasks_redistributed += moved
                     redist_counts[alive] += moved / n_alive
 
-            # --- migration mini-phase (churn only): the checkpointed
-            # remainders and joiner partitions ship before the exchange;
-            # members pay comm, everyone else waits it out (sync)
-            if churn and mig_bytes > 0.0:
+            # --- migration mini-phase: the checkpointed remainders and
+            # joiner partitions ship before the exchange; members pay
+            # comm, everyone else waits it out (sync)
+            if mig_bytes > 0.0:
                 mig_dur = ctx.net.ptp_time(mig_bytes / n_alive)
                 mig_comm = np.where(alive, mig_dur, 0.0)
                 ctx.timers.add_array("comm", mig_comm)
@@ -239,7 +218,7 @@ class BSPEngine:
             # --- exchange phase (blocking collective) ---
             if faults is not None:
                 # degraded links dilate the whole exchange window
-                dil = faults.mean_link_dilation(t0, t0 + duration)
+                dil = faults.schedule.mean_link_dilation(t0, t0 + duration)
                 duration *= dil
                 personal *= dil
             personal = np.minimum(personal, duration)
@@ -273,8 +252,9 @@ class BSPEngine:
             tc = wall
             if faults is not None:
                 # stragglers dilate busy time inside their windows
+                sched = faults.schedule
                 straggle = np.array([
-                    faults.mean_straggle_factor(i, tc, tc + float(phase[i]))
+                    sched.mean_straggle_factor(i, tc, tc + float(phase[i]))
                     if alive[i] else 1.0
                     for i in range(P)
                 ])
@@ -305,50 +285,32 @@ class BSPEngine:
                 ctx.phase(i, "sync", wall, bar, name="exit-barrier")
         wall += bar
 
-        # deaths inside the final superstep surface at the exit barrier:
-        # the rank's last contribution already merged, so in redistribute
-        # mode there is nothing left to redo — the run just records the loss
-        if churn:
-            # leftover events landed after the last superstep boundary.
-            # Departures inside the final superstep are recorded with no
-            # remaining work to move; a join this late is not honored (the
-            # work is finished — there is nothing left to hand the joiner).
-            for t, _, kind, d, grace in pending:
-                if t >= wall or kind == "join":
-                    continue
-                if kind == "kill":
-                    if not faults.plan.redistribute:
-                        raise RankFailureError(
-                            f"rank {d} died at t={t:.6g}s during the final "
-                            f"superstep (detected at the exit barrier); add "
-                            f"'redistribute' to the fault plan for graceful "
-                            f"degradation"
-                        )
-                    alive[d] = False
-                    ranks_lost.append(d)
-                    ctx.record_kill(d, t)
-                else:  # eviction departing inside the final superstep
-                    alive[d] = False
-                    ranks_lost.append(d)
-                    ledger.record_evict(d)
-                    faults.note_evict(d)
-                    ctx.instant(ENGINE_LANE, "rank_evict", t,
-                                victim=d, grace=grace)
-                    ctx.inc("faults_injected", d)
-        elif faults is not None:
-            for kill in faults.plan.kills:
-                if not (alive[kill.rank] and kill.time < wall):
-                    continue
-                if not faults.plan.redistribute:
+        # leftover events landed after the last superstep boundary.
+        # Departures inside the final superstep surface at the exit barrier
+        # with no remaining work to move: a killed rank's last contribution
+        # already merged, so in redistribute mode the run just records the
+        # loss.  A join this late is not honored (the work is finished —
+        # there is nothing left to hand the joiner).
+        for t, _, kind, d, grace in pending:
+            if t >= wall or kind == "join":
+                continue
+            alive[d] = False
+            ranks_lost.append(d)
+            if kind == "kill":
+                if not plan.redistribute:
                     raise RankFailureError(
-                        f"rank {kill.rank} died at t={kill.time:.6g}s during "
-                        f"the final superstep (detected at the exit "
-                        f"barrier); add 'redistribute' to the fault plan "
-                        f"for graceful degradation"
+                        f"rank {d} died at t={t:.6g}s during the final "
+                        f"superstep (detected at the exit barrier); add "
+                        f"'redistribute' to the fault plan for graceful "
+                        f"degradation"
                     )
-                alive[kill.rank] = False
-                ranks_lost.append(kill.rank)
-                ctx.record_kill(kill.rank, kill.time)
+                ctx.record_kill(d, t)
+            else:  # eviction departing inside the final superstep
+                ledger.record_evict(d)
+                faults.note_evict(d)
+                ctx.instant(ENGINE_LANE, "rank_evict", t,
+                            victim=d, grace=grace)
+                ctx.inc("faults_injected", d)
 
         details = {
             "exchange_budget": self.exchange_budget(machine, assignment),

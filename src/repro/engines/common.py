@@ -44,7 +44,6 @@ __all__ = [
     "exchange_budget",
     "bsp_num_rounds",
     "survivor_share",
-    "membership_share",
     "mean_read_bytes",
     "BspModel",
     "bsp_model",
@@ -119,26 +118,6 @@ def survivor_share(x: np.ndarray, rounds: int, alive: np.ndarray,
         return xr
     lost = float(xr[~alive].sum())
     return np.where(alive, xr + lost / n_alive, 0.0)
-
-
-def membership_share(x: np.ndarray, rounds: int, schedule,
-                     t: float) -> np.ndarray:
-    """One round's per-rank quota of ``x`` under an arbitrary membership
-    timeline: absent ranks' (dead, evicted-and-departed, not-yet-joined)
-    share is carried equally by the ranks that are members at ``t``.
-
-    This is :func:`survivor_share` generalized from a static kill set to
-    the full :class:`~repro.machine.degradation.DegradationSchedule`
-    timeline — redistribute-to-survivors and redistribute-to-joiners are
-    the same piecewise math, only the mask changes.
-    """
-    member = schedule.alive_mask(t, x.size)
-    n_member = int(member.sum())
-    if n_member == 0:
-        raise RankFailureError(
-            f"no member ranks at t={t:.6g}s; nothing left to carry the work"
-        )
-    return survivor_share(x, rounds, member, n_member)
 
 
 def mean_read_bytes(assignment: WorkloadAssignment) -> float:
@@ -379,9 +358,9 @@ class PullFaultOutcome:
     tasks_redistributed: float
     redist_counts: np.ndarray
     ranks_lost: list[int]
-    #: churn accounting (``None`` unless the plan has membership churn)
+    #: membership accounting (``None`` on fault-free runs)
     ledger: MigrationLedger | None = None
-    #: per-rank pre-join idle seconds (``None`` = everyone starts at t=0)
+    #: per-rank pre-join idle seconds (``None`` on fault-free runs)
     start_delay: np.ndarray | None = None
 
 
@@ -447,7 +426,7 @@ def apply_pull_faults(
     # stragglers dilate every busy second inside their windows;
     # degraded links dilate the pull traffic
     straggle = np.array([
-        faults.mean_straggle_factor(i, 0.0, float(finish0[i]))
+        faults.schedule.mean_straggle_factor(i, 0.0, float(finish0[i]))
         for i in range(P)
     ])
     phases = PullPhases(
@@ -455,7 +434,7 @@ def apply_pull_faults(
         phases.remote_compute * straggle,
         phases.overhead_pre * straggle,
         phases.overhead_cb * straggle,
-        phases.comm * faults.mean_link_dilation(0.0, wall0),
+        phases.comm * faults.schedule.mean_link_dilation(0.0, wall0),
         phases.bar,
     )
 
@@ -485,57 +464,18 @@ def apply_pull_faults(
             ctx.tracer.instant(i, "fault_inject", 0.0, kind="rpc_macro",
                                drops=drops, delays=delays, dups=dups)
 
-    if plan.has_churn:
-        # membership churn: joins, graced evictions, and kills processed
-        # in one time-ordered event loop (see _pull_churn_events)
-        ledger = MigrationLedger()
-        start_delay = np.zeros(P)
-        tasks_redistributed, redist_counts, ranks_lost = _pull_churn_events(
-            ctx, assignment, finish0, wall0, phases, fault_stall,
-            ledger, start_delay,
-        )
-        return PullFaultOutcome(
-            phases, fault_stall, retry_counts, tasks_redistributed,
-            redist_counts, ranks_lost, ledger=ledger,
-            start_delay=start_delay,
-        )
-
-    # rank deaths: the killed rank stops at its death time; the
-    # survivors absorb its unfinished work
-    tasks_redistributed = 0.0
-    ranks_lost: list[int] = []
-    alive = np.ones(P, dtype=bool)
-    for kill in sorted(plan.kills, key=lambda k: (k.time, k.rank)):
-        if kill.time >= wall0 or not alive[kill.rank]:
-            continue
-        if not plan.redistribute:
-            raise RankFailureError(
-                f"rank {kill.rank} died at t={kill.time:.6g}s during "
-                f"the async pull phase; add 'redistribute' to the "
-                f"fault plan for graceful degradation"
-            )
-        d = kill.rank
-        alive[d] = False
-        ranks_lost.append(d)
-        faults.note_kill(d)
-        if not alive.any():
-            raise RankFailureError(
-                "every rank died before the run finished; nothing "
-                "left to redistribute to"
-            )
-        if ctx.tracer is not None:
-            ctx.tracer.instant(ENGINE_LANE, "fault_inject", kill.time,
-                               kind="rank_kill", victim=d)
-        if ctx.metrics is not None:
-            ctx.metrics.inc("faults_injected", d)
-        moved = _hand_off_unfinished(phases, fault_stall, alive, d,
-                                     kill.time, finish0,
-                                     assignment.tasks_per_rank)
-        tasks_redistributed += moved
-        redist_counts[alive] += moved / int(alive.sum())
-
-    return PullFaultOutcome(phases, fault_stall, retry_counts,
-                            tasks_redistributed, redist_counts, ranks_lost)
+    # membership: joins, graced evictions and kills processed in one
+    # time-ordered event loop (see _pull_churn_events)
+    ledger = MigrationLedger()
+    start_delay = np.zeros(P)
+    tasks_redistributed, redist_counts, ranks_lost = _pull_churn_events(
+        ctx, assignment, finish0, wall0, phases, fault_stall,
+        ledger, start_delay,
+    )
+    return PullFaultOutcome(
+        phases, fault_stall, retry_counts, tasks_redistributed,
+        redist_counts, ranks_lost, ledger=ledger, start_delay=start_delay,
+    )
 
 
 def _pull_churn_events(
@@ -559,8 +499,8 @@ def _pull_churn_events(
     redistributed-kill hand-off.  Kills keep requiring the
     ``redistribute`` flag; announced departures never do.
 
-    Events at or beyond the fault-free horizon ``wall0`` are not honored,
-    matching the existing kill semantics.
+    Events at or beyond the fault-free horizon ``wall0`` are not honored.
+    A kill-only plan is the no-join, no-eviction case of this loop.
     """
     P = assignment.num_ranks
     faults = ctx.faults
@@ -592,13 +532,15 @@ def _pull_churn_events(
             a[alive] += total / n_init
             a[jr] = 0.0
 
-    def depart(d: int, t: float, checkpointed: bool) -> None:
+    def depart(d: int, t: float, checkpointed: bool, killed: bool) -> None:
         nonlocal tasks_redistributed
         alive[d] = False
         if not alive.any():
             raise RankFailureError(
-                "every rank left before the run finished; nothing "
-                "left to hand the work to"
+                "every rank died before the run finished; nothing left "
+                "to redistribute to" if killed else
+                "every rank left before the run finished; nothing left "
+                "to hand the work to"
             )
         moved = _hand_off_unfinished(phases, fault_stall, alive, d, t,
                                      finish0, assignment.tasks_per_rank)
@@ -658,7 +600,7 @@ def _pull_churn_events(
         elif kind == 1:  # eviction departure
             if not alive[r]:
                 continue
-            depart(r, t, checkpointed=grace > 0)
+            depart(r, t, checkpointed=grace > 0, killed=False)
             ledger.record_evict(r)
             faults.note_evict(r)
             if ctx.tracer is not None:
@@ -682,7 +624,7 @@ def _pull_churn_events(
                                    kind="rank_kill", victim=r)
             if ctx.metrics is not None:
                 ctx.metrics.inc("faults_injected", r)
-            depart(r, t, checkpointed=False)
+            depart(r, t, checkpointed=False, killed=True)
     return tasks_redistributed, redist_counts, ranks_lost
 
 

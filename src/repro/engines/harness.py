@@ -229,12 +229,12 @@ class ExecutionContext:
     # -- epilogue ------------------------------------------------------------
 
     def fault_details(self, extra: dict, tasks_redistributed: float,
-                      ranks_lost: list[int], ledger=None) -> dict:
+                      ranks_lost: list[int], ledger) -> dict:
         """The uniform fault section of a result's ``details`` dict.
 
-        ``ledger`` (a :class:`~repro.engines.rebalance.MigrationLedger`,
-        churn runs only) adds the uniform ``churn`` sub-dict the
-        makespan-under-churn report reads.
+        When the plan has membership churn (joins or evictions), ``ledger``
+        (a :class:`~repro.engines.rebalance.MigrationLedger`) adds the
+        uniform ``churn`` sub-dict the makespan-under-churn report reads.
         """
         d = {
             "fault_plan": self.faults.plan.describe(),
@@ -244,7 +244,7 @@ class ExecutionContext:
         d.update(extra)
         d["tasks_redistributed"] = tasks_redistributed
         d["ranks_lost"] = ranks_lost
-        if ledger is not None:
+        if self.faults.plan.has_churn:
             d["churn"] = ledger.churn_details()
         return d
 

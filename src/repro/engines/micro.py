@@ -184,7 +184,8 @@ class _MicroBase:
         """Apply any active straggler window to a compute duration."""
         if ctx.faults is None or seconds == 0.0:
             return seconds
-        return seconds * ctx.faults.straggle_factor(rank, ctx.engine.now)
+        return seconds * ctx.faults.schedule.straggle_factor(rank,
+                                                             ctx.engine.now)
 
     def _charge_tasks(self, ctx: SpmdContext, workload, rank: int, tasks,
                       executed: list | None):

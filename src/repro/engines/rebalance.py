@@ -16,8 +16,9 @@ churn *conserved and bit-reproducibly*:
   items (owner departed, or not yet joined) in ascending owner order, so
   no unfinished work is ever stranded by a departure.
 
-The macro engines' churn math lives in :mod:`repro.engines.common`
-(``membership_share`` and the churn branch of ``apply_pull_faults``) —
+The macro engines' membership math lives in their one time-ordered event
+loop each (``BSPEngine.run`` and ``apply_pull_faults`` in
+:mod:`repro.engines.common`) —
 this module deliberately sits below ``common`` in the import graph so both
 layers can share the ledger.
 

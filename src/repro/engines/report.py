@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.machine.config import MachineSpec
+from repro.obs.metrics import CATEGORIES, PhaseTimers
 from repro.utils.stats import Summary, summarize
 
 __all__ = ["PhaseTimers", "RuntimeBreakdown", "RunResult", "CATEGORIES",
@@ -84,37 +85,6 @@ def _canonical(value) -> str:
     if isinstance(value, np.ndarray):
         return "a:" + np.ascontiguousarray(value).tobytes().hex()
     return f"r:{value!r}"
-
-CATEGORIES = ("compute_align", "compute_overhead", "comm", "sync")
-
-
-class PhaseTimers:
-    """Per-rank accumulators for the four timing categories."""
-
-    def __init__(self, num_ranks: int):
-        self.num_ranks = num_ranks
-        self._t = {c: np.zeros(num_ranks, dtype=np.float64) for c in CATEGORIES}
-
-    def add(self, category: str, rank: int, seconds: float) -> None:
-        if category not in self._t:
-            raise SimulationError(f"unknown timing category {category!r}")
-        if seconds < 0:
-            raise SimulationError(f"negative time for {category!r}: {seconds}")
-        self._t[category][rank] += seconds
-
-    def add_array(self, category: str, seconds: np.ndarray) -> None:
-        if category not in self._t:
-            raise SimulationError(f"unknown timing category {category!r}")
-        arr = np.asarray(seconds, dtype=np.float64)
-        if np.any(arr < -1e-12):
-            raise SimulationError(f"negative time array for {category!r}")
-        self._t[category] += np.maximum(arr, 0.0)
-
-    def get(self, category: str) -> np.ndarray:
-        return self._t[category]
-
-    def per_rank_total(self) -> np.ndarray:
-        return sum(self._t.values())
 
 
 @dataclass(frozen=True)

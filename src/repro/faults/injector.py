@@ -138,30 +138,7 @@ class FaultInjector:
             self._count("rpc_dup", dups)
         return drops, delays, dups
 
-    # -- windowed degradation (delegated to the machine-side schedule) -----
-
-    def link_dilation(self, t: float) -> float:
-        return self.schedule.link_dilation(t)
-
-    def mean_link_dilation(self, t0: float, t1: float) -> float:
-        return self.schedule.mean_link_dilation(t0, t1)
-
-    def latency_factor(self, t: float) -> float:
-        return self.schedule.latency_factor(t)
-
-    def straggle_factor(self, rank: int, t: float) -> float:
-        return self.schedule.straggle_factor(rank, t)
-
-    def mean_straggle_factor(self, rank: int, t0: float, t1: float) -> float:
-        return self.schedule.mean_straggle_factor(rank, t0, t1)
-
     # -- rank death --------------------------------------------------------
-
-    def death_time(self, rank: int) -> float | None:
-        return self.schedule.death_time(rank)
-
-    def dead(self, rank: int, t: float) -> bool:
-        return self.schedule.dead(rank, t)
 
     def note_kill(self, rank: int) -> None:
         """Record a rank death the engine just honored (for the injected

@@ -144,9 +144,10 @@ class FaultPlan:
     def has_churn(self) -> bool:
         """Does this plan change cluster membership beyond plain kills?
 
-        Everything churn-specific in the engines is gated on this flag, so
-        non-churn plans take bit-identical code paths to before churn
-        existed.
+        The macro engines walk joins, evictions and kills as one
+        membership event stream whatever this says; it only decides
+        whether a result reports a ``churn`` section.  The micro engines
+        still run a separate churn simulation when it is set.
         """
         return bool(self.joins) or bool(self.evictions)
 

@@ -1,4 +1,9 @@
-"""Per-rank counter registry.
+"""Per-rank counter registry and phase-time accumulators.
+
+:class:`PhaseTimers` sums each rank's seconds in the four breakdown
+categories (:data:`CATEGORIES`); every engine and the micro runtime charge
+time through it.  It sits here, below both, so the runtime never imports
+the engines package.
 
 Counters complement the trace: where phase events answer *when* time went
 somewhere, counters answer *how much* traffic and work each rank handled —
@@ -11,10 +16,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.utils.stats import Summary, summarize
 
-__all__ = ["MetricsRegistry"]
+__all__ = ["MetricsRegistry", "PhaseTimers", "CATEGORIES"]
+
+CATEGORIES = ("compute_align", "compute_overhead", "comm", "sync")
+
+
+class PhaseTimers:
+    """Per-rank accumulators for the four timing categories."""
+
+    def __init__(self, num_ranks: int):
+        self.num_ranks = num_ranks
+        self._t = {c: np.zeros(num_ranks, dtype=np.float64) for c in CATEGORIES}
+
+    def add(self, category: str, rank: int, seconds: float) -> None:
+        if category not in self._t:
+            raise SimulationError(f"unknown timing category {category!r}")
+        if seconds < 0:
+            raise SimulationError(f"negative time for {category!r}: {seconds}")
+        self._t[category][rank] += seconds
+
+    def add_array(self, category: str, seconds: np.ndarray) -> None:
+        if category not in self._t:
+            raise SimulationError(f"unknown timing category {category!r}")
+        arr = np.asarray(seconds, dtype=np.float64)
+        if np.any(arr < -1e-12):
+            raise SimulationError(f"negative time array for {category!r}")
+        self._t[category] += np.maximum(arr, 0.0)
+
+    def get(self, category: str) -> np.ndarray:
+        return self._t[category]
+
+    def per_rank_total(self) -> np.ndarray:
+        return sum(self._t.values())
 
 
 class MetricsRegistry:

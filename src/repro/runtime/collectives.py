@@ -247,7 +247,7 @@ class Collectives:
         # the window's time dilation into the efficiency scale
         eff = efficiency_scale
         if self.ctx.faults is not None:
-            eff = efficiency_scale / self.ctx.faults.link_dilation(
+            eff = efficiency_scale / self.ctx.faults.schedule.link_dilation(
                 self.ctx.engine.now
             )
         duration = self.ctx.net.alltoallv_time(

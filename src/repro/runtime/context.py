@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engines.report import PhaseTimers
 from repro.machine.config import MachineSpec
 from repro.machine.engine import Engine
 from repro.machine.memory import MemoryTracker
 from repro.machine.network import NetworkModel
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, PhaseTimers
 from repro.obs.tracer import Tracer
 
 __all__ = ["SpmdContext"]

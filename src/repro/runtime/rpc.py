@@ -152,14 +152,15 @@ class RpcLayer:
         metrics = self.ctx.metrics
         now = engine.now
 
-        latency_scale = faults.latency_factor(now) if faults is not None else 1.0
+        latency_scale = (faults.schedule.latency_factor(now)
+                         if faults is not None else 1.0)
         arrival = now + net.alpha * latency_scale
 
         # serial service at the target (progress-path clock)
         start = max(arrival, self._busy_until[target])
         service = net.rpc_service_gap + net.msg_overhead
         if faults is not None:
-            service *= faults.straggle_factor(target, start)
+            service *= faults.schedule.straggle_factor(target, start)
         self._served[target] += 1
         if self._served[target] > net.rpc_overload_threshold:
             service += net.rpc_overload_cost
@@ -201,7 +202,7 @@ class RpcLayer:
             # watchdog notices via the timeout path (under churn the
             # checkpointed partition remains readable — keep serving)
             if (faults is not None and not self.serve_departed
-                    and faults.dead(target, engine.now)):
+                    and faults.schedule.dead(target, engine.now)):
                 return
             # the handler observes simulated state *at service time*
             value, nbytes = self._handlers[target](token)
@@ -210,10 +211,10 @@ class RpcLayer:
                 metrics.inc("rpc_bytes", caller, nbytes)
             transfer = nbytes / self.ctx.net.async_rank_bw()
             if faults is not None:
-                transfer *= faults.link_dilation(engine.now)
+                transfer *= faults.schedule.link_dilation(engine.now)
             reply_delay = (
                 service
-                + net.alpha * (faults.latency_factor(engine.now)
+                + net.alpha * (faults.schedule.latency_factor(engine.now)
                                if faults is not None else 1.0)
                 + transfer
             )
@@ -263,8 +264,8 @@ class RpcLayer:
             if metrics is not None:
                 metrics.inc("rpc_timeouts", caller)
             if (faults is not None and not self.serve_departed
-                    and faults.dead(target, engine.now)):
-                death = faults.death_time(target)
+                    and faults.schedule.dead(target, engine.now)):
+                death = faults.schedule.death_time(target)
                 raise RankFailureError(
                     f"rank {target} died at t={death:.6g}s; RPC call "
                     f"{call_id} from rank {caller} timed out with no "

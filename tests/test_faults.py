@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.api import compare_engines, get_workload, run_alignment
 from repro.engines.async_ import AsyncEngine
+from repro.engines.base import EngineConfig
 from repro.engines.bsp import BSPEngine
 from repro.engines.micro import MicroAsyncEngine, MicroBSPEngine
 from repro.errors import (
@@ -328,6 +329,32 @@ def test_macro_kill_redistribute_completes_conserved(engine_cls):
                         FaultInjector(plan, 0))
     assert res.details["ranks_lost"] == [1]
     assert res.details["faults_injected"] >= 1
+
+
+@pytest.mark.parametrize("engine", ["bsp", "async", "hybrid"])
+def test_macro_kills_are_reported_in_time_order(engine):
+    """Kills are membership events: ``ranks_lost`` lists them in the order
+    they happen, not the order the spec writes them, and losing every
+    rank is a typed failure with the same wording on every macro engine.
+
+    A tiny exchange budget gives BSP several supersteps, so the kills land
+    on superstep starts rather than at the exit barrier.
+    """
+    wl = get_workload("micro", seed=11)
+    machine = cori_knl(2, app_cores_per_node=4)
+    config = EngineConfig(exchange_memory_fraction=1e-5)
+
+    def run(spec):
+        return run_alignment(wl, 2, engine, config=config, machine=machine,
+                             fault_plan=parse_fault_spec(spec))
+
+    res = run("kill=r5@0.004,kill=r2@0.001,redistribute")
+    assert res.details["ranks_lost"] == [2, 5]
+    assert "churn" not in res.details
+
+    everyone = ",".join(f"kill=r{r}@{r * 1e-4:g}" for r in range(8))
+    with pytest.raises(RankFailureError, match="every rank died"):
+        run(everyone + ",redistribute")
 
 
 @pytest.mark.parametrize("engine_cls", [BSPEngine, AsyncEngine])

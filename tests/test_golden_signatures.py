@@ -45,6 +45,7 @@ def test_matrix_and_goldens_agree():
         for engine in regen.ENGINES
     }
     expected |= {regen.churn_key(engine) for engine in regen.ENGINES}
+    expected |= {regen.kill_key(engine) for engine in regen.KILL_ENGINES}
     assert set(GOLDENS) == expected
 
 
@@ -53,6 +54,8 @@ def test_signature_matches_golden(key):
     engine, rest = key.split("/")
     if rest == "churn":
         res = regen.compute_churn_result(engine)
+    elif rest == "kill":
+        res = regen.compute_kill_result(engine)
     else:
         workload, seed = rest.split("@")
         res = regen.compute_result(engine, workload, int(seed))

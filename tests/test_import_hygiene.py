@@ -6,8 +6,10 @@ siblings; utils reaching up the stack), no flag-less ``np.unique`` in
 the assignment renderers, no cost hook calling a ``NetworkModel`` cost
 method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``,
 exactly one ``align_tasks`` call in ``engines/micro.py``, no scipy import
-anywhere, and one task-row renderer under ``pipeline/``.  The synthetic cases prove the checker actually detects what it
-claims to; a subprocess proves the public entry points load no scipy.
+anywhere, and one task-row renderer under ``pipeline/``.  The synthetic
+cases prove the checker actually detects what it claims to; subprocesses
+prove the public entry points load no scipy and that every runtime module
+imports first in a fresh interpreter.
 """
 
 import os
@@ -15,6 +17,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -284,3 +288,22 @@ def test_entry_points_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", [
+    "repro.runtime",
+    "repro.runtime.collectives",
+    "repro.runtime.context",
+    "repro.runtime.executor",
+    "repro.runtime.queues",
+    "repro.runtime.rpc",
+])
+def test_runtime_module_imports_first(module):
+    """Each runtime module loads as the first ``repro`` import of a fresh
+    interpreter.  The context once reached the engines package for its
+    phase timers, and the engines package imports the runtime back — a
+    cycle through a parent ``__init__`` the static graph cannot see."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", f"import {module}"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr

@@ -7,7 +7,13 @@ Seven classes of violation, all enforced in CI (and mirrored by
 1. **Import cycles** anywhere in the package — found on the module-level
    import graph built from the AST (function-local imports are ignored;
    deferring an import inside a function is the sanctioned way to break a
-   genuine runtime cycle).
+   genuine runtime cycle).  The graph has no edge from a submodule to its
+   parent package's ``__init__``, although importing ``a.b`` runs
+   ``a/__init__.py`` first; a cycle that closes only through such an
+   ``__init__`` (``runtime.context`` -> ``engines.report`` -> the
+   ``engines`` package -> ``engines.micro`` -> ``runtime.collectives`` ->
+   ``runtime.context`` was one) passes this check.  CI catches those by
+   importing every module first in a fresh interpreter.
 
 2. **Banned cross-imports** that the engine refactor removed and must not
    creep back:

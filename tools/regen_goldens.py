@@ -98,6 +98,12 @@ CHURN_FAULT_SEED = 7
 #: budget so the tiny workload runs ~6 rounds and both events land on one
 CHURN_EMF = {"bsp": 1e-5, "bsp-micro": 1e-5}
 
+#: kill-only cases: the macro engines under two redistributed kills
+#: (written in time order), both inside every engine's wall clock; BSP
+#: uses the churn budget so the kills land on different superstep starts
+KILL_SPEC = "kill=r2@0.001,kill=r5@0.004,redistribute"
+KILL_ENGINES = ("bsp", "async", "hybrid")
+
 
 def case_key(engine: str, workload: str, seed: int) -> str:
     return f"{engine}/{workload}@{seed}"
@@ -107,13 +113,17 @@ def churn_key(engine: str) -> str:
     return f"{engine}/churn"
 
 
-def compute_churn_result(engine: str):
-    """One churn golden: the micro workload under the shared churn plan.
+def kill_key(engine: str) -> str:
+    return f"{engine}/kill"
 
-    Runs the model kernel everywhere — these cases pin the churn
+
+def compute_fault_result(engine: str, spec: str):
+    """The micro workload under fault plan ``spec``.
+
+    Runs the model kernel everywhere — these cases pin the fault
     scheduling arithmetic (membership boundaries, checkpoint handoffs,
-    migration accounting); kernel output is already pinned by the base
-    matrix.
+    redistribution, migration accounting); kernel output is already
+    pinned by the base matrix.
     """
     w = get_workload("micro", seed=11)
     machine = cori_knl(NODES, app_cores_per_node=CORES_PER_NODE)
@@ -121,8 +131,18 @@ def compute_churn_result(engine: str):
     config = (EngineConfig(exchange_memory_fraction=emf)
               if emf is not None else EngineConfig())
     return run_alignment(w, NODES, engine, config=config, machine=machine,
-                         fault_plan=parse_fault_spec(CHURN_SPEC),
+                         fault_plan=parse_fault_spec(spec),
                          fault_seed=CHURN_FAULT_SEED)
+
+
+def compute_churn_result(engine: str):
+    """One churn golden: the micro workload under the shared churn plan."""
+    return compute_fault_result(engine, CHURN_SPEC)
+
+
+def compute_kill_result(engine: str):
+    """One kill-only golden: the micro workload under :data:`KILL_SPEC`."""
+    return compute_fault_result(engine, KILL_SPEC)
 
 
 def compute_result(engine: str, workload: str, seed: int, *,
@@ -153,6 +173,10 @@ def compute_signatures() -> dict[str, str]:
     signatures.update({
         churn_key(engine): compute_churn_result(engine).signature()
         for engine in ENGINES
+    })
+    signatures.update({
+        kill_key(engine): compute_kill_result(engine).signature()
+        for engine in KILL_ENGINES
     })
     return signatures
 
