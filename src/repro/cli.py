@@ -182,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "hold (default: the machine's core count)")
     p_serve.add_argument("--memory-mb", type=int, default=2048,
                          help="admission memory ledger capacity (MiB)")
-    p_serve.add_argument("--cache-entries", type=int, default=64,
-                         help="result-cache size (whole RunResults)")
+    p_serve.add_argument("--cache-entries", type=int, default=None,
+                         help="result-cache size (whole RunResults; "
+                              "default: repro.service.DEFAULT_CACHE_ENTRIES)")
     p_serve.add_argument("--phase-stride", type=int, default=1,
                          help="forward every Nth phase event over SSE "
                               "(1 = all)")
@@ -369,7 +370,8 @@ def _print_fault_plan(plan) -> None:
 def _cmd_serve(args) -> int:
     # imported lazily: the service layer sits above the CLI's usual
     # dependencies and only loads when asked for
-    from repro.service import ResultCache, RunQueue, ServiceServer
+    from repro.service import RunQueue, ServiceServer
+    from repro.utils.cache import LruCache
 
     try:
         queue = RunQueue(
@@ -377,7 +379,8 @@ def _cmd_serve(args) -> int:
             backlog=args.backlog,
             total_workers=args.total_workers,
             memory_bytes=float(args.memory_mb) * 1024 ** 2,
-            cache=ResultCache(entries=args.cache_entries),
+            cache=(None if args.cache_entries is None
+                   else LruCache(args.cache_entries)),
             phase_stride=args.phase_stride,
         )
     except ConfigurationError as exc:
@@ -393,7 +396,7 @@ def _cmd_serve(args) -> int:
         return 2
     print(f"repro service listening on http://{server.host}:{server.port} "
           f"({args.slots} slots, backlog {args.backlog}, "
-          f"cache {args.cache_entries} entries); Ctrl-C to stop",
+          f"cache {queue.cache.maxsize} entries); Ctrl-C to stop",
           flush=True)
     try:
         server.serve_forever()

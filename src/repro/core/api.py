@@ -17,8 +17,7 @@ with zero edits to this module.
 Workloads are cached per ``(name, seed)`` in a small LRU — rendering the
 87.6M-task Human CCS assignment for a given rank count costs tens of
 seconds, and every figure benchmark reuses the same object.  The cap
-defaults to 8 (override with ``REPRO_WORKLOAD_CACHE_CAP`` or
-:func:`set_workload_cache_cap`).
+defaults to 8 (re-bound with :func:`set_workload_cache_cap`).
 """
 
 from __future__ import annotations
@@ -60,15 +59,7 @@ __all__ = [
 ]
 
 
-def _default_cache_cap() -> int:
-    raw = os.environ.get("REPRO_WORKLOAD_CACHE_CAP", "8")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 8
-
-
-_WORKLOAD_CACHE = LruCache(maxsize=_default_cache_cap())
+_WORKLOAD_CACHE = LruCache(maxsize=8)
 
 
 class _EngineView(Mapping):
@@ -160,31 +151,28 @@ def get_workload(
     # the shard terms keep each (spec, shard) rendering distinct
     key = (name, seed, _calibration_key(spec),
            int(shard_tasks), int(max_resident_shards) if shard_tasks else 0)
-    cached = _WORKLOAD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if shard_tasks:
-        if spec.sequence_level:
-            wl = ShardedWorkload.from_workload(
-                get_workload(name, seed),
-                shard_tasks=shard_tasks,
-                max_resident_shards=max_resident_shards,
-            )
-        else:
-            wl = ShardedWorkload.synthetic(
+
+    def build():
+        if shard_tasks:
+            if spec.sequence_level:
+                return ShardedWorkload.from_workload(
+                    get_workload(name, seed),
+                    shard_tasks=shard_tasks,
+                    max_resident_shards=max_resident_shards,
+                )
+            return ShardedWorkload.synthetic(
                 spec, seed=seed,
                 shard_tasks=shard_tasks,
                 max_resident_shards=max_resident_shards,
             )
-    elif spec.sequence_level:
-        run = synthesize_dataset(spec, seed=seed)
-        wl = ConcreteWorkload.from_pipeline(
-            name, run.reads, k=13, bounds=(2, 80), seed=seed
-        )
-    else:
-        wl = StatisticalWorkload(spec, seed=seed)
-    _WORKLOAD_CACHE.put(key, wl)
-    return wl
+        if spec.sequence_level:
+            run = synthesize_dataset(spec, seed=seed)
+            return ConcreteWorkload.from_pipeline(
+                name, run.reads, k=13, bounds=(2, 80), seed=seed
+            )
+        return StatisticalWorkload(spec, seed=seed)
+
+    return _WORKLOAD_CACHE.get_or_create(key, build)
 
 
 #: machine specs are frozen and cheap-but-not-free to build; sweep and
@@ -199,13 +187,10 @@ def make_machine(nodes: int, cores_per_node: int = 64) -> MachineSpec:
     sweep/planner grids rebuild the same handful of allocations at every
     grid point.  Counters via :func:`machine_cache_stats`.
     """
-    key = (int(nodes), int(cores_per_node))
-    cached = _MACHINE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    machine = cori_knl(nodes, app_cores_per_node=cores_per_node)
-    _MACHINE_CACHE.put(key, machine)
-    return machine
+    return _MACHINE_CACHE.get_or_create(
+        (int(nodes), int(cores_per_node)),
+        lambda: cori_knl(nodes, app_cores_per_node=cores_per_node),
+    )
 
 
 def clear_machine_cache() -> None:

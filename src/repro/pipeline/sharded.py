@@ -49,6 +49,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import threading
 import zipfile
 from collections import OrderedDict
 from typing import Callable, Iterator
@@ -140,6 +141,7 @@ class ShardStore:
             dir=spill_dir or os.environ.get(SPILL_DIR_ENV) or None,
         )
         self._spilled: set[int] = set()
+        self._lock = threading.Lock()
         self.builds = 0
         self.reloads = 0
         self.evictions = 0
@@ -180,30 +182,36 @@ class ShardStore:
         self._resident[shard_id] = columns
 
     def get(self, shard_id: int) -> dict:
-        """This shard's columns (resident, reloaded from spill, or built)."""
-        columns = self._resident.get(shard_id)
-        if columns is not None:
-            self._resident.move_to_end(shard_id)
-            self.hits += 1
+        """This shard's columns (resident, reloaded from spill, or built).
+
+        Locked, builds included (the synthetic builder memoizes a block):
+        renders at different rank counts may stream one store at once.
+        """
+        with self._lock:
+            columns = self._resident.get(shard_id)
+            if columns is not None:
+                self._resident.move_to_end(shard_id)
+                self.hits += 1
+                return columns
+            if shard_id in self._spilled:
+                path = self._spill_path(shard_id)
+                try:
+                    with np.load(path) as npz:
+                        columns = {name: npz[name] for name in npz.files}
+                except (OSError, ValueError, EOFError,
+                        zipfile.BadZipFile) as exc:
+                    self._spilled.discard(shard_id)
+                    raise ShardSpillError(
+                        f"spilled shard {shard_id} at {path} is unreadable: "
+                        f"{exc}"
+                    ) from exc
+                self.reloads += 1
+            else:
+                lo, hi = self.shard_range(shard_id)
+                columns = self._build(shard_id, lo, hi)
+                self.builds += 1
+            self._admit(shard_id, columns)
             return columns
-        if shard_id in self._spilled:
-            path = self._spill_path(shard_id)
-            try:
-                with np.load(path) as npz:
-                    columns = {name: npz[name] for name in npz.files}
-            except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-                self._spilled.discard(shard_id)
-                raise ShardSpillError(
-                    f"spilled shard {shard_id} at {path} is unreadable: "
-                    f"{exc}"
-                ) from exc
-            self.reloads += 1
-        else:
-            lo, hi = self.shard_range(shard_id)
-            columns = self._build(shard_id, lo, hi)
-            self.builds += 1
-        self._admit(shard_id, columns)
-        return columns
 
     def __iter__(self) -> Iterator[tuple[int, dict]]:
         for shard_id in range(self.n_shards):

@@ -222,15 +222,16 @@ class TaskRowWorkload:
 
     def micro_plan(self, num_ranks: int) -> MicroPlan:
         """Per-task rendering for the message-level engines (cached)."""
-        cached = self._plan_cache.get(num_ranks)
-        if cached is not None:
-            return cached
+        return self._plan_cache.get_or_create(
+            num_ranks, lambda: self._render_micro_plan(num_ranks))
+
+    def _render_micro_plan(self, num_ranks: int) -> MicroPlan:
         part = self._partition(num_ranks)
         owner_a, owner_b, assigned, remote_read = (
             np.concatenate(col) for col in
             list(zip(*self._plan_chunks(num_ranks, part)))[:4]
         )
-        plan = MicroPlan(
+        return MicroPlan(
             num_ranks=num_ranks,
             boundaries=part.boundaries,
             assigned=assigned,
@@ -238,15 +239,13 @@ class TaskRowWorkload:
             owner_b=owner_b,
             remote_read=remote_read,
         )
-        self._plan_cache.put(num_ranks, plan)
-        return plan
 
     def assignment(self, num_ranks: int) -> WorkloadAssignment:
         """Render the per-rank arrays for ``num_ranks`` ranks (LRU-cached)."""
-        cached = self.assignment_cache.get(num_ranks)
-        if cached is not None:
-            return cached
+        return self.assignment_cache.get_or_create(
+            num_ranks, lambda: self._render_assignment(num_ranks))
 
+    def _render_assignment(self, num_ranks: int) -> WorkloadAssignment:
         part = self._partition(num_ranks)
         if self.rows_resident:
             plan = self.micro_plan(num_ranks)
@@ -287,7 +286,7 @@ class TaskRowWorkload:
         finally:
             keys.close()
 
-        out = WorkloadAssignment(
+        return WorkloadAssignment(
             name=self.name,
             num_ranks=num_ranks,
             reads_per_rank=part.reads_per_rank,
@@ -302,8 +301,6 @@ class TaskRowWorkload:
             total_reads=self.n_reads,
             total_tasks=self.n_tasks,
         )
-        self.assignment_cache.put(num_ranks, out)
-        return out
 
 
 class ConcreteWorkload(TaskRowWorkload):
@@ -563,10 +560,10 @@ class StatisticalWorkload:
 
     def assignment(self, num_ranks: int) -> WorkloadAssignment:
         """Render the per-rank arrays for ``num_ranks`` ranks (LRU-cached)."""
-        cached = self.assignment_cache.get(num_ranks)
-        if cached is not None:
-            return cached
+        return self.assignment_cache.get_or_create(
+            num_ranks, lambda: self._render_assignment(num_ranks))
 
+    def _render_assignment(self, num_ranks: int) -> WorkloadAssignment:
         n_reads = self.n_reads
         n_tasks = self.n_tasks
         lengths = self.read_lengths
@@ -645,7 +642,7 @@ class StatisticalWorkload:
                 incoming *= lookups.sum() / old_lookups
                 incoming_bytes *= lookup_bytes.sum() / old_bytes
 
-        out = WorkloadAssignment(
+        return WorkloadAssignment(
             name=self.name,
             num_ranks=num_ranks,
             reads_per_rank=part.reads_per_rank,
@@ -660,5 +657,3 @@ class StatisticalWorkload:
             total_reads=n_reads,
             total_tasks=n_tasks,
         )
-        self.assignment_cache.put(num_ranks, out)
-        return out

@@ -8,7 +8,6 @@ cache, and progress streams back over Server-Sent Events — all stdlib,
 no new runtime dependency.  See docs/SERVICE.md for the API reference.
 """
 
-from repro.service.cache import DEFAULT_CACHE_ENTRIES, ResultCache
 from repro.service.events import (
     DEFAULT_EVENT_CAP,
     PROGRESS_EVERY,
@@ -25,7 +24,11 @@ from repro.service.jobs import (
     execute_request,
     known_engines,
 )
-from repro.service.queue import DEFAULT_SERVICE_MEMORY_BYTES, RunQueue
+from repro.service.queue import (
+    DEFAULT_CACHE_ENTRIES,
+    DEFAULT_SERVICE_MEMORY_BYTES,
+    RunQueue,
+)
 
 __all__ = [
     "DEFAULT_CACHE_ENTRIES",
@@ -38,7 +41,6 @@ __all__ = [
     "JobRequest",
     "JobState",
     "ProgressTracer",
-    "ResultCache",
     "RunQueue",
     "ServiceHandler",
     "ServiceServer",

@@ -339,12 +339,6 @@ class Job:
 
 # -- execution ---------------------------------------------------------------
 
-#: serializes workload/machine construction and per-P cache warming: the
-#: underlying LRU caches (workload, machine, assignment, micro plan) are
-#: plain OrderedDicts shared across the queue's worker threads
-_PREP_LOCK = threading.Lock()
-
-
 def _predicted_wall(workload, machine, engine: str,
                     config: EngineConfig) -> float | None:
     """Planner prediction for percent-complete, when a cost hook exists."""
@@ -366,25 +360,19 @@ def execute_request(job: Job, phase_stride: int = 1) -> RunResult:
     """Run one job's request with a progress tracer attached.
 
     Called from a queue worker thread with the job already RUNNING.
-    Workload/machine construction and assignment rendering happen under
-    :data:`_PREP_LOCK` (the process-wide LRU caches are not thread-safe);
-    the engine run itself proceeds concurrently with other jobs.
+    Jobs prepare concurrently: the process-wide workload, machine and
+    per-P caches are thread-safe and build each key once.
     """
     from repro.core.api import get_workload, make_machine, run_alignment
 
     req = job.request
     config = req.engine_config()
-    with _PREP_LOCK:
-        workload = get_workload(
-            req.workload, seed=req.seed, shard_tasks=req.shard_tasks,
-            max_resident_shards=req.max_resident_shards,
-        )
-        machine = make_machine(req.nodes, req.cores_per_node)
-        # warm the per-P caches so concurrent runs only read them
-        if req.engine != "auto" and get_engine(req.engine).is_micro:
-            workload.micro_plan(machine.total_ranks)
-        workload.assignment(machine.total_ranks)
-        predicted = _predicted_wall(workload, machine, req.engine, config)
+    workload = get_workload(
+        req.workload, seed=req.seed, shard_tasks=req.shard_tasks,
+        max_resident_shards=req.max_resident_shards,
+    )
+    machine = make_machine(req.nodes, req.cores_per_node)
+    predicted = _predicted_wall(workload, machine, req.engine, config)
     tracer = ProgressTracer(job, predicted_wall=predicted,
                             phase_stride=phase_stride)
     fault_plan = None

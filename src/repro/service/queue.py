@@ -23,10 +23,11 @@ The multiplexing layer between the job API and the engines.  A
   job coalesce onto it as followers: the engine runs **once** and every
   follower receives the same :class:`~repro.engines.report.RunResult`
   object (bit-identical signatures), marked ``cache_source="coalesced"``;
-* a **result cache** — completed results publish to the
-  :class:`~repro.service.cache.ResultCache` under the request's canonical
+* a **result cache** — completed results publish to a counted
+  :class:`~repro.utils.cache.LruCache` under the request's canonical
   key, so an identical later submission completes instantly with
-  ``cache_hit=True`` and the exact cached result;
+  ``cache_hit=True`` and the cached object itself (its signature is
+  bit-identical to the fresh run's);
 * **cancellation** — QUEUED jobs cancel immediately (a cancelled leader
   promotes its oldest follower to a fresh queue entry); RUNNING jobs get
   a flag the :class:`~repro.service.events.ProgressTracer` checks at
@@ -57,12 +58,16 @@ from repro.errors import (
     ServiceError,
 )
 from repro.machine.memory import NodeMemory
-from repro.service.cache import ResultCache
 from repro.service.jobs import Job, JobRequest, JobState, execute_request
+from repro.utils.cache import LruCache
 from repro.utils.units import fmt_bytes
 
-__all__ = ["RunQueue", "DEFAULT_SERVICE_MEMORY_BYTES",
+__all__ = ["RunQueue", "DEFAULT_CACHE_ENTRIES", "DEFAULT_SERVICE_MEMORY_BYTES",
            "BASE_JOB_BYTES", "PER_WORKER_BYTES", "REAL_KERNEL_BYTES"]
+
+#: default bound on cached results — entries are whole RunResults (per-rank
+#: arrays + alignments), so the cap is deliberately modest
+DEFAULT_CACHE_ENTRIES = 64
 
 #: default service memory budget jobs are admitted against (2 GiB)
 DEFAULT_SERVICE_MEMORY_BYTES = 2 * 1024 ** 3
@@ -97,7 +102,7 @@ class RunQueue:
         backlog: int = 64,
         total_workers: int | None = None,
         memory_bytes: float = DEFAULT_SERVICE_MEMORY_BYTES,
-        cache: ResultCache | None = None,
+        cache: LruCache | None = None,
         phase_stride: int = 1,
         start: bool = True,
     ):
@@ -108,7 +113,8 @@ class RunQueue:
         self.slots = slots
         self.backlog = backlog
         self.phase_stride = phase_stride
-        self.cache = cache if cache is not None else ResultCache()
+        self.cache = (cache if cache is not None
+                      else LruCache(DEFAULT_CACHE_ENTRIES))
         self._cond = threading.Condition()
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = itertools.count()

@@ -1,8 +1,13 @@
 """Registry coverage: every registered engine runs, conserves, and is
 reachable from the CLI; config validation; workload-cache accounting."""
 
+import sys
+import threading
+import time
+
 import pytest
 
+import repro.core.api as api
 from repro.cli import build_parser
 from repro.core.api import (
     ENGINES,
@@ -157,6 +162,123 @@ def test_lru_cache_semantics():
     assert c.stats()["hits"] == 0 and len(c) == 0
     with pytest.raises(ConfigurationError):
         LruCache(maxsize=0)
+
+
+def _run_threads(target, n: int, timeout: float = 30.0) -> None:
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads), "a thread hung"
+
+
+def test_lru_cache_thread_hammer():
+    """get/put/get_or_create from 4 threads at a 1 µs switch interval: no
+    KeyError from an eviction between lookup and refresh, and no lost
+    counter update — every lookup counts once."""
+    c = LruCache(maxsize=4)
+    n_threads, rounds = 4, 5_000
+    errors = []
+
+    def hammer(tid):
+        try:
+            for i in range(rounds):
+                key = (tid + i) % 7
+                c.get(key)
+                c.put(key, i)
+                c.get_or_create((key + 3) % 7, lambda: i)
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(hammer, n_threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    stats = c.stats()
+    assert stats["hits"] + stats["misses"] == n_threads * rounds * 2
+    assert stats["size"] == 4
+
+
+def test_get_or_create_failed_build_caches_nothing_and_waiter_retries():
+    c = LruCache(maxsize=4)
+
+    def boom():
+        raise RuntimeError("no value")
+
+    with pytest.raises(RuntimeError, match="no value"):
+        c.get_or_create("x", boom)
+    assert "x" not in c and c.stats()["misses"] == 1
+
+    c.clear()
+    started, release, waiting = (threading.Event() for _ in range(3))
+    calls, results = [], {}
+
+    def factory():
+        calls.append(threading.current_thread().name)
+        if len(calls) == 1:
+            started.set()
+            release.wait(5)
+            raise RuntimeError("first build fails")
+        return "built"
+
+    def first():
+        with pytest.raises(RuntimeError, match="first build fails"):
+            c.get_or_create("k", factory)
+        results["first"] = "raised"
+
+    def waiter():
+        results["waiter"] = c.get_or_create("k", factory)
+
+    t1 = threading.Thread(target=first, name="builder")
+    t1.start()
+    assert started.wait(5)
+    # let the waiter announce that it is blocked on the in-flight build
+    build = c._building["k"]
+    wait = build.done.wait
+    build.done.wait = lambda timeout=None: waiting.set() or wait(timeout)
+    t2 = threading.Thread(target=waiter, name="waiter")
+    t2.start()
+    assert waiting.wait(5)
+    release.set()
+    for t in (t1, t2):
+        t.join(5)
+        assert not t.is_alive()
+    assert results == {"first": "raised", "waiter": "built"}
+    assert calls == ["builder", "waiter"]  # the waiter rebuilt it itself
+    assert c.get("k") == "built"
+    assert c.stats()["misses"] == 2 and c.stats()["hits"] == 1
+
+
+def test_get_workload_builds_a_cold_key_once(monkeypatch):
+    """4 threads asking for one cold workload: one build, one object, and
+    the three that waited count as hits."""
+    real, builds = api.synthesize_dataset, []
+
+    def counted(spec, seed=0):
+        builds.append(seed)
+        time.sleep(0.2)  # hold the build open while the others arrive
+        return real(spec, seed=seed)
+
+    monkeypatch.setattr(api, "synthesize_dataset", counted)
+    clear_workload_cache()
+    gate, got = threading.Barrier(4, timeout=5), [None] * 4
+
+    def fetch(i):
+        gate.wait()
+        got[i] = get_workload("micro", seed=9_001)
+
+    try:
+        _run_threads(fetch, 4)
+        stats = workload_cache_stats()
+    finally:
+        clear_workload_cache()
+    assert builds == [9_001]
+    assert all(wl is got[0] for wl in got) and got[0] is not None
+    assert stats["misses"] == 1 and stats["hits"] == 3
 
 
 def test_workload_cache_bounded_and_counted():

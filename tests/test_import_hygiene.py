@@ -6,7 +6,8 @@ siblings; utils reaching up the stack), no flag-less ``np.unique`` in
 the assignment renderers, no cost hook calling a ``NetworkModel`` cost
 method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``,
 exactly one ``align_tasks`` call in ``engines/micro.py``, no scipy import
-anywhere, and one task-row renderer under ``pipeline/``.  The synthetic
+anywhere, one task-row renderer under ``pipeline/``, and no hand-rolled
+LRU outside ``utils/cache.py`` and ``pipeline/sharded.py``.  The synthetic
 cases prove the checker actually detects what it claims to; subprocesses
 prove the public entry points load no scipy and that every runtime module
 imports first in a fresh interpreter.
@@ -245,6 +246,40 @@ def test_one_task_row_renderer_needs_its_greedy_call(tmp_path):
     problems = check_imports.run(tmp_path)
     assert len(problems) == 1
     assert "calls assign_tasks_balanced at []" in problems[0]
+
+
+def test_detects_hand_rolled_lru(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "utils/__init__.py": "",
+        "utils/cache.py": """\
+            from collections import OrderedDict
+            class LruCache:
+                def get(self, key):
+                    self._data.move_to_end(key)
+            """,
+        "pipeline/__init__.py": "",
+        "pipeline/sharded.py": """\
+            import collections
+            resident = collections.OrderedDict()
+            resident.move_to_end(1)
+            """,
+        "service/__init__.py": "",
+        "service/cache.py": """\
+            import collections
+            from collections import OrderedDict as _OD
+            class ResultCache:
+                def __init__(self):
+                    self._data = collections.OrderedDict()
+                def get(self, key):
+                    self._data.move_to_end(key)
+            """,
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 3, problems
+    assert problems[0].startswith("repro.service.cache:2 uses OrderedDict")
+    assert problems[1].startswith("repro.service.cache:5 uses OrderedDict")
+    assert problems[2].startswith("repro.service.cache:7 uses move_to_end")
 
 
 def test_cli_reaches_service_only_lazily():

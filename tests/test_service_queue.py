@@ -343,6 +343,26 @@ def test_stress_sixteen_mixed_jobs_over_two_slots():
     assert active_shm_segments() == baseline
 
 
+def test_jobs_for_different_workloads_prepare_at_once(monkeypatch):
+    """Two cold jobs on a 2-slot queue build their workloads concurrently:
+    each prep waits at a 2-party barrier that only the other can pass."""
+    import repro.core.api as api
+
+    real, barrier = api.get_workload, threading.Barrier(2, timeout=5)
+
+    def meet_then_build(*args, **kwargs):
+        barrier.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(api, "get_workload", meet_then_build)
+    with RunQueue(slots=2) as q:
+        jobs = [q.submit(JobRequest(seed=150)),
+                q.submit(JobRequest(workload="ecoli30x", seed=150))]
+        _drain(q, jobs)
+    assert [j.state for j in jobs] == [JobState.DONE, JobState.DONE], \
+        [j.error for j in jobs]
+
+
 # -- the dedup property ------------------------------------------------------
 
 @settings(max_examples=5, deadline=None,

@@ -17,6 +17,7 @@ cache keying on the full calibration tuple.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -348,6 +349,45 @@ def test_spill_is_written_whole_or_not_at_all(concrete, monkeypatch):
                                  "after a failed spill")
     finally:
         sw.close()
+
+
+def test_concurrent_renders_share_one_store():
+    """Two threads render different rank counts through one 2-shard store:
+    each equals a serial render on a fresh workload, the ledger stays in
+    budget and both passes remove their key buckets."""
+    spec, shard = DATASETS["ecoli30x"], {"shard_tasks": 131_072,
+                                          "max_resident_shards": 2}
+    sw = ShardedWorkload.synthetic(spec, seed=3, **shard)
+    got, errors = {}, []
+
+    def render(num_ranks):
+        try:
+            got[num_ranks] = sw.assignment(num_ranks)
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    try:
+        threads = [threading.Thread(target=render, args=(p,))
+                   for p in (64, 512)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        assert errors == []
+        assert sw.store.ledger.used <= sw.store.budget_bytes
+        assert all(f.startswith("shard") for f in
+                   os.listdir(sw.store.stats()["spill_dir"]))
+    finally:
+        sw.close()
+    for num_ranks, out in got.items():
+        fresh = ShardedWorkload.synthetic(spec, seed=3, **shard)
+        try:
+            assert_assignments_equal(out, fresh.assignment(num_ranks),
+                                     f"P={num_ranks}")
+        finally:
+            fresh.close()
+    assert sorted(got) == [64, 512]
 
 
 def test_store_validates_knobs():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Seven classes of violation, all enforced in CI (and mirrored by
+Eight classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -62,6 +62,13 @@ Seven classes of violation, all enforced in CI (and mirrored by
    that refuses the synthetic backing and returns ``super().micro_plan``
    (docs/ARCHITECTURE.md "Sharded workloads").
 
+8. **A hand-rolled LRU.**  ``OrderedDict`` or ``.move_to_end`` anywhere
+   under ``repro/`` outside ``utils/cache.py`` (the one thread-safe,
+   build-once :class:`~repro.utils.cache.LruCache`) and
+   ``pipeline/sharded.py`` (the shard store's spill-on-evict LRU, whose
+   eviction writes to disk and frees a memory ledger).  A private LRU was
+   how the caches came to need a second, service-wide lock.
+
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
 """
@@ -108,6 +115,10 @@ GREEDY_FUNC = "assign_tasks_balanced"
 RENDER_PACKAGE = "repro.pipeline"
 STREAMED_MODULE = "repro.pipeline.sharded"
 RENDER_METHODS = ("assignment", "micro_plan")
+
+#: the only modules that may keep an LRU of their own, and what marks one
+LRU_MODULES = ("repro.utils.cache", "repro.pipeline.sharded")
+LRU_NAMES = ("OrderedDict", "move_to_end")
 
 
 def module_name(path: Path, src_root: Path) -> str:
@@ -424,6 +435,35 @@ def banned_package_imports(src_root: Path) -> list[str]:
     return problems
 
 
+def hand_rolled_lru(src_root: Path) -> list[str]:
+    """:data:`LRU_NAMES` outside the :data:`LRU_MODULES`."""
+    problems: list[str] = []
+    for path in sorted((src_root / PACKAGE).rglob("*.py")):
+        name = module_name(path, src_root)
+        if name in LRU_MODULES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        hits = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                ident = node.id
+            elif isinstance(node, ast.Attribute):
+                ident = node.attr
+            elif isinstance(node, ast.alias):
+                ident = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if ident in LRU_NAMES:
+                hits.add((node.lineno, ident))
+        for lineno, ident in sorted(hits):
+            problems.append(
+                f"{name}:{lineno} uses {ident}, a hand-rolled LRU; cache "
+                f"through repro.utils.cache.LruCache (thread-safe, builds "
+                f"each key once)"
+            )
+    return problems
+
+
 def run(src_root: Path) -> list[str]:
     graph = build_graph(src_root)
     problems = [
@@ -435,6 +475,7 @@ def run(src_root: Path) -> list[str]:
     problems += dispatch_path_violations(src_root)
     problems += banned_package_imports(src_root)
     problems += renderer_violations(src_root)
+    problems += hand_rolled_lru(src_root)
     return problems
 
 
@@ -449,7 +490,7 @@ def main(argv: list[str]) -> int:
               f"no banned imports, no flag-less np.unique in "
               f"pipeline/engines, no cost hook pricing a phase itself, "
               f"no shard-aware engine/runtime code, one kernel dispatch "
-              f"site, no scipy, one task-row renderer")
+              f"site, no scipy, one task-row renderer, no hand-rolled LRU")
     return 1 if problems else 0
 
 
