@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -46,6 +46,7 @@ from repro.engines.registry import get_engine  # noqa: E402
 from repro.faults import parse_fault_spec  # noqa: E402
 from repro.genome.datasets import DATASETS, DatasetSpec  # noqa: E402
 from repro.machine.config import cori_knl  # noqa: E402
+from repro.pipeline.sharded import ShardedWorkload  # noqa: E402
 from repro.pipeline.workload import StatisticalWorkload  # noqa: E402
 
 GOLDENS_PATH = REPO / "tests" / "goldens" / "signatures.json"
@@ -65,6 +66,19 @@ STAT_RANKS = (1, 8, 64, 513, 4096)
 #: single shard holding everything (n_tasks + 1)
 SYNTH_RANKS = (8, 64)
 SYNTH_SHARDS = (1 << 16, 1 << 17, DATASETS["ecoli30x"].n_tasks + 1)
+
+#: the ``sharded_stream`` benchmark's shard size, rendered at the cold
+#: request's rank count
+BENCH_SHARD, BENCH_RANKS = 131_072, 4096
+
+#: more reads than a 16-bit id holds: pins the synthetic renderer on
+#: 4-byte read ids, at a block-aligned and an unaligned shard size
+WIDE_ID_SPEC = DatasetSpec(
+    name="wide_id_stat", species="test", n_reads=70_000, n_tasks=200_000,
+    coverage=10.0, error_rate=0.1, mean_read_length=3_000,
+    length_sigma=0.5, genome_size=1_000_000, sequence_level=False,
+)
+WIDE_ID_SHARDS = (1 << 16, 75_000)
 
 CONCRETE_RANKS = (2, 8)
 CONCRETE_SHARD_TASKS = 97
@@ -208,6 +222,16 @@ def assignment_cases():
         synth = partial(stat, shard_tasks=shard, max_resident_shards=2)
         for p in SYNTH_RANKS:
             yield f"sharded-synthetic/ecoli30x@0/s{shard}/p{p}", synth, p
+    yield (f"sharded-synthetic/ecoli30x@0/s{BENCH_SHARD}/p{BENCH_RANKS}",
+           partial(stat, shard_tasks=BENCH_SHARD, max_resident_shards=2),
+           BENCH_RANKS)
+    for shard in WIDE_ID_SHARDS:
+        wide = lru_cache(maxsize=1)(partial(
+            ShardedWorkload.synthetic, WIDE_ID_SPEC, seed=0,
+            shard_tasks=shard, max_resident_shards=2))
+        for p in SYNTH_RANKS:
+            yield (f"sharded-synthetic/{WIDE_ID_SPEC.name}@0/s{shard}/p{p}",
+                   wide, p)
     sharded = partial(micro, shard_tasks=CONCRETE_SHARD_TASKS,
                       max_resident_shards=2)
     for p in CONCRETE_RANKS:
