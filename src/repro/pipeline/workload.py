@@ -167,15 +167,17 @@ class _ResidentKeys:
 
 class TaskRowWorkload:
     """The one renderer of :meth:`micro_plan` and :meth:`assignment` from
-    task rows (``read_a``, ``read_b``, ``cost`` and optionally ``coin``).
+    task rows (``read_a``, ``read_b``, ``cost`` and optionally ``pick_a``).
 
     Subclasses supply the rows as chunks in task order (:meth:`_row_chunks`)
     and where distinct ``requester * n_reads + read`` keys are deduplicated
-    (:meth:`_key_sink`).  A task goes to the owner the chunk's ``coin``
-    picks, else to the less-loaded owner of its two reads (the greedy
-    stream, its loads carried across chunks).  Folds are in-order
-    ``np.add.at`` and distinct keys fold ascending, so any chunking gives
-    bit-identical arrays.
+    (:meth:`_key_sink`).  Read ids may be any integer type.  A task goes
+    to read a's owner where the chunk's bool ``pick_a`` is set and to
+    read b's where it is clear; a chunk without ``pick_a`` gives it to
+    the less-loaded owner of its two reads (the greedy stream, its loads
+    carried across chunks).  Folds are in-order ``np.add.at`` and
+    distinct keys fold ascending, so any chunking gives bit-identical
+    arrays.
     """
 
     #: rows are in memory: :meth:`assignment` folds the cached micro plan
@@ -209,15 +211,18 @@ class TaskRowWorkload:
             read_a, read_b = columns["read_a"], columns["read_b"]
             owner_a = part.owners(read_a)
             owner_b = part.owners(read_b)
-            if "coin" in columns:
-                assigned = np.where(columns["coin"] < 0.5, owner_a, owner_b)
+            if "pick_a" in columns:
+                pick_a = columns["pick_a"]
+                assigned = np.where(pick_a, owner_a, owner_b)
+                remote_read = np.where(pick_a, read_b, read_a).astype(np.int64)
+                remote_read[owner_a == owner_b] = -1
             else:
                 assigned = assign_tasks_balanced(owner_a, owner_b, num_ranks,
                                                  loads=loads)
-            remote_read = np.where(
-                owner_a == owner_b, -1,
-                np.where(owner_a == assigned, read_b, read_a),
-            ).astype(np.int64)
+                remote_read = np.where(
+                    owner_a == owner_b, -1,
+                    np.where(owner_a == assigned, read_b, read_a),
+                ).astype(np.int64)
             yield owner_a, owner_b, assigned, remote_read, columns["cost"]
 
     def micro_plan(self, num_ranks: int) -> MicroPlan:

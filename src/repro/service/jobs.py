@@ -43,6 +43,7 @@ from repro.engines.registry import available_engines, get_engine
 from repro.engines.report import RunResult
 from repro.errors import ConfigurationError, JobStateError
 from repro.genome.datasets import DATASETS
+from repro.pipeline.sharded import DEFAULT_RESIDENT_SHARDS
 from repro.service.events import JobEventLog, ProgressTracer
 
 __all__ = ["JobState", "JobRequest", "Job", "TERMINAL_STATES",
@@ -95,7 +96,7 @@ class JobRequest:
     workload: str = "micro"
     seed: int = 0
     shard_tasks: int = 0
-    max_resident_shards: int = 4
+    max_resident_shards: int = DEFAULT_RESIDENT_SHARDS
     engine: str = "bsp"
     nodes: int = 2
     cores_per_node: int = 8

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import _compare_verdict, build_parser, main
+from repro.pipeline.sharded import DEFAULT_RESIDENT_SHARDS
+from repro.service.jobs import JobRequest
 
 
 def test_datasets_command(capsys):
@@ -84,6 +86,13 @@ def test_compare_trace_two_runs(tmp_path, capsys):
     pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
     # bsp, async, hybrid as separate trace processes
     assert pids == {0, 1, 2}
+
+
+def test_resident_shard_defaults_are_the_pipeline_constant():
+    for command in ("run", "compare", "sweep"):
+        args = build_parser().parse_args([command, "--nodes", "1"])
+        assert args.max_resident_shards == DEFAULT_RESIDENT_SHARDS
+    assert JobRequest().max_resident_shards == DEFAULT_RESIDENT_SHARDS
 
 
 def test_parser_rejects_unknown():
