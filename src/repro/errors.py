@@ -85,6 +85,14 @@ class QueueFullError(ServiceError):
     """The run queue's bounded backlog rejected a submission (HTTP 429)."""
 
 
+class JobExpiredError(ServiceError):
+    """A finished job's event log and result were released (HTTP 410).
+
+    The run queue keeps the payload of the most recent finished jobs
+    only; an older job keeps its status record, but its events and
+    result are gone."""
+
+
 class WorkerCrashError(ExecutorError):
     """A process-backend worker died mid-batch.
 

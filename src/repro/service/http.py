@@ -7,16 +7,18 @@ shared :class:`~repro.service.queue.RunQueue`.  The API surface:
 ``POST /jobs``
     Submit a :class:`~repro.service.jobs.JobRequest` as JSON.  201 with
     the job's status body; 400 on an invalid request
-    (:class:`~repro.errors.ConfigurationError`), 429 when the bounded
-    backlog is full (:class:`~repro.errors.QueueFullError`, with a
-    ``Retry-After`` hint), 503 once the queue has shut down.
+    (:class:`~repro.errors.ConfigurationError`) or a ``Content-Length``
+    that is not a non-negative integer, 413 for a body over
+    :data:`MAX_BODY_BYTES` (not read), 429 when the bounded backlog is
+    full (:class:`~repro.errors.QueueFullError`, with a ``Retry-After``
+    hint), 503 once the queue has shut down.
 
 ``GET /jobs``
     Every known job (submission order) plus queue counters.
 
 ``GET /jobs/{id}``
     One job's status: state, cache/coalescing markers, typed error,
-    admission budget, timestamps.
+    admission budget, timestamps, event count, ``expired``.
 
 ``GET /jobs/{id}/events[?since=N]``
     The job's event log as Server-Sent Events — ``state`` transitions,
@@ -24,12 +26,14 @@ shared :class:`~repro.service.queue.RunQueue`.  The API surface:
     ``progress`` estimates, and a terminal ``done`` event, after which
     the stream closes.  ``since`` (a non-negative integer, else 400)
     replays from a sequence number, so a reconnecting client can resume
-    where it dropped off.
+    where it dropped off.  410 :class:`~repro.errors.JobExpiredError`
+    once the job has expired.
 
 ``GET /jobs/{id}/result``
     The completed result: signature, wall clock, category fractions,
     engine details.  409 while the job is still live, 500 with the typed
-    error for FAILED, 410 for CANCELLED.
+    error for FAILED, 410 for CANCELLED, 410
+    :class:`~repro.errors.JobExpiredError` once the job has expired.
 
 ``DELETE /jobs/{id}``
     Cancel: immediate for queued jobs, flagged (engine aborts at its next
@@ -37,6 +41,12 @@ shared :class:`~repro.service.queue.RunQueue`.  The API surface:
 
 ``GET /healthz``
     Liveness probe for scripts and CI.
+
+A job *expires* once :data:`~repro.service.queue.RETAINED_JOBS` newer
+jobs have finished: the queue drops its event log and result and keeps
+the status record, so ``GET /jobs`` and ``GET /jobs/{id}`` still answer
+200 for it (with ``"expired": true``).  A replay already under way holds
+its own reference to the log and still ends with the ``done`` frame.
 """
 
 from __future__ import annotations
@@ -47,12 +57,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
+from repro.engines.report import RunResult
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
-from repro.service.events import sse_frame
+from repro.service.events import JobEventLog, sse_frame
 from repro.service.jobs import Job, JobRequest, JobState
 from repro.service.queue import RunQueue
 
-__all__ = ["ServiceHandler", "ServiceServer"]
+__all__ = ["ServiceHandler", "ServiceServer", "MAX_BODY_BYTES"]
+
+#: largest ``POST /jobs`` body read; a JobRequest is well under 1 KiB
+MAX_BODY_BYTES = 64 * 1024
 
 
 def _json_safe(value: Any) -> Any:
@@ -73,9 +87,8 @@ def _json_safe(value: Any) -> Any:
     return str(value)
 
 
-def result_payload(job: Job) -> dict:
+def result_payload(job: Job, result: RunResult) -> dict:
     """The ``GET /jobs/{id}/result`` body for a DONE job."""
-    result = job.result
     b = result.breakdown
     return {
         "id": job.id,
@@ -126,6 +139,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": exc_type, "message": message},
                         extra_headers)
 
+    def _expired(self, job: Job) -> None:
+        self._error(
+            410, "JobExpiredError",
+            f"job {job.id} has expired: newer jobs finished and its "
+            f"events and result were released; GET /jobs/{job.id} still "
+            f"has its status",
+        )
+
     def _job_or_404(self, job_id: str) -> Job | None:
         try:
             return self.queue.get(job_id)
@@ -139,7 +160,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if urlsplit(self.path).path != "/jobs":
             self._error(404, "NotFound", f"no POST route {self.path!r}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._error(400, "BadRequest",
+                        "Content-Length must be a non-negative integer")
+            return
+        if length > MAX_BODY_BYTES:
+            self._error(413, "PayloadTooLarge",
+                        f"body of {length} bytes is over the "
+                        f"{MAX_BODY_BYTES}-byte limit")
+            return
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw or b"{}")
@@ -198,7 +231,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._error(400, "BadRequest",
                             "since must be a non-negative integer")
                 return
-            self._stream_events(job, since)
+            events = job.events  # once: a release may drop it any time
+            if events is None:
+                self._expired(job)
+            else:
+                self._stream_events(events, since)
             return
         if parts[2] == "result":
             self._send_result(job)
@@ -220,8 +257,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- bodies --------------------------------------------------------------
 
     def _send_result(self, job: Job) -> None:
-        if job.state == JobState.DONE:
-            self._send_json(200, result_payload(job))
+        result = job.result  # once: a release may drop it any time
+        if job.state == JobState.DONE and result is not None:
+            self._send_json(200, result_payload(job, result))
+        elif job.expired:
+            self._expired(job)
         elif job.state == JobState.FAILED:
             self._send_json(500, {"id": job.id, "state": job.state,
                                   "error": job.error})
@@ -235,8 +275,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 f"/jobs/{job.id}/events or poll until it is terminal",
             )
 
-    def _stream_events(self, job: Job, since: int) -> None:
-        """Tail the job's event log as an SSE stream until it closes.
+    def _stream_events(self, events: JobEventLog, since: int) -> None:
+        """Tail a job's event log as an SSE stream until it closes.
 
         Each wake-up of the tail is one batch of frames and one socket
         write; the bytes are those of writing the frames one by one.
@@ -250,7 +290,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         try:
-            for batch in job.events.batches(since=since, poll=1.0):
+            for batch in events.batches(since=since, poll=1.0):
                 self.wfile.write("".join(map(sse_frame, batch)).encode())
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):

@@ -36,7 +36,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.engines.base import EngineConfig
 from repro.engines.registry import available_engines, get_engine
@@ -231,8 +231,15 @@ class Job:
         self.id = job_id or _next_job_id()
         self.request = request
         self.priority = request.priority
-        self.events = JobEventLog()
+        #: the job's event log and result; both become ``None`` once
+        #: :meth:`release` drops them
+        self.events: JobEventLog | None = JobEventLog()
         self.result: RunResult | None = None
+        #: ``len(events)`` when the log was released
+        self.released_events = 0
+        #: called with the job once it is terminal, before ``wait()``
+        #: returns; the run queue sets it to age out finished jobs
+        self.on_terminal: Callable[["Job"], None] | None = None
         self.error: dict | None = None
         self.cache_hit = False
         #: ``"cache"`` (served from the result cache), ``"coalesced"``
@@ -263,6 +270,11 @@ class Job:
         return self._state in TERMINAL_STATES
 
     @property
+    def expired(self) -> bool:
+        """True once :meth:`release` dropped the event log and result."""
+        return self.events is None
+
+    @property
     def cancel_requested(self) -> bool:
         return self._cancel.is_set()
 
@@ -276,15 +288,19 @@ class Job:
             self._state = new_state
             self.events.append("state", state=new_state, job=self.id,
                                **event_args)
-            if new_state in TERMINAL_STATES:
-                self.finished_at = time.time()
-                self.events.append(
-                    "done", state=new_state, job=self.id,
-                    cache_hit=self.cache_hit,
-                    error=self.error,
-                )
-                self.events.close()
-                self._done.set()
+            if new_state not in TERMINAL_STATES:
+                return
+            self.finished_at = time.time()
+            self.events.append(
+                "done", state=new_state, job=self.id,
+                cache_hit=self.cache_hit,
+                error=self.error,
+            )
+            self.events.close()
+        # outside the job's lock: the hook may release another job
+        if self.on_terminal is not None:
+            self.on_terminal(self)
+        self._done.set()
 
     def mark_admitted(self) -> None:
         self.admitted_at = time.time()
@@ -314,12 +330,25 @@ class Job:
         """Flag the job; a running engine aborts at its next trace event."""
         self._cancel.set()
 
+    def release(self) -> None:
+        """Drop the event log and result of a finished job.
+
+        Only references go: a stream already replaying the log holds its
+        own and drains to its ``done`` frame.  The status record stays,
+        with the event count at release and ``expired`` set.
+        """
+        self.released_events = len(self.events)
+        # the log first: a reader that finds no result checks ``expired``
+        self.events = None
+        self.result = None
+
     def wait(self, timeout: float | None = None) -> bool:
         """Block until terminal; True when the job finished in time."""
         return self._done.wait(timeout)
 
     def as_dict(self) -> dict:
         """JSON-safe status view (the ``GET /jobs/{id}`` body)."""
+        events = self.events
         return {
             "id": self.id,
             "state": self._state,
@@ -334,7 +363,9 @@ class Job:
             "admitted_at": self.admitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "events": len(self.events),
+            "events": (self.released_events if events is None
+                       else len(events)),
+            "expired": self.expired,
         }
 
 

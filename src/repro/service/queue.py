@@ -35,6 +35,11 @@ The multiplexing layer between the job API and the engines.  A
   :class:`~repro.errors.JobCancelledError` while its ``with``-held
   executors tear down cleanly (no shared-memory leak — the stress test
   asserts ``active_shm_segments()`` empties);
+* **bounded history** — a finished job keeps its status record, but its
+  event log and result are released once :data:`RETAINED_JOBS` newer
+  jobs have reached a terminal state (completion order, every terminal
+  path counted), so the server's memory follows what is in flight, not
+  how many jobs it has served;
 * **clean shutdown** — jobs still QUEUED are cancelled with the typed
   :class:`~repro.errors.JobCancelledError` (never silently dropped, never
   hanging the server thread), running jobs either finish or — with
@@ -48,6 +53,7 @@ import heapq
 import itertools
 import os
 import threading
+from collections import deque
 
 from repro.engines.report import RunResult
 from repro.errors import (
@@ -62,12 +68,17 @@ from repro.service.jobs import Job, JobRequest, JobState, execute_request
 from repro.utils.cache import LruCache
 from repro.utils.units import fmt_bytes
 
-__all__ = ["RunQueue", "DEFAULT_CACHE_ENTRIES", "DEFAULT_SERVICE_MEMORY_BYTES",
-           "BASE_JOB_BYTES", "PER_WORKER_BYTES", "REAL_KERNEL_BYTES"]
+__all__ = ["RunQueue", "DEFAULT_CACHE_ENTRIES", "RETAINED_JOBS",
+           "DEFAULT_SERVICE_MEMORY_BYTES", "BASE_JOB_BYTES",
+           "PER_WORKER_BYTES", "REAL_KERNEL_BYTES"]
 
 #: default bound on cached results — entries are whole RunResults (per-rank
 #: arrays + alignments), so the cap is deliberately modest
 DEFAULT_CACHE_ENTRIES = 64
+
+#: finished jobs that keep their event log and result; an older one keeps
+#: only its status record (its events and result then answer 410)
+RETAINED_JOBS = 64
 
 #: default service memory budget jobs are admitted against (2 GiB)
 DEFAULT_SERVICE_MEMORY_BYTES = 2 * 1024 ** 3
@@ -134,6 +145,11 @@ class RunQueue:
             "submitted": 0, "executed": 0, "cache_hits": 0,
             "coalesced": 0, "failed": 0, "cancelled": 0, "rejected": 0,
         }
+        #: terminal jobs still holding their payload, oldest first; its
+        #: own lock, since a job turns terminal with ``_cond`` held or not
+        self._retained: deque[Job] = deque()
+        self._retain_lock = threading.Lock()
+        self._released = 0
         self._threads: list[threading.Thread] = []
         if start:
             self.start()
@@ -246,6 +262,7 @@ class RunQueue:
             )
         job = Job(request)
         job.budget = budget
+        job.on_terminal = self._retire
         with self._cond:
             if self._shutdown:
                 raise ServiceError("queue is shut down; not accepting jobs")
@@ -302,8 +319,11 @@ class RunQueue:
                 1 for j in self._jobs.values()
                 if j.state in (JobState.ADMITTED, JobState.RUNNING)
             )
+            with self._retain_lock:
+                released = self._released
             return {
                 **self._counters,
+                "released": released,
                 "backlog": len(self._heap),
                 "running": running,
                 "slots": self.slots,
@@ -314,6 +334,18 @@ class RunQueue:
                 "memory_high_water": self._mem.high_water,
                 "cache": self.cache.stats(),
             }
+
+    def _retire(self, job: Job) -> None:
+        """A job turned terminal: release the payload of the oldest ones.
+
+        Runs on every terminal transition, some with ``_cond`` held, so
+        it takes only the ring's own lock.
+        """
+        with self._retain_lock:
+            self._retained.append(job)
+            while len(self._retained) > RETAINED_JOBS:
+                self._retained.popleft().release()
+                self._released += 1
 
     # -- cancellation --------------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -35,6 +36,8 @@ from repro.service import (
     ServiceServer,
 )
 from repro.service import events as events_mod
+from repro.service import queue as queue_mod
+from repro.service.http import MAX_BODY_BYTES
 from repro.service.events import sse_frame
 
 WAIT = 120.0
@@ -368,6 +371,35 @@ def test_error_statuses(server, method, path, body, code):
     assert "error" in json.load(err.value)
 
 
+def _raw_post(server, headers: str) -> tuple[int, dict]:
+    """POST /jobs over a bare socket, header bytes exactly as given.
+
+    ``http.client`` rewrites ``Content-Length``; a raw socket does not.
+    No body is sent, so the server never closes on unread bytes.
+    """
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(f"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                     f"{headers}\r\n".encode())
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize("length,code,error", [
+    ("abc", 400, "BadRequest"),
+    ("-1", 400, "BadRequest"),
+    (str(MAX_BODY_BYTES + 1), 413, "PayloadTooLarge"),
+])
+def test_bad_content_length_is_answered_not_read(server, length, code,
+                                                 error):
+    status, body = _raw_post(server, f"Content-Length: {length}\r\n")
+    assert (status, body["error"]) == (code, error)
+    assert server.queue.stats()["submitted"] == 0
+
+
 def test_malformed_json_is_400(server):
     req = urllib.request.Request(server.url("/jobs"), data=b"{not json",
                                  method="POST")
@@ -379,6 +411,110 @@ def test_malformed_json_is_400(server):
 def test_healthz(server):
     status, body = _json(server.url("/healthz"))
     assert status == 200 and body["ok"] is True
+
+
+# -- bounded history ---------------------------------------------------------
+
+def _gone(server, path: str) -> dict:
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _request(server.url(path))
+    assert err.value.code == 410
+    return json.load(err.value)
+
+
+def _run_fresh(server, n: int, seed: int) -> list[dict]:
+    """``n`` distinct jobs, one after another; their final status."""
+    return [_poll_done(server, _submit(server, dict(GOLDEN_REQUEST,
+                                                    seed=seed + i))["id"])
+            for i in range(n)]
+
+
+def test_expired_job_answers_410_and_keeps_its_status(server, monkeypatch):
+    monkeypatch.setattr(queue_mod, "RETAINED_JOBS", 3)
+    k = 2
+    finals = _run_fresh(server, 3 + k, seed=300)
+    for final in finals[:k]:
+        job_id = final["id"]
+        for part in ("events", "result"):
+            assert _gone(server, f"/jobs/{job_id}/{part}")["error"] == \
+                "JobExpiredError"
+        status, now = _json(server.url(f"/jobs/{job_id}"))
+        assert status == 200 and now["expired"] is True
+        assert now["state"] == "DONE" and now["events"] == final["events"]
+    for final in finals[k:]:
+        status, result = _json(server.url(f"/jobs/{final['id']}/result"))
+        assert status == 200 and result["signature"]
+        assert _sse_events(server, final["id"])[-1]["data"]["state"] == \
+            "DONE"
+    _, listing = _json(server.url("/jobs"))
+    assert listing["stats"]["released"] == k
+    assert [j["expired"] for j in listing["jobs"]] == [True] * k + [False] * 3
+
+
+def test_listing_keeps_every_record_after_many_releases(server, monkeypatch):
+    monkeypatch.setattr(queue_mod, "RETAINED_JOBS", 3)
+    finals = _run_fresh(server, 3 * 3, seed=320)
+    _, listing = _json(server.url("/jobs"))
+    assert [j["id"] for j in listing["jobs"]] == [f["id"] for f in finals]
+    for job in listing["jobs"]:
+        assert job["created_at"] <= job["started_at"] <= job["finished_at"]
+    assert listing["stats"]["released"] == 6
+
+
+class _PausingWriter:
+    """Holds an SSE response after its headers until ``resume`` is set."""
+
+    def __init__(self, inner, headers_out, resume):
+        self.inner = inner
+        self.headers_out = headers_out
+        self.resume = resume
+
+    def write(self, data):
+        if b"text/event-stream" in data:
+            self.headers_out.set()
+            assert self.resume.wait(WAIT)
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_release_during_a_replay_keeps_the_stream_whole(server, monkeypatch):
+    """A replay that began before its job expired holds its own reference
+    to the log: the body is byte-identical to an unreleased replay."""
+    monkeypatch.setattr(queue_mod, "RETAINED_JOBS", 3)
+    job_id = _submit(server, WIRE_REQUESTS[0])["id"]
+    _poll_done(server, job_id)
+    with _request(server.url(f"/jobs/{job_id}/events")) as stream:
+        reference = stream.read()
+
+    headers_out, resume = threading.Event(), threading.Event()
+    setup = ServiceHandler.setup
+
+    def pausing_setup(handler):
+        setup(handler)
+        handler.wfile = _PausingWriter(handler.wfile, headers_out, resume)
+
+    monkeypatch.setattr(ServiceHandler, "setup", pausing_setup)
+    replay: list[bytes] = []
+
+    def client():
+        with _request(server.url(f"/jobs/{job_id}/events")) as stream:
+            replay.append(stream.read())
+
+    reader = threading.Thread(target=client)
+    reader.start()
+    try:
+        assert headers_out.wait(WAIT)
+        _run_fresh(server, 3, seed=340)  # three newer jobs: it expires
+        assert server.queue.get(job_id).events is None
+        assert _gone(server, f"/jobs/{job_id}/events")["error"] == \
+            "JobExpiredError"
+    finally:
+        resume.set()
+        reader.join(WAIT)
+    assert replay == [reference]
+    assert reference.rstrip().splitlines()[-3] == b"event: done"
 
 
 # -- the acceptance criterion ------------------------------------------------

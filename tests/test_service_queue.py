@@ -11,7 +11,10 @@ What docs/SERVICE.md promises and the service relies on:
 * shutdown cancels still-QUEUED jobs with the typed
   :class:`~repro.errors.JobCancelledError` instead of hanging (the PR's
   pinned fix), and a ≥16-job mixed stress run over 2 slots terminates
-  every job and leaks no shared-memory segments.
+  every job and leaks no shared-memory segments;
+* history is bounded — a finished job releases its event log and result
+  once ``RETAINED_JOBS`` newer jobs have finished, on every terminal
+  path, and keeps its status record.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
 from repro.runtime.executor import active_shm_segments
 from repro.service import JobRequest, JobState, RunQueue
+from repro.service import queue as queue_mod
 
 WAIT = 120.0  # generous terminal-wait bound; loaded CI boxes are slow
 
@@ -280,6 +284,81 @@ def test_shutdown_cancels_queued_jobs_with_typed_error_not_a_hang():
         assert job.events.closed
     assert q.stats()["cancelled"] == 4
     q.shutdown()  # idempotent
+
+
+# -- bounded history ---------------------------------------------------------
+
+def _holding(queue) -> list:
+    """Finished jobs that still hold an event log or a result."""
+    return [j for j in queue.jobs()
+            if j.done and (j.events is not None or j.result is not None)]
+
+
+def test_finished_jobs_release_their_payload_after_newer_ones(monkeypatch):
+    monkeypatch.setattr(queue_mod, "RETAINED_JOBS", 3)
+    k = 2
+    with RunQueue(slots=1) as q:  # one slot: completion order = FIFO
+        jobs = [q.submit(JobRequest(seed=200 + i)) for i in range(3 + k)]
+        _drain(q, jobs)
+        counts = [j.as_dict()["events"] for j in jobs]
+        old, newest = jobs[:k], jobs[k:]
+        for job in old:
+            assert job.expired and job.events is None and job.result is None
+            status = job.as_dict()
+            assert status["expired"] is True and status["state"] == "DONE"
+            assert status["finished_at"] is not None
+        assert [j.released_events for j in old] == counts[:k]
+        assert all(n > 4 for n in counts)  # 4 states + done, plus phases
+        for job in newest:
+            assert not job.expired and job.as_dict()["expired"] is False
+            assert job.events.closed and job.result.signature()
+        assert q.stats()["released"] == k
+
+
+def test_every_terminal_path_counts_toward_retention(monkeypatch):
+    """Fresh, coalesced, failed, cancelled, cache-hit and shutdown-drained
+    jobs all age out: no more than 3 finished jobs ever hold a payload."""
+    monkeypatch.setattr(queue_mod, "RETAINED_JOBS", 3)
+    peaks: list[int] = []
+
+    def checked(q):
+        retire = q._retire
+
+        def hook(job):
+            retire(job)
+            peaks.append(len(_holding(q)))
+
+        q._retire = hook  # read by submit for every new job
+        return q
+
+    q = checked(RunQueue(slots=1, start=False))
+    leader = q.submit(JobRequest(seed=210))
+    follower = q.submit(JobRequest(seed=210))
+    failing = q.submit(JobRequest(seed=211, faults="kill=r1@1ms"))
+    failing_follower = q.submit(JobRequest(seed=211, faults="kill=r1@1ms"))
+    doomed = q.submit(JobRequest(seed=212))
+    q.cancel(doomed.id)
+    q.start()
+    try:
+        _drain(q, [leader, follower, failing, failing_follower])
+        hit = q.submit(JobRequest(seed=210))
+        assert hit.wait(5.0)
+    finally:
+        q.shutdown()
+    assert follower.cache_source == "coalesced"
+    assert hit.cache_source == "cache"
+    assert failing.state == failing_follower.state == JobState.FAILED
+    assert doomed.state == JobState.CANCELLED
+    assert len(peaks) == 6 and max(peaks) <= 3
+    assert doomed.expired and leader.expired and follower.expired
+    assert q.stats()["released"] == 3
+
+    drained = checked(RunQueue(slots=1, start=False))
+    queued = [drained.submit(JobRequest(seed=220 + i)) for i in range(5)]
+    drained.shutdown()
+    assert {j.state for j in queued} == {JobState.CANCELLED}
+    assert [j.expired for j in queued] == [True, True, False, False, False]
+    assert max(peaks) <= 3 and drained.stats()["released"] == 2
 
 
 # -- concurrency stress ------------------------------------------------------
