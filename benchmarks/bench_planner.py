@@ -1,4 +1,4 @@
-"""Planner quality and parallel-grid speedup: predict, then run only the winner.
+"""Planner quality: predict, then run only the winner.
 
 The cost-model planner (docs/PLANNER.md) exists so a sweep does not have
 to measure every engine x knob combination before picking one.  This
@@ -10,17 +10,14 @@ benchmark quantifies the two claims behind ``--engine auto``:
   ``measured(top-1) / min(measured) - 1``; the acceptance bound is 10%
   and on the noise-isolated default allocation a cost hook evaluates the
   phase functions its engine charges, so the recorded regret is 0.
-* **Parallel grid speedup** — the exhaustive ground-truth pass runs the
-  grid twice, serial and through ``run_plan_points(parallel=...)``, and
-  checks the fanned-out results are bit-identical (same ``signature()``)
-  before reporting the wall-clock ratio.  The ratio is recorded, not
-  asserted: an 11-point macro grid is a few milliseconds of vector
-  arithmetic, less than starting a process pool (docs/PLANNER.md).
+* **Prediction error** — the top pick's measured wall against its
+  predicted wall; a cost hook that prices its engine's own phase
+  functions records 0.
 
-Also records ``assignment_seconds`` (the one cold render both passes
-share), ``plan_seconds`` (the cost of planning itself, warm — it must
-stay below the warm exhaustive pass it replaces) and the machine-cache
-hit counters.
+Also records ``assignment_seconds`` (the one cold render plan and the
+exhaustive pass share), ``plan_seconds`` (the cost of planning itself,
+warm — it must stay below the warm exhaustive pass it replaces) and the
+machine-cache hit counters.
 Writes ``BENCH_PLANNER.json`` at the repo root.  Also runnable
 standalone:
 
@@ -52,9 +49,9 @@ TINY = ("micro", (1, 2), 8)
 FULL = ("ecoli100x", (1, 4, 16, 64), 64)
 
 
-def _grid_pass(workload, nodes: int, cores: int, workers: int) -> dict:
-    """Plan one node count, then measure the whole grid twice (serial,
-    parallel) as ground truth for regret and the fan-out speedup.
+def _grid_pass(workload, nodes: int, cores: int) -> dict:
+    """Plan one node count, then measure the whole grid as ground truth
+    for regret and prediction error.
 
     The assignment is rendered first, on its own clock: plan and sweep
     both read it from the workload's per-P cache, so timing either one
@@ -71,17 +68,6 @@ def _grid_pass(workload, nodes: int, cores: int, workers: int) -> dict:
     t0 = time.perf_counter()
     serial = run_plan_points(workload, nodes, points, cores_per_node=cores)
     t_serial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    par = run_plan_points(workload, nodes, points, cores_per_node=cores,
-                          parallel=workers)
-    t_par = time.perf_counter() - t0
-
-    for a, b in zip(serial, par):
-        if (a is None) != (b is None) or \
-                (a is not None and a.signature() != b.signature()):
-            raise AssertionError(
-                f"parallel grid diverged from serial at {nodes} nodes")
 
     measured = {i: r.breakdown.wall_time
                 for i, r in enumerate(serial) if r is not None}
@@ -117,9 +103,6 @@ def _grid_pass(workload, nodes: int, cores: int, workers: int) -> dict:
         "prediction_error_top1": (top_wall / top.predicted_wall - 1.0
                                   if top.predicted_wall > 0 else 0.0),
         "exhaustive_serial_seconds": t_serial,
-        "exhaustive_parallel_seconds": t_par,
-        "parallel_speedup": t_serial / t_par if t_par > 0 else 1.0,
-        "parallel_workers": workers,
         "grid": grid,
     }
 
@@ -127,25 +110,21 @@ def _grid_pass(workload, nodes: int, cores: int, workers: int) -> dict:
 def sweep(name: str = FULL[0], node_counts=FULL[1],
           cores: int = FULL[2]) -> dict:
     workload = get_workload(name)
-    workers = min(4, os.cpu_count() or 1)
     clear_machine_cache()
 
-    per_nodes = [_grid_pass(workload, n, cores, workers)
-                 for n in node_counts]
+    per_nodes = [_grid_pass(workload, n, cores) for n in node_counts]
     cache = machine_cache_stats()
 
     rows = [[r["nodes"], r["top1"]["engine"],
              ",".join(f"{k}={v}" for k, v in r["top1"]["knobs"].items())
              or "-",
              f"{r['top1_regret']:.4f}",
-             f"{r['plan_seconds'] * 1e3:.1f}ms",
-             f"{r['parallel_speedup']:.2f}x"]
+             f"{r['plan_seconds'] * 1e3:.1f}ms"]
             for r in per_nodes]
     report = {
         "workload": name,
         "cores_per_node": cores,
         "cpus": os.cpu_count(),
-        "parallel_workers": workers,
         "regret_bound": REGRET_BOUND,
         "max_top1_regret": max(r["top1_regret"] for r in per_nodes),
         "max_abs_prediction_error": max(
@@ -156,8 +135,7 @@ def sweep(name: str = FULL[0], node_counts=FULL[1],
     return {
         "title": f"Planner regret: {name}, nodes={list(node_counts)}, "
                  f"{os.cpu_count()} cpus",
-        "columns": ["nodes", "winner", "knobs", "regret", "plan",
-                    "grid speedup"],
+        "columns": ["nodes", "winner", "knobs", "regret", "plan"],
         "rows": rows,
         "report": report,
     }

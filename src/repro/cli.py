@@ -12,9 +12,7 @@ Commands
 The ``--approach`` choices (``--engine`` is an alias) come straight from
 the engine registry — registering a new engine makes it runnable here with
 no CLI edits (docs/ARCHITECTURE.md).  ``--engine auto`` consults the
-cost-model planner and runs only the predicted winner (docs/PLANNER.md);
-``compare``/``sweep`` accept ``--parallel [N]`` to fan independent grid
-points over a process pool, bit-identical to the serial path.
+cost-model planner and runs only the predicted winner (docs/PLANNER.md).
 
 Examples
 --------
@@ -25,7 +23,7 @@ Examples
     python -m repro run --workload ecoli100x --nodes 16 --engine auto
     python -m repro plan --workload ecoli100x --nodes 16
     python -m repro compare --workload human_ccs --nodes 8
-    python -m repro sweep --workload ecoli100x --nodes 1 4 16 64 --parallel
+    python -m repro sweep --workload ecoli100x --nodes 1 4 16 64
 """
 
 from __future__ import annotations
@@ -121,27 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tasks per dispatched chunk for --backend "
                             "process (0 = split batches evenly)")
 
-    def parallel_arg(p):
-        p.add_argument("--parallel", nargs="?", const=True, default=False,
-                       type=int, metavar="N",
-                       help="fan independent grid points over a process "
-                            "pool (N workers; bare flag = one per core); "
-                            "bit-identical to the serial path, but "
-                            "--trace/--metrics cannot attach")
-
     p_cmp = sub.add_parser("compare",
                            help="run the macro engines side by side")
     common(p_cmp)
     fault_args(p_cmp)
     p_cmp.add_argument("--nodes", type=int, default=4)
-    parallel_arg(p_cmp)
 
     p_sweep = sub.add_parser("sweep", help="strong-scaling sweep")
     common(p_sweep)
     fault_args(p_sweep)
     p_sweep.add_argument("--nodes", type=int, nargs="+",
                          default=[1, 4, 16, 64])
-    parallel_arg(p_sweep)
 
     p_plan = sub.add_parser(
         "plan",
@@ -511,25 +499,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         tracer, metrics = _observability(args)
         try:
-            if args.approach == "auto":
-                if (args.kernel != "model" or args.backend != "serial"
-                        or args.workers != 1 or args.chunk_tasks != 0):
-                    raise ConfigurationError(
-                        "--kernel/--backend/--workers/--chunk-tasks apply "
-                        "to micro engines only; --engine auto plans over "
-                        "the macro engines (docs/PLANNER.md)"
-                    )
-            else:
-                info = get_engine(args.approach)
-                if not info.is_micro and (
-                        args.kernel != "model" or args.backend != "serial"
-                        or args.workers != 1 or args.chunk_tasks != 0):
-                    raise ConfigurationError(
-                        "--kernel/--backend/--workers/--chunk-tasks apply "
-                        f"to micro engines only; {args.approach!r} is a "
-                        f"{info.kind} engine (its analytic model never "
-                        "invokes the kernel)"
-                    )
             res = run_alignment(workload, args.nodes, args.approach,
                                 config=_config(args),
                                 cores_per_node=args.cores_per_node,
@@ -581,8 +550,7 @@ def main(argv: list[str] | None = None) -> int:
                                       cores_per_node=args.cores_per_node,
                                       tracer=tracer, metrics=metrics,
                                       fault_plan=fault_plan,
-                                      fault_seed=args.fault_seed,
-                                      parallel=args.parallel)
+                                      fault_seed=args.fault_seed)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -612,8 +580,7 @@ def main(argv: list[str] | None = None) -> int:
                                     cores_per_node=args.cores_per_node,
                                     tracer=tracer, metrics=sweep_metrics,
                                     fault_plan=fault_plan,
-                                    fault_seed=args.fault_seed,
-                                    parallel=args.parallel)
+                                    fault_seed=args.fault_seed)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -22,7 +22,6 @@ defaults to 8 (re-bound with :func:`set_workload_cache_cap`).
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from typing import Iterable
 
@@ -34,7 +33,7 @@ from repro.errors import ConfigurationError
 from repro.align.cost import MEAN_TASK_COST
 from repro.genome.datasets import DATASETS, synthesize_dataset
 from repro.machine.config import MachineSpec, cori_knl
-from repro.obs import MetricsRegistry, Tracer, set_default_tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.pipeline.sharded import DEFAULT_RESIDENT_SHARDS, ShardedWorkload
 from repro.pipeline.workload import ConcreteWorkload, StatisticalWorkload
 from repro.utils.cache import LruCache
@@ -48,6 +47,7 @@ __all__ = [
     "get_workload",
     "make_machine",
     "run_alignment",
+    "check_micro_knobs",
     "compare_engines",
     "scaling_sweep",
     "run_plan_points",
@@ -210,6 +210,33 @@ def _make_faults(fault_plan, fault_seed: int):
     return FaultInjector(fault_plan, fault_seed)
 
 
+def check_micro_knobs(approach: str, config: EngineConfig | None = None,
+                      kernel: str = "model") -> None:
+    """Reject kernel knobs on an engine that never runs the kernel.
+
+    ``kernel``, ``backend``, ``workers`` and ``chunk_tasks`` drive the
+    micro engines' X-drop kernel calls.  The macro engines price tasks
+    analytically and ``"auto"`` plans over them, so there the knobs would
+    silently do nothing.  :func:`run_alignment` and the service's
+    ``JobRequest.validate`` both ask here.
+    """
+    if approach == "auto":
+        why = "'auto' plans over the macro engines (docs/PLANNER.md)"
+    else:
+        info = get_engine(approach)
+        if info.is_micro:
+            return
+        why = (f"{approach!r} is a {info.kind} engine (its analytic model "
+               f"never invokes the kernel)")
+    if kernel != "model" or config is not None and (
+            config.backend != "serial" or config.workers != 1
+            or config.chunk_tasks != 0):
+        raise ConfigurationError(
+            f"kernel/backend/workers/chunk_tasks apply to micro engines "
+            f"only; {why}"
+        )
+
+
 def run_alignment(
     workload,
     nodes: int,
@@ -246,6 +273,7 @@ def run_alignment(
     top-ranked predicted plan runs, and predicted-vs-actual lands in
     ``result.details["plan"]`` (docs/PLANNER.md).
     """
+    check_micro_knobs(approach, config, kernel)
     if approach == "auto":
         return _run_auto(workload, nodes, config, cores_per_node, machine,
                          tracer, metrics, fault_plan, fault_seed, kernel)
@@ -326,54 +354,6 @@ def _run_auto(workload, nodes, config, cores_per_node, machine,
     return result
 
 
-# -- parallel grid fan-out ---------------------------------------------------
-
-
-def _grid_point_worker(payload) -> RunResult:
-    """Run one pre-rendered grid point in a pool worker.
-
-    The assignment arrives rendered from the parent (fork shares the
-    pages; the per-P LRU cache is *not* silently re-rendered per worker)
-    and the ambient tracer is cleared — observability sinks live in the
-    parent and cannot aggregate across processes.
-    """
-    name, assignment, machine, config, fault_plan, fault_seed = payload
-    set_default_tracer(None)
-    engine = get_engine(name).factory(
-        config=config if config is not None else EngineConfig()
-    )
-    faults = _make_faults(fault_plan, fault_seed)
-    return engine.run(assignment, machine, faults=faults)
-
-
-def _check_parallel_grid(names, tracer, metrics) -> None:
-    """Reject grid-parallel requests the fan-out cannot honor."""
-    if tracer is not None or metrics is not None:
-        raise ConfigurationError(
-            "parallel grid execution cannot attach a tracer or metrics "
-            "registry: observability sinks aggregate in-process; rerun "
-            "with parallel=False to trace or count"
-        )
-    for name in names:
-        if get_engine(name).kind == _registry.MICRO:
-            raise ConfigurationError(
-                f"approach {name!r} is a message-level (micro) engine; "
-                f"the parallel grid fans out macro runs only — run micro "
-                f"engines with parallel=False"
-            )
-
-
-def _resolve_workers(parallel, n_points: int) -> int:
-    """Worker count from a ``parallel=`` value (True = one per core)."""
-    # bool first: isinstance(True, int) is True, so True would int() to 1
-    workers = (os.cpu_count() or 1) if parallel is True else int(parallel)
-    if workers < 1:
-        raise ConfigurationError(
-            f"parallel= wants True or a worker count >= 1, got {parallel!r}"
-        )
-    return min(workers, max(1, n_points))
-
-
 def compare_engines(
     workload,
     nodes: int,
@@ -384,7 +364,6 @@ def compare_engines(
     fault_plan=None,
     fault_seed: int = 0,
     approaches: Iterable[str] | None = None,
-    parallel: bool | int = False,
 ) -> dict[str, RunResult]:
     """Run the macro approaches on identical fixed inputs (the paper's
     method).
@@ -395,29 +374,11 @@ def compare_engines(
     "processes" — a side-by-side timeline in Perfetto.  With a
     ``fault_plan``, each engine gets its own injector built from the same
     plan and seed — identical bad luck for all codes.
-
-    ``parallel=True`` (or a worker count) fans the independent engine
-    runs over a process pool — bit-identical to the serial path (the
-    golden-signature suite pins it), but tracers/metrics cannot attach.
     """
     names = (tuple(approaches) if approaches is not None
              else available_engines(kind=_registry.MACRO))
     for name in names:
         get_engine(name)  # fail fast on typos before running anything
-    if parallel:
-        from repro.runtime.executor import fanout_map
-
-        _check_parallel_grid(names, tracer, metrics)
-        machine = make_machine(nodes, cores_per_node)
-        # render once in the parent; workers inherit the pages via fork
-        assignment = workload.assignment(machine.total_ranks)
-        payloads = [
-            (name, assignment, machine, config, fault_plan, fault_seed)
-            for name in names
-        ]
-        results = fanout_map(_grid_point_worker, payloads,
-                             _resolve_workers(parallel, len(payloads)))
-        return dict(zip(names, results))
     return {
         name: run_alignment(workload, nodes, name, config, cores_per_node,
                             tracer=tracer, metrics=metrics,
@@ -436,7 +397,6 @@ def scaling_sweep(
     metrics: dict[int, MetricsRegistry] | None = None,
     fault_plan=None,
     fault_seed: int = 0,
-    parallel: bool | int = False,
 ) -> dict[str, dict[int, RunResult]]:
     """Strong-scaling sweep: results[approach][nodes] -> RunResult.
 
@@ -451,36 +411,11 @@ def scaling_sweep(
     Each workload assignment is rendered at most once per rank count: all
     approaches at a node count share the workload's per-P LRU cache entry
     (observable through ``workload.assignment_cache.stats()``).
-
-    ``parallel=True`` (or a worker count) fans the engine × node-count
-    grid over a process pool.  Assignments are still rendered once per
-    rank count — in the parent, before dispatch — and the results are
-    bit-identical to the serial sweep (pinned by the golden-signature
-    suite); tracers/metrics cannot attach in this mode.
     """
     names = (tuple(approaches) if approaches is not None
              else available_engines(kind=_registry.MACRO))
     for name in names:
         get_engine(name)  # fail fast on typos before running anything
-    if parallel:
-        from repro.runtime.executor import fanout_map
-
-        _check_parallel_grid(names, tracer, metrics)
-        payloads = []
-        for nodes in node_counts:
-            machine = make_machine(nodes, cores_per_node)
-            # one render per rank count, in the parent — the per-P LRU
-            # cache is not silently re-rendered inside every worker
-            assignment = workload.assignment(machine.total_ranks)
-            for name in names:
-                payloads.append((name, assignment, machine, config,
-                                 fault_plan, fault_seed))
-        results = fanout_map(_grid_point_worker, payloads,
-                             _resolve_workers(parallel, len(payloads)))
-        out = {a: {} for a in names}
-        for (name, _a, machine, *_rest), res in zip(payloads, results):
-            out[name][machine.nodes] = res
-        return out
     out: dict[str, dict[int, RunResult]] = {a: {} for a in names}
     for nodes in node_counts:
         node_metrics = None
@@ -507,7 +442,6 @@ def run_plan_points(
     cores_per_node: int = 64,
     fault_plan=None,
     fault_seed: int = 0,
-    parallel: bool | int = False,
 ) -> list[RunResult | None]:
     """Execute planner grid points; results align with ``points``.
 
@@ -515,30 +449,12 @@ def run_plan_points(
     (``benchmarks/bench_planner.py``): each feasible
     :class:`~repro.perf.planner.PlanPoint` runs through its engine with
     its knobs applied over ``config``; infeasible points yield ``None``.
-    ``parallel=`` fans the feasible points over the process pool exactly
-    like :func:`scaling_sweep` — one parent-rendered assignment, results
-    bit-identical to the serial path.
     """
     machine = make_machine(nodes, cores_per_node)
     base = config if config is not None else EngineConfig()
     runnable = [(i, p) for i, p in enumerate(points)
                 if getattr(p, "feasible", True)]
     results: list[RunResult | None] = [None] * len(points)
-    if parallel:
-        from repro.runtime.executor import fanout_map
-
-        _check_parallel_grid([p.engine for _, p in runnable], None, None)
-        assignment = workload.assignment(machine.total_ranks)
-        payloads = [
-            (p.engine, assignment, machine, p.apply(base),
-             fault_plan, fault_seed)
-            for _, p in runnable
-        ]
-        outs = fanout_map(_grid_point_worker, payloads,
-                          _resolve_workers(parallel, len(payloads)))
-        for (i, _p), res in zip(runnable, outs):
-            results[i] = res
-        return results
     for i, p in runnable:
         results[i] = run_alignment(
             workload, nodes, p.engine, p.apply(base), cores_per_node,

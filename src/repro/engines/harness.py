@@ -20,12 +20,11 @@ wiring once:
   the same prologue/epilogue pieces for the micro engines, whose per-rank
   machinery lives in :class:`repro.runtime.context.SpmdContext`.
 
-The context also carries the run's *compute backend*
-(:attr:`ExecutionContext.executor`, a
-:class:`repro.runtime.executor.TaskExecutor`): engines route real-kernel
-batches through it rather than calling the aligner directly, so a run can
-fan kernel work out to a process pool with zero engine-code changes
-(docs/PARALLEL.md).
+The micro engines route real-kernel batches through the *compute
+backend* :func:`resolve_executor` builds (a
+:class:`repro.runtime.executor.TaskExecutor`) rather than calling the
+aligner directly, so a run can fan kernel work out to a process pool with
+zero engine-code changes (docs/PARALLEL.md).
 
 New engines (see ``docs/ARCHITECTURE.md``) should never need to touch the
 observability or conservation plumbing: open a context, charge phases,
@@ -161,9 +160,6 @@ class ExecutionContext:
     net: NetworkModel
     noise: NoiseModel
     timers: PhaseTimers
-    #: compute backend for real-kernel batches; ``None`` for macro engines,
-    #: whose analytic models never invoke the kernel
-    executor: TaskExecutor | None = None
 
     @classmethod
     def open(
@@ -176,7 +172,6 @@ class ExecutionContext:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         faults=None,
-        executor: TaskExecutor | None = None,
     ) -> "ExecutionContext":
         """Validated prologue of a macro run."""
         if assignment.num_ranks != machine.total_ranks:
@@ -196,7 +191,6 @@ class ExecutionContext:
             noise=NoiseModel(machine, RngFactory(config.seed),
                              noise_fraction=config.noise_fraction),
             timers=PhaseTimers(machine.total_ranks),
-            executor=executor,
         )
 
     @property

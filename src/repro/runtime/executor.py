@@ -76,7 +76,6 @@ __all__ = [
     "SharedReadStore",
     "make_task_executor",
     "active_shm_segments",
-    "fanout_map",
 ]
 
 #: the valid ``EngineConfig.backend`` values
@@ -774,46 +773,3 @@ def make_task_executor(workload, aligner: SeedExtendAligner | None, *,
     return ProcessExecutor(workload, aligner, workers=workers,
                            chunk_tasks=chunk_tasks)
 
-
-# -- generic fan-out ---------------------------------------------------------
-
-
-def fanout_map(fn, payloads, workers: int) -> list:
-    """Run ``fn(payload)`` for every payload, fanned over a process pool.
-
-    The grid-parallel primitive behind ``scaling_sweep(parallel=...)`` and
-    ``compare_engines(parallel=...)``: payloads are independent, results
-    come back **in payload order**, and ``workers=1`` (or a single
-    payload) runs inline — no pool, no pickling — so the parallel path
-    degenerates to the serial one exactly.  Uses the same ``fork`` pool
-    context as the compute backends; a dead worker surfaces as the typed
-    :class:`~repro.errors.WorkerCrashError`, mirroring
-    :class:`ProcessExecutor`.
-
-    Unlike the compute backends there is no shared-memory plumbing here:
-    grid points ship a rendered workload assignment once (fork makes this
-    a no-copy page share on POSIX) and return a full ``RunResult``, whose
-    pickling cost is negligible next to an engine run.
-    """
-    payloads = list(payloads)
-    if workers < 1:
-        raise ConfigurationError(
-            f"fanout_map needs workers >= 1, got {workers}"
-        )
-    if not payloads:
-        return []
-    if workers == 1 or len(payloads) == 1:
-        return [fn(p) for p in payloads]
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(payloads)),
-            mp_context=_pool_context(),
-        ) as pool:
-            futures = [pool.submit(fn, p) for p in payloads]
-            return [fut.result() for fut in futures]
-    except BrokenProcessPool as exc:
-        raise WorkerCrashError(
-            f"a worker process died while running a "
-            f"{len(payloads)}-point grid (workers={workers}); rerun with "
-            f"parallel=False to isolate the failing point"
-        ) from exc

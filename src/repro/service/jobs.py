@@ -156,15 +156,11 @@ class JobRequest:
             raise ConfigurationError(
                 "shard_tasks must be >= 0 and max_resident_shards >= 1"
             )
-        cfg = self.engine_config()  # validates the overrides
+        from repro.core.api import check_micro_knobs
+
+        # engine_config() validates the overrides
+        check_micro_knobs(self.engine, self.engine_config(), self.kernel)
         micro = self.engine != "auto" and get_engine(self.engine).is_micro
-        if not micro and (self.kernel != "model" or cfg.backend != "serial"
-                          or cfg.workers != 1 or cfg.chunk_tasks != 0):
-            raise ConfigurationError(
-                "kernel/backend/workers/chunk_tasks apply to micro engines "
-                f"only; {self.engine!r} plans over analytic models that "
-                "never invoke the kernel"
-            )
         if micro and not DATASETS[self.workload].sequence_level:
             raise ConfigurationError(
                 f"engine {self.engine!r} is a message-level engine and "

@@ -11,6 +11,7 @@ from repro.core.api import (
     run_alignment,
     scaling_sweep,
 )
+from repro.engines.base import EngineConfig
 from repro.engines.report import PhaseTimers, RuntimeBreakdown
 from repro.errors import ConfigurationError, SimulationError
 from repro.machine.config import cori_knl
@@ -54,6 +55,21 @@ def test_run_alignment_unknown_approach():
     wl = get_workload("micro", seed=0)
     with pytest.raises(ConfigurationError):
         run_alignment(wl, 2, approach="mpi")
+
+
+@pytest.mark.parametrize("approach", ["bsp", "async", "hybrid", "auto"])
+@pytest.mark.parametrize("knob", [
+    {"kernel": "real"},
+    {"config": EngineConfig(backend="process")},
+    {"config": EngineConfig(workers=2)},
+    {"config": EngineConfig(chunk_tasks=5)},
+])
+def test_run_alignment_rejects_micro_knobs_on_macro_engines(approach, knob):
+    """Kernel knobs on an engine that never runs the kernel are an error,
+    not a model result with ``alignments=None``."""
+    wl = get_workload("micro", seed=0)
+    with pytest.raises(ConfigurationError, match="micro engines only"):
+        run_alignment(wl, 2, approach, cores_per_node=4, **knob)
 
 
 def test_run_alignment_explicit_machine():

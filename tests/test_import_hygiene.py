@@ -6,8 +6,9 @@ siblings; utils reaching up the stack), no flag-less ``np.unique`` in
 the assignment renderers, no cost hook calling a ``NetworkModel`` cost
 method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``,
 exactly one ``align_tasks`` call in ``engines/micro.py``, no scipy import
-anywhere, one task-row renderer under ``pipeline/``, and no hand-rolled
-LRU outside ``utils/cache.py`` and ``pipeline/sharded.py``.  The synthetic
+anywhere, one task-row renderer under ``pipeline/``, no hand-rolled
+LRU outside ``utils/cache.py`` and ``pipeline/sharded.py``, and no process
+pool built outside ``ProcessExecutor.__init__``.  The synthetic
 cases prove the checker actually detects what it claims to; subprocesses
 prove the public entry points load no scipy and that every runtime module
 imports first in a fresh interpreter.
@@ -280,6 +281,40 @@ def test_detects_hand_rolled_lru(tmp_path):
     assert problems[0].startswith("repro.service.cache:2 uses OrderedDict")
     assert problems[1].startswith("repro.service.cache:5 uses OrderedDict")
     assert problems[2].startswith("repro.service.cache:7 uses move_to_end")
+
+
+def test_detects_second_process_pool(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "runtime/__init__.py": "",
+        "runtime/executor.py": """\
+            from concurrent.futures import ProcessPoolExecutor
+            class ProcessExecutor:
+                def __init__(self, workers):
+                    self._pool = ProcessPoolExecutor(max_workers=workers)
+            def fanout_map(fn, payloads, workers):
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    return list(pool.map(fn, payloads))
+            """,
+        "core/__init__.py": "",
+        "core/api.py": """\
+            import multiprocessing
+            def grid(fn, points):
+                with multiprocessing.Pool(2) as pool:
+                    pool.map(fn, points)
+                ctx = multiprocessing.get_context("fork")
+                ctx.Pool(2)
+                multiprocessing.get_context("spawn").Pool(2)
+                return ChurnPool(points)
+            """,
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 4, problems
+    assert problems[0].startswith("repro.core.api:3 constructs a Pool")
+    assert problems[1].startswith("repro.core.api:6 constructs a Pool")
+    assert problems[2].startswith("repro.core.api:7 constructs a Pool")
+    assert problems[3].startswith(
+        "repro.runtime.executor:6 constructs a ProcessPoolExecutor")
 
 
 def test_cli_reaches_service_only_lazily():

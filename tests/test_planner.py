@@ -1,4 +1,4 @@
-"""Cost-model planner: predictions, ranking, regret, and the parallel grid."""
+"""Cost-model planner: predictions, ranking, regret, and the grid drivers."""
 
 import random
 
@@ -25,7 +25,6 @@ from repro.engines.registry import (
     register_cost_hook,
 )
 from repro.errors import ConfigurationError
-from repro.obs import Tracer
 from repro.perf.planner import (
     DEFAULT_KNOB_GRID,
     WorkloadStats,
@@ -251,52 +250,7 @@ def test_run_plan_points_aligns_with_points(workload, machine):
         assert (r is None) == (not p.feasible)
 
 
-# -- parallel grid ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("engine", available_engines(kind=MACRO))
-def test_parallel_sweep_bit_identical_per_engine(workload, engine):
-    serial = scaling_sweep(workload, [1, NODES], approaches=[engine],
-                           cores_per_node=CORES)
-    par = scaling_sweep(workload, [1, NODES], approaches=[engine],
-                        cores_per_node=CORES, parallel=2)
-    for nodes in (1, NODES):
-        assert serial[engine][nodes].signature() == \
-            par[engine][nodes].signature()
-
-
-def test_parallel_compare_bit_identical(workload):
-    serial = compare_engines(workload, NODES, cores_per_node=CORES)
-    par = compare_engines(workload, NODES, cores_per_node=CORES,
-                          parallel=True)
-    assert set(serial) == set(par)
-    for name in serial:
-        assert serial[name].signature() == par[name].signature()
-
-
-def test_parallel_run_plan_points_bit_identical(workload):
-    points = plan(workload, nodes=NODES, cores_per_node=CORES)
-    serial = run_plan_points(workload, NODES, points, cores_per_node=CORES)
-    par = run_plan_points(workload, NODES, points, cores_per_node=CORES,
-                          parallel=2)
-    for a, b in zip(serial, par):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.signature() == b.signature()
-
-
-def test_parallel_rejects_tracer_and_micro(workload):
-    with pytest.raises(ConfigurationError, match="tracer"):
-        compare_engines(workload, NODES, cores_per_node=CORES,
-                        tracer=Tracer(), parallel=True)
-    with pytest.raises(ConfigurationError, match="micro"):
-        compare_engines(workload, 1, cores_per_node=2,
-                        approaches=["bsp-micro"], parallel=True)
-
-
-def test_parallel_worker_count_validation(workload):
-    with pytest.raises(ConfigurationError, match="worker count >= 1"):
-        compare_engines(workload, NODES, cores_per_node=CORES, parallel=-2)
+# -- compare_engines ----------------------------------------------------------
 
 
 def test_compare_engines_fails_fast_on_typo(workload):
@@ -339,10 +293,3 @@ def test_cli_run_auto(capsys):
     out = capsys.readouterr().out
     assert "plan: predicted" in out
     assert "+0.000% error" in out
-
-
-def test_cli_sweep_parallel_rejects_trace(tmp_path):
-    rc = main(["sweep", "--workload", "micro", "--nodes", "1", "2",
-               "--cores-per-node", "4", "--parallel",
-               "--trace", str(tmp_path / "t.json")])
-    assert rc == 2

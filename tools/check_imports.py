@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Eight classes of violation, all enforced in CI (and mirrored by
+Nine classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -69,6 +69,15 @@ Eight classes of violation, all enforced in CI (and mirrored by
    eviction writes to disk and frees a memory ledger).  A private LRU was
    how the caches came to need a second, service-wide lock.
 
+9. **A second process pool.**  A ``ProcessPoolExecutor(``,
+   ``multiprocessing.Pool(`` or ``get_context(...).Pool(`` call anywhere
+   under ``repro/`` outside ``ProcessExecutor.__init__`` in
+   ``runtime/executor.py``.  Each pool is a fork site, and forking from a
+   process that already runs threads is the service's fork-safety
+   hazard; a grid fan-out once forked a pool per call and ran 4-12x
+   slower than the serial loop it replaced (docs/PLANNER.md "Why grids
+   run serially").
+
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
 """
@@ -119,6 +128,11 @@ RENDER_METHODS = ("assignment", "micro_plan")
 #: the only modules that may keep an LRU of their own, and what marks one
 LRU_MODULES = ("repro.utils.cache", "repro.pipeline.sharded")
 LRU_NAMES = ("OrderedDict", "move_to_end")
+
+#: the one place a process pool is constructed, and the callees that make one
+POOL_MODULE = "repro.runtime.executor"
+POOL_SITE = ("ProcessExecutor", "__init__")
+POOL_CONSTRUCTORS = ("ProcessPoolExecutor", "Pool")
 
 
 def module_name(path: Path, src_root: Path) -> str:
@@ -464,6 +478,39 @@ def hand_rolled_lru(src_root: Path) -> list[str]:
     return problems
 
 
+def pool_constructions(src_root: Path) -> list[str]:
+    """:data:`POOL_CONSTRUCTORS` calls outside :data:`POOL_SITE` of
+    :data:`POOL_MODULE`."""
+    problems: list[str] = []
+    for path in sorted((src_root / PACKAGE).rglob("*.py")):
+        name = module_name(path, src_root)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed: set[int] = set()
+        if name == POOL_MODULE:
+            cls_name, fn_name = POOL_SITE
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef) and cls.name == cls_name:
+                    for fn in cls.body:
+                        if (isinstance(fn, ast.FunctionDef)
+                                and fn.name == fn_name):
+                            allowed.update(map(id, ast.walk(fn)))
+        hits = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            callee = (node.func.attr if isinstance(node.func, ast.Attribute)
+                      else getattr(node.func, "id", None))
+            if callee in POOL_CONSTRUCTORS:
+                hits.add((node.lineno, callee))
+        for lineno, callee in sorted(hits):
+            problems.append(
+                f"{name}:{lineno} constructs a {callee}; the one process "
+                f"pool is ProcessExecutor's (a second pool is a second "
+                f"fork site)"
+            )
+    return problems
+
+
 def run(src_root: Path) -> list[str]:
     graph = build_graph(src_root)
     problems = [
@@ -476,6 +523,7 @@ def run(src_root: Path) -> list[str]:
     problems += banned_package_imports(src_root)
     problems += renderer_violations(src_root)
     problems += hand_rolled_lru(src_root)
+    problems += pool_constructions(src_root)
     return problems
 
 
@@ -490,7 +538,8 @@ def main(argv: list[str]) -> int:
               f"no banned imports, no flag-less np.unique in "
               f"pipeline/engines, no cost hook pricing a phase itself, "
               f"no shard-aware engine/runtime code, one kernel dispatch "
-              f"site, no scipy, one task-row renderer, no hand-rolled LRU")
+              f"site, no scipy, one task-row renderer, no hand-rolled LRU, "
+              f"one process pool")
     return 1 if problems else 0
 
 
