@@ -28,11 +28,11 @@ def main() -> None:
           f"genome {run.genome.size} bp")
 
     model = BellaModel(coverage=spec.coverage, error_rate=spec.error_rate, k=13)
-    candidates = CandidateGenerator(k=13, model=model).generate(reads)
+    tasks = CandidateGenerator(k=13, model=model).generate(reads)
     aligner = SeedExtendAligner(x_drop=20)
-    # all candidates extend together in one batched wavefront pass
-    alignments = aligner.align_candidates(reads, candidates)
-    print(f"{len(candidates)} candidates aligned (one batch)")
+    # all candidate rows extend together in one batched wavefront pass
+    alignments = aligner.align_candidates(reads, tasks, range(len(tasks)))
+    print(f"{len(tasks)} candidates aligned (one batch)")
 
     # keep alignments that clearly extend beyond the seed ("only those
     # alignments which meet or exceed the scoring criteria are saved")
@@ -40,12 +40,12 @@ def main() -> None:
     graph = nx.Graph()
     graph.add_nodes_from(range(len(reads)))
     kept = 0
-    for c, a in zip(candidates, alignments):
+    for ra, rb, a in zip(tasks.read_a.tolist(), tasks.read_b.tolist(), alignments):
         if a.score < min_score:
             continue
-        la, lb = int(reads.lengths[c.read_a]), int(reads.lengths[c.read_b])
+        la, lb = int(reads.lengths[ra]), int(reads.lengths[rb])
         graph.add_edge(
-            c.read_a, c.read_b,
+            ra, rb,
             score=a.score,
             kind=a.overlap_class(la, lb, slack=30),
             reverse=a.reverse,

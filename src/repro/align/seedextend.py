@@ -205,13 +205,14 @@ class SeedExtendAligner:
         )
 
     def align_candidate(self, reads, candidate) -> Alignment:
-        """Align a :class:`repro.kmer.seeds.Candidate` over a ReadSet."""
+        """Align a :class:`repro.pipeline.tasks.Candidate` over a ReadSet."""
         args = self._candidate_args(reads, candidate)
         return self.align(*args[:5], reverse=args[5],
                           read_a=args[6], read_b=args[7])
 
-    def align_candidates(self, reads, candidates) -> list[Alignment]:
-        """Batch-align many Candidates over a ReadSet (one wavefront pass)."""
+    def align_candidates(self, reads, tasks, rows) -> list[Alignment]:
+        """Batch-align ``rows`` of a :class:`repro.pipeline.tasks.TaskTable`
+        over a ReadSet (one wavefront pass)."""
         return self.align_batch(
-            [self._candidate_args(reads, c) for c in candidates]
+            [self._candidate_args(reads, tasks.candidate(i)) for i in rows]
         )

@@ -15,7 +15,7 @@ from repro.kmer.kmers import (
 )
 from repro.kmer.histogram import KmerHistogram, count_kmers
 from repro.kmer.bella import BellaModel, reliable_bounds
-from repro.kmer.seeds import SeedIndex, CandidateGenerator, Candidate
+from repro.kmer.seeds import SeedIndex, CandidateGenerator
 
 __all__ = [
     "KmerExtractor",
@@ -28,5 +28,4 @@ __all__ = [
     "reliable_bounds",
     "SeedIndex",
     "CandidateGenerator",
-    "Candidate",
 ]

@@ -61,11 +61,11 @@ class KmerHistogram:
         """Vectorized lookup: count of each query k-mer (0 when absent)."""
         queries = np.asarray(queries, dtype=np.uint64)
         idx = np.searchsorted(self.kmers, queries)
-        idx_clipped = np.minimum(idx, max(0, self.kmers.size - 1))
         out = np.zeros(queries.size, dtype=np.int64)
         if self.kmers.size:
-            hit = self.kmers[idx_clipped] == queries
-            out[hit] = self.counts[idx_clipped[hit]]
+            np.minimum(idx, self.kmers.size - 1, out=idx)
+            hit = self.kmers[idx] == queries
+            out[hit] = self.counts[idx[hit]]
         return out
 
     def filtered(self, lo: int, hi: int) -> "KmerHistogram":
@@ -84,8 +84,6 @@ class KmerHistogram:
             raise ValueError("cannot merge histograms with different k")
         allk = np.concatenate([self.kmers, other.kmers])
         allc = np.concatenate([self.counts, other.counts])
-        order = np.argsort(allk, kind="stable")
-        allk, allc = allk[order], allc[order]
         uniq, inverse = np.unique(allk, return_inverse=True)
         summed = np.zeros(uniq.size, dtype=np.int64)
         np.add.at(summed, inverse, allc)

@@ -38,16 +38,17 @@ def pack_kmers(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if n < k:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
 
-    windows = np.lib.stride_tricks.sliding_window_view(codes, k)
-    valid = (windows < 4).all(axis=1)
-    positions = np.nonzero(valid)[0].astype(np.int64)
-    if positions.size == 0:
-        return np.empty(0, dtype=np.uint64), positions
-
-    weights = (np.uint64(4) ** np.arange(k - 1, -1, -1, dtype=np.uint64))
-    packed = (windows[positions].astype(np.uint64) * weights).sum(
-        axis=1, dtype=np.uint64
-    )
+    # one shift-or pass per base, so memory stays O(n) rather than O(n * k)
+    m = n - k + 1
+    packed = np.zeros(m, dtype=np.uint64)
+    invalid = np.zeros(m, dtype=bool)
+    for j in range(k):
+        window = codes[j : j + m]
+        packed <<= np.uint64(2)
+        packed |= window & 3
+        invalid |= window > 3
+    positions = np.flatnonzero(~invalid)
+    packed = packed[positions]
     return packed, positions
 
 
@@ -123,24 +124,23 @@ class KmerExtractor:
         """All k-mers of a :class:`ReadSet`.
 
         Returns ``(kmers, read_indices, positions)`` — flat parallel arrays
-        across all reads; ``read_indices`` holds *local* read indices.
+        across all reads, read-major and by position within a read;
+        ``read_indices`` holds *local* read indices.  One vectorized pass
+        over the concatenated buffer, not one call per read.
         """
-        all_kmers, all_rids, all_pos = [], [], []
-        for i in range(len(reads)):
-            km, pos = self.extract(reads.codes(i))
-            if km.size:
-                all_kmers.append(km)
-                all_pos.append(pos)
-                all_rids.append(np.full(km.size, i, dtype=np.int64))
-        if not all_kmers:
-            empty64 = np.empty(0, dtype=np.uint64)
-            empty = np.empty(0, dtype=np.int64)
-            return empty64, empty, empty
-        return (
-            np.concatenate(all_kmers),
-            np.concatenate(all_rids),
-            np.concatenate(all_pos),
-        )
+        k = self.k
+        kmers, pos = pack_kmers(reads.buffer, k)
+        # drop the windows that straddle two reads
+        rids = np.searchsorted(reads.offsets, pos, side="right")
+        rids -= 1
+        keep = pos <= (reads.offsets[1:] - k)[rids]
+        kmers = kmers[keep]
+        rids = rids[keep]
+        pos = pos[keep]
+        pos -= reads.offsets[rids]
+        if self.canonical:
+            kmers = np.minimum(kmers, revcomp_packed(kmers, k))
+        return kmers, rids, pos
 
     def expected_kmers(self, genome_size: int, coverage: float) -> float:
         """Paper §2: O(genome_size x coverage) k-mers for the whole input."""

@@ -7,6 +7,13 @@ per candidate overlap", Table 1), "simulating expected advances in
 seed-selection techniques" — so the candidate generator deduplicates pairs
 and keeps the first shared seed's positions.
 
+The pairs are the nonzeros of the sparse product A·Aᵀ over the read × k-mer
+occurrence matrix A, the overlap detection diBELLA runs distributed.  Its
+serial form here is one sort and a segmented reduction: every occurrence
+pair of every retained k-mer is expanded as array rows, the rows are stably
+sorted by read pair, and each run keeps its first row (the seed) and its
+length (the number of shared seeds).
+
 Orientation: k-mers are canonicalized over strands, and each occurrence
 records whether the canonical form equals the read-local forward form.  A
 candidate whose two occurrences disagree is a *reverse-strand* candidate; the
@@ -22,40 +29,38 @@ import numpy as np
 
 from repro.genome.sequence import ReadSet
 from repro.kmer.bella import BellaModel
-from repro.kmer.histogram import KmerHistogram, count_kmers
-from repro.kmer.kmers import pack_kmers, revcomp_packed
+from repro.kmer.histogram import KmerHistogram
+from repro.kmer.kmers import KmerExtractor, pack_kmers, revcomp_packed
+from repro.pipeline.tasks import TaskTable
 from repro.utils.arrays import counts_to_offsets
 
-__all__ = ["Candidate", "SeedIndex", "CandidateGenerator"]
+__all__ = ["SeedIndex", "CandidateGenerator"]
+
+#: Occurrence pairs expanded into rows at once; each range of about this
+#: many pairs is reduced to its distinct read pairs before the next range
+#: is expanded, which bounds the transient memory of ``generate``.
+PAIR_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One candidate overlap: a read pair plus a single seed.
-
-    ``pos_a`` / ``pos_b`` are the seed start offsets in each read (``pos_b``
-    is on read b's forward strand even for reverse candidates; the aligner
-    performs the coordinate flip).  ``reverse`` marks opposite orientation.
-    """
-
-    read_a: int
-    read_b: int
-    pos_a: int
-    pos_b: int
-    k: int
-    reverse: bool = False
-    shared_seeds: int = 1
+def _orient(fwd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical forms of packed forward k-mers, and forward-form flags."""
+    rc = revcomp_packed(fwd, k)
+    return np.minimum(fwd, rc), fwd <= rc
 
 
 def extract_with_orientation(codes: np.ndarray, k: int):
     """Canonical k-mers + positions + forward-form flags for one read."""
     fwd, positions = pack_kmers(codes, k)
-    if fwd.size == 0:
-        return fwd, positions, np.empty(0, dtype=bool)
-    rc = revcomp_packed(fwd, k)
-    canon = np.minimum(fwd, rc)
-    is_fwd = fwd <= rc
+    canon, is_fwd = _orient(fwd, k)
     return canon, positions, is_fwd
+
+
+def _occurrences(reads: ReadSet, k: int):
+    """``(canonical k-mer, read index, position, forward flag)`` columns of
+    every k-mer of ``reads``, from one extraction pass."""
+    fwd, read_idx, pos = KmerExtractor(k=k, canonical=False).extract_readset(reads)
+    canon, is_fwd = _orient(fwd, k)
+    return canon, read_idx, pos, is_fwd
 
 
 class SeedIndex:
@@ -63,7 +68,8 @@ class SeedIndex:
 
     Flat parallel arrays sorted by k-mer: ``kmers``, ``read_idx``, ``pos``,
     ``is_fwd``; ``group_offsets`` delimits each distinct k-mer's occurrence
-    run (CSR layout over distinct k-mers in ``distinct``).
+    run (CSR layout over distinct k-mers in ``distinct``).  Within a run,
+    occurrences keep read-major, position-ascending order.
     """
 
     def __init__(self, kmers, read_idx, pos, is_fwd):
@@ -86,33 +92,12 @@ class SeedIndex:
         k: int,
         retained: KmerHistogram | None = None,
     ) -> "SeedIndex":
-        """Extract per-read canonical k-mers, keep those in ``retained``."""
-        all_k, all_r, all_p, all_f = [], [], [], []
-        for i in range(len(reads)):
-            km, pos, fwd = extract_with_orientation(reads.codes(i), k)
-            if km.size == 0:
-                continue
-            if retained is not None:
-                keep = retained.frequency_of(km) > 0
-                km, pos, fwd = km[keep], pos[keep], fwd[keep]
-            if km.size:
-                all_k.append(km)
-                all_r.append(np.full(km.size, i, dtype=np.int64))
-                all_p.append(pos)
-                all_f.append(fwd)
-        if not all_k:
-            return cls(
-                np.empty(0, dtype=np.uint64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=bool),
-            )
-        return cls(
-            np.concatenate(all_k),
-            np.concatenate(all_r),
-            np.concatenate(all_p),
-            np.concatenate(all_f),
-        )
+        """Extract canonical k-mers of all reads, keep those in ``retained``."""
+        occ = _occurrences(reads, k)
+        if retained is not None:
+            keep = retained.frequency_of(occ[0]) > 0
+            occ = [c[keep] for c in occ]
+        return cls(*occ)
 
     @property
     def num_occurrences(self) -> int:
@@ -121,6 +106,39 @@ class SeedIndex:
     @property
     def num_distinct(self) -> int:
         return int(self.distinct.size)
+
+
+def _first_per_pair(key, occ_a, occ_b, shared):
+    """Reduce pair rows to one per pair key: the first row of each key's
+    run under a stable sort, with ``shared`` summed over the run.
+
+    Stability is what keeps the first seed: rows arrive in loop
+    enumeration order, so each run starts with the pair's earliest seed.
+    """
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    rows = order[first]
+    return key[first], occ_a[rows], occ_b[rows], np.add.reduceat(shared[order], first)
+
+
+def _concat_first_per_pair(tables):
+    """Merge reduced tables, earlier ranges first, into one."""
+    return _first_per_pair(*(np.concatenate(c) for c in zip(*tables)))
+
+
+def _range_pairs(read_idx, occ, later, n_reads):
+    """The pairs of occurrence ``occ[i]`` with each of the ``later[i]``
+    occurrences after it, in that order, as one row per read pair:
+    ``(read-pair key, first occurrence a, first occurrence b, count)``."""
+    a = np.repeat(occ, later)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    # occurrence lists are read-major, so ra <= rb: pairs come normalized
+    ra, rb = read_idx[a], read_idx[b]
+    key = ra * n_reads + rb
+    distinct = ra != rb
+    return _first_per_pair(key[distinct], a[distinct], b[distinct],
+                           np.ones(np.count_nonzero(distinct), dtype=np.int64))
 
 
 @dataclass
@@ -149,63 +167,55 @@ class CandidateGenerator:
             return self.model.bounds()
         raise ValueError("CandidateGenerator needs either a model or bounds")
 
-    def histogram(self, reads: ReadSet) -> KmerHistogram:
-        return count_kmers(reads, k=self.k, canonical=True)
-
     def generate(
         self, reads: ReadSet, histogram: KmerHistogram | None = None
-    ) -> list[Candidate]:
-        """All candidate pairs with one seed each (deduplicated).
+    ) -> TaskTable:
+        """All candidate pairs with one seed each, as task-table columns.
 
-        Pairs are normalized to ``read_a < read_b`` (local indices); for each
-        pair the first shared seed in k-mer-sorted order is kept and the
-        total number of shared retained seeds is recorded.
+        Pairs are normalized to ``read_a < read_b`` (local indices) and
+        sorted by ``(read_a, read_b)``.  Enumerating, k-mer by k-mer in
+        sorted order, every pair ``i < j`` of each occurrence list of
+        length ``2..max_occurrences`` (row-major, self pairs skipped), a
+        pair keeps its first seed in that order; ``shared_seeds`` counts
+        all of them.  The pairs are expanded as rows and reduced by one
+        stable sort by pair (the serial A·Aᵀ), in ranges of about
+        ``PAIR_BLOCK`` rows.
         """
-        hist = histogram if histogram is not None else self.histogram(reads)
-        lo, hi = self._band()
-        retained = hist.filtered(lo, hi)
-        index = SeedIndex.build(reads, self.k, retained)
+        index = self._index(reads, histogram)
 
-        pair_first: dict[tuple[int, int], Candidate] = {}
+        # every kept occurrence pairs with each later one in its list
         offs = index.group_offsets
-        for g in range(index.num_distinct):
-            start, stop = int(offs[g]), int(offs[g + 1])
-            size = stop - start
-            if size < 2 or size > self.max_occurrences:
-                continue
-            rids = index.read_idx[start:stop]
-            poss = index.pos[start:stop]
-            fwds = index.is_fwd[start:stop]
-            for i in range(size):
-                for j in range(i + 1, size):
-                    a, b = int(rids[i]), int(rids[j])
-                    if a == b:
-                        continue  # same read sharing a k-mer with itself
-                    pa, pb = int(poss[i]), int(poss[j])
-                    fa, fb = bool(fwds[i]), bool(fwds[j])
-                    if a > b:
-                        a, b = b, a
-                        pa, pb = pb, pa
-                        fa, fb = fb, fa
-                    key = (a, b)
-                    existing = pair_first.get(key)
-                    if existing is None:
-                        pair_first[key] = Candidate(
-                            read_a=a,
-                            read_b=b,
-                            pos_a=pa,
-                            pos_b=pb,
-                            k=self.k,
-                            reverse=(fa != fb),
-                        )
-                    else:
-                        pair_first[key] = Candidate(
-                            read_a=existing.read_a,
-                            read_b=existing.read_b,
-                            pos_a=existing.pos_a,
-                            pos_b=existing.pos_b,
-                            k=existing.k,
-                            reverse=existing.reverse,
-                            shared_seeds=existing.shared_seeds + 1,
-                        )
-        return [pair_first[key] for key in sorted(pair_first)]
+        sizes = np.diff(offs)
+        sizes[(sizes < 2) | (sizes > self.max_occurrences)] = 0
+        occ_idx = np.flatnonzero(np.repeat(sizes > 0, np.diff(offs)))
+        later = np.repeat(offs[:-1] + sizes, sizes) - occ_idx - 1
+        ends = np.cumsum(later)
+        total = int(ends[-1]) if ends.size else 0
+        cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, total, PAIR_BLOCK))
+
+        n = max(len(reads), 1)
+        merged, pending = [], []
+        for start, stop in zip(np.r_[0, cuts], np.r_[cuts, occ_idx.size]):
+            pending.append(_range_pairs(index.read_idx, occ_idx[start:stop],
+                                        later[start:stop], n))
+            # fold the pending ranges in once they outgrow the merged table
+            pending_rows = sum(p[0].size for p in pending)
+            if pending_rows >= max(PAIR_BLOCK, sum(m[0].size for m in merged)):
+                merged, pending = [_concat_first_per_pair(merged + pending)], []
+        key, a, b, shared = _concat_first_per_pair(merged + pending)
+        return TaskTable(key // n, key % n, index.pos[a], index.pos[b],
+                         index.is_fwd[a] != index.is_fwd[b], self.k,
+                         shared_seeds=shared)
+
+    def _index(self, reads: ReadSet, histogram: KmerHistogram | None) -> SeedIndex:
+        """Seed index of the k-mers in the band, from one extraction pass
+        (which also yields the histogram when none is given).  Apart from
+        ``generate`` so the unfiltered columns are freed before the pairs
+        are expanded."""
+        lo, hi = self._band()
+        occ = _occurrences(reads, self.k)
+        if histogram is None:
+            histogram = KmerHistogram(*np.unique(occ[0], return_counts=True), self.k)
+        retained, histogram = histogram.filtered(lo, hi), None
+        keep = retained.frequency_of(occ[0]) > 0
+        return SeedIndex(*(c[keep] for c in occ))

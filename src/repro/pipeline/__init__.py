@@ -27,7 +27,7 @@ from repro.pipeline.partition import (
     check_ownership_invariant,
 )
 from repro.pipeline.sharded import ShardedWorkload, ShardStore
-from repro.pipeline.tasks import TaskTable
+from repro.pipeline.tasks import Candidate, TaskTable
 from repro.pipeline.workload import (
     WorkloadAssignment,
     ConcreteWorkload,
@@ -38,6 +38,7 @@ __all__ = [
     "partition_reads_by_size",
     "assign_tasks_balanced",
     "check_ownership_invariant",
+    "Candidate",
     "TaskTable",
     "WorkloadAssignment",
     "ConcreteWorkload",

@@ -9,15 +9,32 @@ pointer-based-container overhead is *modeled*, §4.6 / Figure 13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.kmer.seeds import Candidate
 from repro.utils.arrays import counts_to_offsets
 
-__all__ = ["TaskTable"]
+__all__ = ["Candidate", "TaskTable"]
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One task as a scalar record, for the scalar aligner API.
+
+    ``pos_a`` / ``pos_b`` are the seed start offsets in each read (``pos_b``
+    is on read b's forward strand even for reverse candidates; the aligner
+    performs the coordinate flip).  ``reverse`` marks opposite orientation.
+    """
+
+    read_a: int
+    read_b: int
+    pos_a: int
+    pos_b: int
+    k: int
+    reverse: bool = False
+    shared_seeds: int = 1
 
 
 @dataclass
@@ -27,7 +44,8 @@ class TaskTable:
     ``read_a``/``read_b`` are *global* read ids; ``pos_a``/``pos_b`` seed
     offsets; ``reverse`` orientation flags; ``k`` the (single) seed length.
     ``owner`` (assigned rank) and ``cost`` (estimated seconds) are filled in
-    by the partitioner / cost model and default to -1 / NaN.
+    by the partitioner / cost model; ``shared_seeds`` (retained k-mers the
+    pair shares) by the candidate generator.  Each is optional.
     """
 
     read_a: np.ndarray
@@ -38,6 +56,7 @@ class TaskTable:
     k: int
     owner: np.ndarray | None = None
     cost: np.ndarray | None = None
+    shared_seeds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.read_a = np.asarray(self.read_a, dtype=np.int64)
@@ -49,44 +68,30 @@ class TaskTable:
         for name in ("read_b", "pos_a", "pos_b", "reverse"):
             if getattr(self, name).size != n:
                 raise PartitionError(f"task array {name} length mismatch")
-        if self.owner is not None:
-            self.owner = np.asarray(self.owner, dtype=np.int64)
-            if self.owner.size != n:
-                raise PartitionError("owner array length mismatch")
-        if self.cost is not None:
-            self.cost = np.asarray(self.cost, dtype=np.float64)
-            if self.cost.size != n:
-                raise PartitionError("cost array length mismatch")
+        for name, dtype in (("owner", np.int64), ("cost", np.float64),
+                            ("shared_seeds", np.int64)):
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+                if getattr(self, name).size != n:
+                    raise PartitionError(f"{name} array length mismatch")
 
     def __len__(self) -> int:
         return int(self.read_a.size)
 
-    @classmethod
-    def from_candidates(cls, candidates: list[Candidate], k: int | None = None) -> "TaskTable":
-        if candidates:
-            kk = candidates[0].k if k is None else k
-        else:
-            kk = 17 if k is None else k
-        return cls(
-            read_a=np.array([c.read_a for c in candidates], dtype=np.int64),
-            read_b=np.array([c.read_b for c in candidates], dtype=np.int64),
-            pos_a=np.array([c.pos_a for c in candidates], dtype=np.int64),
-            pos_b=np.array([c.pos_b for c in candidates], dtype=np.int64),
-            reverse=np.array([c.reverse for c in candidates], dtype=bool),
-            k=kk,
+    def candidate(self, i: int) -> Candidate:
+        """Row ``i`` as a scalar :class:`Candidate`."""
+        return Candidate(
+            int(self.read_a[i]), int(self.read_b[i]),
+            int(self.pos_a[i]), int(self.pos_b[i]), self.k,
+            bool(self.reverse[i]),
+            1 if self.shared_seeds is None else int(self.shared_seeds[i]),
         )
 
     def with_owner(self, owner: np.ndarray) -> "TaskTable":
-        return TaskTable(
-            self.read_a, self.read_b, self.pos_a, self.pos_b, self.reverse,
-            self.k, owner=owner, cost=self.cost,
-        )
+        return replace(self, owner=owner)
 
     def with_cost(self, cost: np.ndarray) -> "TaskTable":
-        return TaskTable(
-            self.read_a, self.read_b, self.pos_a, self.pos_b, self.reverse,
-            self.k, owner=self.owner, cost=cost,
-        )
+        return replace(self, cost=cost)
 
     def tasks_of_rank(self, rank: int) -> np.ndarray:
         """Indices of tasks assigned to ``rank``."""

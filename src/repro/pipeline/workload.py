@@ -358,9 +358,7 @@ class ConcreteWorkload(TaskRowWorkload):
         from repro.align.seedextend import SeedExtendAligner
         from repro.kmer.seeds import CandidateGenerator
 
-        gen = CandidateGenerator(k=k, model=bella_model, bounds=bounds)
-        candidates = gen.generate(reads)
-        tasks = TaskTable.from_candidates(candidates, k=k)
+        tasks = CandidateGenerator(k=k, model=bella_model, bounds=bounds).generate(reads)
         cm = cost_model or AlignmentCostModel(x_drop=x_drop)
 
         # geometric estimate: the seed caps how far each extension can run
@@ -385,9 +383,7 @@ class ConcreteWorkload(TaskRowWorkload):
             measured = np.array(
                 [
                     al.cells
-                    for al in aligner.align_candidates(
-                        reads, [candidates[int(i)] for i in idx]
-                    )
+                    for al in aligner.align_candidates(reads, tasks, idx)
                 ],
                 dtype=np.float64,
             )

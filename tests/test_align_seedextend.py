@@ -43,7 +43,9 @@ def test_noisy_overlap_still_extends():
 
     reads = ReadSet.from_codes([a, b])
     cands = CandidateGenerator(k=13, bounds=(1, 64)).generate(reads)
-    c = next(c for c in cands if (c.read_a, c.read_b) == (0, 1))
+    # two reads: the one candidate is the pair (0, 1)
+    assert (cands.read_a.tolist(), cands.read_b.tolist()) == ([0], [1])
+    c = cands.candidate(0)
     res = SeedExtendAligner(x_drop=20).align_candidate(reads, c)
     # should recover the bulk of the ~600bp overlap despite ~20% divergence
     assert res.aligned_length_a > 300

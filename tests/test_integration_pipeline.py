@@ -29,6 +29,10 @@ def candidates(run):
     return gen.generate(run.reads)
 
 
+def pairs_of(tasks):
+    return list(zip(tasks.read_a.tolist(), tasks.read_b.tolist()))
+
+
 def genome_overlap(reads, i, j):
     """True genomic overlap length of reads i and j (from ground truth)."""
     a0, a1 = int(reads.origins[i]), int(reads.origin_ends[i])
@@ -40,8 +44,8 @@ def test_candidates_are_mostly_true_overlaps(run, candidates):
     """Reliable shared k-mers should select genuinely overlapping reads."""
     assert len(candidates) > 50
     true = sum(
-        1 for c in candidates
-        if genome_overlap(run.reads, c.read_a, c.read_b) >= 13
+        1 for a, b in pairs_of(candidates)
+        if genome_overlap(run.reads, a, b) >= 13
     )
     # repeat copies share k-mers without sharing genome coordinates, so a
     # tail of repeat-induced candidates is expected (that is exactly why
@@ -51,7 +55,7 @@ def test_candidates_are_mostly_true_overlaps(run, candidates):
 
 def test_candidates_recall_long_overlaps(run, candidates):
     """Pairs overlapping by >= 300 bp should mostly be discovered."""
-    found = {(c.read_a, c.read_b) for c in candidates}
+    found = set(pairs_of(candidates))
     reads = run.reads
     long_pairs = missed = 0
     for i in range(len(reads)):
@@ -68,7 +72,7 @@ def test_alignments_recover_overlap_extent(run, candidates):
     """Alignment extents should track the true genomic overlap length."""
     aligner = SeedExtendAligner(x_drop=20)
     ratios = []
-    for c in candidates[:60]:
+    for c in map(candidates.candidate, range(min(60, len(candidates)))):
         true_len = genome_overlap(run.reads, c.read_a, c.read_b)
         if true_len < 200:
             continue
@@ -83,7 +87,8 @@ def test_alignment_scores_separate_true_from_false(run, candidates):
     """Scores on true overlaps must dominate scores on random pairs."""
     aligner = SeedExtendAligner(x_drop=15)
     true_scores = [
-        aligner.align_candidate(run.reads, c).score for c in candidates[:40]
+        aligner.align_candidate(run.reads, candidates.candidate(i)).score
+        for i in range(min(40, len(candidates)))
     ]
     # synthesize false candidates: random read pairs with a fake seed at 0
     rng = np.random.default_rng(0)
@@ -111,11 +116,11 @@ def test_bella_band_improves_candidate_precision(run):
     filtered = CandidateGenerator(k=13, model=model).generate(run.reads, hist)
 
     def precision(cands):
-        if not cands:
+        if not len(cands):
             return 1.0
         true = sum(
-            1 for c in cands
-            if genome_overlap(run.reads, c.read_a, c.read_b) >= 13
+            1 for a, b in pairs_of(cands)
+            if genome_overlap(run.reads, a, b) >= 13
         )
         return true / len(cands)
 
@@ -126,10 +131,9 @@ def test_bella_band_improves_candidate_precision(run):
 
 def test_reverse_candidates_exist_and_align(run, candidates):
     """Both-strand sampling must produce reverse-orientation candidates."""
-    reverse = [c for c in candidates if c.reverse]
-    forward = [c for c in candidates if not c.reverse]
-    assert reverse and forward
+    reverse = np.flatnonzero(candidates.reverse)
+    assert 0 < reverse.size < len(candidates)
     aligner = SeedExtendAligner(x_drop=20)
-    res = aligner.align_candidate(run.reads, reverse[0])
+    res = aligner.align_candidate(run.reads, candidates.candidate(reverse[0]))
     assert res.reverse
     assert res.score >= 13

@@ -1,11 +1,12 @@
 """Tests for the TaskTable structure-of-arrays container."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import PartitionError
-from repro.kmer.seeds import Candidate
-from repro.pipeline.tasks import TaskTable
+from repro.pipeline.tasks import Candidate, TaskTable
 
 
 def make_table():
@@ -26,21 +27,21 @@ def test_len_and_fields():
     assert t.reverse.dtype == bool
 
 
-def test_from_candidates():
-    cands = [
-        Candidate(read_a=0, read_b=2, pos_a=1, pos_b=3, k=11, reverse=True),
-        Candidate(read_a=1, read_b=3, pos_a=0, pos_b=0, k=11),
-    ]
-    t = TaskTable.from_candidates(cands)
-    assert len(t) == 2
-    assert t.k == 11
-    assert t.read_a.tolist() == [0, 1]
-    assert t.reverse.tolist() == [True, False]
+def test_candidate_is_the_scalar_view_of_a_row():
+    t = make_table()
+    c = t.candidate(1)
+    assert c == Candidate(read_a=1, read_b=2, pos_a=0, pos_b=3, k=13,
+                          reverse=True, shared_seeds=1)
+    assert type(c.read_a) is int and type(c.reverse) is bool
+    seeded = replace(t, shared_seeds=[4, 5, 6, 7])
+    assert seeded.candidate(2).shared_seeds == 6
+    # the optional columns ride along when owner or cost is set
+    assert seeded.with_owner(np.zeros(4)).with_cost(np.ones(4)).shared_seeds.tolist() == [4, 5, 6, 7]
 
 
-def test_from_candidates_empty():
-    t = TaskTable.from_candidates([], k=17)
-    assert len(t) == 0 and t.k == 17
+def test_shared_seeds_length_mismatch_rejected():
+    with pytest.raises(PartitionError, match="shared_seeds"):
+        replace(make_table(), shared_seeds=[1, 2])
 
 
 def test_length_mismatch_rejected():
