@@ -63,6 +63,19 @@ def _occurrences(reads: ReadSet, k: int):
     return canon, read_idx, pos, is_fwd
 
 
+def _in_band(kmers: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Whether each occurrence's k-mer occurs ``lo..hi`` times in ``kmers``.
+
+    The counts come in sorted k-mer order, one per run of equal sorted
+    k-mers; each is tested once and spread back over its run's
+    occurrences through an argsort.
+    """
+    counts = np.unique(kmers, return_counts=True)[1]
+    keep = np.empty(kmers.size, dtype=bool)
+    keep[np.argsort(kmers)] = np.repeat((counts >= lo) & (counts <= hi), counts)
+    return keep
+
+
 class SeedIndex:
     """Occurrence lists of retained k-mers across a read set.
 
@@ -209,13 +222,13 @@ class CandidateGenerator:
 
     def _index(self, reads: ReadSet, histogram: KmerHistogram | None) -> SeedIndex:
         """Seed index of the k-mers in the band, from one extraction pass
-        (which also yields the histogram when none is given).  Apart from
+        (whose k-mers ``_in_band`` counts when no histogram is given).  Apart from
         ``generate`` so the unfiltered columns are freed before the pairs
         are expanded."""
         lo, hi = self._band()
         occ = _occurrences(reads, self.k)
         if histogram is None:
-            histogram = KmerHistogram(*np.unique(occ[0], return_counts=True), self.k)
-        retained, histogram = histogram.filtered(lo, hi), None
-        keep = retained.frequency_of(occ[0]) > 0
+            keep = _in_band(occ[0], lo, hi)
+        else:
+            keep = histogram.filtered(lo, hi).frequency_of(occ[0]) > 0
         return SeedIndex(*(c[keep] for c in occ))

@@ -96,8 +96,9 @@ def check_trace(tracer: Tracer, wall_time: float,
     """
     if pid is None:
         pid = max(tracer.current_pid, 0)
-    ranks = tracer.ranks(pid)
-    if num_ranks is not None:
+    if num_ranks is None:
+        ranks = tracer.ranks(pid)
+    else:
         ranks = list(range(num_ranks))
     index = {r: i for i, r in enumerate(ranks)}
     totals = np.zeros(len(ranks), dtype=np.float64)

@@ -37,9 +37,13 @@ __all__ = [
 ENGINE_LANE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseEvent:
-    """Time charged to a breakdown category on one rank's lane."""
+    """Time charged to a breakdown category on one rank's lane.
+
+    Slotted: a traced micro job records thousands, and the service keeps
+    the same objects as its job log's ``phase`` entries.
+    """
 
     pid: int
     rank: int

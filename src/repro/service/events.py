@@ -5,19 +5,26 @@ Three pieces:
 * :class:`JobEventLog` — an append-only, capped, thread-safe event log
   with blocking iteration.  Every job owns one; the HTTP layer's SSE
   endpoint replays it from any sequence number and then tails it live,
-  one batch of new events per wake-up.
-* :func:`sse_frame` — one event as the Server-Sent Events frame the HTTP
-  layer writes, with a direct renderer for the dominant ``phase`` kind.
+  one batch of new events per wake-up.  A forwarded ``phase`` entry is
+  the tracer's own :class:`~repro.obs.events.PhaseEvent` (its ``seq`` is
+  its index); every other kind is a dict.  Clients reading through
+  :meth:`~JobEventLog.snapshot` or :meth:`~JobEventLog.stream` get a
+  phase's dict built on read.
+* :func:`sse_frame` — one log entry as the Server-Sent Events frame the
+  HTTP layer writes; a phase record is rendered straight from its fields.
 * :class:`ProgressTracer` — a :class:`repro.obs.Tracer` subclass the queue
-  attaches to every executed run.  It records events exactly as the plain
-  tracer does (so run-exit conservation checks still re-sum the stream),
-  *and* forwards a service-facing digest into the job's event log: phase
-  starts, fault injections, churn membership/migration events,
-  periodic percent-complete estimates against the planner's predicted
-  wall when one is available, and — for real-kernel micro jobs — one
-  ``alignments_resolved`` progress event per kernel call of the flush
-  that follows the simulation.  It is also the cancellation hook: every
-  record call checks the job's cancel flag and raises the typed
+  attaches to every executed run.  It keeps what the service reads and
+  nothing else: each phase once, as one slotted ``PhaseEvent`` that the
+  run-exit conservation check re-sums and the job log shares, plus the
+  instants and counters it forwards.  RPC issue/callback instants,
+  superstep boundaries and window counters are dropped at the call.
+  Into the job's log it forwards phase records, fault injections, churn
+  membership/migration events, periodic percent-complete estimates
+  against the planner's predicted wall when one is available, and — for
+  real-kernel micro jobs — one ``alignments_resolved`` progress event
+  per kernel call of the flush that follows the simulation.  It is also
+  the cancellation hook: every record call, kept or dropped, checks the
+  job's cancel flag and raises the typed
   :class:`~repro.errors.JobCancelledError`, which aborts the engine
   mid-run while its ``with``-held executors tear down cleanly.
 
@@ -30,13 +37,14 @@ golden-signature suite).
 
 from __future__ import annotations
 
-import functools
 import json
 import threading
+from itertools import count
 from math import isfinite
 from typing import Any, Iterator
 
 from repro.errors import ConfigurationError, JobCancelledError
+from repro.obs.events import PhaseEvent
 from repro.obs.tracer import Tracer
 
 __all__ = ["JobEventLog", "ProgressTracer", "sse_frame",
@@ -67,28 +75,47 @@ _ALWAYS_KEPT = ("state", "done", "truncated")
 #: event of any other kind (a ``progress`` every PROGRESS_EVERY phases)
 _DEFERRED = "phase"
 
-#: a forwarded ``phase`` event's keys, in the order ProgressTracer builds
-_PHASE_KEYS = ("rank", "category", "name", "sim_start", "sim_end", "seq",
-               "event")
 
-#: ``json.dumps`` of phase categories and names: a run repeats a handful
-_json_str = functools.lru_cache(maxsize=1024)(json.dumps)
+def _json_str(text: str) -> str:
+    """``json.dumps(text)``, quoted directly when nothing needs escaping.
+
+    ``json.dumps`` escapes ``"``, ``\\`` and every character outside
+    printable ASCII (``" "`` to ``"~"``); a string of only the others is
+    its own JSON body.
+    """
+    if (text.isascii() and text.isprintable()
+            and '"' not in text and "\\" not in text):
+        return f'"{text}"'
+    return json.dumps(text)
 
 
-def sse_frame(event: dict) -> str:
+def _as_dict(seq: int, entry: dict | PhaseEvent) -> dict:
+    """A log entry as clients read it; a phase record's dict is built."""
+    if type(entry) is dict:
+        return entry
+    return {"rank": int(entry.rank), "category": entry.category,
+            "name": entry.name or entry.category,
+            "sim_start": float(entry.start), "sim_end": float(entry.end),
+            "seq": seq, "event": "phase"}
+
+
+def sse_frame(entry: dict | PhaseEvent, seq: int | None = None) -> str:
     """One Server-Sent Events frame: kind, ``seq`` as the id, JSON data.
 
-    Always the bytes of ``json.dumps(event)`` in the data line.  A
-    ``phase`` event as :class:`ProgressTracer` forwards it — 98 % of a
-    micro job's frames — is rendered directly (``float.__repr__`` is what
-    ``json.dumps`` writes for a finite float); any other kind, key set,
-    value type or a non-finite float goes through ``json.dumps``.
+    Always the bytes of ``json.dumps`` of the entry's client dict in the
+    data line.  A dict carries its own ``seq``; a phase record is the
+    entry at index ``seq`` of its log — 98 % of a micro job's frames —
+    and is rendered directly (``float.__repr__`` is what ``json.dumps``
+    writes for a finite float).  A non-finite time or a non-``str``
+    category or name goes through ``json.dumps``.
     """
-    if event["event"] == "phase" and tuple(event) == _PHASE_KEYS:
-        rank, category, name, start, end, seq, _ = event.values()
-        if (type(rank) is int and type(seq) is int
-                and type(category) is str and type(name) is str
-                and type(start) is float and type(end) is float
+    if type(entry) is PhaseEvent:
+        rank = int(entry.rank)
+        category = entry.category
+        name = entry.name or category
+        start = float(entry.start)
+        end = float(entry.end)
+        if (type(category) is str and type(name) is str
                 and isfinite(start) and isfinite(end)):
             return (
                 f'event: phase\nid: {seq}\ndata: {{"rank": {rank}, '
@@ -96,18 +123,20 @@ def sse_frame(event: dict) -> str:
                 f'"name": {_json_str(name)}, "sim_start": {start!r}, '
                 f'"sim_end": {end!r}, "seq": {seq}, "event": "phase"}}\n\n'
             )
-    return (f"event: {event['event']}\nid: {event['seq']}\n"
-            f"data: {json.dumps(event)}\n\n")
+        entry = _as_dict(seq, entry)
+    return (f"event: {entry['event']}\nid: {entry['seq']}\n"
+            f"data: {json.dumps(entry)}\n\n")
 
 
 class JobEventLog:
     """Append-only capped event list with blocking tail iteration.
 
-    Events are dicts carrying at least ``seq`` and ``event`` (the kind).
-    Every append that lands — the one ``truncated`` marker included —
-    adds exactly one entry with the next ``seq``, so an event's ``seq``
-    is its index in the log and a tail reads a slice of ``events``
-    instead of rescanning the history.  ``close()`` marks the log
+    An entry is a forwarded phase's :class:`PhaseEvent`, or a dict
+    carrying at least ``seq`` and ``event`` (the kind).  Every append
+    that lands — the one ``truncated`` marker included — adds exactly
+    one entry with the next ``seq``, so an event's ``seq`` is its index
+    in the log and a tail reads a slice of ``events`` instead of
+    rescanning the history.  ``close()`` marks the log
     terminal: tailing iterators drain what remains and stop instead of
     blocking forever.
 
@@ -118,7 +147,7 @@ class JobEventLog:
     """
 
     def __init__(self, cap: int = DEFAULT_EVENT_CAP):
-        self._events: list[dict] = []
+        self._events: list[dict | PhaseEvent] = []
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         #: tailers blocked in ``wait``: appends notify only when one is
@@ -132,20 +161,22 @@ class JobEventLog:
     def append(self, kind: str, /, **payload: Any) -> None:
         self.append_event(kind, payload)
 
-    def append_event(self, kind: str, event: dict) -> None:
-        """Append ``event`` (the log takes ownership and stamps it).
+    def append_event(self, kind: str, event: dict | PhaseEvent) -> None:
+        """Append ``event``; the log takes ownership.
 
-        ``seq`` and ``event`` are set on the dict itself, so they win
-        over payload keys of the same name and a key the payload lacks
-        lands after the payload's own keys.
+        A :class:`PhaseEvent` is kept as it is: its index is its ``seq``
+        and its dict is built on read.  A dict gets ``seq`` and ``event``
+        set on itself, so they win over payload keys of the same name
+        and a key the payload lacks lands after the payload's own keys.
         """
         with self._lock:
             if self.closed:
                 return
             events = self._events
             if len(events) < self._cap or kind in _ALWAYS_KEPT:
-                event["seq"] = len(events)
-                event["event"] = kind
+                if type(event) is dict:
+                    event["seq"] = len(events)
+                    event["event"] = kind
                 events.append(event)
                 if kind == _DEFERRED:
                     return
@@ -174,7 +205,8 @@ class JobEventLog:
         """Copy of the events with ``seq >= since`` recorded so far."""
         _check_since(since)
         with self._lock:
-            return self._events[since:]
+            entries = self._events[since:]
+        return [_as_dict(seq, e) for seq, e in enumerate(entries, since)]
 
     def batches(self, since: int = 0,
                 poll: float = 10.0) -> Iterator[list[dict]]:
@@ -191,6 +223,18 @@ class JobEventLog:
         consumer thread notice its client went away.  Ends when the log
         is closed and fully drained.
         """
+        for start, entries in self._slices(since, poll):
+            yield [_as_dict(seq, e) for seq, e in enumerate(entries, start)]
+
+    def frames(self, since: int = 0, poll: float = 10.0) -> Iterator[str]:
+        """The SSE body of each batch :meth:`batches` yields, rendered
+        from the entries without building a phase's dict."""
+        for start, entries in self._slices(since, poll):
+            yield "".join(map(sse_frame, entries, count(start)))
+
+    def _slices(self, since: int,
+                poll: float) -> Iterator[tuple[int, list]]:
+        """``(seq of the first, entries)`` for each batch of :meth:`batches`."""
         _check_since(since)
         cursor = since
         while True:
@@ -207,8 +251,8 @@ class JobEventLog:
                     end = self._ready if woken else len(self._events)
                 batch = self._events[cursor:end]
             if batch:
+                yield cursor, batch
                 cursor += len(batch)
-                yield batch
 
     def stream(self, since: int = 0, poll: float = 10.0) -> Iterator[dict]:
         """Yield events from ``since`` onward, blocking for new ones."""
@@ -230,7 +274,9 @@ class ProgressTracer(Tracer):
     hook) turns the periodic ``progress`` events into percent-complete
     estimates; without it they carry the simulated clock only.
     ``phase_stride`` forwards every Nth phase event (1 = all) — recording
-    for conservation is never strided, only the service digest is.
+    for conservation is never strided, only the service digest is.  A
+    forwarded phase is the recorded object itself; an instant or counter
+    that is not forwarded is not recorded either.
     """
 
     def __init__(self, job, predicted_wall: float | None = None,
@@ -262,40 +308,35 @@ class ProgressTracer(Tracer):
     def phase(self, rank: int, category: str, start: float,
               duration: float, name: str = "") -> None:
         self._check_cancel()
-        super().phase(rank, category, start, duration, name=name)
+        event = PhaseEvent(self._pid(), rank, category, start, duration, name)
+        self.events.append(event)
         self._phases_seen += 1
-        end = start + duration
-        self._sim_time = max(self._sim_time, end)
+        self._sim_time = max(self._sim_time, start + duration)
         if (self._phases_seen - 1) % self.phase_stride == 0:
-            # built once, in the key order the SSE renderer expects
-            self.job.events.append_event("phase", {
-                "rank": int(rank), "category": category,
-                "name": name or category, "sim_start": float(start),
-                "sim_end": float(end),
-            })
+            self.job.events.append_event("phase", event)
         if self._phases_seen % PROGRESS_EVERY == 0:
             self._progress()
 
     def instant(self, rank: int, name: str, time: float, **args: Any) -> None:
         self._check_cancel()
-        super().instant(rank, name, time, **args)
         kind = _INSTANT_KINDS.get(name)
-        if kind is not None:
-            # engine instants may carry args named like our own fields
-            # (fault_inject sends kind="kill"); ours win, theirs keep
-            # their value under an "arg_" prefix
-            payload = {"name": name, "rank": int(rank),
-                       "sim_time": float(time)}
-            for key, value in args.items():
-                slot = f"arg_{key}" if key in payload else key
-                payload[slot] = _plain(value)
-            self.job.events.append(kind, **payload)
+        if kind is None:
+            return
+        super().instant(rank, name, time, **args)
+        # engine instants may carry args named like our own fields
+        # (fault_inject sends kind="kill"); ours win, theirs keep
+        # their value under an "arg_" prefix
+        payload = {"name": name, "rank": int(rank), "sim_time": float(time)}
+        for key, value in args.items():
+            slot = f"arg_{key}" if key in payload else key
+            payload[slot] = _plain(value)
+        self.job.events.append(kind, **payload)
 
     def counter(self, rank: int, name: str, time: float,
                 value: float) -> None:
         self._check_cancel()
-        super().counter(rank, name, time, value)
         if name in _PROGRESS_COUNTERS:
+            super().counter(rank, name, time, value)
             # the micro engines' kernel flush, after the simulation has
             # drained: the only progress a real-kernel job still makes
             self._progress(**{name: int(value)})

@@ -59,7 +59,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.engines.report import RunResult
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
-from repro.service.events import JobEventLog, sse_frame
+from repro.service.events import JobEventLog
 from repro.service.jobs import Job, JobRequest, JobState
 from repro.service.queue import RunQueue
 
@@ -290,8 +290,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         try:
-            for batch in events.batches(since=since, poll=1.0):
-                self.wfile.write("".join(map(sse_frame, batch)).encode())
+            for body in events.frames(since=since, poll=1.0):
+                self.wfile.write(body.encode())
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, OSError):
             return

@@ -24,11 +24,14 @@ import urllib.request
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import PhaseEvent
 from repro.service import (
     Job,
+    JobEventLog,
     JobRequest,
     ProgressTracer,
     RunQueue,
@@ -52,13 +55,18 @@ GOLDEN_REQUEST = {"workload": "micro", "seed": 11, "engine": "bsp",
 GOLDEN_SIGNATURE = GOLDENS["bsp/micro@11"]
 
 #: one job per kind of stream: ~1 700 and ~1 800 phase-dominated micro
-#: frames, and a macro engine's per-superstep digest
+#: frames, a macro engine's per-superstep digest, and a macro run whose
+#: RPC drops, rank kill, eviction and join forward ``fault`` and
+#: ``churn`` events
 WIRE_REQUESTS = [
     {"workload": "micro", "seed": 11, "engine": "bsp-micro", "nodes": 2,
      "cores_per_node": 4},
     {"workload": "micro", "seed": 11, "engine": "async-micro", "nodes": 1,
      "cores_per_node": 2},
     {"workload": "ecoli30x", "seed": 11, "engine": "hybrid", "nodes": 4},
+    {"workload": "ecoli30x", "seed": 11, "engine": "async", "nodes": 4,
+     "faults": "drop=0.02,kill=r1@30,evict=r2@20:grace=5,join=r3@10,"
+               "redistribute"},
 ]
 
 
@@ -187,6 +195,11 @@ def test_sse_body_is_the_per_frame_json_rendering(server, body):
     events = server.queue.get(job["id"]).events.snapshot()
     assert events[-1]["event"] == "done"
     assert raw == _reference_body(events)
+    if body.get("faults"):
+        kinds = [e["event"] for e in events]
+        assert kinds.count("fault") > 1 and kinds.count("churn") == 2
+        assert {"kind": "rank_kill", "victim": 1} in [
+            {k: e.get(k) for k in ("kind", "victim")} for e in events]
 
 
 class _CountingWriter:
@@ -244,18 +257,38 @@ _NUMBERS = (st.integers(min_value=-1, max_value=2**63)
             | st.floats(allow_nan=True, allow_infinity=True)
             | st.sampled_from(_EDGE_FLOATS) | st.booleans())
 _TEXT = st.text() | st.sampled_from(['say "hi"', "back\\slash", "café",
-                                     "\u2028\x00\ud800", "comm"])
+                                     "\u2028\x00\ud800", "comm", "",
+                                     "del\x7f", "tab\there", "~ !#[]"])
+_RANKS = (st.integers(min_value=-1, max_value=2**63) | st.booleans()
+          | st.sampled_from([np.int64(3), np.int32(-1), 2.0]))
 
 
 @settings(max_examples=400, deadline=None)
-@given(rank=_NUMBERS, category=_TEXT, name=_TEXT, start=_NUMBERS,
-       end=_NUMBERS, seq=st.integers(min_value=-1, max_value=2**40))
+@given(rank=_RANKS, category=_TEXT, name=_TEXT, start=_NUMBERS,
+       duration=_NUMBERS, seq=st.integers(min_value=0, max_value=2**40))
 def test_phase_frame_is_the_json_dumps_frame(rank, category, name, start,
-                                             end, seq):
-    event = {"rank": rank, "category": category, "name": name,
-             "sim_start": start, "sim_end": end, "seq": seq,
-             "event": "phase"}
-    assert sse_frame(event) == _reference_body([event])
+                                             duration, seq):
+    phase = PhaseEvent(0, rank, category, start, duration, name)
+    log = JobEventLog()
+    log.append_event("phase", phase)
+    log.close()
+    (event,) = log.snapshot()  # the dict built on read
+    assert list(event) == ["rank", "category", "name", "sim_start",
+                           "sim_end", "seq", "event"]
+    assert list(log.frames()) == [_reference_body([event])]
+    assert sse_frame(phase, seq) == _reference_body([dict(event, seq=seq)])
+
+
+def test_phase_frames_of_thousands_of_distinct_names():
+    """A micro job's ~1 600 task names, plus escaped and non-ASCII ones."""
+    log = JobEventLog(cap=10**9)
+    names = [f"task{t}" for t in range(3_000)] + [
+        'q"uote', "back\\slash", "naïve", "\u2028", "nul\x00", "\x7f", ""]
+    for i, name in enumerate(names):
+        log.append_event("phase", PhaseEvent(0, i % 7, "compute_align",
+                                             i / 3, 0.1, name))
+    log.close()
+    assert "".join(log.frames()) == _reference_body(log.snapshot())
 
 
 @pytest.mark.parametrize("event", [
@@ -273,15 +306,15 @@ def test_other_frames_are_the_json_dumps_frame(event):
 def test_forwarded_phase_takes_the_direct_path(monkeypatch):
     job = Job(JobRequest())
     ProgressTracer(job).phase(1, "compute_align", 0.25, 0.5)
-    event = job.events.snapshot()[-1]
-    expected = _reference_body([event])
-    assert sse_frame(event) == expected  # caches the two strings
+    job.events.close()
+    seq = len(job.events) - 1
+    expected = _reference_body(job.events.snapshot(seq))
 
     def no_dumps(*args, **kwargs):
         raise AssertionError("json.dumps called for a forwarded phase")
 
     monkeypatch.setattr(events_mod, "json", SimpleNamespace(dumps=no_dumps))
-    assert sse_frame(event) == expected
+    assert list(job.events.frames(seq)) == [expected]
 
 
 def test_cache_hit_signature_is_bit_identical_to_fresh(server):
@@ -310,6 +343,34 @@ def test_delete_cancels_and_result_reports_gone(server):
         _request(server.url(f"/jobs/{job['id']}/result"))
     assert err.value.code == 410
     assert json.load(err.value)["error"]["type"] == "JobCancelledError"
+
+
+def test_delete_stops_a_running_async_micro_job(server, monkeypatch):
+    """Mid-run, the tracer's next record call is the cancellation point."""
+    running, deleted = threading.Event(), threading.Event()
+    calls = []
+    phase = ProgressTracer.phase
+
+    def gated_phase(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 100:  # hold the engine mid-run until DELETE
+            running.set()
+            assert deleted.wait(WAIT)
+        return phase(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProgressTracer, "phase", gated_phase)
+    job = _submit(server, WIRE_REQUESTS[1])
+    try:
+        assert running.wait(WAIT)
+        status, body = _json(server.url(f"/jobs/{job['id']}"), "DELETE")
+    finally:
+        deleted.set()
+    assert status == 202 and body["state"] == "RUNNING"
+    final = _poll_done(server, job["id"])
+    assert final["state"] == "CANCELLED"
+    assert final["error"]["type"] == "JobCancelledError"
+    assert "after 99 phase events" in final["error"]["message"]
+    assert len(calls) == 100  # no record call ran past the flag
 
 
 def test_failed_job_result_carries_typed_error(server):

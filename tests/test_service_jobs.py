@@ -411,6 +411,40 @@ def test_progress_tracer_forwards_fault_and_churn_instants():
     assert "superstep" not in kinds
 
 
+def test_progress_tracer_keeps_every_phase_and_nothing_unforwarded():
+    """A real run: the phases are all kept, unforwarded events are not."""
+    from repro.core.api import get_workload, run_alignment
+    from repro.faults import parse_fault_spec
+    from repro.obs import CounterEvent, InstantEvent, PhaseEvent, Tracer
+    from repro.service.events import _INSTANT_KINDS, _PROGRESS_COUNTERS
+
+    forwarded = set(_INSTANT_KINDS) | set(_PROGRESS_COUNTERS)
+    spec = "drop=0.05,evict=r2@0.01:grace=0.005,join=r3@0.005"
+
+    def run(tracer):
+        run_alignment(get_workload("micro", seed=11), 1, "async-micro",
+                      cores_per_node=4, tracer=tracer, kernel="real",
+                      fault_plan=parse_fault_spec(spec))
+        return ([e for e in tracer.events if isinstance(e, PhaseEvent)],
+                [e for e in tracer.events
+                 if isinstance(e, (InstantEvent, CounterEvent))])
+
+    plain_phases, plain_points = run(Tracer())
+    job = Job(JobRequest())
+    tracer = ProgressTracer(job)
+    phases, points = run(tracer)
+    assert phases == plain_phases and len(phases) > 1_000
+    assert points == [e for e in plain_points if e.name in forwarded]
+    assert {e.name for e in points} == forwarded  # faults, churn, flush
+    # the plain tracer saw what the service drops: RPC issue, callback
+    # and retry instants, barrier and process lifecycle instants
+    assert {"rpc_issue", "rpc_callback", "rpc_retry", "process_start"} <= \
+        {e.name for e in plain_points}
+    logged = [e for e in job.events.snapshot() if e["event"] == "phase"]
+    assert [(e["rank"], e["category"], e["sim_end"]) for e in logged] == \
+        [(p.rank, p.category, p.end) for p in phases]
+
+
 def test_progress_tracer_is_the_cancellation_hook():
     job = Job(JobRequest())
     tracer = ProgressTracer(job)
@@ -422,6 +456,11 @@ def test_progress_tracer_is_the_cancellation_hook():
         tracer.counter(0, "inflight", 1.0, 2.0)
     with pytest.raises(JobCancelledError):
         tracer.instant(0, "fault_inject", 1.0)
+    # dropped kinds are not recorded, but still check the flag
+    with pytest.raises(JobCancelledError):
+        tracer.instant(0, "rpc_issue", 1.0)
+    with pytest.raises(JobCancelledError):
+        tracer.counter(0, "alignments_resolved", 1.0, 2.0)
 
 
 def test_service_errors_are_repro_errors():
