@@ -52,10 +52,6 @@ class Alignment:
     def aligned_length_a(self) -> int:
         return self.end_a - self.begin_a
 
-    @property
-    def aligned_length_b(self) -> int:
-        return self.end_b - self.begin_b
-
     def overlap_class(self, len_a: int, len_b: int, slack: int = 50) -> str:
         """Classify the overlap shape (paper Figure 2).
 

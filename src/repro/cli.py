@@ -115,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "docs/PARALLEL.md)")
     p_run.add_argument("--workers", type=int, default=1,
                        help="worker-process count for --backend process")
-    p_run.add_argument("--chunk-tasks", type=int, default=0,
-                       help="tasks per dispatched chunk for --backend "
-                            "process (0 = split batches evenly)")
 
     p_cmp = sub.add_parser("compare",
                            help="run the macro engines side by side")
@@ -175,9 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-entries", type=int, default=None,
                          help="result-cache size (whole RunResults; "
                               "default: repro.service.DEFAULT_CACHE_ENTRIES)")
-    p_serve.add_argument("--phase-stride", type=int, default=1,
-                         help="forward every Nth phase event over SSE "
-                              "(1 = all)")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log every HTTP request to stderr")
 
@@ -191,7 +185,6 @@ def _config(args) -> EngineConfig:
         seed=args.seed,
         backend=getattr(args, "backend", "serial"),
         workers=getattr(args, "workers", 1),
-        chunk_tasks=getattr(args, "chunk_tasks", 0),
     )
     return cfg.comm_only() if args.comm_only else cfg
 
@@ -371,7 +364,6 @@ def _cmd_serve(args) -> int:
             memory_bytes=float(args.memory_mb) * 1024 ** 2,
             cache=(None if args.cache_entries is None
                    else LruCache(args.cache_entries)),
-            phase_stride=args.phase_stride,
         )
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -212,28 +212,33 @@ def _make_faults(fault_plan, fault_seed: int):
 
 def check_micro_knobs(approach: str, config: EngineConfig | None = None,
                       kernel: str = "model") -> None:
-    """Reject kernel knobs on an engine that never runs the kernel.
+    """Reject kernel knobs on a run that never invokes the kernel.
 
-    ``kernel``, ``backend``, ``workers`` and ``chunk_tasks`` drive the
-    micro engines' X-drop kernel calls.  The macro engines price tasks
-    analytically and ``"auto"`` plans over them, so there the knobs would
-    silently do nothing.  :func:`run_alignment` and the service's
+    ``kernel`` selects the micro engines' X-drop kernel; ``backend`` and
+    ``workers`` drive its calls.  The macro engines price tasks
+    analytically, ``"auto"`` plans over them, and a micro engine with
+    ``kernel="model"`` charges modeled costs only, so there the knobs
+    would silently do nothing.  :func:`run_alignment` and the service's
     ``JobRequest.validate`` both ask here.
     """
+    pool = config is not None and (config.backend != "serial"
+                                   or config.workers != 1)
     if approach == "auto":
         why = "'auto' plans over the macro engines (docs/PLANNER.md)"
     else:
         info = get_engine(approach)
         if info.is_micro:
+            if pool and kernel == "model":
+                raise ConfigurationError(
+                    "backend/workers drive the alignment kernel, which a "
+                    "kernel='model' run never invokes; use kernel='real'"
+                )
             return
         why = (f"{approach!r} is a {info.kind} engine (its analytic model "
                f"never invokes the kernel)")
-    if kernel != "model" or config is not None and (
-            config.backend != "serial" or config.workers != 1
-            or config.chunk_tasks != 0):
+    if kernel != "model" or pool:
         raise ConfigurationError(
-            f"kernel/backend/workers/chunk_tasks apply to micro engines "
-            f"only; {why}"
+            f"kernel/backend/workers apply to micro engines only; {why}"
         )
 
 

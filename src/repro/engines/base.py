@@ -10,11 +10,12 @@ requests still have to be issued and the buffers walked.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 from repro.errors import ConfigurationError
 from repro.runtime.executor import BACKENDS
-from repro.utils.units import US
 
 __all__ = ["ExecutionMode", "EngineConfig"]
 
@@ -28,29 +29,24 @@ class ExecutionMode(enum.Enum):
     COMM_ONLY = "comm_only"
 
 
+#: the integer fields of :class:`EngineConfig` and their least value
+_INT_FIELDS = {"async_window": 1, "async_aggregation": 1,
+               "hybrid_aggregation": 1, "seed": 0, "workers": 1}
+#: the real-valued fields, stored as ``float``
+_FLOAT_FIELDS = ("exchange_memory_fraction", "noise_fraction")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tunables of the two engines.
+    """The engine knobs a caller sets.
 
-    The overhead parameters realize §4.6 / Figure 13: both codes traverse
-    local data structures storing alignment tasks and associated data — the
-    BSP code uses flat arrays (better locality), the async code C++
-    standard-library (pointer-based) containers — so the async code pays
-    more per traversed item, most visibly per *remote read* handled (index
-    lookup, callback dispatch, buffer bookkeeping).
+    The model's calibration (§4.6 traversal overheads, the multi-round
+    exchange efficiency, the async visible-communication floor) is fixed:
+    it lives as constants in :mod:`repro.engines.common`.
 
     Parameters
     ----------
     mode : full run or communication-only (Figure 7).
-    bsp_task_overhead / async_task_overhead : per-task traversal +
-        kernel-invocation seconds ("Computation (Overhead)").
-    bsp_read_overhead / async_read_overhead : per-remote-read handling
-        seconds (message-buffer walk vs map lookup + callback).  Charged
-        only for *internode* reads — intranode pulls resolve through the
-        shared-memory segment without serialization or callback deferral —
-        so engines scale this by ``1 - 1/nodes``.
-    async_base_overhead : per-rank constant for building the remote-read
-        task index before the pull phase.
     exchange_memory_fraction : fraction of a rank's free memory budget the
         BSP engine may devote to exchange receive buffers when sizing its
         dynamically-sized supersteps (§3.1).
@@ -62,14 +58,6 @@ class EngineConfig:
     hybrid_aggregation : batch size of the ``hybrid`` engine's aggregated
         asynchronous pulls (§5): pulls to the same owner coalesce into one
         RPC of this many reads.  1 degenerates to the plain async engine.
-    multiround_efficiency : exchange-bandwidth factor applied when the BSP
-        engine is forced into multiple memory-limited rounds — small
-        buffers cannot pipeline pack/unpack with transmission (§3.1's
-        memory/bandwidth-utilization coupling).
-    async_min_visible : fraction of pull latency that computation cannot
-        hide even when abundant (callback bunching between polls — the
-        paper's async code still shows a small visible-communication bar at
-        scale, <7% of runtime in Figure 8).
     noise_fraction : OS-noise dilation mean for non-isolated runs (Fig. 3).
     seed : RNG seed for the noise model.
     backend : compute backend for the micro engines' real-kernel batches
@@ -82,68 +70,51 @@ class EngineConfig:
     workers : worker-process count of the ``process`` backend (>= 1;
         ignored by ``serial``).  For ``auto``, the default 1 means "one
         worker per core (capped at 8)"; any value > 1 is used as-is.
-    chunk_tasks : tasks per dispatched chunk for the ``process`` and
-        ``auto`` backends; 0 splits each batch evenly across the workers.
+        The pool splits each kernel call evenly over its workers.
     """
 
     mode: ExecutionMode = ExecutionMode.FULL
-    bsp_task_overhead: float = 10.0 * US
-    async_task_overhead: float = 13.0 * US
-    bsp_read_overhead: float = 30.0 * US
-    async_read_overhead: float = 120.0 * US
-    async_base_overhead: float = 0.01
     exchange_memory_fraction: float = 0.40
     async_window: int = 64
     async_aggregation: int = 1
     hybrid_aggregation: int = 16
-    multiround_efficiency: float = 0.55
-    async_min_visible: float = 0.05
     noise_fraction: float = 0.015
     seed: int = 0
     backend: str = "serial"
     workers: int = 1
-    chunk_tasks: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, ExecutionMode):
+            raise ConfigurationError(
+                f"mode must be an ExecutionMode, got {self.mode!r} "
+                f"(a service request sets comm_only instead)"
+            )
+        for name, least in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or value < least):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {least}, got {value!r}"
+                )
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigurationError(
+                    f"{name} must be a real number, got {value!r}"
+                )
+            # one cache key for 0 and 0.0
+            object.__setattr__(self, name, float(value))
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {list(BACKENDS)}, got {self.backend!r}"
             )
-        if self.workers < 1:
-            raise ConfigurationError(
-                "workers must be >= 1 (the process backend needs at least "
-                "one worker; use backend='serial' to run inline)"
-            )
-        if self.chunk_tasks < 0:
-            raise ConfigurationError(
-                "chunk_tasks must be >= 0 (0 = split each batch evenly "
-                "across the workers)"
-            )
         if not 0 < self.exchange_memory_fraction <= 1:
             raise ConfigurationError("exchange_memory_fraction must be in (0,1]")
-        if self.async_window < 1:
-            raise ConfigurationError("async_window must be >= 1")
-        if self.async_aggregation < 1:
-            raise ConfigurationError("async_aggregation must be >= 1")
-        if self.hybrid_aggregation < 1:
-            raise ConfigurationError("hybrid_aggregation must be >= 1")
-        if not 0 < self.multiround_efficiency <= 1:
+        if not 0 <= self.noise_fraction < math.inf:
             raise ConfigurationError(
-                "multiround_efficiency must be in (0,1]: it scales the "
-                "exchange bandwidth, so 0 stalls the exchange forever and "
-                ">1 would make memory pressure speed the run up"
+                "noise_fraction must be finite and >= 0 (mean fractional "
+                "OS-noise dilation per phase)"
             )
-        if not 0 <= self.async_min_visible <= 1:
-            raise ConfigurationError("async_min_visible must be in [0,1]")
-        if self.noise_fraction < 0:
-            raise ConfigurationError(
-                "noise_fraction must be >= 0 (mean fractional OS-noise "
-                "dilation per phase)"
-            )
-        if min(self.bsp_task_overhead, self.async_task_overhead,
-               self.bsp_read_overhead, self.async_read_overhead,
-               self.async_base_overhead) < 0:
-            raise ConfigurationError("overheads must be nonnegative")
 
     def comm_only(self) -> "EngineConfig":
         return replace(self, mode=ExecutionMode.COMM_ONLY)

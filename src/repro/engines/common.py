@@ -33,13 +33,20 @@ from repro.machine.config import MachineSpec
 from repro.machine.network import NetworkModel
 from repro.obs import ENGINE_LANE, MetricsRegistry, Tracer
 from repro.pipeline.workload import WorkloadAssignment
-from repro.utils.units import MB
+from repro.utils.units import MB, US
 
 __all__ = [
     "BSP_BASE_MEMORY",
     "BSP_TASK_RECORD_BYTES",
     "ASYNC_BASE_MEMORY",
     "ASYNC_TASK_RECORD_BYTES",
+    "BSP_TASK_OVERHEAD",
+    "ASYNC_TASK_OVERHEAD",
+    "BSP_READ_OVERHEAD",
+    "ASYNC_READ_OVERHEAD",
+    "ASYNC_BASE_OVERHEAD",
+    "MULTIROUND_EFFICIENCY",
+    "ASYNC_MIN_VISIBLE",
     "internode_fraction",
     "exchange_budget",
     "bsp_num_rounds",
@@ -69,6 +76,34 @@ BSP_TASK_RECORD_BYTES = 40.0
 ASYNC_BASE_MEMORY = 120 * MB
 #: pointer-based task record (std containers: node + pointers + payload)
 ASYNC_TASK_RECORD_BYTES = 96.0
+
+# Traversal overheads (§4.6 / Figure 13).  Both codes walk local data
+# structures holding alignment tasks and their data: the BSP code flat
+# arrays (better locality), the async code C++ standard-library
+# (pointer-based) containers.  So the async code pays more per traversed
+# item, most visibly per *remote read* handled (index lookup, callback
+# dispatch, buffer bookkeeping).
+
+#: per-task traversal + kernel-invocation seconds ("Computation (Overhead)")
+BSP_TASK_OVERHEAD = 10.0 * US
+ASYNC_TASK_OVERHEAD = 13.0 * US
+#: per-remote-read handling seconds (message-buffer walk vs map lookup +
+#: callback).  Charged only for *internode* reads — intranode pulls
+#: resolve through the shared-memory segment without serialization or
+#: callback deferral — so engines scale these by ``1 - 1/nodes``
+BSP_READ_OVERHEAD = 30.0 * US
+ASYNC_READ_OVERHEAD = 120.0 * US
+#: per-rank seconds to build the remote-read task index before the pulls
+ASYNC_BASE_OVERHEAD = 0.01
+#: exchange-bandwidth factor when the BSP engine is forced into several
+#: memory-limited rounds: small buffers cannot pipeline pack/unpack with
+#: transmission (§3.1's memory/bandwidth-utilization coupling)
+MULTIROUND_EFFICIENCY = 0.55
+#: fraction of pull latency that computation cannot hide even when
+#: abundant (callbacks bunch between polls — the paper's async code still
+#: shows a small visible-communication bar at scale, <7% of runtime in
+#: Figure 8)
+ASYNC_MIN_VISIBLE = 0.05
 
 
 def internode_fraction(machine: MachineSpec) -> float:
@@ -165,11 +200,11 @@ def bsp_model(config: EngineConfig, machine: MachineSpec,
                      if P > 1 else 1.0),
         compute=np.zeros(P) if comm_only else assignment.compute_seconds,
         overhead=(
-            assignment.tasks_per_rank * config.bsp_task_overhead
-            + assignment.lookups * config.bsp_read_overhead
+            assignment.tasks_per_rank * BSP_TASK_OVERHEAD
+            + assignment.lookups * BSP_READ_OVERHEAD
             * internode_fraction(machine)
         ),
-        eff_scale=config.multiround_efficiency if rounds > 1 else 1.0,
+        eff_scale=MULTIROUND_EFFICIENCY if rounds > 1 else 1.0,
     )
 
 
@@ -268,10 +303,10 @@ def pull_phases(config: EngineConfig, assignment: WorkloadAssignment,
             assignment.compute_seconds - assignment.local_pair_seconds
         )
     overhead = (
-        assignment.tasks_per_rank * config.async_task_overhead
-        + assignment.lookups * config.async_read_overhead
+        assignment.tasks_per_rank * ASYNC_TASK_OVERHEAD
+        + assignment.lookups * ASYNC_READ_OVERHEAD
         * internode_fraction(machine)
-        + config.async_base_overhead
+        + ASYNC_BASE_OVERHEAD
     )
     overhead_pre = 0.5 * overhead
     comm = net.rpc_pull_time(
@@ -289,15 +324,15 @@ def pull_phases(config: EngineConfig, assignment: WorkloadAssignment,
     )
 
 
-def pull_timeline(phases: PullPhases, min_visible: float,
+def pull_timeline(phases: PullPhases,
                   fault_stall: np.ndarray | None = None,
                   start_delay: np.ndarray | None = None) -> PullTimeline:
     """The per-rank pull timeline (§3.2), a pure function of the phases.
 
     Phase A is local-pair compute overlapped with the split-phase barrier;
     phase B is pulls with callback compute, where visible communication is
-    whatever compute could not hide — floored at ``min_visible`` of the
-    pull time, since callbacks bunch between application-level polls —
+    whatever compute could not hide — floored at :data:`ASYNC_MIN_VISIBLE`
+    of the pull time, since callbacks bunch between application-level polls —
     plus ``fault_stall`` (a response that never came cannot be hidden);
     then everyone waits at the exit barrier for the slowest rank.
 
@@ -310,7 +345,8 @@ def pull_timeline(phases: PullPhases, min_visible: float,
     else:
         phase_a_end = np.maximum(start_delay + phase_a_busy, phases.bar)
     busy = phases.remote_compute + phases.overhead_cb
-    visible_comm = np.maximum(phases.comm - busy, min_visible * phases.comm)
+    visible_comm = np.maximum(phases.comm - busy,
+                              ASYNC_MIN_VISIBLE * phases.comm)
     if fault_stall is not None:
         visible_comm = visible_comm + fault_stall
     finish = phase_a_end + (busy + visible_comm)
@@ -342,7 +378,7 @@ def pull_cost(config: EngineConfig, assignment: WorkloadAssignment,
                          batch_fill_stall=batch_fill_stall)
     memory = pull_memory(config, assignment, window_factor)
     return {
-        "wall": pull_timeline(phases, config.async_min_visible).wall,
+        "wall": pull_timeline(phases).wall,
         "peak_memory": float(memory.max(initial=0.0)),
         "rounds": 0,
     }
@@ -419,7 +455,7 @@ def apply_pull_faults(
     # degradation windows and kills on this analytic timeline.  Summed
     # left to right from the timeline's terms; the fault goldens pin that
     # order, which can sit an ulp off ``horizon.finish``
-    horizon = pull_timeline(phases, ctx.config.async_min_visible)
+    horizon = pull_timeline(phases)
     finish0 = horizon.phase_a_end + horizon.busy + horizon.visible_comm
     wall0 = float(finish0.max(initial=0.0)) + phases.bar
 
@@ -640,8 +676,7 @@ def assemble_pull_phases(
     window at the split barrier, charged as sync.
     """
     timers = ctx.timers
-    tl = pull_timeline(phases, ctx.config.async_min_visible,
-                       fault_stall, start_delay)
+    tl = pull_timeline(phases, fault_stall, start_delay)
     wall = tl.wall
 
     # --- phase A: local-pair compute overlapped with split barrier ---

@@ -79,16 +79,11 @@ def resolve_executor(config: EngineConfig, workload, aligner) -> TaskExecutor:
     shared-memory segments are torn down even when a fault plan aborts the
     run mid-flight (``tests/test_executor.py`` asserts nothing leaks).
     ``backend="auto"`` resolves to the measure-then-choose
-    :class:`~repro.runtime.executor.AutoExecutor`; an explicit
-    ``"process"`` request on a model-kernel run downgrades to serial with
-    a :class:`RuntimeWarning` plus the ``exec_backend_downgraded`` metric.
+    :class:`~repro.runtime.executor.AutoExecutor`; a pool request on a
+    model-kernel run is a :class:`~repro.errors.ConfigurationError`.
     """
-    return make_task_executor(
-        workload, aligner,
-        backend=config.backend,
-        workers=config.workers,
-        chunk_tasks=config.chunk_tasks,
-    )
+    return make_task_executor(workload, aligner, backend=config.backend,
+                              workers=config.workers)
 
 
 def finish_run(

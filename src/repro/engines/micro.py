@@ -24,9 +24,15 @@ from repro.align.seedextend import SeedExtendAligner
 from repro.engines.base import EngineConfig, ExecutionMode
 from repro.engines.common import (
     ASYNC_BASE_MEMORY,
+    ASYNC_BASE_OVERHEAD,
+    ASYNC_READ_OVERHEAD,
+    ASYNC_TASK_OVERHEAD,
     ASYNC_TASK_RECORD_BYTES,
     BSP_BASE_MEMORY,
+    BSP_READ_OVERHEAD,
+    BSP_TASK_OVERHEAD,
     BSP_TASK_RECORD_BYTES,
+    MULTIROUND_EFFICIENCY,
     bsp_num_rounds,
     internode_fraction,
 )
@@ -93,8 +99,8 @@ class _MicroBase:
         runs.  ``kernel="real"`` additionally builds a
         :class:`SeedExtendAligner`, records every executed task, and —
         once the simulation has drained — resolves the recording through
-        the configured backend (``config.backend``/``workers``/
-        ``chunk_tasks``, see docs/PARALLEL.md) in a few large kernel
+        the configured backend (``config.backend``/``workers``, see
+        docs/PARALLEL.md) in a few large kernel
         calls.  A run that aborts (fault plan, cancellation) before that
         point spends no kernel time; the ``with`` block guarantees pool +
         shared-memory teardown either way.
@@ -248,19 +254,15 @@ class _MicroBase:
         if ctx.faults is not None:
             details["faults_injected"] = ctx.faults.total_injected
             details["fault_kinds"] = dict(ctx.faults.injected)
-        if executor is not None and ctx.metrics is not None:
+        if (executor is not None and ctx.metrics is not None
+                and executor.backend != "serial"):
             # real wall-clock dispatch/wait/merge accounting: counters, not
-            # RunResult details, so results stay bit-identical to serial.
-            # A plain serial executor contributes nothing; a *downgraded*
-            # one (process requested, model kernel) still surfaces
-            # exec_backend_downgraded so the downgrade is never silent.
+            # RunResult details, so results stay bit-identical to serial
             stats = executor.stats()
-            if executor.backend != "serial" or stats.get("backend_downgraded"):
-                per_worker = stats.pop("per_worker", {})
-                ctx.metrics.merge_scalars("exec_", stats)
-                for slot, (_pid, wstats) in enumerate(
-                        sorted(per_worker.items())):
-                    ctx.metrics.merge_scalars(f"exec_w{slot}_", wstats)
+            per_worker = stats.pop("per_worker", {})
+            ctx.metrics.merge_scalars("exec_", stats)
+            for slot, (_pid, wstats) in enumerate(sorted(per_worker.items())):
+                ctx.metrics.merge_scalars(f"exec_w{slot}_", wstats)
         # the accumulator path reports through the conservation checker;
         # the trace re-sum runs inside finish_run when a tracer is attached
         return finish_run(
@@ -293,7 +295,7 @@ class MicroBSPEngine(_MicroBase):
         lengths = workload.read_lengths
         assignment = workload.assignment(P)
         rounds = bsp_num_rounds(self.config, machine, assignment)
-        eff_scale = self.config.multiround_efficiency if rounds > 1 else 1.0
+        eff_scale = MULTIROUND_EFFICIENCY if rounds > 1 else 1.0
         internode = internode_fraction(machine)
 
         # Static exchange plan: which (requester, read) pairs exist, and in
@@ -445,8 +447,8 @@ class MicroBSPEngine(_MicroBase):
                 yield from self._charge_tasks(ctx, workload, rank, todo,
                                               executed)
                 oh = self._dilated(ctx, rank, (
-                    len(todo) * self.config.bsp_task_overhead
-                    + len(got) * self.config.bsp_read_overhead * internode
+                    len(todo) * BSP_TASK_OVERHEAD
+                    + len(got) * BSP_READ_OVERHEAD * internode
                 ))
                 if oh:
                     yield ctx.charge("compute_overhead", rank, oh)
@@ -545,7 +547,7 @@ class MicroAsyncEngine(_MicroBase):
         def churn_rank_main(rank: int):
             jt = sched.join_time(rank)
             dep = sched.departure_time(rank)
-            base_oh = self.config.async_base_overhead
+            base_oh = ASYNC_BASE_OVERHEAD
             yield ctx.charge("compute_overhead", rank,
                              self._dilated(ctx, rank, 0.5 * base_oh))
             # everyone — joiners-to-be included — meets the split barrier at
@@ -591,9 +593,9 @@ class MicroAsyncEngine(_MicroBase):
                     if ctx.tracer is not None:
                         ctx.tracer.instant(rank, "migrate", ctx.engine.now,
                                            orig=item.orig, tasks=ntasks)
-                oh = ntasks * self.config.async_task_overhead
+                oh = ntasks * ASYNC_TASK_OVERHEAD
                 if item.rid >= 0:
-                    oh += self.config.async_read_overhead * internode
+                    oh += ASYNC_READ_OVERHEAD * internode
                 yield ctx.charge("compute_overhead", rank,
                                  self._dilated(ctx, rank, oh))
                 owner = (int(plan.owner_of_read(np.array([item.rid]))[0])
@@ -629,9 +631,9 @@ class MicroAsyncEngine(_MicroBase):
                     by_read.setdefault(int(rid), []).append(int(t))
 
             oh = (
-                len(tasks) * self.config.async_task_overhead
-                + len(by_read) * self.config.async_read_overhead * internode
-                + self.config.async_base_overhead
+                len(tasks) * ASYNC_TASK_OVERHEAD
+                + len(by_read) * ASYNC_READ_OVERHEAD * internode
+                + ASYNC_BASE_OVERHEAD
             )
             yield ctx.charge("compute_overhead", rank,
                              self._dilated(ctx, rank, 0.5 * oh))

@@ -159,8 +159,3 @@ class ChurnPool:
     def pending_anywhere(self) -> bool:
         """Is any item still unclaimed (regardless of membership)?"""
         return any(self._queues.values())
-
-    def remaining_tasks(self, orig: int) -> int:
-        """Unclaimed task count still queued under ``orig``."""
-        q = self._queues.get(orig)
-        return sum(len(item.tasks) for item in q) if q else 0

@@ -131,10 +131,6 @@ class RuntimeBreakdown:
             for c in CATEGORIES
         }
 
-    def visible_comm_fraction(self) -> float:
-        """Fraction of runtime visible as communication (Figure 8's story)."""
-        return self.fractions()["comm"]
-
     def compute_imbalance(self) -> float:
         """max/avg of per-rank alignment compute (Figure 5's right axis)."""
         return self.summary("compute_align").imbalance

@@ -11,7 +11,7 @@ bit-reproducible fault realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.machine.degradation import (
@@ -161,9 +161,6 @@ class FaultPlan:
             or self.stragglers
             or self.has_churn
         )
-
-    def with_redistribute(self, on: bool = True) -> "FaultPlan":
-        return replace(self, redistribute=on)
 
     def describe(self) -> str:
         if self.source:

@@ -114,12 +114,6 @@ class KmerExtractor:
     def __post_init__(self) -> None:
         _check_k(self.k)
 
-    def extract(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """k-mers and start positions for a single read's code array."""
-        if self.canonical:
-            return canonical_kmers(codes, self.k)
-        return pack_kmers(codes, self.k)
-
     def extract_readset(self, reads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All k-mers of a :class:`ReadSet`.
 

@@ -96,10 +96,6 @@ class Process:
         return self._done_event.fired
 
     @property
-    def done_event(self) -> Event:
-        return self._done_event
-
-    @property
     def result(self) -> Any:
         return self._done_event.value
 

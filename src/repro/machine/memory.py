@@ -100,10 +100,3 @@ class MemoryTracker:
 
     def max_rank_high_water(self) -> float:
         return float(self._rank_high_water.max(initial=0.0))
-
-    def node_high_water(self) -> np.ndarray:
-        return np.array([n.high_water for n in self.nodes])
-
-    @property
-    def per_rank_budget(self) -> float:
-        return self.machine.node.app_memory_per_core

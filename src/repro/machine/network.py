@@ -90,16 +90,6 @@ class NetworkModel:
         net = self.machine.network
         return net.alpha + net.msg_overhead + nbytes / self.rank_bw
 
-    def rpc_round_trip(self, request_bytes: float, response_bytes: float) -> float:
-        """Unloaded RPC: request out, remote lookup, response back."""
-        net = self.machine.network
-        return (
-            2 * net.alpha
-            + 2 * net.msg_overhead
-            + net.rpc_service_gap
-            + (request_bytes + response_bytes) / self.rank_bw
-        )
-
     # -- collectives ---------------------------------------------------------
 
     def barrier_time(self) -> float:

@@ -85,7 +85,7 @@ class MetricsRegistry:
         dispatch/wait/merge split and per-worker timings
         (``exec_dispatch_s``, ``exec_wait_s``, ``exec_merge_s``,
         ``exec_w0_align_wall_s``, ...) or the auto backend's probe
-        measurements and ``exec_backend_downgraded``.  Non-numeric values
+        measurements.  Non-numeric values
         are skipped, so callers can pass a stats dict verbatim.
         """
         for name, value in values.items():

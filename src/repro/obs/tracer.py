@@ -5,9 +5,9 @@ One :class:`Tracer` can hold several *runs* (e.g. both engines of a
 whose lanes (tids) are the simulated ranks, so a comparison loads into
 Perfetto as stacked per-engine timelines.
 
-Recording is allocation-light — one frozen dataclass per event — and every
-record method is a no-op when the tracer is disabled, so instrumented code
-paths cost one attribute check when tracing is off.  Export converts
+Recording is allocation-light — one frozen dataclass per event.  Tracing
+off is ``tracer=None``: instrumented code paths test for ``None`` and skip
+the call.  Export converts
 simulated seconds to the microseconds Chrome expects and adds
 process/thread naming metadata for every lane it has seen.
 """
@@ -46,8 +46,7 @@ def _jsonable(value: Any) -> Any:
 class Tracer:
     """Collects typed events; exports Chrome trace-format JSON."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.events: list = []
         self.current_pid = -1
 
@@ -56,8 +55,7 @@ class Tracer:
     def begin_run(self, label: str) -> int:
         """Open a new run (one Chrome pid); returns the pid."""
         self.current_pid += 1
-        if self.enabled:
-            self.events.append(MetaEvent(self.current_pid, None, label))
+        self.events.append(MetaEvent(self.current_pid, None, label))
         return self.current_pid
 
     def _pid(self) -> int:
@@ -69,22 +67,16 @@ class Tracer:
     def phase(self, rank: int, category: str, start: float,
               duration: float, name: str = "") -> None:
         """A duration charged to one breakdown category on ``rank``'s lane."""
-        if not self.enabled:
-            return
         self.events.append(
             PhaseEvent(self._pid(), rank, category, start, duration, name)
         )
 
     def instant(self, rank: int, name: str, time: float, **args: Any) -> None:
         """A point occurrence (arrival, RPC issue/callback, boundary)."""
-        if not self.enabled:
-            return
         self.events.append(InstantEvent(self._pid(), rank, name, time, args))
 
     def counter(self, rank: int, name: str, time: float, value: float) -> None:
         """A sampled counter value (e.g. outstanding-window occupancy)."""
-        if not self.enabled:
-            return
         self.events.append(CounterEvent(self._pid(), rank, name, time, value))
 
     # -- queries (used by the conservation checker and tests) --------------

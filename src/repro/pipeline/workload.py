@@ -553,10 +553,6 @@ class StatisticalWorkload:
     def n_tasks(self) -> int:
         return self.spec.n_tasks
 
-    @property
-    def total_read_bytes(self) -> int:
-        return int(self.read_lengths.sum())
-
     # -- per-P rendering -------------------------------------------------------
 
     def assignment(self, num_ranks: int) -> WorkloadAssignment:

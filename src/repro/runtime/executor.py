@@ -40,8 +40,8 @@ kernel per pair (``repro.align.batch``), so chunk boundaries cannot change
 any result; chunks write disjoint row ranges of the output array at their
 submission offsets; and simulated time never touches the backend (it only
 spends real wall-clock).  A ``process`` or ``auto`` run is therefore
-bit-identical to a ``serial`` run for any worker count and chunk size —
-locked down by ``tests/test_executor.py`` and the golden-signature suite.
+bit-identical to a ``serial`` run for any worker count — locked down by
+``tests/test_executor.py`` and the golden-signature suite.
 
 When ``serial`` wins: dispatching a chunk costs roughly a millisecond of
 IPC and starting the pool tens of milliseconds, which a run of a few
@@ -56,7 +56,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -190,14 +189,9 @@ class SerialExecutor(TaskExecutor):
 
     backend = "serial"
 
-    def __init__(self, workload, aligner: SeedExtendAligner | None,
-                 downgraded_from: str | None = None):
+    def __init__(self, workload, aligner: SeedExtendAligner | None):
         self.workload = workload
         self.aligner = aligner
-        #: backend the caller asked for when this serial executor is a
-        #: downgrade (model-kernel run requested ``process``) — surfaced
-        #: as the ``exec_backend_downgraded`` metric, never silent
-        self.downgraded_from = downgraded_from
 
     def align_tasks(self, task_indices) -> list[Alignment]:
         if len(task_indices) == 0:
@@ -208,11 +202,7 @@ class SerialExecutor(TaskExecutor):
         )
 
     def stats(self) -> dict:
-        s = {"backend": self.backend}
-        if self.downgraded_from is not None:
-            s["backend_downgraded"] = 1.0
-            s["downgraded_from"] = self.downgraded_from
-        return s
+        return {"backend": self.backend}
 
 
 # -- process backend ---------------------------------------------------------
@@ -442,24 +432,20 @@ def _align_chunk(indices: np.ndarray, offset: int, out_name: str,
 class ProcessExecutor(TaskExecutor):
     """Persistent worker pool over the shared read store.
 
-    Chunking: ``chunk_tasks`` fixes the tasks per dispatched chunk; 0
-    splits each batch evenly across the workers (one chunk per worker).
-    Either way, chunks write disjoint output rows at their submission
-    offsets, so chunking is invisible in the output.
+    Each batch splits evenly across the workers (one chunk per worker).
+    Chunks write disjoint output rows at their submission offsets, so
+    chunking is invisible in the output.
     """
 
     backend = "process"
 
     def __init__(self, workload, aligner: SeedExtendAligner,
-                 workers: int, chunk_tasks: int = 0):
+                 workers: int):
         if workers < 1:
             raise ConfigurationError("process backend needs workers >= 1")
-        if chunk_tasks < 0:
-            raise ConfigurationError("chunk_tasks must be >= 0 (0 = auto)")
         self.workload = workload
         self.aligner = aligner
         self.workers = workers
-        self.chunk_tasks = chunk_tasks
         self._stats = {
             "batches": 0, "chunks": 0, "tasks": 0, "failed_batches": 0,
             "dispatch_s": 0.0, "wait_s": 0.0, "merge_s": 0.0,
@@ -483,14 +469,12 @@ class ProcessExecutor(TaskExecutor):
         self._closed = False
 
     def _chunk_size(self, n: int) -> int:
-        if self.chunk_tasks > 0:
-            return self.chunk_tasks
         return max(1, -(-n // self.workers))
 
     def _crash(self, n: int, exc: BrokenProcessPool) -> WorkerCrashError:
         return WorkerCrashError(
             f"a worker process died while aligning a {n}-task batch "
-            f"(pool: workers={self.workers}, chunk_tasks={self.chunk_tasks}); "
+            f"(pool: workers={self.workers}); "
             f"the pool cannot be reused — rerun with backend='serial' to "
             f"isolate, or backend='auto' to let the run choose"
         )
@@ -562,7 +546,6 @@ class ProcessExecutor(TaskExecutor):
         return {
             "backend": self.backend,
             "workers": self.workers,
-            "chunk_tasks": self.chunk_tasks,
             **self._stats,
             "per_worker": {
                 pid: dict(w) for pid, w in sorted(self._per_worker.items())
@@ -613,7 +596,7 @@ class AutoExecutor(TaskExecutor):
     backend = "auto"
 
     def __init__(self, workload, aligner: SeedExtendAligner,
-                 workers: int = 1, chunk_tasks: int = 0):
+                 workers: int = 1):
         self.workload = workload
         self.aligner = aligner
         cpus = os.cpu_count() or 1
@@ -621,7 +604,6 @@ class AutoExecutor(TaskExecutor):
         #: ``workers`` knob when set (> 1), else one worker per core
         #: (capped — beyond 8 the probe itself gets expensive)
         self.workers = workers if workers > 1 else max(1, min(cpus, 8))
-        self.chunk_tasks = chunk_tasks
         self._serial = SerialExecutor(workload, aligner)
         self._process: ProcessExecutor | None = None
         self._chosen: TaskExecutor | None = None
@@ -664,8 +646,7 @@ class AutoExecutor(TaskExecutor):
                 t0 = time.perf_counter()
                 try:
                     self._process = ProcessExecutor(
-                        self.workload, self.aligner,
-                        workers=self.workers, chunk_tasks=self.chunk_tasks,
+                        self.workload, self.aligner, workers=self.workers,
                     )
                 except OSError:  # pragma: no cover - resource exhaustion
                     self._commit(self._serial, "pool_unavailable")
@@ -709,7 +690,6 @@ class AutoExecutor(TaskExecutor):
         s = {
             "backend": self.backend,
             "workers": self.workers,
-            "chunk_tasks": self.chunk_tasks,
             "chosen": self.chosen,
             "auto_reason": self._reason or "probing",
             "auto_chose_process": float(self._chosen is not None
@@ -724,7 +704,6 @@ class AutoExecutor(TaskExecutor):
             inner = self._process.stats()
             inner.pop("backend")
             inner.pop("workers")
-            inner.pop("chunk_tasks")
             s.update(inner)
         return s
 
@@ -738,38 +717,26 @@ class AutoExecutor(TaskExecutor):
 
 
 def make_task_executor(workload, aligner: SeedExtendAligner | None, *,
-                       backend: str = "serial", workers: int = 1,
-                       chunk_tasks: int = 0) -> TaskExecutor:
+                       backend: str = "serial",
+                       workers: int = 1) -> TaskExecutor:
     """Build the backend an engine run charges its kernel batches through.
 
     Model-kernel runs (``aligner is None``) never invoke the kernel, so
-    they always get the (free) serial backend regardless of ``backend`` —
-    spinning up a pool that no batch will ever reach would be pure
-    overhead.  An explicit ``backend="process"`` request is downgraded
-    *loudly*: a :class:`RuntimeWarning` plus the
-    ``exec_backend_downgraded`` metric, so a ``--backend process`` run is
-    never mysteriously single-process.  ``auto`` downgrades silently —
-    choosing serial for a kernel-free run is its job, not a surprise.
+    they get the (free) serial backend; asking for a pool there is a
+    :class:`~repro.errors.ConfigurationError`, as everywhere else the
+    kernel does not run (:func:`repro.core.api.check_micro_knobs`).
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown backend {backend!r}; choose from {list(BACKENDS)}"
         )
-    if aligner is None:
-        if backend == "process":
-            warnings.warn(
-                "backend='process' requested but this run never invokes "
-                "the alignment kernel (kernel='model'); running serial — "
-                "use kernel='real' to engage the pool",
-                RuntimeWarning, stacklevel=2,
-            )
-            return SerialExecutor(workload, None, downgraded_from="process")
-        return SerialExecutor(workload, None)
+    if aligner is None and backend != "serial":
+        raise ConfigurationError(
+            f"backend={backend!r} needs the alignment kernel; this run "
+            f"never invokes it (kernel='model') — use kernel='real'"
+        )
     if backend == "serial":
         return SerialExecutor(workload, aligner)
     if backend == "auto":
-        return AutoExecutor(workload, aligner, workers=workers,
-                            chunk_tasks=chunk_tasks)
-    return ProcessExecutor(workload, aligner, workers=workers,
-                           chunk_tasks=chunk_tasks)
-
+        return AutoExecutor(workload, aligner, workers=workers)
+    return ProcessExecutor(workload, aligner, workers=workers)

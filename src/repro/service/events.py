@@ -272,19 +272,15 @@ class ProgressTracer(Tracer):
 
     ``predicted_wall`` (planner prediction, when the engine has a cost
     hook) turns the periodic ``progress`` events into percent-complete
-    estimates; without it they carry the simulated clock only.
-    ``phase_stride`` forwards every Nth phase event (1 = all) — recording
-    for conservation is never strided, only the service digest is.  A
-    forwarded phase is the recorded object itself; an instant or counter
-    that is not forwarded is not recorded either.
+    estimates; without it they carry the simulated clock only.  Every
+    phase event is recorded and forwarded as the same object; an instant
+    or counter that is not forwarded is not recorded either.
     """
 
-    def __init__(self, job, predicted_wall: float | None = None,
-                 phase_stride: int = 1):
-        super().__init__(enabled=True)
+    def __init__(self, job, predicted_wall: float | None = None):
+        super().__init__()
         self.job = job
         self.predicted_wall = predicted_wall
-        self.phase_stride = max(1, int(phase_stride))
         self._phases_seen = 0
         self._sim_time = 0.0
 
@@ -312,8 +308,7 @@ class ProgressTracer(Tracer):
         self.events.append(event)
         self._phases_seen += 1
         self._sim_time = max(self._sim_time, start + duration)
-        if (self._phases_seen - 1) % self.phase_stride == 0:
-            self.job.events.append_event("phase", event)
+        self.job.events.append_event("phase", event)
         if self._phases_seen % PROGRESS_EVERY == 0:
             self._progress()
 

@@ -21,12 +21,12 @@ client needs to decide between retry and reconfigure).
 :class:`JobRequest` is the canonical submission: workload + engine +
 knobs + fault spec.  Its :meth:`~JobRequest.cache_key` is the result
 cache's identity — a SHA-256 over every field that can move a result bit,
-and *only* those: the compute backend knobs (``backend``/``workers``/
-``chunk_tasks``) and the sharding knobs (``shard_tasks``/
-``max_resident_shards``) are excluded because the executor and sharded
-layers are contractually bit-identical to their serial/materialized
-counterparts (pinned by the golden-signature suite), so requests that
-differ only there share one cache entry.
+and *only* those: the compute backend knobs (``backend``/``workers``)
+and the sharding knobs (``shard_tasks``/``max_resident_shards``) are
+excluded because the executor and sharded layers are contractually
+bit-identical to their serial/materialized counterparts (pinned by the
+golden-signature suite), so requests that differ only there share one
+cache entry.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ _TRANSITIONS: dict[str, frozenset[str]] = {
 
 #: EngineConfig knobs that cannot move a result bit (docs/PARALLEL.md's
 #: determinism contract) and are therefore excluded from the cache key
-EXECUTION_ONLY_KNOBS = ("backend", "workers", "chunk_tasks")
+EXECUTION_ONLY_KNOBS = ("backend", "workers")
 
 
 @dataclass(frozen=True)
@@ -384,7 +384,7 @@ def _predicted_wall(workload, machine, engine: str,
     return point.predicted_wall if point.feasible else None
 
 
-def execute_request(job: Job, phase_stride: int = 1) -> RunResult:
+def execute_request(job: Job) -> RunResult:
     """Run one job's request with a progress tracer attached.
 
     Called from a queue worker thread with the job already RUNNING.
@@ -401,8 +401,7 @@ def execute_request(job: Job, phase_stride: int = 1) -> RunResult:
     )
     machine = make_machine(req.nodes, req.cores_per_node)
     predicted = _predicted_wall(workload, machine, req.engine, config)
-    tracer = ProgressTracer(job, predicted_wall=predicted,
-                            phase_stride=phase_stride)
+    tracer = ProgressTracer(job, predicted_wall=predicted)
     fault_plan = None
     if req.faults:
         from repro.faults import parse_fault_spec

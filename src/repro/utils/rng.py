@@ -11,8 +11,6 @@ single root seed via :class:`numpy.random.SeedSequence` spawning, so that
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 __all__ = ["RngFactory", "spawn_rng"]
@@ -89,7 +87,3 @@ class RngFactory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(seed={self.seed})"
-
-
-def _root_with_spawn_key(seed: int, key: Iterable[int]) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))

@@ -186,21 +186,23 @@ def test_workers_zero_exits_2(capsys):
     assert err.startswith("error:") and "workers" in err
 
 
-def test_negative_chunk_tasks_exits_2(capsys):
-    rc = main(["run", "--workload", "micro", "--nodes", "1",
-               "--cores-per-node", "4", "--engine", "bsp-micro",
-               "--kernel", "real", "--backend", "process",
-               "--chunk-tasks", "-1"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "chunk_tasks" in err
+@pytest.mark.parametrize("argv", [
+    ["run", "--workload", "micro", "--engine", "bsp-micro",
+     "--kernel", "real", "--backend", "process", "--chunk-tasks", "5"],
+    ["serve", "--phase-stride", "3"],
+])
+def test_removed_flags_are_argparse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [
     ["--kernel", "real"],
     ["--backend", "process"],
     ["--workers", "2"],
-    ["--chunk-tasks", "5"],
+    ["--backend", "auto"],
 ])
 def test_backend_flags_rejected_for_macro_engines(capsys, extra):
     rc = main(["run", "--workload", "micro", "--nodes", "1",
@@ -250,14 +252,18 @@ def test_run_micro_with_auto_backend(capsys):
     assert "exec_auto_chose_process" in auto_out
 
 
-def test_model_kernel_process_downgrade_warns(capsys):
-    import warnings
-
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        rc = main(["run", "--workload", "micro", "--nodes", "1",
-                   "--cores-per-node", "4", "--engine", "bsp-micro",
-                   "--kernel", "model", "--backend", "process",
-                   "--workers", "2"])
-    assert rc == 0
-    assert any("running serial" in str(w.message) for w in rec)
+@pytest.mark.parametrize("extra", [
+    ["--backend", "process", "--workers", "2"],
+    ["--backend", "auto"],
+    ["--workers", "2"],
+])
+def test_model_kernel_pool_flags_exit_2(capsys, extra):
+    """Pool knobs on a run that never invokes the kernel are an error,
+    as on the macro engines — not a silent serial run."""
+    rc = main(["run", "--workload", "micro", "--nodes", "1",
+               "--cores-per-node", "4", "--engine", "bsp-micro",
+               "--kernel", "model"] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "kernel='real'" in err
+    assert "Traceback" not in err

@@ -62,7 +62,7 @@ def test_run_alignment_unknown_approach():
     {"kernel": "real"},
     {"config": EngineConfig(backend="process")},
     {"config": EngineConfig(workers=2)},
-    {"config": EngineConfig(chunk_tasks=5)},
+    {"config": EngineConfig(backend="auto")},
 ])
 def test_run_alignment_rejects_micro_knobs_on_macro_engines(approach, knob):
     """Kernel knobs on an engine that never runs the kernel are an error,

@@ -127,12 +127,23 @@ def test_cli_engine_alias_and_rejection():
 # -- EngineConfig validation -------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
-    {"multiround_efficiency": 0.0},
-    {"multiround_efficiency": -0.5},
-    {"multiround_efficiency": 1.2},
     {"noise_fraction": -0.01},
     {"hybrid_aggregation": 0},
     {"hybrid_aggregation": -4},
+    # types: a float where an int belongs used to run the model at the
+    # float while reporting the int; a string seed failed only at run time
+    {"hybrid_aggregation": 2.5},
+    {"async_window": 8.0},
+    {"seed": "abc"},
+    {"seed": 1.5},
+    {"seed": -1},
+    {"workers": True},
+    {"async_aggregation": None},
+    {"noise_fraction": True},
+    {"noise_fraction": "0.01"},
+    {"noise_fraction": float("nan")},
+    {"exchange_memory_fraction": "0.4"},
+    {"mode": "comm_only"},
 ])
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ConfigurationError):
@@ -140,8 +151,16 @@ def test_config_validation_rejects(kwargs):
 
 
 def test_config_validation_accepts_boundaries():
-    EngineConfig(multiround_efficiency=1.0, noise_fraction=0.0,
-                 hybrid_aggregation=1)
+    EngineConfig(noise_fraction=0.0, hybrid_aggregation=1)
+
+
+def test_config_stores_real_fields_as_float():
+    """``0`` and ``0.0`` are one configuration, so one cache key."""
+    cfg = EngineConfig(noise_fraction=0, exchange_memory_fraction=1)
+    assert type(cfg.noise_fraction) is float
+    assert type(cfg.exchange_memory_fraction) is float
+    assert cfg == EngineConfig(noise_fraction=0.0,
+                               exchange_memory_fraction=1.0)
 
 
 # -- LRU cache + sweep reuse -------------------------------------------------

@@ -137,10 +137,6 @@ def test_engine_config_validation():
         EngineConfig(exchange_memory_fraction=0.0)
     with pytest.raises(ConfigurationError):
         EngineConfig(async_window=0)
-    with pytest.raises(ConfigurationError):
-        EngineConfig(bsp_task_overhead=-1.0)
-    with pytest.raises(ConfigurationError):
-        EngineConfig(async_min_visible=2.0)
 
 
 def test_noise_increases_sync_without_isolation(wl):

@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
+
+from repro.engines import micro
+from repro.obs import MetricsRegistry
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -68,16 +72,31 @@ def test_signature_matches_golden(key):
 
 @pytest.mark.parametrize("backend", ["process", "auto"])
 @pytest.mark.parametrize("engine", ["bsp-micro", "async-micro"])
-def test_parallel_backends_hit_serial_golden(engine, backend):
+def test_parallel_backends_hit_serial_golden(engine, backend, monkeypatch):
     """process and auto must be bit-identical to serial: same digest.
 
-    For ``auto`` this covers every committed choice — whichever side the
-    probe picks on this machine, the digest cannot move.
+    ``auto`` samples two kernel calls serial and two on the pool before
+    it commits, and ``micro``'s 1 639 tasks resolve in two calls at the
+    default ``FLUSH_TASKS``.  So the run is cut into 7 calls of 256 tasks
+    or fewer, and the host reports two cores (one core commits to serial
+    before any probe): the pool is probed on any machine, and the digest
+    holds whichever side ``auto`` then keeps.
     """
-    key = regen.case_key(engine, "micro", 11)
-    res = regen.compute_result(engine, "micro", 11,
-                               backend=backend, workers=2, chunk_tasks=7)
-    assert res.signature() == GOLDENS[key]
+    monkeypatch.setattr(micro, "FLUSH_TASKS", 256)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    machine = regen.cori_knl(regen.NODES,
+                             app_cores_per_node=regen.CORES_PER_NODE)
+    metrics = MetricsRegistry(machine.total_ranks)
+    res = regen.run_alignment(
+        regen.get_workload("micro", seed=11), regen.NODES, engine,
+        config=regen.EngineConfig(backend=backend, workers=2),
+        machine=machine, kernel="real", metrics=metrics,
+    )
+    assert res.signature() == GOLDENS[regen.case_key(engine, "micro", 11)]
+    if backend == "auto":
+        assert metrics.get("exec_auto_probe_process_pps").sum() > 0
+    else:
+        assert metrics.get("exec_batches").sum() == 7
 
 
 @pytest.mark.parametrize("engine", regen.ENGINES)
@@ -104,7 +123,7 @@ def test_sharded_process_backend_hits_golden(engine):
     digest."""
     key = regen.case_key(engine, "micro", 11)
     res = regen.compute_result(engine, "micro", 11, shard_tasks=97,
-                               backend="process", workers=2, chunk_tasks=7)
+                               backend="process", workers=2)
     assert res.signature() == GOLDENS[key]
 
 

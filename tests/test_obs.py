@@ -35,14 +35,6 @@ def test_tracer_records_typed_events():
     assert ph.category == "comm" and ph.end == 3.5
 
 
-def test_tracer_disabled_records_nothing():
-    tr = Tracer(enabled=False)
-    tr.phase(0, "comm", 0.0, 1.0)
-    tr.instant(0, "x", 0.0)
-    tr.counter(0, "c", 0.0, 1)
-    assert tr.events == []
-
-
 def test_tracer_chrome_export_schema(tmp_path):
     tr = Tracer()
     tr.begin_run("run A")

@@ -424,6 +424,13 @@ def test_result_before_terminal_is_409():
     ("POST", "/jobs", {"workload": "no-such-preset"}, 400),
     ("POST", "/jobs", {"engin": "bsp"}, 400),
     ("POST", "/jobs", {"engine": "bsp", "kernel": "real"}, 400),
+    # ill-typed or removed overrides, pool knobs without the kernel
+    ("POST", "/jobs", {"config": {"hybrid_aggregation": 2.5}}, 400),
+    ("POST", "/jobs", {"config": {"seed": "abc"}}, 400),
+    ("POST", "/jobs", {"engine": "bsp-micro", "kernel": "real",
+                       "config": {"chunk_tasks": 7}}, 400),
+    ("POST", "/jobs", {"engine": "bsp-micro",
+                       "config": {"backend": "process"}}, 400),
 ])
 def test_error_statuses(server, method, path, body, code):
     with pytest.raises(urllib.error.HTTPError) as err:

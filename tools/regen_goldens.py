@@ -161,7 +161,7 @@ def compute_kill_result(engine: str):
 
 def compute_result(engine: str, workload: str, seed: int, *,
                    backend: str = "serial", workers: int = 1,
-                   chunk_tasks: int = 0, shard_tasks: int = 0):
+                   shard_tasks: int = 0):
     """One golden case's run: micro engines get the real kernel.
 
     ``shard_tasks > 0`` runs the same case through the sharded
@@ -171,8 +171,7 @@ def compute_result(engine: str, workload: str, seed: int, *,
     w = get_workload(workload, seed=seed, shard_tasks=shard_tasks)
     machine = cori_knl(NODES, app_cores_per_node=CORES_PER_NODE)
     kernel = "real" if get_engine(engine).is_micro else "model"
-    config = EngineConfig(backend=backend, workers=workers,
-                          chunk_tasks=chunk_tasks)
+    config = EngineConfig(backend=backend, workers=workers)
     return run_alignment(w, NODES, engine, config=config,
                          machine=machine, kernel=kernel)
 
