@@ -48,7 +48,7 @@ from repro.faults import parse_fault_spec
 from repro.genome.datasets import DATASETS
 from repro.obs import MetricsRegistry, Tracer, check_breakdown, check_trace
 from repro.perf.format import render_breakdown_rows, render_table
-from repro.pipeline.sharded import DEFAULT_RESIDENT_SHARDS
+from repro.pipeline.sharded import DEFAULT_RESIDENT_SHARDS, ShardedWorkload
 from repro.utils.units import fmt_bytes, fmt_time
 
 __all__ = ["main", "build_parser"]
@@ -67,11 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(DATASETS))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--shard-tasks", type=int, default=0, metavar="N",
-                       help="generate/aggregate the task table in N-task "
-                            "shards instead of one array (out-of-core "
-                            "paper-scale mode; 0 = materialized). Pure "
-                            "memory knob: results are bit-identical for "
-                            "any value")
+                       help="Table-1 presets: generate and aggregate "
+                            "task rows in N-task shards, an out-of-core "
+                            "model that differs from the statistical one "
+                            "(0); results are bit-identical for any N > 0. "
+                            "Sequence-level presets ignore it: their task "
+                            "table is in memory")
         p.add_argument("--max-resident-shards", type=int,
                        default=DEFAULT_RESIDENT_SHARDS,
                        metavar="M",
@@ -447,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     sharded = (f" ({args.shard_tasks:,}-task shards, "
                f"<= {args.max_resident_shards} resident)"
-               if args.shard_tasks else "")
+               if isinstance(workload, ShardedWorkload) else "")
     print(f"{args.workload}: {workload.n_reads:,} reads, "
           f"{workload.n_tasks:,} tasks{sharded}")
 

@@ -132,20 +132,28 @@ def get_workload(
     ``*_small``) run the real pipeline end-to-end into a
     :class:`ConcreteWorkload`.
 
-    ``shard_tasks > 0`` selects the out-of-core path instead: the task
-    table is generated and aggregated in fixed-size shards with at most
-    ``max_resident_shards`` resident (see
-    :class:`repro.pipeline.sharded.ShardedWorkload`).  Sequence-level
-    presets shard their concrete task table (sharing the materialized
-    workload's cache entry and staying bit-identical to it); Table-1
-    presets generate paper-scale task *rows* shard-by-shard, which is how
-    the 10^7–10^8-task sweeps run in bounded memory.
+    ``shard_tasks > 0`` on a Table-1 preset selects the out-of-core
+    model instead: paper-scale task *rows* generated and aggregated in
+    ``shard_tasks``-row shards with at most ``max_resident_shards``
+    resident (see :class:`repro.pipeline.sharded.ShardedWorkload`), which
+    is how the 10^7–10^8-task sweeps run in bounded memory.  It draws
+    rows, not per-rank aggregates, so it is a different model from
+    :class:`StatisticalWorkload`; among nonzero shard sizes every bit is
+    the same.  A sequence-level preset's task rows are in memory by
+    construction, so there the knobs are checked and otherwise ignored:
+    the same cached :class:`ConcreteWorkload` comes back.
     """
     spec = DATASETS.get(name)
     if spec is None:
         raise ConfigurationError(
             f"unknown dataset {name!r}; available: {sorted(DATASETS)}"
         )
+    if shard_tasks < 0 or max_resident_shards < 1:
+        raise ConfigurationError(
+            "shard_tasks must be >= 0 and max_resident_shards >= 1"
+        )
+    if spec.sequence_level:
+        shard_tasks = 0
     # cache identity: spec + seed + full calibration tuple + sharding —
     # the calibration terms keep renamed/retargeted specs from colliding,
     # the shard terms keep each (spec, shard) rendering distinct
@@ -154,12 +162,6 @@ def get_workload(
 
     def build():
         if shard_tasks:
-            if spec.sequence_level:
-                return ShardedWorkload.from_workload(
-                    get_workload(name, seed),
-                    shard_tasks=shard_tasks,
-                    max_resident_shards=max_resident_shards,
-                )
             return ShardedWorkload.synthetic(
                 spec, seed=seed,
                 shard_tasks=shard_tasks,
@@ -287,11 +289,10 @@ def run_alignment(
     engine = info.factory(config=config or EngineConfig())
     faults = _make_faults(fault_plan, fault_seed)
     if info.kind == _registry.MICRO:
-        if not getattr(workload, "is_concrete", False):
+        if not isinstance(workload, ConcreteWorkload):
             raise ConfigurationError(
                 f"approach {approach!r} is a message-level engine and needs "
-                f"a ConcreteWorkload (sequence-level dataset) or a sharded "
-                f"workload with a concrete backing, not "
+                f"a ConcreteWorkload (sequence-level dataset), not "
                 f"{type(workload).__name__}"
             )
         return engine.run(workload, machine, kernel=kernel, tracer=tracer,

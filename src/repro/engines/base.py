@@ -17,7 +17,7 @@ from numbers import Integral, Real
 from repro.errors import ConfigurationError
 from repro.runtime.executor import BACKENDS
 
-__all__ = ["ExecutionMode", "EngineConfig"]
+__all__ = ["ExecutionMode", "EngineConfig", "check_int"]
 
 
 class ExecutionMode(enum.Enum):
@@ -27,6 +27,16 @@ class ExecutionMode(enum.Enum):
     FULL = "full"
     #: §4.3: everything except the alignment kernel (absolute latency mode)
     COMM_ONLY = "comm_only"
+
+
+def check_int(name: str, value, least: int | None = None) -> None:
+    """Raise unless ``value`` is an integer (not a bool), ``>= least``."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigurationError(
+            f"{name} must be an integer{bound}, got {value!r}"
+        )
 
 
 #: the integer fields of :class:`EngineConfig` and their least value
@@ -90,12 +100,7 @@ class EngineConfig:
                 f"(a service request sets comm_only instead)"
             )
         for name, least in _INT_FIELDS.items():
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, Integral)
-                    or value < least):
-                raise ConfigurationError(
-                    f"{name} must be an integer >= {least}, got {value!r}"
-                )
+            check_int(name, getattr(self, name), least)
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):

@@ -9,10 +9,10 @@ inputs in two interchangeable forms:
 * :class:`StatisticalWorkload` — Table-1-exact totals with calibrated
   distributions, generated deterministically from a seed (figure benches up
   to 32,768 simulated cores);
-* :class:`ShardedWorkload` — task rows (a concrete table's, or generated
-  from a statistical preset) streamed in fixed-size shards under a
-  bounded resident-shard budget, so paper-scale task tables (10^7–10^8
-  rows) never exist in memory at once.
+* :class:`ShardedWorkload` — task rows generated from a statistical
+  preset and streamed in fixed-size shards under a bounded resident-shard
+  budget, so paper-scale task tables (10^7–10^8 rows) never exist in
+  memory at once.
 
 All render, for any machine size P, a :class:`WorkloadAssignment`: the
 per-rank arrays (task counts, compute seconds, exchange volumes, lookup

@@ -141,7 +141,6 @@ def assign_tasks_balanced(
     owner_b: np.ndarray,
     num_ranks: int,
     costs: np.ndarray | None = None,
-    loads: np.ndarray | None = None,
 ) -> np.ndarray:
     """Assign each task to the owner of read a or read b, balancing load.
 
@@ -149,12 +148,7 @@ def assign_tasks_balanced(
     heuristic); with per-task cost estimates it becomes the semi-static
     by-cost variant (§5 future work, exercised by the ablation bench).
 
-    ``loads`` carries the greedy stream's only state (current per-rank
-    load) and is mutated in place when given, so a caller can feed the
-    task stream in shards — consecutive calls sharing one ``loads`` array
-    produce exactly the assignment a single call over the concatenated
-    stream would (the sharded workload path relies on this).  The owner
-    columns come from :meth:`ReadPartition.owners`.
+    The owner columns come from :meth:`ReadPartition.owners`.
 
     Returns the assigned rank per task.  The greedy stream is O(T) with a
     Python loop — acceptable for concrete workloads (millions of tasks);
@@ -174,12 +168,7 @@ def assign_tasks_balanced(
         if costs is None
         else np.asarray(costs, dtype=np.float64)
     )
-    if loads is None:
-        loads = np.zeros(num_ranks, dtype=np.float64)
-    elif loads.shape != (num_ranks,):
-        raise PartitionError(
-            f"loads must have shape ({num_ranks},), got {loads.shape}"
-        )
+    loads = np.zeros(num_ranks, dtype=np.float64)
     assigned = np.empty(owner_a.size, dtype=np.int64)
     for t in range(owner_a.size):
         a, b = owner_a[t], owner_b[t]

@@ -8,12 +8,12 @@ diBELLA and the parallel string-graph line of work reach genome scale by
 streaming bounded partitions between pipeline stages; this module applies
 the same memory-limited idea to workload *construction*:
 
-* :class:`ShardedWorkload` generates (or slices) task rows in fixed-size
-  shards, each seeded deterministically by shard-independent generator
-  blocks, and feeds them one at a time to the task-row renderer a
-  materialized workload runs as one chunk
-  (:class:`~repro.pipeline.workload.TaskRowWorkload`), so the shard size
-  is a pure memory knob — it can never change a single bit.
+* :class:`ShardedWorkload` generates task rows in fixed-size shards, each
+  seeded deterministically by shard-independent generator blocks, and
+  feeds them one at a time to the task-row renderer a materialized
+  workload runs as one chunk
+  (:class:`~repro.pipeline.workload.TaskRowWorkload`), so among nonzero
+  values the shard size can never change a single bit.
 * Deduplicated remote-read structure — the one aggregate that genuinely
   needs global state — runs as an external bucket sort
   (:class:`_KeyBuckets`): each shard's ``(requester, read)`` keys are
@@ -27,29 +27,21 @@ the same memory-limited idea to workload *construction*:
   on evict, high-water recorded), with evicted columns spilled to disk —
   or to shared memory, by pointing the spill directory at ``/dev/shm``.
 
-Two backings share all of that machinery:
-
-* :meth:`ShardedWorkload.from_workload` shards an existing
-  :class:`~repro.pipeline.workload.ConcreteWorkload`'s rows.  Its
-  renderings equal the materialized ones (golden-signature-pinned), and
-  the micro engines + process backend keep working through the
-  ``reads``/``tasks``/``task_costs`` delegation to the backing — they
-  cannot tell the two apart (docs/PARALLEL.md).
-* :meth:`ShardedWorkload.synthetic` generates Table-1-scale task rows
-  from the statistical presets.  Unlike
-  :class:`~repro.pipeline.workload.StatisticalWorkload` (which models
-  per-rank aggregates directly), this path draws *actual task rows* —
-  uniform read pairs, calibrated costs, a deterministic owner coin — and
-  derives the exchange structure exactly, so a 10^7–10^8-task macro sweep
-  runs with peak workload memory bounded by the resident-shard budget
-  (``benchmarks/bench_scale_sweep.py``).
+The one row source is :meth:`ShardedWorkload.synthetic`: Table-1-scale
+task rows generated from the statistical presets.  Unlike
+:class:`~repro.pipeline.workload.StatisticalWorkload` (which models
+per-rank aggregates directly), this path draws *actual task rows* —
+uniform read pairs, calibrated costs, a deterministic owner coin — and
+derives the exchange structure exactly, so a 10^7–10^8-task macro sweep
+runs with peak workload memory bounded by the resident-shard budget
+(``benchmarks/bench_scale_sweep.py``).  A sequence-level preset's task
+table is in memory by construction, so it is never sharded.
 
 A shard holds its columns in the narrowest types their values need, and
 the ledger charges exactly those bytes: synthetic rows are ``read_a`` /
 ``read_b`` in ``np.min_scalar_type(n_reads - 1)``, the bool ``pick_a``
 and a float64 ``cost`` (13 bytes a task on ecoli30x, 17 on ecoli100x and
-Human CCS); concrete-backed rows keep their backing's int64 ids and
-float64 costs (24 bytes).
+Human CCS).
 """
 
 from __future__ import annotations
@@ -68,8 +60,6 @@ from repro.errors import ConfigurationError, ShardSpillError
 from repro.genome.datasets import DatasetSpec
 from repro.machine.memory import NodeMemory
 from repro.pipeline.workload import (
-    ConcreteWorkload,
-    MicroPlan,
     TaskRowWorkload,
     calibrated_cost_dist,
     generate_read_lengths,
@@ -371,12 +361,12 @@ class _KeyBuckets:
 class ShardedWorkload(TaskRowWorkload):
     """A workload no layer ever holds in full (see the module docstring).
 
-    Rendering is inherited; ``reads``/``tasks``/``task_costs`` delegate to
-    a :class:`~repro.pipeline.workload.ConcreteWorkload` backing (the
-    micro engines and the process backend need row access; the synthetic
-    backing is macro-only and refuses).  Read lengths stay materialized —
-    they are O(reads), not O(tasks) — while task columns live in the
-    bounded :class:`ShardStore`.
+    Rendering is inherited; every shard ``build_shard`` returns carries
+    the ``pick_a`` owner coin, since only the one resident chunk of a
+    :class:`~repro.pipeline.workload.ConcreteWorkload` runs the greedy
+    stream.  It has no reads or task table, so only the macro engines run
+    it.  Read lengths stay materialized — they are O(reads), not
+    O(tasks) — while task columns live in the bounded :class:`ShardStore`.
     """
 
     rows_resident = False
@@ -391,52 +381,18 @@ class ShardedWorkload(TaskRowWorkload):
         shard_tasks: int = DEFAULT_SHARD_TASKS,
         max_resident_shards: int = DEFAULT_RESIDENT_SHARDS,
         spill_dir: str | None = None,
-        bytes_per_task: int = 24,
-        backing: ConcreteWorkload | None = None,
+        bytes_per_task: int,
     ):
         if n_tasks <= 0:
             raise ConfigurationError("sharded workload needs n_tasks >= 1")
         super().__init__(name, np.asarray(read_lengths, dtype=np.int64),
                          int(n_tasks))
-        self._backing = backing
         self.store = ShardStore(
             n_tasks, shard_tasks, build_shard, bytes_per_task,
             max_resident=max_resident_shards, spill_dir=spill_dir,
         )
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_workload(
-        cls,
-        workload: ConcreteWorkload,
-        shard_tasks: int = DEFAULT_SHARD_TASKS,
-        max_resident_shards: int = DEFAULT_RESIDENT_SHARDS,
-        spill_dir: str | None = None,
-    ) -> "ShardedWorkload":
-        """Shard an existing concrete workload's task table.
-
-        Renderings are bit-identical to the materialized workload's for
-        *any* shard size (pinned by the golden-signature suite): both run
-        the one task-row renderer over the same rows in the same order.
-        """
-        rows = next(workload._row_chunks())
-
-        def build(_sid: int, lo: int, hi: int) -> dict:
-            return {key: np.ascontiguousarray(col[lo:hi])
-                    for key, col in rows.items()}
-
-        return cls(
-            workload.name,
-            workload.read_lengths,
-            workload.n_tasks,
-            build,
-            shard_tasks=shard_tasks,
-            max_resident_shards=max_resident_shards,
-            spill_dir=spill_dir,
-            bytes_per_task=_row_bytes(col.dtype for col in rows.values()),
-            backing=workload,
-        )
 
     @classmethod
     def synthetic(
@@ -469,8 +425,8 @@ class ShardedWorkload(TaskRowWorkload):
         """
         if spec.n_reads <= 0 or spec.n_tasks <= 0:
             raise ConfigurationError(
-                f"dataset {spec.name!r} has no statistical totals; shard a "
-                "sequence-level preset with ShardedWorkload.from_workload"
+                f"dataset {spec.name!r} has no statistical totals; a "
+                "sequence-level preset's task rows are already in memory"
             )
         # the read lengths and calibration StatisticalWorkload builds, so
         # the stage-1 partition and mean task cost agree between the two
@@ -537,36 +493,7 @@ class ShardedWorkload(TaskRowWorkload):
             max_resident_shards=max_resident_shards,
             spill_dir=spill_dir,
             bytes_per_task=_row_bytes(dtypes.values()),
-            backing=None,
         )
-
-    # -- identity / delegation ----------------------------------------------
-
-    @property
-    def is_concrete(self) -> bool:
-        """True when backed by a concrete workload (rows + sequences)."""
-        return self._backing is not None
-
-    def _need_backing(self, what: str) -> ConcreteWorkload:
-        if self._backing is None:
-            raise ConfigurationError(
-                f"sharded workload {self.name!r} is synthetic "
-                f"(aggregate-only); {what} needs a concrete backing — "
-                f"build one with ShardedWorkload.from_workload"
-            )
-        return self._backing
-
-    @property
-    def reads(self):
-        return self._need_backing("read sequences").reads
-
-    @property
-    def tasks(self):
-        return self._need_backing("the task table").tasks
-
-    @property
-    def task_costs(self) -> np.ndarray:
-        return self._need_backing("per-task costs").task_costs
 
     # -- per-P rendering ------------------------------------------------------
 
@@ -580,17 +507,11 @@ class ShardedWorkload(TaskRowWorkload):
         return _KeyBuckets(num_ranks, self.n_reads, self.store._tmp.name,
                            self.store.n_shards)
 
-    def micro_plan(self, num_ranks: int) -> MicroPlan:
-        """Per-task rendering (O(tasks) arrays: concrete backing only)."""
-        self._need_backing("a micro plan")
-        return super().micro_plan(num_ranks)
-
     def close(self) -> None:
         """Release spill files and resident shards (idempotent)."""
         self.store.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "concrete" if self.is_concrete else "synthetic"
-        return (f"ShardedWorkload({self.name!r}, {kind}, "
+        return (f"ShardedWorkload({self.name!r}, "
                 f"tasks={self.n_tasks:,}, shard={self.store.shard_tasks:,}, "
                 f"resident<={self.store.max_resident})")

@@ -167,23 +167,20 @@ class _ResidentKeys:
 
 class TaskRowWorkload:
     """The one renderer of :meth:`micro_plan` and :meth:`assignment` from
-    task rows (``read_a``, ``read_b``, ``cost`` and optionally ``pick_a``).
+    task rows (``read_a``, ``read_b``, ``cost`` and ``pick_a``).
 
     Subclasses supply the rows as chunks in task order (:meth:`_row_chunks`)
     and where distinct ``requester * n_reads + read`` keys are deduplicated
     (:meth:`_key_sink`).  Read ids may be any integer type.  A task goes
-    to read a's owner where the chunk's bool ``pick_a`` is set and to
-    read b's where it is clear; a chunk without ``pick_a`` gives it to
-    the less-loaded owner of its two reads (the greedy stream, its loads
-    carried across chunks).  Folds are in-order ``np.add.at`` and
-    distinct keys fold ascending, so any chunking gives bit-identical
-    arrays.
+    to read a's owner where :meth:`_pick_a` is set and to read b's where
+    it is clear: the chunk's own bool ``pick_a`` column, unless a
+    subclass derives it.  Folds are in-order ``np.add.at`` and distinct
+    keys fold ascending, so any chunking gives bit-identical arrays.
     """
 
     #: rows are in memory: :meth:`assignment` folds the cached micro plan
     #: as one chunk, so the greedy stream runs once per rank count
     rows_resident = True
-    is_concrete = True
 
     def __init__(self, name: str, read_lengths: np.ndarray, n_tasks: int):
         self.name = name
@@ -204,25 +201,21 @@ class TaskRowWorkload:
     def _key_sink(self, num_ranks: int):
         return _ResidentKeys()
 
+    def _pick_a(self, columns: dict, owner_a: np.ndarray,
+                owner_b: np.ndarray, num_ranks: int) -> np.ndarray:
+        """Whether read a's owner, not read b's, executes each task."""
+        return columns["pick_a"]
+
     def _plan_chunks(self, num_ranks: int, part: ReadPartition):
         """``(owner_a, owner_b, assigned, remote_read, cost)`` per chunk."""
-        loads = np.zeros(num_ranks, dtype=np.float64)
         for columns in self._row_chunks():
             read_a, read_b = columns["read_a"], columns["read_b"]
             owner_a = part.owners(read_a)
             owner_b = part.owners(read_b)
-            if "pick_a" in columns:
-                pick_a = columns["pick_a"]
-                assigned = np.where(pick_a, owner_a, owner_b)
-                remote_read = np.where(pick_a, read_b, read_a).astype(np.int64)
-                remote_read[owner_a == owner_b] = -1
-            else:
-                assigned = assign_tasks_balanced(owner_a, owner_b, num_ranks,
-                                                 loads=loads)
-                remote_read = np.where(
-                    owner_a == owner_b, -1,
-                    np.where(owner_a == assigned, read_b, read_a),
-                ).astype(np.int64)
+            pick_a = self._pick_a(columns, owner_a, owner_b, num_ranks)
+            assigned = np.where(pick_a, owner_a, owner_b)
+            remote_read = np.where(pick_a, read_b, read_a).astype(np.int64)
+            remote_read[owner_a == owner_b] = -1
             yield owner_a, owner_b, assigned, remote_read, columns["cost"]
 
     def micro_plan(self, num_ranks: int) -> MicroPlan:
@@ -313,7 +306,8 @@ class ConcreteWorkload(TaskRowWorkload):
 
     ``task_costs`` are per-task simulated seconds (from the cost model, or
     measured from the real kernel's cell counts).  The whole table is one
-    resident chunk.
+    resident chunk, so its tasks go to the less-loaded owner of their two
+    reads in one greedy stream (:func:`assign_tasks_balanced`).
     """
 
     def __init__(
@@ -333,6 +327,9 @@ class ConcreteWorkload(TaskRowWorkload):
     def _row_chunks(self) -> Iterator[dict]:
         yield {"read_a": self.tasks.read_a, "read_b": self.tasks.read_b,
                "cost": self.task_costs}
+
+    def _pick_a(self, columns, owner_a, owner_b, num_ranks):
+        return assign_tasks_balanced(owner_a, owner_b, num_ranks) == owner_a
 
     @classmethod
     def from_pipeline(

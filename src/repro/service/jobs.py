@@ -21,12 +21,13 @@ client needs to decide between retry and reconfigure).
 :class:`JobRequest` is the canonical submission: workload + engine +
 knobs + fault spec.  Its :meth:`~JobRequest.cache_key` is the result
 cache's identity — a SHA-256 over every field that can move a result bit,
-and *only* those: the compute backend knobs (``backend``/``workers``)
-and the sharding knobs (``shard_tasks``/``max_resident_shards``) are
-excluded because the executor and sharded layers are contractually
-bit-identical to their serial/materialized counterparts (pinned by the
-golden-signature suite), so requests that differ only there share one
-cache entry.
+and *only* those.  The compute backend knobs (``backend``/``workers``)
+are excluded: the executor is contractually bit-identical to the serial
+path (pinned by the golden-signature suite).  Of the sharding knobs only
+one fact enters the key: whether a Table-1 preset runs as streamed task
+rows (``shard_tasks > 0``), a different model from the statistical one.
+Shard size and resident budget stay out (any nonzero size gives the same
+bits), and a sequence-level preset ignores the knobs altogether.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Mapping
 
-from repro.engines.base import EngineConfig
+from repro.engines.base import EngineConfig, check_int
 from repro.engines.registry import available_engines, get_engine
 from repro.engines.report import RunResult
 from repro.errors import ConfigurationError, JobStateError
@@ -80,6 +81,11 @@ _TRANSITIONS: dict[str, frozenset[str]] = {
 #: EngineConfig knobs that cannot move a result bit (docs/PARALLEL.md's
 #: determinism contract) and are therefore excluded from the cache key
 EXECUTION_ONLY_KNOBS = ("backend", "workers")
+
+#: the integer request fields and their least value (``None``: any)
+_INT_FIELDS = {"seed": 0, "shard_tasks": 0, "max_resident_shards": 1,
+               "nodes": 1, "cores_per_node": 1, "fault_seed": 0,
+               "priority": None}
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,25 @@ class JobRequest:
         return cfg.comm_only() if self.comm_only else cfg
 
     def validate(self) -> None:
-        """Fail fast — a request that cannot run is rejected at submit."""
+        """Fail fast — a request that cannot run is rejected at submit.
+
+        Every field's type is checked first, so a wrongly typed JSON
+        value is a :class:`ConfigurationError`, never a ``TypeError``.
+        """
+        for name, least in _INT_FIELDS.items():
+            check_int(name, getattr(self, name), least)
+        for name in ("workload", "engine", "kernel", "faults"):
+            value = getattr(self, name)
+            if not (isinstance(value, str)
+                    or name == "faults" and value is None):
+                raise ConfigurationError(
+                    f"{name} must be a string, got {value!r}")
+        if not isinstance(self.comm_only, bool):
+            raise ConfigurationError(
+                f"comm_only must be true or false, got {self.comm_only!r}")
+        if not isinstance(self.config, Mapping):
+            raise ConfigurationError(
+                f"config must be a JSON object, got {self.config!r}")
         if self.workload not in DATASETS:
             raise ConfigurationError(
                 f"unknown workload {self.workload!r}; "
@@ -147,14 +171,6 @@ class JobRequest:
         if self.kernel not in ("model", "real"):
             raise ConfigurationError(
                 f"kernel must be 'model' or 'real', got {self.kernel!r}"
-            )
-        if self.nodes < 1 or self.cores_per_node < 1:
-            raise ConfigurationError(
-                "nodes and cores_per_node must be >= 1"
-            )
-        if self.shard_tasks < 0 or self.max_resident_shards < 1:
-            raise ConfigurationError(
-                "shard_tasks must be >= 0 and max_resident_shards >= 1"
             )
         from repro.core.api import check_micro_knobs
 
@@ -175,10 +191,10 @@ class JobRequest:
     def cache_key(self) -> str:
         """SHA-256 identity over every result-affecting field.
 
-        Execution-only knobs (:data:`EXECUTION_ONLY_KNOBS`) and the
-        sharding knobs are deliberately absent: both layers are
-        bit-identical by contract, so e.g. a ``backend="process"``
-        resubmission of a cached serial run is a hit.
+        Execution-only knobs (:data:`EXECUTION_ONLY_KNOBS`) are absent, so
+        e.g. a ``backend="process"`` resubmission of a cached serial run
+        is a hit.  The sharding knobs add one term, and only where they
+        pick the streamed model: ``shard_tasks > 0`` on a Table-1 preset.
         """
         cfg = self.engine_config()
         parts = [
@@ -187,6 +203,8 @@ class JobRequest:
             f"cores={self.cores_per_node}", f"kernel={self.kernel}",
             f"faults={self.faults or ''}", f"fault_seed={self.fault_seed}",
         ]
+        if self.shard_tasks and not DATASETS[self.workload].sequence_level:
+            parts.append("rows=streamed")
         for f in sorted(self._CONFIG_FIELDS - set(EXECUTION_ONLY_KNOBS)):
             value = getattr(cfg, f)
             if isinstance(value, float):

@@ -444,31 +444,26 @@ def test_engine_results_identical_across_backends(workload):
 
 
 def test_sharded_workload_publishes_one_store(workload, serial):
-    """A sharded concrete workload runs through the pool like any other:
-    its ``reads``/``tasks`` delegation feeds the one pool-lifetime store,
-    published once however many batches follow."""
-    from repro.pipeline.sharded import ShardedWorkload
-
+    """Shard knobs on a sequence-level preset give back the materialized
+    workload, whose rows feed the one pool-lifetime store, published once
+    however many batches follow."""
     baseline = active_shm_segments()
-    sw = ShardedWorkload.from_workload(workload, shard_tasks=97,
-                                       max_resident_shards=2)
+    sw = get_workload("micro", seed=11, shard_tasks=97,
+                      max_resident_shards=2)
+    assert sw is get_workload("micro", seed=11)
     rng = np.random.default_rng(4)
     idx = rng.choice(workload.n_tasks, size=N_TASK_CAP, replace=False)
     want = serial.align_tasks(idx)
-    try:
-        with ProcessExecutor(sw, SeedExtendAligner(), workers=3) as ex:
-            store = {name for name, _, _ in
-                     ex._store.spec["arrays"].values()}
-            assert active_shm_segments() - baseline == store
-            for _ in range(2):
-                got = ex.align_tasks(idx)
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert _fields(a) == _fields(b)
-                # still the same store, plus the output array: no batch
-                # published anything of its own
-                assert active_shm_segments() - baseline == \
-                    store | {ex._out.name}
-    finally:
-        sw.close()
+    with ProcessExecutor(sw, SeedExtendAligner(), workers=3) as ex:
+        store = {name for name, _, _ in ex._store.spec["arrays"].values()}
+        assert active_shm_segments() - baseline == store
+        for _ in range(2):
+            got = ex.align_tasks(idx)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert _fields(a) == _fields(b)
+            # still the same store, plus the output array: no batch
+            # published anything of its own
+            assert active_shm_segments() - baseline == \
+                store | {ex._out.name}
     assert active_shm_segments() == baseline

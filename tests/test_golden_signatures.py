@@ -101,14 +101,14 @@ def test_parallel_backends_hit_serial_golden(engine, backend, monkeypatch):
 
 @pytest.mark.parametrize("engine", regen.ENGINES)
 def test_sharded_path_hits_materialized_golden(engine):
-    """The out-of-core workload path must reproduce the pinned digests.
+    """Shard knobs on a sequence-level preset reproduce the pinned digests.
 
-    Sharding (generation, streamed aggregation, spill/reload) is a pure
-    memory knob: the same engine on the same
-    preset through ``shard_tasks > 0`` cannot move a single bit of the
-    result.  A shard size well below n_tasks forces multiple shards,
-    evictions, and spill reloads on every existing golden workload.
+    The preset's task rows are in memory by construction, so
+    ``shard_tasks > 0`` gives back the materialized workload itself and
+    cannot move a single bit of the result.
     """
+    assert (regen.get_workload("micro", seed=11, shard_tasks=97)
+            is regen.get_workload("micro", seed=11))
     key = regen.case_key(engine, "micro", 11)
     res = regen.compute_result(engine, "micro", 11, shard_tasks=97)
     assert res.signature() == GOLDENS[key], (
@@ -119,8 +119,10 @@ def test_sharded_path_hits_materialized_golden(engine):
 
 @pytest.mark.parametrize("engine", ["bsp-micro"])
 def test_sharded_process_backend_hits_golden(engine):
-    """A sharded workload through the pool's one store keeps the serial
-    digest."""
+    """Shard knobs with the process backend keep the serial digest: the
+    materialized workload feeds the pool's one store."""
+    assert (regen.get_workload("micro", seed=11, shard_tasks=97)
+            is regen.get_workload("micro", seed=11))
     key = regen.case_key(engine, "micro", 11)
     res = regen.compute_result(engine, "micro", 11, shard_tasks=97,
                                backend="process", workers=2)

@@ -439,6 +439,17 @@ def test_error_statuses(server, method, path, body, code):
     assert "error" in json.load(err.value)
 
 
+def test_wrongly_typed_field_is_a_typed_400(server):
+    """A string where an integer belongs is answered, not a dead handler
+    thread and a connection closed without a status."""
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _request(server.url("/jobs"), "POST",
+                 {"workload": "micro", "nodes": "2"})
+    assert err.value.code == 400
+    assert json.load(err.value)["error"] == "ConfigurationError"
+    assert server.queue.stats()["submitted"] == 0
+
+
 def _raw_post(server, headers: str) -> tuple[int, dict]:
     """POST /jobs over a bare socket, header bytes exactly as given.
 

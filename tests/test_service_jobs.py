@@ -3,8 +3,9 @@
 The contracts under test (docs/SERVICE.md): every job walks the declared
 lifecycle and nothing else (``JobStateError`` on an illegal move), errors
 are captured *typed*, the cache key covers exactly the result-affecting
-request fields (execution-only and sharding knobs excluded — the layers
-the golden suite pins as bit-identical), and the per-job event log is a
+request fields (execution-only knobs, shard size and resident budget
+excluded — the golden suite pins them as bit-identical — but not the
+choice of the streamed Table-1 model), and the per-job event log is a
 capped, closable, replayable stream.
 """
 
@@ -155,6 +156,25 @@ def test_invalid_requests_fail_fast(bad):
         JobRequest.from_dict(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    # these raised TypeError/AttributeError past the HTTP handler
+    {"nodes": "2"},
+    {"config": 5},
+    {"faults": 5},
+    {"workload": ["micro"]},
+    # and these were accepted and given a cache key
+    {"seed": "x"},
+    {"seed": -1},
+    {"priority": "hi"},
+    {"comm_only": "yes"},
+    {"shard_tasks": 1.5},
+    {"cores_per_node": True},
+])
+def test_wrongly_typed_fields_are_configuration_errors(bad):
+    with pytest.raises(ConfigurationError, match=next(iter(bad))):
+        JobRequest.from_dict(bad)
+
+
 def test_known_engines_includes_registry_and_auto():
     names = known_engines()
     assert "bsp" in names and "async-micro" in names and "auto" in names
@@ -170,11 +190,19 @@ def test_execution_only_knobs_do_not_move_the_key():
     assert base.cache_key() == pool.cache_key()
 
 
-def test_sharding_knobs_do_not_move_the_key():
-    base = JobRequest(workload="ecoli30x")
-    sharded = JobRequest(workload="ecoli30x", shard_tasks=5000,
-                         max_resident_shards=2)
-    assert base.cache_key() == sharded.cache_key()
+def test_shard_knobs_key_only_the_streamed_model():
+    """On a Table-1 preset, ``shard_tasks > 0`` is another model: it keys
+    apart from the statistical run, but shard size and resident budget do
+    not.  A sequence-level preset ignores the knobs."""
+    streamed = {JobRequest(workload="ecoli30x", shard_tasks=shard,
+                           max_resident_shards=resident).cache_key()
+                for shard in (5000, 131072) for resident in (2, 4)}
+    assert len(streamed) == 1
+    assert JobRequest(workload="ecoli30x").cache_key() not in streamed
+    micro = {JobRequest(workload="micro", shard_tasks=shard,
+                        max_resident_shards=resident).cache_key()
+             for shard in (0, 5000, 131072) for resident in (2, 4)}
+    assert micro == {JobRequest(workload="micro").cache_key()}
 
 
 def test_int_and_float_spellings_share_the_key():

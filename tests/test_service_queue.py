@@ -85,10 +85,32 @@ def test_cache_hit_completes_instantly_with_identical_result():
         assert second.result is first.result
         assert second.result.signature() == first.result.signature()
         assert q.executions(req.cache_key()) == 1
-        # cache-equivalent knobs (sharding) also hit
+        # shard knobs on a sequence-level preset change nothing: a hit
         third = q.submit(JobRequest(seed=24, shard_tasks=50,
                                     max_resident_shards=2))
         assert third.wait(5.0) and third.cache_hit
+
+
+def test_streamed_twin_is_not_served_the_statistical_result():
+    """ecoli30x with ``shard_tasks`` is the streamed model, not the
+    statistical one: after the unsharded run finished, the sharded twin
+    still runs, and gives what the sharded workload gives directly."""
+    from repro.core.api import get_workload, run_alignment
+
+    base = JobRequest(workload="ecoli30x", engine="bsp", nodes=8)
+    twin = JobRequest(workload="ecoli30x", engine="bsp", nodes=8,
+                      shard_tasks=262144)
+    with RunQueue(slots=1) as q:
+        first = q.submit(base)
+        assert first.wait(WAIT) and first.state == JobState.DONE
+        second = q.submit(twin)
+        assert second.wait(WAIT) and second.state == JobState.DONE
+    assert not second.cache_hit and second.cache_source is None
+    direct = run_alignment(
+        get_workload("ecoli30x", shard_tasks=262144), 8, "bsp",
+        cores_per_node=twin.cores_per_node)
+    assert second.result.signature() == direct.signature()
+    assert second.result.signature() != first.result.signature()
 
 
 # -- admission control -------------------------------------------------------

@@ -1,13 +1,13 @@
 """Sharded out-of-core workload tests.
 
-The contract under test (docs/ARCHITECTURE.md "Sharded workloads"):
-``shard_tasks`` and ``max_resident_shards`` are *memory* knobs — for any
-values, a :class:`~repro.pipeline.sharded.ShardedWorkload` must produce
-field-identical assignments, identical micro plans, and bit-identical run
-signatures to the materialized path on every engine, while never holding
-more than the resident-shard budget in memory (enforced by the
-:class:`~repro.machine.memory.NodeMemory` ledger, observable through
-``store.stats()``).
+The contract under test (docs/ARCHITECTURE.md "Sharded workloads"): for
+any nonzero ``shard_tasks`` and any ``max_resident_shards``, a
+:class:`~repro.pipeline.sharded.ShardedWorkload` renders field-identical
+assignments to the same task rows folded as one resident chunk, while
+never holding more than the resident-shard budget in memory (enforced by
+the :class:`~repro.machine.memory.NodeMemory` ledger, observable through
+``store.stats()``).  Shard knobs on a sequence-level preset give back the
+materialized workload itself.
 
 Also covers the two satellite fixes that ride along: the
 :class:`StatisticalWorkload` stage-1 partition memo, and the workload
@@ -21,8 +21,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import errors
 from repro.align import cost as cost_mod
@@ -35,14 +33,13 @@ from repro.errors import ConfigurationError, PartitionError
 from repro.genome.datasets import DATASETS, DatasetSpec
 from repro.pipeline.sharded import (
     BUCKET_SPAN_LIMIT,
+    GEN_BLOCK,
     MAX_KEY_BUCKETS,
     ShardedWorkload,
     ShardStore,
     _KeyBuckets,
 )
-from repro.pipeline.workload import StatisticalWorkload
-
-ENGINES = ("bsp", "async", "hybrid", "bsp-micro", "async-micro")
+from repro.pipeline.workload import StatisticalWorkload, TaskRowWorkload
 
 ASSIGNMENT_FIELDS = (
     "reads_per_rank", "partition_bytes", "tasks_per_rank",
@@ -58,14 +55,39 @@ TINY_STAT = DatasetSpec(
     length_sigma=0.5, genome_size=1_000_000, sequence_level=False,
 )
 
+#: a shard size that streams TINY_STAT as 15 shards, 13 of them spilled
+SMALL_SHARD = 10_000
+
+
+def synthetic(shard_tasks: int, seed: int = 5,
+              max_resident_shards: int = 2) -> ShardedWorkload:
+    return ShardedWorkload.synthetic(TINY_STAT, seed=seed,
+                                     shard_tasks=shard_tasks,
+                                     max_resident_shards=max_resident_shards)
+
+
+class OneChunk(TaskRowWorkload):
+    """Task rows folded as one resident chunk, keys sorted in memory."""
+
+    rows_resident = False
+
+    def __init__(self, name, read_lengths, rows: dict):
+        super().__init__(name, read_lengths, rows["cost"].size)
+        self._rows = rows
+
+    def _row_chunks(self):
+        yield self._rows
+
 
 @pytest.fixture(scope="module")
-def concrete():
-    return get_workload("micro", seed=11)
-
-
-def shard_sizes(n_tasks: int) -> tuple[int, ...]:
-    return (1, 7, n_tasks, n_tasks + 1)
+def twin() -> OneChunk:
+    """The oracle: TINY_STAT's rows at seed 5, never streamed or spilled."""
+    sw = synthetic(TINY_STAT.n_tasks)
+    try:
+        rows = {key: col.copy() for key, col in sw.store.get(0).items()}
+    finally:
+        sw.close()
+    return OneChunk(sw.name, sw.read_lengths, rows)
 
 
 def assert_assignments_equal(a, b, context: str) -> None:
@@ -76,15 +98,18 @@ def assert_assignments_equal(a, b, context: str) -> None:
     assert a.total_tasks == b.total_tasks
 
 
-# -- bit-identity vs the materialized path -----------------------------------
+# -- the streamed render vs one resident chunk -------------------------------
 
 
-@pytest.mark.parametrize("num_ranks", [1, 3, 8])
-def test_assignment_field_identity_all_shard_sizes(concrete, num_ranks):
-    base = concrete.assignment(num_ranks)
-    for shard in shard_sizes(concrete.n_tasks):
-        sw = ShardedWorkload.from_workload(concrete, shard_tasks=shard,
-                                           max_resident_shards=2)
+@pytest.mark.parametrize("num_ranks", [1, 3, 8, 512])
+def test_assignment_field_identity_all_shard_sizes(twin, num_ranks):
+    """Streamed through shards, spills and on-disk key buckets, the rows
+    render what one in-memory fold of them does: one generator block, an
+    unaligned size and ``n_tasks + 1``."""
+    base = twin.assignment(num_ranks)
+    assert base.tasks_per_rank.sum() == TINY_STAT.n_tasks
+    for shard in (GEN_BLOCK, 12_345, TINY_STAT.n_tasks + 1):
+        sw = synthetic(shard)
         try:
             assert_assignments_equal(
                 sw.assignment(num_ranks), base,
@@ -94,60 +119,7 @@ def test_assignment_field_identity_all_shard_sizes(concrete, num_ranks):
             sw.close()
 
 
-def test_micro_plan_identity_all_shard_sizes(concrete):
-    base = concrete.micro_plan(8)
-    for shard in shard_sizes(concrete.n_tasks):
-        sw = ShardedWorkload.from_workload(concrete, shard_tasks=shard,
-                                           max_resident_shards=2)
-        try:
-            plan = sw.micro_plan(8)
-            for field in ("boundaries", "assigned", "owner_a", "owner_b",
-                          "remote_read"):
-                assert np.array_equal(getattr(plan, field),
-                                      getattr(base, field)), \
-                    f"shard={shard}: {field} diverged"
-        finally:
-            sw.close()
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_run_signature_identity_all_engines(concrete, engine):
-    """Satellite: every shard size hits the materialized digest, 5 engines."""
-    base = run_alignment(concrete, 2, engine, cores_per_node=4).signature()
-    for shard in shard_sizes(concrete.n_tasks):
-        sw = ShardedWorkload.from_workload(concrete, shard_tasks=shard,
-                                           max_resident_shards=2)
-        try:
-            sig = run_alignment(sw, 2, engine, cores_per_node=4).signature()
-            assert sig == base, (
-                f"{engine} shard={shard}: sharded run signature diverged "
-                f"from the materialized path"
-            )
-        finally:
-            sw.close()
-
-
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
-    shard=st.integers(min_value=1, max_value=2000),
-    num_ranks=st.sampled_from([1, 2, 5, 8]),
-)
-def test_assignment_identity_property(shard, num_ranks):
-    """Any (shard size, rank count) reproduces the materialized fields."""
-    concrete = get_workload("micro", seed=11)
-    sw = ShardedWorkload.from_workload(concrete, shard_tasks=shard,
-                                       max_resident_shards=3)
-    try:
-        assert_assignments_equal(
-            sw.assignment(num_ranks), concrete.assignment(num_ranks),
-            f"shard={shard} P={num_ranks}",
-        )
-    finally:
-        sw.close()
-
-
-# -- synthetic (paper-scale) backing -----------------------------------------
+# -- synthetic (paper-scale) rows --------------------------------------------
 
 
 def test_synthetic_shard_size_invariance():
@@ -181,13 +153,8 @@ def test_synthetic_matches_statistical_stage1():
 
 
 def test_synthetic_is_macro_only():
-    sw = ShardedWorkload.synthetic(TINY_STAT, seed=0, shard_tasks=1 << 15)
+    sw = synthetic(1 << 15, seed=0)
     try:
-        assert not sw.is_concrete
-        with pytest.raises(ConfigurationError, match="synthetic"):
-            sw.micro_plan(4)
-        with pytest.raises(ConfigurationError, match="synthetic"):
-            _ = sw.reads
         with pytest.raises(ConfigurationError, match="message-level"):
             run_alignment(sw, 2, "bsp-micro", cores_per_node=4)
     finally:
@@ -202,19 +169,18 @@ def test_synthetic_rejects_sequence_level_specs():
 # -- resident-shard budget / spill -------------------------------------------
 
 
-def test_store_bounds_resident_memory(concrete):
-    sw = ShardedWorkload.from_workload(concrete, shard_tasks=100,
-                                       max_resident_shards=2)
+def test_store_bounds_resident_memory():
+    sw = synthetic(SMALL_SHARD)
     try:
         sw.assignment(8)
         stats = sw.store.stats()
-        assert stats["n_shards"] == -(-concrete.n_tasks // 100)
+        assert stats["n_shards"] == -(-TINY_STAT.n_tasks // SMALL_SHARD)
         assert stats["resident"] <= 2
         assert stats["peak_resident_bytes"] <= stats["budget_bytes"]
         assert stats["evictions"] > 0 and stats["spilled"] > 0
         # a second full pass reloads from spill instead of rebuilding
         builds = stats["builds"]
-        sw.micro_plan(8)
+        sw.assignment(16)
         stats = sw.store.stats()
         assert stats["builds"] == builds
         assert stats["reloads"] > 0
@@ -222,10 +188,10 @@ def test_store_bounds_resident_memory(concrete):
         sw.close()
 
 
-def test_ledger_charges_what_a_full_shard_holds(concrete):
-    """Both backings: a full shard's column bytes are ``bytes_per_shard``;
-    synthetic read ids take the narrowest unsigned type for the read set
-    and the owner coin is one bool."""
+def test_ledger_charges_what_a_full_shard_holds():
+    """A full shard's column bytes are ``bytes_per_shard``: read ids take
+    the narrowest unsigned type for the read set and the owner coin is
+    one bool."""
     wide = DatasetSpec(
         name="wide_ids_test", species="test", n_reads=70_000,
         n_tasks=100_000, coverage=10.0, error_rate=0.1,
@@ -233,8 +199,6 @@ def test_ledger_charges_what_a_full_shard_holds(concrete):
         sequence_level=False,
     )
     cases = [
-        (ShardedWorkload.from_workload(concrete, shard_tasks=97),
-         {"read_a": np.int64, "read_b": np.int64, "cost": np.float64}),
         (ShardedWorkload.synthetic(TINY_STAT, seed=5, shard_tasks=40_000),
          {"read_a": np.uint16, "read_b": np.uint16, "pick_a": np.bool_,
           "cost": np.float64}),
@@ -275,9 +239,8 @@ def test_two_pass_ecoli30x_render_stays_in_its_narrow_budget():
         "builds": 18, "reloads": 18, "evictions": 34, "spilled": 18}
 
 
-def test_store_single_shard_never_spills(concrete):
-    sw = ShardedWorkload.from_workload(
-        concrete, shard_tasks=concrete.n_tasks, max_resident_shards=1)
+def test_store_single_shard_never_spills():
+    sw = synthetic(TINY_STAT.n_tasks, max_resident_shards=1)
     try:
         sw.assignment(4)
         stats = sw.store.stats()
@@ -369,19 +332,21 @@ def test_sharded_pass_uses_at_most_one_bucket_per_shard():
         sw.close()
 
 
-def test_sharded_corrupt_read_column_fails_typed(concrete):
+def test_sharded_corrupt_read_column_fails_typed():
     """An out-of-range read id raises instead of wrapping to another rank."""
-    def build(_sid, lo, hi):
-        read_a = np.ascontiguousarray(concrete.tasks.read_a[lo:hi]).copy()
+    source = synthetic(SMALL_SHARD)
+
+    def build(sid, lo, hi):
+        columns = source.store._build(sid, lo, hi)
+        read_a = columns["read_a"].astype(np.int64)
         if lo == 0:
             read_a[0] = -1
-        return {"read_a": read_a,
-                "read_b": np.ascontiguousarray(concrete.tasks.read_b[lo:hi]),
-                "cost": np.ascontiguousarray(concrete.task_costs[lo:hi])}
+        return {**columns, "read_a": read_a}
 
-    sw = ShardedWorkload(concrete.name, concrete.read_lengths,
-                         concrete.n_tasks, build, shard_tasks=97,
-                         max_resident_shards=2, backing=concrete)
+    # int64 read_a, uint16 read_b, the bool coin and a float64 cost
+    sw = ShardedWorkload(source.name, source.read_lengths, source.n_tasks,
+                         build, shard_tasks=SMALL_SHARD,
+                         max_resident_shards=2, bytes_per_task=19)
     try:
         with pytest.raises(PartitionError, match="out of range"):
             sw.assignment(4)
@@ -389,14 +354,14 @@ def test_sharded_corrupt_read_column_fails_typed(concrete):
             sw.micro_plan(4)
     finally:
         sw.close()
+        source.close()
 
 
-def test_failed_pass_leaves_no_stale_bucket_keys(concrete):
+def test_failed_pass_leaves_no_stale_bucket_keys(twin):
     """A pass that raises mid-stream must not leak its dedup keys into the
-    next one: a retry at another rank count reproduces the materialized
+    next one: a retry at another rank count reproduces the resident
     exchange exactly, and only shard spills are left in the store's dir."""
-    sw = ShardedWorkload.from_workload(concrete, shard_tasks=97,
-                                       max_resident_shards=2)
+    sw = synthetic(SMALL_SHARD)
     build, failed = sw.store._build, []
 
     def flaky(sid, lo, hi):
@@ -413,7 +378,7 @@ def test_failed_pass_leaves_no_stale_bucket_keys(concrete):
                      if not f.startswith("shard")]
         for num_ranks in (16, 4, 8):
             assert_assignments_equal(
-                sw.assignment(num_ranks), concrete.assignment(num_ranks),
+                sw.assignment(num_ranks), twin.assignment(num_ranks),
                 f"retry P={num_ranks}",
             )
         assert leftovers == []
@@ -421,12 +386,11 @@ def test_failed_pass_leaves_no_stale_bucket_keys(concrete):
         sw.close()
 
 
-def test_truncated_spill_fails_typed(concrete):
+def test_truncated_spill_fails_typed(twin):
     """A spill cut short (crash, full disk) is reported as a typed error
     naming the shard and file, not a short read; the bad copy is
     dropped, so the next pass rebuilds the shard from its source."""
-    sw = ShardedWorkload.from_workload(concrete, shard_tasks=97,
-                                       max_resident_shards=2)
+    sw = synthetic(SMALL_SHARD)
     try:
         sw.assignment(8)
         path = os.path.join(sw.store.stats()["spill_dir"], "shard0.cols")
@@ -437,16 +401,15 @@ def test_truncated_spill_fails_typed(concrete):
             sw.assignment(16)
         assert path in str(info.value)
         assert isinstance(info.value, errors.ReproError)
-        assert_assignments_equal(sw.assignment(16), concrete.assignment(16),
+        assert_assignments_equal(sw.assignment(16), twin.assignment(16),
                                  "after a corrupt spill")
     finally:
         sw.close()
 
 
-def test_spill_is_written_whole_or_not_at_all(concrete):
+def test_spill_is_written_whole_or_not_at_all(twin):
     """A spill write that fails midway leaves no file a reload could trust."""
-    sw = ShardedWorkload.from_workload(concrete, shard_tasks=97,
-                                       max_resident_shards=2)
+    sw = synthetic(SMALL_SHARD)
     build, disk_full = sw.store._build, [True]
 
     class Column(np.ndarray):
@@ -463,7 +426,7 @@ def test_spill_is_written_whole_or_not_at_all(concrete):
             sw.assignment(8)
         disk_full.clear()
         assert os.listdir(sw.store.stats()["spill_dir"]) == []
-        assert_assignments_equal(sw.assignment(8), concrete.assignment(8),
+        assert_assignments_equal(sw.assignment(8), twin.assignment(8),
                                  "after a failed spill")
     finally:
         sw.close()
@@ -515,8 +478,8 @@ def test_store_validates_knobs():
         ShardStore(10, 4, lambda s, lo, hi: {}, 8, max_resident=0)
 
 
-def test_close_is_idempotent(concrete):
-    sw = ShardedWorkload.from_workload(concrete, shard_tasks=64)
+def test_close_is_idempotent():
+    sw = synthetic(1 << 14)
     sw.assignment(4)
     sw.close()
     sw.close()
@@ -525,8 +488,8 @@ def test_close_is_idempotent(concrete):
 # -- caches ------------------------------------------------------------------
 
 
-def test_sharded_workload_caches_per_rank_count(concrete):
-    sw = ShardedWorkload.from_workload(concrete, shard_tasks=256)
+def test_sharded_workload_caches_per_rank_count():
+    sw = synthetic(1 << 14)
     try:
         a1 = sw.assignment(8)
         a2 = sw.assignment(8)
@@ -539,16 +502,34 @@ def test_sharded_workload_caches_per_rank_count(concrete):
 
 
 def test_get_workload_shard_knobs_key_the_cache():
+    """A sequence-level preset's task rows are in memory already: shard
+    knobs give back the materialized workload.  On a Table-1 preset they
+    pick the streamed model and key its cache entries."""
     clear_workload_cache()
     w0 = get_workload("micro", seed=11)
-    s1 = get_workload("micro", seed=11, shard_tasks=128)
-    s2 = get_workload("micro", seed=11, shard_tasks=128)
-    s3 = get_workload("micro", seed=11, shard_tasks=256)
+    for shard, resident in ((128, 4), (256, 2)):
+        assert get_workload("micro", seed=11, shard_tasks=shard,
+                            max_resident_shards=resident) is w0
+    s1 = get_workload("ecoli30x", seed=11, shard_tasks=1 << 18)
+    s2 = get_workload("ecoli30x", seed=11, shard_tasks=1 << 18)
+    s3 = get_workload("ecoli30x", seed=11, shard_tasks=1 << 17)
+    s4 = get_workload("ecoli30x", seed=11, shard_tasks=1 << 18,
+                      max_resident_shards=2)
     assert s1 is s2
-    assert s1 is not s3 and s1 is not w0
-    assert isinstance(s1, ShardedWorkload) and s1.is_concrete
-    # the sharded wrapper shares the cached concrete backing
-    assert s1._backing is w0
+    assert len({id(s1), id(s3), id(s4)}) == 3
+    assert isinstance(s1, ShardedWorkload)
+    assert isinstance(get_workload("ecoli30x", seed=11), StatisticalWorkload)
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+@pytest.mark.parametrize("knobs", [
+    {"shard_tasks": -1},
+    {"shard_tasks": 128, "max_resident_shards": 0},
+    {"max_resident_shards": 0},
+])
+def test_get_workload_rejects_bad_shard_knobs(name, knobs):
+    with pytest.raises(ConfigurationError, match="shard_tasks"):
+        get_workload(name, **knobs)
 
 
 def test_workload_cache_includes_calibration_target():

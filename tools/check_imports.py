@@ -41,10 +41,10 @@ Nine classes of violation, all enforced in CI (and mirrored by
 
 5. **Shards below ``pipeline/``, or a second kernel dispatch site.**  No
    identifier or attribute under ``repro/engines`` or ``repro/runtime``
-   may contain ``shard``: a sharded concrete workload reaches those layers
-   through the same ``reads``/``tasks``/``task_costs`` surface as a
-   materialized one, and code that asks which kind it got is a second
-   data path.  And ``engines/micro.py`` calls ``align_tasks`` exactly
+   may contain ``shard``: only a ``ConcreteWorkload`` reaches the micro
+   engines and the executor, a sharded workload reaches the macro
+   engines as its ``WorkloadAssignment``, and code that asks how a
+   workload is stored is a second data path.  And ``engines/micro.py`` calls ``align_tasks`` exactly
    once — the flush in ``_resolve_alignments``; every other site records
    (docs/PERFORMANCE.md "Kernel dispatch").
 
@@ -56,11 +56,11 @@ Nine classes of violation, all enforced in CI (and mirrored by
 
 7. **A second task-row renderer.**  Outside ``pipeline/partition.py``
    (where it is defined), ``assign_tasks_balanced`` is called exactly once
-   under ``repro/pipeline`` — in ``TaskRowWorkload``, which renders both
-   the materialized and the sharded workload — and ``pipeline/sharded.py``
-   defines no ``assignment`` and no ``micro_plan`` beyond the override
-   that refuses the synthetic backing and returns ``super().micro_plan``
-   (docs/ARCHITECTURE.md "Sharded workloads").
+   under ``repro/pipeline`` — by ``ConcreteWorkload``, whose one resident
+   chunk is the only one ``TaskRowWorkload`` (the renderer of both the
+   materialized and the sharded workload) streams greedily — and
+   ``pipeline/sharded.py`` defines no ``assignment`` and no
+   ``micro_plan`` at all (docs/ARCHITECTURE.md "Sharded workloads").
 
 8. **A hand-rolled LRU.**  ``OrderedDict`` or ``.move_to_end`` anywhere
    under ``repro/`` outside ``utils/cache.py`` (the one thread-safe,
@@ -366,25 +366,6 @@ def dispatch_path_violations(src_root: Path) -> list[str]:
     return problems
 
 
-def _is_refusal_override(fn: ast.FunctionDef) -> bool:
-    """``micro_plan`` that only guards, then returns ``super().micro_plan``."""
-    body = fn.body
-    if body and isinstance(body[0], ast.Expr) and isinstance(
-            getattr(body[0], "value", None), ast.Constant):
-        body = body[1:]
-    last = body[-1] if body else None
-    return (
-        fn.name == "micro_plan"
-        and len(body) <= 2
-        and isinstance(last, ast.Return)
-        and isinstance(last.value, ast.Call)
-        and isinstance(last.value.func, ast.Attribute)
-        and last.value.func.attr == "micro_plan"
-        and isinstance(last.value.func.value, ast.Call)
-        and getattr(last.value.func.value.func, "id", "") == "super"
-    )
-
-
 def renderer_violations(src_root: Path) -> list[str]:
     """Any count but one of :data:`GREEDY_FUNC` calls in the
     :data:`RENDER_PACKAGE` outside :data:`GREEDY_MODULE`, and rendering
@@ -410,13 +391,11 @@ def renderer_violations(src_root: Path) -> list[str]:
             continue
         for fn in ast.walk(tree):
             if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and fn.name in RENDER_METHODS
-                    and not _is_refusal_override(fn)):
+                    and fn.name in RENDER_METHODS):
                 problems.append(
                     f"{name}:{fn.lineno} defines {fn.name}; the sharded "
                     f"workload inherits task-row rendering from "
-                    f"TaskRowWorkload and may only refuse a synthetic "
-                    f"backing before returning super().micro_plan"
+                    f"TaskRowWorkload"
                 )
     if has_greedy and len(calls) != 1:
         problems.append(

@@ -18,10 +18,12 @@ commit as the behavioral change, stating why the numbers moved.
 
 ``--assignments`` regenerates ``tests/goldens/assignments.json`` instead:
 SHA-256 digests of the nine per-rank :class:`WorkloadAssignment` arrays
-for each renderer (statistical, sharded-synthetic, concrete,
-sharded-concrete).  They pin the assignment layer without going through
-an engine, so a renderer optimization is checked against bits recorded
-*before* it (``tests/test_pipeline_workload.py``).
+for each renderer (statistical, sharded-synthetic, concrete).  They pin
+the assignment layer without going through an engine, so a renderer
+optimization is checked against bits recorded *before* it
+(``tests/test_pipeline_workload.py``).  The ``sharded-concrete`` keys
+request ``micro`` with shard knobs, which a sequence-level preset
+ignores: they pin that the knobs give the materialized rendering.
 
 The case matrix and the result-construction helper live here so the test
 module imports them — the suite and the regeneration script can never
@@ -164,9 +166,9 @@ def compute_result(engine: str, workload: str, seed: int, *,
                    shard_tasks: int = 0):
     """One golden case's run: micro engines get the real kernel.
 
-    ``shard_tasks > 0`` runs the same case through the sharded
-    (out-of-core) workload path — the digest must not move: sharding is a
-    memory knob, never a behavioral one (docs/ARCHITECTURE.md).
+    ``shard_tasks > 0`` requests the same case with shard knobs, which a
+    sequence-level preset ignores — the digest must not move
+    (docs/ARCHITECTURE.md "Sharded workloads").
     """
     w = get_workload(workload, seed=seed, shard_tasks=shard_tasks)
     machine = cori_knl(NODES, app_cores_per_node=CORES_PER_NODE)
