@@ -206,13 +206,15 @@ class _MicroBase:
         in model-kernel runs.
         """
         comm_only = self.config.mode is ExecutionMode.COMM_ONLY
+        traced = ctx.tracer is not None
         for t in tasks:
             if not comm_only:
                 seconds = self._dilated(ctx, rank,
                                         float(workload.task_costs[t]))
                 if seconds:
+                    # only a traced phase carries the task's name
                     yield ctx.charge("compute_align", rank, seconds,
-                                     name=f"task{t}")
+                                     name=f"task{t}" if traced else "")
                 if executed is not None:
                     executed.append((rank, int(t)))
             ctx.metrics.inc("tasks", rank)

@@ -24,6 +24,8 @@ seed — the substitution for the unavailable SRA datasets (DESIGN.md §2).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -48,6 +50,12 @@ from repro.utils.rng import RngFactory
 #: a sweep revisits each P many times, but rarely needs more than a handful
 #: of distinct rank counts live at once
 ASSIGNMENT_CACHE_CAP = 16
+
+#: a statistical render whose ranks draw fewer tasks each than this stays
+#: on one thread: the smaller a rank's draws, the more of its time holds
+#: the GIL, and below ~4 000 tasks two threads render slower than one
+#: (docs/PERFORMANCE.md "Rendering across cores")
+THREADED_RANK_TASKS = 1 << 12
 
 __all__ = ["WorkloadAssignment", "MicroPlan", "ConcreteWorkload", "StatisticalWorkload"]
 
@@ -468,6 +476,13 @@ def generate_read_lengths(spec: DatasetSpec, rngs: RngFactory) -> np.ndarray:
     return out
 
 
+def _render_workers() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def calibrated_cost_dist(
     spec: DatasetSpec,
     rngs: RngFactory,
@@ -501,7 +516,8 @@ class StatisticalWorkload:
     of §1), and costs come from :class:`TaskCostDistribution`.
 
     Determinism: identical ``(spec, seed, P)`` reproduce bit-identical
-    assignments; totals (reads, tasks, bytes moved) are P-independent.
+    assignments, on any number of CPUs; totals (reads, tasks, bytes moved)
+    are P-independent.
     """
 
     #: Cluster dispersion coefficients.  Task costs and remote-read demand
@@ -573,44 +589,68 @@ class StatisticalWorkload:
         local_pair_seconds = np.zeros(num_ranks)
         lookups = np.zeros(num_ranks)
         lookup_bytes = np.zeros(num_ranks)
-        # how many ranks request each read; the serve side folds from it
-        requests = np.zeros(n_reads, dtype=np.int64)
 
         cluster_scale = np.sqrt(num_ranks / n_tasks)
         cost_sigma = self.cost_kappa * cluster_scale
         comm_sigma = self.comm_kappa * cluster_scale
 
-        for rank in range(num_ranks):
-            n_r = int(tasks_per_rank[rank])
-            if n_r == 0:
-                continue
-            rng = self.rngs.stream("workload-block", 2, num_ranks, rank)
-            # local read of each task: one of this rank's reads (by byte
-            # weight a longer read seeds more tasks, but uniform-by-read is
-            # an adequate model for cost purposes)
-            lo_r, hi_r = int(boundaries[rank]), int(boundaries[rank + 1])
-            if hi_r > lo_r:
-                local_reads = rng.integers(lo_r, hi_r, n_r)
-            else:
-                local_reads = rng.integers(0, n_reads, n_r)
-            partners = rng.integers(0, n_reads, n_r)
+        # Each rank draws from its own (P, rank) stream and writes only its
+        # own slots, so contiguous rank ranges render on threads with every
+        # bit as on one.  Each range counts, per read, how many of its
+        # ranks request it; the serve side folds from the sum of the
+        # ranges' counts, an integer sum exact in any order.
+        workers = (1 if base < THREADED_RANK_TASKS
+                   else min(_render_workers(), num_ranks))
+        cuts = [num_ranks * i // workers for i in range(workers + 1)]
+        range_requests = np.zeros((workers, n_reads), dtype=np.int64)
 
-            len_local = lengths_f[local_reads]
-            len_partner = lengths_f[partners]
-            costs = self.cost_dist.sample_seconds(len_local, len_partner, rng)
-            if cost_sigma > 0:
-                costs = costs * float(
-                    rng.lognormal(-0.5 * cost_sigma**2, cost_sigma)
-                )
-            compute_seconds[rank] = costs.sum()
+        def render_range(i: int) -> None:
+            requests = range_requests[i]
+            for rank in range(cuts[i], cuts[i + 1]):
+                n_r = int(tasks_per_rank[rank])
+                if n_r == 0:
+                    continue
+                rng = self.rngs.stream("workload-block", 2, num_ranks, rank)
+                # local read of each task: one of this rank's reads (by
+                # byte weight a longer read seeds more tasks, but
+                # uniform-by-read is an adequate model for cost purposes)
+                lo_r, hi_r = int(boundaries[rank]), int(boundaries[rank + 1])
+                if hi_r > lo_r:
+                    local_reads = rng.integers(lo_r, hi_r, n_r)
+                else:
+                    local_reads = rng.integers(0, n_reads, n_r)
+                partners = rng.integers(0, n_reads, n_r)
 
-            partner_local = (partners >= lo_r) & (partners < hi_r)
-            local_pair_seconds[rank] = costs[partner_local].sum()
+                len_local = lengths_f[local_reads]
+                len_partner = lengths_f[partners]
+                costs = self.cost_dist.sample_seconds(len_local, len_partner,
+                                                      rng)
+                if cost_sigma > 0:
+                    costs = costs * float(
+                        rng.lognormal(-0.5 * cost_sigma**2, cost_sigma)
+                    )
+                compute_seconds[rank] = costs.sum()
 
-            remote = sorted_unique(partners[~partner_local])
-            lookups[rank] = remote.size
-            lookup_bytes[rank] = lengths_f[remote].sum()
-            requests[remote] += 1  # `remote` is distinct: no lost updates
+                partner_local = (partners >= lo_r) & (partners < hi_r)
+                local_pair_seconds[rank] = costs[partner_local].sum()
+
+                remote = sorted_unique(partners[~partner_local])
+                lookups[rank] = remote.size
+                lookup_bytes[rank] = lengths_f[remote].sum()
+                requests[remote] += 1  # `remote` is distinct: no lost updates
+
+        if workers == 1:
+            render_range(0)
+        else:
+            # the caller renders the first range; no thread outlives the
+            # `with`, and a failing range raises here
+            with ThreadPoolExecutor(workers - 1) as pool:
+                others = [pool.submit(render_range, i)
+                          for i in range(1, workers)]
+                render_range(0)
+                for future in others:
+                    future.result()
+        requests = range_requests.sum(axis=0)
 
         # Serve side: what each owner receives is a sum over the reads it
         # owns, i.e. a prefix difference at `boundaries`.  This re-associates

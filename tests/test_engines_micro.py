@@ -134,3 +134,22 @@ def test_cells_booked_to_the_rank_that_executed_each_task(engine, churn, wl,
     assert want.sum() > 0
     assert np.array_equal(metrics.get("cells"), want)
     assert metrics.get("tasks").sum() == len(res.alignments) == wl.n_tasks
+
+
+@pytest.mark.parametrize("engine", [MicroBSPEngine, MicroAsyncEngine])
+def test_untraced_run_names_no_task_phase(engine, wl, machine, monkeypatch):
+    """Without a tracer nothing reads a phase's name, so none is built."""
+    from repro.runtime.context import SpmdContext
+
+    names = []
+    real = SpmdContext.charge
+
+    def charge(self, category, rank, seconds, name=""):
+        if category == "compute_align":
+            names.append(name)
+        return real(self, category, rank, seconds, name)
+
+    monkeypatch.setattr(SpmdContext, "charge", charge)
+    engine().run(wl, machine)
+    assert len(names) == wl.n_tasks
+    assert set(names) == {""}

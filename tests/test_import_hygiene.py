@@ -7,8 +7,10 @@ the assignment renderers, no cost hook calling a ``NetworkModel`` cost
 method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``,
 exactly one ``align_tasks`` call in ``engines/micro.py``, no scipy import
 anywhere, one task-row renderer under ``pipeline/``, no hand-rolled
-LRU outside ``utils/cache.py`` and ``pipeline/sharded.py``, and no process
-pool built outside ``ProcessExecutor.__init__``.  The synthetic
+LRU outside ``utils/cache.py`` and ``pipeline/sharded.py``, no process
+pool built outside ``ProcessExecutor.__init__``, and no thread started
+under ``pipeline/``, ``engines/`` or ``runtime/`` outside the statistical
+renderer.  The synthetic
 cases prove the checker actually detects what it claims to; subprocesses
 prove the public entry points load no scipy and that every runtime module
 imports first in a fresh interpreter.
@@ -310,6 +312,49 @@ def test_detects_second_process_pool(tmp_path):
     assert problems[2].startswith("repro.core.api:7 constructs a Pool")
     assert problems[3].startswith(
         "repro.runtime.executor:6 constructs a ProcessPoolExecutor")
+
+
+def test_detects_threads_outside_the_statistical_renderer(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "pipeline/__init__.py": "",
+        "pipeline/workload.py": """\
+            from concurrent.futures import ThreadPoolExecutor
+            class StatisticalWorkload:
+                def _render_assignment(self, num_ranks):
+                    with ThreadPoolExecutor(1) as pool:
+                        pool.submit(print)
+                def assignment(self, num_ranks):
+                    with ThreadPoolExecutor(2) as pool:
+                        pool.submit(print)
+            """,
+        "engines/__init__.py": "",
+        "engines/bsp.py": """\
+            import threading
+            def run(fn):
+                threading.Thread(target=fn).start()
+                return threading.Lock()
+            """,
+        "runtime/__init__.py": "",
+        "runtime/executor.py": """\
+            from threading import Thread
+            def spin(fn):
+                Thread(target=fn).start()
+            """,
+        "service/__init__.py": "",
+        "service/queue.py": """\
+            import threading
+            def workers(fn):
+                threading.Thread(target=fn).start()
+            """,
+    })
+    problems = check_imports.run(tmp_path)
+    assert len(problems) == 3, problems
+    assert problems[0].startswith("repro.engines.bsp:3 constructs a Thread")
+    assert problems[1].startswith(
+        "repro.pipeline.workload:7 constructs a ThreadPoolExecutor")
+    assert problems[2].startswith(
+        "repro.runtime.executor:3 constructs a Thread")
 
 
 def test_cli_reaches_service_only_lazily():

@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import os
+import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +220,82 @@ def test_statistical_empty_ranks_serve_nothing():
     assert np.all(a.incoming_lookups[empty] == 0)
     assert np.all(a.incoming_bytes[empty] == 0)
     assert np.all(a.incoming_lookups[~empty] > 0)
+
+
+def test_statistical_render_is_thread_count_invariant(monkeypatch):
+    """Rank ranges rendered on 1, 2 or 3 threads give the serial arrays bit
+    for bit: ranks with no reads (P = 16 over 6 reads) and with no tasks
+    (P = 2 500 over 2 000 tasks) included.  The serial render is the
+    pinned one wherever a pin exists."""
+    started = []
+
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(workload_mod, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(workload_mod, "THREADED_RANK_TASKS", 0)
+    cases = [(DATASETS["ecoli30x"], p) for p in (1, 7, 64, 513)]
+    cases += [(regen.EMPTY_RANK_SPEC, regen.EMPTY_RANK_RANKS),
+              (regen.EMPTY_RANK_SPEC, 2_500)]
+    interval = sys.getswitchinterval()
+    for spec, num_ranks in cases:
+        wl = StatisticalWorkload(spec, seed=0)
+        renders = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(workload_mod, "_render_workers",
+                                lambda: workers)
+            started.clear()
+            # hand the GIL over often, so that ranges interleave finely
+            sys.setswitchinterval(1e-5)
+            try:
+                renders[workers] = wl._render_assignment(num_ranks)
+            finally:
+                sys.setswitchinterval(interval)
+            # the caller renders one range, the pool the others
+            threads = min(workers, num_ranks)
+            assert started == ([threads - 1] if threads > 1 else [])
+        pin = ASSIGNMENT_PINS.get(f"statistical/{spec.name}@0/p{num_ranks}")
+        if pin is not None:
+            assert regen.assignment_digest(renders[1]) == pin
+        for workers in (2, 3):
+            for field in regen.ASSIGNMENT_FIELDS:
+                serial = getattr(renders[1], field)
+                threaded = getattr(renders[workers], field)
+                assert threaded.dtype == serial.dtype, (num_ranks, field)
+                assert threaded.tobytes() == serial.tobytes(), (
+                    f"{spec.name} P={num_ranks} on {workers} threads: "
+                    f"{field} moved")
+
+
+class _RangeFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+def test_statistical_render_failure_joins_every_thread(monkeypatch, failing):
+    """A range that raises reaches the caller as itself, after every thread
+    has been joined, and caches nothing."""
+    monkeypatch.setattr(workload_mod, "_render_workers", lambda: 3)
+    monkeypatch.setattr(workload_mod, "THREADED_RANK_TASKS", 0)
+    wl = StatisticalWorkload(tiny_spec(), seed=3)
+    num_ranks = 24
+    # the caller renders ranks 0..7, the pool 8..15 and 16..23
+    bad_rank = 0 if failing == "caller" else num_ranks - 1
+    real_stream = wl.rngs.stream
+
+    def stream(name, *keys):
+        if keys[0] == 2 and keys[-1] == bad_rank:
+            raise _RangeFailed(f"rank {bad_rank}")
+        return real_stream(name, *keys)
+
+    monkeypatch.setattr(wl.rngs, "stream", stream)
+    baseline = threading.active_count()
+    with pytest.raises(_RangeFailed, match=f"rank {bad_rank}"):
+        wl.assignment(num_ranks)
+    assert threading.active_count() == baseline
+    assert num_ranks not in wl.assignment_cache
 
 
 @pytest.mark.parametrize("bad", [-1, 3])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Nine classes of violation, all enforced in CI (and mirrored by
+Ten classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -78,6 +78,15 @@ Nine classes of violation, all enforced in CI (and mirrored by
    slower than the serial loop it replaced (docs/PLANNER.md "Why grids
    run serially").
 
+10. **Threads below the service.**  A ``threading.Thread(`` or
+    ``ThreadPoolExecutor(`` call under ``repro/pipeline``,
+    ``repro/engines`` or ``repro/runtime`` outside
+    ``StatisticalWorkload._render_assignment`` in ``pipeline/workload.py``,
+    which renders independent rank ranges on the process's CPUs and joins
+    its threads before it returns (docs/PERFORMANCE.md "Rendering across
+    cores").  The engines and the executor stay single-threaded, so no
+    thread of theirs is alive when the executor forks its pool.
+
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
 """
@@ -133,6 +142,13 @@ LRU_NAMES = ("OrderedDict", "move_to_end")
 POOL_MODULE = "repro.runtime.executor"
 POOL_SITE = ("ProcessExecutor", "__init__")
 POOL_CONSTRUCTORS = ("ProcessPoolExecutor", "Pool")
+
+#: packages whose threads are started at one site only, that site, and the
+#: callees that start one
+THREAD_PACKAGES = ("repro.pipeline", "repro.engines", "repro.runtime")
+THREAD_MODULE = "repro.pipeline.workload"
+THREAD_SITE = ("StatisticalWorkload", "_render_assignment")
+THREAD_CONSTRUCTORS = ("Thread", "ThreadPoolExecutor")
 
 
 def module_name(path: Path, src_root: Path) -> str:
@@ -457,37 +473,57 @@ def hand_rolled_lru(src_root: Path) -> list[str]:
     return problems
 
 
-def pool_constructions(src_root: Path) -> list[str]:
-    """:data:`POOL_CONSTRUCTORS` calls outside :data:`POOL_SITE` of
-    :data:`POOL_MODULE`."""
-    problems: list[str] = []
+def _calls_outside(src_root: Path, packages: tuple[str, ...], module: str,
+                   site: tuple[str, str], callees: tuple[str, ...]):
+    """``(module, lineno, callee)`` of each call to one of ``callees``
+    under ``packages`` outside the method ``site`` of ``module``."""
+    hits = set()
     for path in sorted((src_root / PACKAGE).rglob("*.py")):
         name = module_name(path, src_root)
+        if not name.startswith(packages):
+            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed: set[int] = set()
-        if name == POOL_MODULE:
-            cls_name, fn_name = POOL_SITE
+        if name == module:
+            cls_name, fn_name = site
             for cls in tree.body:
                 if isinstance(cls, ast.ClassDef) and cls.name == cls_name:
                     for fn in cls.body:
                         if (isinstance(fn, ast.FunctionDef)
                                 and fn.name == fn_name):
                             allowed.update(map(id, ast.walk(fn)))
-        hits = set()
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call) or id(node) in allowed:
                 continue
             callee = (node.func.attr if isinstance(node.func, ast.Attribute)
                       else getattr(node.func, "id", None))
-            if callee in POOL_CONSTRUCTORS:
-                hits.add((node.lineno, callee))
-        for lineno, callee in sorted(hits):
-            problems.append(
-                f"{name}:{lineno} constructs a {callee}; the one process "
-                f"pool is ProcessExecutor's (a second pool is a second "
-                f"fork site)"
-            )
-    return problems
+            if callee in callees:
+                hits.add((name, node.lineno, callee))
+    return sorted(hits)
+
+
+def pool_constructions(src_root: Path) -> list[str]:
+    """:data:`POOL_CONSTRUCTORS` calls outside :data:`POOL_SITE` of
+    :data:`POOL_MODULE`."""
+    return [
+        f"{name}:{lineno} constructs a {callee}; the one process pool is "
+        f"ProcessExecutor's (a second pool is a second fork site)"
+        for name, lineno, callee in _calls_outside(
+            src_root, (PACKAGE,), POOL_MODULE, POOL_SITE, POOL_CONSTRUCTORS)
+    ]
+
+
+def thread_starts(src_root: Path) -> list[str]:
+    """:data:`THREAD_CONSTRUCTORS` calls in the :data:`THREAD_PACKAGES`
+    outside :data:`THREAD_SITE` of :data:`THREAD_MODULE`."""
+    return [
+        f"{name}:{lineno} constructs a {callee}; below the service only the "
+        f"statistical renderer runs threads, and joins them before it "
+        f"returns"
+        for name, lineno, callee in _calls_outside(
+            src_root, THREAD_PACKAGES, THREAD_MODULE, THREAD_SITE,
+            THREAD_CONSTRUCTORS)
+    ]
 
 
 def run(src_root: Path) -> list[str]:
@@ -503,6 +539,7 @@ def run(src_root: Path) -> list[str]:
     problems += renderer_violations(src_root)
     problems += hand_rolled_lru(src_root)
     problems += pool_constructions(src_root)
+    problems += thread_starts(src_root)
     return problems
 
 
@@ -518,7 +555,7 @@ def main(argv: list[str]) -> int:
               f"pipeline/engines, no cost hook pricing a phase itself, "
               f"no shard-aware engine/runtime code, one kernel dispatch "
               f"site, no scipy, one task-row renderer, no hand-rolled LRU, "
-              f"one process pool")
+              f"one process pool, one thread site below the service")
     return 1 if problems else 0
 
 
