@@ -15,8 +15,7 @@ import dataclasses
 
 from conftest import emit, run_once
 
-from repro.core.api import get_workload, make_machine
-from repro.engines.async_ import AsyncEngine
+from repro.core.api import get_workload, make_machine, run_alignment
 from repro.engines.base import EngineConfig
 
 AGGREGATION = (1, 4, 16, 64)
@@ -34,12 +33,11 @@ def sweep():
             rpc_service_gap=machine.network.rpc_service_gap * 20,
         ),
     )
-    assignment = wl.assignment(machine.total_ranks)
     rows = []
     for k in AGGREGATION:
         cfg = EngineConfig(async_aggregation=k).comm_only()
-        normal = AsyncEngine(config=cfg).run(assignment, machine)
-        slow = AsyncEngine(config=cfg).run(assignment, hi_latency)
+        normal = run_alignment(wl, NODES, "async", cfg, machine=machine)
+        slow = run_alignment(wl, NODES, "async", cfg, machine=hi_latency)
         rows.append([
             k,
             round(float(normal.details["raw_comm"].mean()), 4),

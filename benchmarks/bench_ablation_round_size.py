@@ -9,9 +9,8 @@ coupling.
 
 from conftest import emit, run_once
 
-from repro.core.api import get_workload, make_machine
+from repro.core.api import get_workload, run_alignment
 from repro.engines.base import EngineConfig
-from repro.engines.bsp import BSPEngine
 
 FRACTIONS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
 NODES = 16
@@ -19,12 +18,10 @@ NODES = 16
 
 def sweep():
     wl = get_workload("human_ccs", seed=0)
-    machine = make_machine(NODES)
-    assignment = wl.assignment(machine.total_ranks)
     rows = []
     for frac in FRACTIONS:
-        engine = BSPEngine(config=EngineConfig(exchange_memory_fraction=frac))
-        res = engine.run(assignment, machine)
+        res = run_alignment(
+            wl, NODES, "bsp", EngineConfig(exchange_memory_fraction=frac))
         rows.append([
             frac, res.exchange_rounds, round(res.wall_time, 2),
             round(100 * res.breakdown.fractions()["comm"], 1),

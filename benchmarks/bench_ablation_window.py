@@ -9,9 +9,8 @@ in-flight memory.
 
 from conftest import emit, run_once
 
-from repro.core.api import get_workload
+from repro.core.api import get_workload, run_alignment
 from repro.engines.base import EngineConfig
-from repro.engines.micro import MicroAsyncEngine
 from repro.machine.config import cori_knl
 
 WINDOWS = (1, 2, 8, 32, 128)
@@ -22,9 +21,8 @@ def sweep():
     machine = cori_knl(2, app_cores_per_node=8)
     rows = []
     for w in WINDOWS:
-        res = MicroAsyncEngine(config=EngineConfig(async_window=w)).run(
-            wl, machine
-        )
+        res = run_alignment(wl, 2, "async-micro",
+                            EngineConfig(async_window=w), machine=machine)
         rows.append([
             w, round(res.wall_time * 1e3, 3),
             round(res.breakdown.summary("comm").avg * 1e3, 3),

@@ -5,14 +5,14 @@ Commands
 ``run``      simulate one engine on a workload and print the breakdown
 ``compare``  run the macro engines on identical inputs (the paper's method)
 ``sweep``    strong-scaling sweep over node counts
-``plan``     rank engine × knob candidates by predicted wall (no runs)
+``plan``     rank engine × knob candidates by wall clock
 ``datasets`` list the available workload presets
 ``engines``  list the registered engines
 
 The ``--approach`` choices (``--engine`` is an alias) come straight from
 the engine registry — registering a new engine makes it runnable here with
-no CLI edits (docs/ARCHITECTURE.md).  ``--engine auto`` consults the
-cost-model planner and runs only the predicted winner (docs/PLANNER.md).
+no CLI edits (docs/ARCHITECTURE.md).  ``--engine auto`` runs the
+planner's engine × knob grid and keeps the winner (docs/PLANNER.md).
 
 Examples
 --------
@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="bsp",
                        choices=list(available_engines()) + ["auto"],
                        help="registered engine to run (--engine is an "
-                            "alias); 'auto' runs the planner's top "
-                            "prediction (docs/PLANNER.md)")
+                            "alias); 'auto' keeps the planner's top "
+                            "grid point (docs/PLANNER.md)")
     p_run.add_argument("--kernel", choices=("model", "real"), default="model",
                        help="micro engines only: 'real' runs the X-drop "
                             "alignment kernel; 'model' charges modeled costs")
@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan",
-        help="rank engine x knob candidates by predicted wall clock "
-             "without running anything (docs/PLANNER.md)",
+        help="run the engine x knob grid and rank it by wall clock "
+             "(docs/PLANNER.md)",
     )
     common(p_plan)
     p_plan.add_argument("--nodes", type=int, default=4)
@@ -485,8 +485,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"`repro run --workload {args.workload} "
                   f"--nodes {args.nodes} --engine auto`")
         else:
-            print("no feasible analytic plan; `--engine auto` will fall "
-                  "back to measuring every macro engine")
+            print("no feasible plan")
         return 0
 
     if args.command == "run":
@@ -510,21 +509,13 @@ def main(argv: list[str] | None = None) -> int:
                  else args.approach)
         _print_result(label, res)
         if plan_info is not None:
-            if plan_info["mode"] == "predicted":
-                knobs = ", ".join(f"{k}={v}" for k, v
-                                  in plan_info["knobs"].items()) or "-"
-                print(f"plan: predicted {plan_info['engine']} ({knobs}) at "
-                      f"{fmt_time(plan_info['predicted_wall'])}; actual "
-                      f"{fmt_time(plan_info['actual_wall'])} "
-                      f"({100 * plan_info['prediction_error']:+.3f}% error "
-                      f"over {plan_info['grid_points']} grid points)")
-            else:
-                walls = ", ".join(
-                    f"{n}={fmt_time(w)}"
-                    for n, w in plan_info["measured_walls"].items())
-                print(f"plan: no feasible analytic plan; measured every "
-                      f"macro engine ({walls}) and kept "
-                      f"{plan_info['engine']}")
+            knobs = ", ".join(f"{k}={v}" for k, v
+                              in plan_info["knobs"].items()) or "-"
+            print(f"plan: predicted {plan_info['engine']} ({knobs}) at "
+                  f"{fmt_time(plan_info['predicted_wall'])}; actual "
+                  f"{fmt_time(plan_info['actual_wall'])} "
+                  f"({100 * plan_info['prediction_error']:+.3f}% error "
+                  f"over {plan_info['grid_points']} grid points)")
         if fault_plan is not None:
             bits = [f"faults={res.details.get('faults_injected', 0)}"]
             bits += _fault_detail_bits(res.details)

@@ -33,7 +33,7 @@ from repro.errors import ConfigurationError
 from repro.align.cost import MEAN_TASK_COST
 from repro.genome.datasets import DATASETS, synthesize_dataset
 from repro.machine.config import MachineSpec, cori_knl
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, get_default_tracer
 from repro.pipeline.sharded import DEFAULT_RESIDENT_SHARDS, ShardedWorkload
 from repro.pipeline.workload import ConcreteWorkload, StatisticalWorkload
 from repro.utils.cache import LruCache
@@ -50,7 +50,6 @@ __all__ = [
     "check_micro_knobs",
     "compare_engines",
     "scaling_sweep",
-    "run_plan_points",
     "clear_workload_cache",
     "set_workload_cache_cap",
     "workload_cache_stats",
@@ -267,8 +266,9 @@ def run_alignment(
     ``tracer``/``metrics`` attach observability (see :mod:`repro.obs`): the
     run emits phase/instant events into the tracer (one Chrome "process"
     per run) and rolls per-rank counters into the registry.  When no tracer
-    is passed, the engine falls back to the ambient default tracer, if one
-    is installed via :func:`repro.obs.set_default_tracer`.
+    is passed, this call (not the engine) falls back to the ambient
+    default tracer, if one is installed via
+    :func:`repro.obs.set_default_tracer`.
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) subjects the run to
     injected faults, realized deterministically from ``fault_seed`` by a
@@ -276,14 +276,18 @@ def run_alignment(
     touches the workload/noise streams (see docs/RESILIENCE.md).
 
     ``approach="auto"`` consults the cost-model planner
-    (:mod:`repro.perf.planner`) instead of naming an engine: the
-    top-ranked predicted plan runs, and predicted-vs-actual lands in
-    ``result.details["plan"]`` (docs/PLANNER.md).
+    (:mod:`repro.perf.planner`) instead of naming an engine: it runs the
+    engine × knob grid, keeps the fastest point, and records
+    predicted-vs-actual in ``result.details["plan"]`` (docs/PLANNER.md).
     """
     check_micro_knobs(approach, config, kernel)
+    if tracer is None:
+        # the one place the ambient tracer is consulted, so the planner's
+        # grid runs inside "auto" never land in it
+        tracer = get_default_tracer()
     if approach == "auto":
         return _run_auto(workload, nodes, config, cores_per_node, machine,
-                         tracer, metrics, fault_plan, fault_seed, kernel)
+                         tracer, metrics, fault_plan, fault_seed)
     info = get_engine(approach)
     machine = machine or make_machine(nodes, cores_per_node)
     engine = info.factory(config=config or EngineConfig())
@@ -303,59 +307,40 @@ def run_alignment(
 
 
 def _run_auto(workload, nodes, config, cores_per_node, machine,
-              tracer, metrics, fault_plan, fault_seed, kernel) -> RunResult:
-    """``approach="auto"``: plan, run the top prediction, record regret.
+              tracer, metrics, fault_plan, fault_seed) -> RunResult:
+    """``approach="auto"``: plan, keep the top point's run, record regret.
 
-    When no grid point is feasible (every hook raised, or no macro
-    engine has a cost hook), falls back to *measuring* every macro
-    engine and keeping the winner — slower, but never wrong; the
-    fallback is flagged as ``details["plan"]["mode"] == "measured"``.
+    The plan already ran every grid point untraced and fault-free, so
+    that run is the result unless the caller attached a tracer, counters
+    or faults; then the winner runs once more with them.
     """
     from repro.perf.planner import plan
 
     machine = machine or make_machine(nodes, cores_per_node)
     base = config if config is not None else EngineConfig()
     points = plan(workload, machine=machine, config=base)
-    ranked_head = [p.as_dict() for p in points[:5]]
-    feasible = [p for p in points if p.feasible]
-    if feasible:
-        top = feasible[0]
+    top = points[0]
+    if not top.feasible:
+        raise ConfigurationError(f"no feasible plan: {top.reason}")
+    if tracer is None and metrics is None and fault_plan is None:
+        result = top.result
+    else:
         result = run_alignment(
             workload, nodes, top.engine, top.apply(base), cores_per_node,
             machine=machine, tracer=tracer, metrics=metrics,
-            fault_plan=fault_plan, fault_seed=fault_seed, kernel=kernel,
+            fault_plan=fault_plan, fault_seed=fault_seed,
         )
-        actual = result.breakdown.wall_time
-        result.details["plan"] = {
-            "mode": "predicted",
-            "engine": top.engine,
-            "knobs": dict(top.knobs),
-            "predicted_wall": top.predicted_wall,
-            "actual_wall": actual,
-            "prediction_error": (actual / top.predicted_wall - 1.0
-                                 if top.predicted_wall > 0 else 0.0),
-            "grid_points": len(points),
-            "ranked": ranked_head,
-        }
-        return result
-    measured = {
-        name: run_alignment(
-            workload, nodes, name, base, cores_per_node, machine=machine,
-            tracer=tracer, metrics=metrics,
-            fault_plan=fault_plan, fault_seed=fault_seed, kernel=kernel,
-        )
-        for name in available_engines(kind=_registry.MACRO)
-    }
-    best = min(measured, key=lambda n: measured[n].breakdown.wall_time)
-    result = measured[best]
+    actual = result.breakdown.wall_time
     result.details["plan"] = {
-        "mode": "measured",
-        "engine": best,
-        "measured_walls": {
-            n: r.breakdown.wall_time for n, r in measured.items()
-        },
+        "mode": "predicted",
+        "engine": top.engine,
+        "knobs": dict(top.knobs),
+        "predicted_wall": top.predicted_wall,
+        "actual_wall": actual,
+        "prediction_error": (actual / top.predicted_wall - 1.0
+                             if top.predicted_wall > 0 else 0.0),
         "grid_points": len(points),
-        "ranked": ranked_head,
+        "ranked": [p.as_dict() for p in points[:5]],
     }
     return result
 
@@ -438,32 +423,3 @@ def scaling_sweep(
                 fault_plan=fault_plan, fault_seed=fault_seed,
             )
     return out
-
-
-def run_plan_points(
-    workload,
-    nodes: int,
-    points,
-    config: EngineConfig | None = None,
-    cores_per_node: int = 64,
-    fault_plan=None,
-    fault_seed: int = 0,
-) -> list[RunResult | None]:
-    """Execute planner grid points; results align with ``points``.
-
-    The measurement half of the planner's regret methodology
-    (``benchmarks/bench_planner.py``): each feasible
-    :class:`~repro.perf.planner.PlanPoint` runs through its engine with
-    its knobs applied over ``config``; infeasible points yield ``None``.
-    """
-    machine = make_machine(nodes, cores_per_node)
-    base = config if config is not None else EngineConfig()
-    runnable = [(i, p) for i, p in enumerate(points)
-                if getattr(p, "feasible", True)]
-    results: list[RunResult | None] = [None] * len(points)
-    for i, p in runnable:
-        results[i] = run_alignment(
-            workload, nodes, p.engine, p.apply(base), cores_per_node,
-            machine=machine, fault_plan=fault_plan, fault_seed=fault_seed,
-        )
-    return results

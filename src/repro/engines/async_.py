@@ -32,22 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engines.base import EngineConfig
-from repro.engines.common import pull_cost, run_pull_engine
-from repro.engines.registry import register_cost_hook, register_engine
+from repro.engines.common import run_pull_engine
+from repro.engines.registry import register_engine
 from repro.engines.report import RunResult
 from repro.machine.config import MachineSpec
 from repro.obs import MetricsRegistry, Tracer
 from repro.pipeline.workload import WorkloadAssignment
 
 __all__ = ["AsyncEngine"]
-
-
-def _model_params(config: EngineConfig) -> dict:
-    """Aggregation coalesces ``k`` pulls into one message (same bytes,
-    fewer per-message costs and a shallower service queue); the window
-    holds single in-flight reads."""
-    return {"agg": float(config.async_aggregation),
-            "batch_fill_stall": False, "window_factor": 1.0}
 
 
 @register_engine("async", description="asynchronous one-sided pulls with "
@@ -64,16 +56,12 @@ class AsyncEngine:
             tracer: Tracer | None = None,
             metrics: MetricsRegistry | None = None,
             faults=None) -> RunResult:
+        # aggregation coalesces ``k`` pulls into one message (same bytes,
+        # fewer per-message costs and a shallower service queue); the
+        # window holds single in-flight reads
         return run_pull_engine(
             self.name, self.config, assignment, machine,
-            **_model_params(self.config),
+            agg=float(self.config.async_aggregation),
+            batch_fill_stall=False, window_factor=1.0,
             tracer=tracer, metrics=metrics, faults=faults,
         )
-
-
-@register_cost_hook("async")
-def _predict_async(assignment: WorkloadAssignment, machine: MachineSpec,
-                   config: EngineConfig) -> dict:
-    """Fault-free wall clock and footprint of :class:`AsyncEngine`: the
-    phases :meth:`AsyncEngine.run` charges, evaluated without charging."""
-    return pull_cost(config, assignment, machine, **_model_params(config))

@@ -31,7 +31,8 @@ class ExecutionMode(enum.Enum):
 
 def check_int(name: str, value, least: int | None = None) -> None:
     """Raise unless ``value`` is an integer (not a bool), ``>= least``."""
-    if (isinstance(value, bool) or not isinstance(value, Integral)
+    if ((type(value) is not int
+         and (isinstance(value, bool) or not isinstance(value, Integral)))
             or (least is not None and value < least)):
         bound = "" if least is None else f" >= {least}"
         raise ConfigurationError(
@@ -103,7 +104,8 @@ class EngineConfig:
             check_int(name, getattr(self, name), least)
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
+            if type(value) is not float and (isinstance(value, bool)
+                                             or not isinstance(value, Real)):
                 raise ConfigurationError(
                     f"{name} must be a real number, got {value!r}"
                 )

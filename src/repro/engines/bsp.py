@@ -36,11 +36,10 @@ from repro.engines.common import (
 )
 from repro.engines.harness import ExecutionContext
 from repro.engines.rebalance import MigrationLedger
-from repro.engines.registry import register_cost_hook, register_engine
+from repro.engines.registry import register_engine
 from repro.engines.report import RunResult
 from repro.errors import RankFailureError
 from repro.machine.config import MachineSpec
-from repro.machine.network import NetworkModel
 from repro.obs import ENGINE_LANE, MetricsRegistry, Tracer
 from repro.pipeline.workload import WorkloadAssignment
 
@@ -82,7 +81,7 @@ class BSPEngine:
 
         model = bsp_model(self.config, machine, assignment)
         rounds = model.rounds
-        factors = ctx.noise.factors(P)
+        factors = ctx.factors()
         traced = ctx.tracer is not None
         wall = 0.0
         exchange_total = 0.0
@@ -222,7 +221,8 @@ class BSPEngine:
                 duration *= dil
                 personal *= dil
             personal = np.minimum(personal, duration)
-            comm_round = np.where(alive, personal, 0.0)
+            comm_round = (personal if n_alive == P
+                          else np.where(alive, personal, 0.0))
 
             attempts = faults.exchange_attempts(r) if faults is not None else 1
             for a in range(attempts):
@@ -279,7 +279,7 @@ class BSPEngine:
 
         # final barrier closing the last superstep
         bar = ctx.net.barrier_time()
-        ctx.timers.add_array("sync", np.full(P, bar))
+        ctx.timers.add_array("sync", bar)
         if traced:
             for i in range(P):
                 ctx.phase(i, "sync", wall, bar, name="exit-barrier")
@@ -332,33 +332,3 @@ class BSPEngine:
             redist_counts=redist_counts,
             tasks_redistributed=tasks_redistributed,
         )
-
-
-@register_cost_hook("bsp")
-def _predict_bsp(assignment: WorkloadAssignment, machine: MachineSpec,
-                 config: EngineConfig) -> dict:
-    """Fault-free wall clock and footprint of :class:`BSPEngine`.
-
-    Every fault-free round is the same superstep (everyone alive, unit
-    noise factors on an isolated machine), so the model is evaluated once
-    and accumulated the way :meth:`BSPEngine.run` accumulates it.  Raises
-    ``ConfigurationError`` when the partition does not fit per-rank
-    memory — the planner records such grid points as infeasible.
-    """
-    net = NetworkModel(machine)
-    P = assignment.num_ranks
-    model = bsp_model(config, machine, assignment)
-    duration, _, _, phase = bsp_superstep(
-        net, model, np.ones(P), np.ones(P, dtype=bool), P)
-    phase_end = float(phase.max(initial=0.0))
-    wall = 0.0
-    for _ in range(model.rounds):
-        wall += duration
-        wall += phase_end
-    wall += net.barrier_time()
-    memory = bsp_memory(assignment, model.rounds)
-    return {
-        "wall": wall,
-        "peak_memory": float(memory.max(initial=0.0)),
-        "rounds": model.rounds,
-    }

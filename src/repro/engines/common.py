@@ -7,13 +7,13 @@ asynchronous pull phases and their timeline (:func:`pull_phases`,
 model at a different aggregation), and the two memory footprints
 (:func:`bsp_memory`, :func:`pull_memory`).  An engine run computes its
 phases through these functions and *charges* them (timers, trace, fault
-adjustments); the engine's planner cost hook calls the same functions and
-reads the wall clock off the result, so a prediction cannot drift from
-the run it predicts.
+adjustments); the planner ranks engines by running them, so nothing
+else evaluates the model.
 
-The model functions are pure over their inputs (arrays in, fresh arrays
-out); everything that touches a tracer, a timer or a fault injector is
-layered on top (:func:`apply_pull_faults`, :func:`assemble_pull_phases`,
+The model functions are pure over their inputs (arrays in, arrays out;
+an input array may come back as it is, but is never written); everything
+that touches a tracer, a timer or a fault injector is layered on top
+(:func:`apply_pull_faults`, :func:`assemble_pull_phases`,
 :func:`run_pull_engine`).
 """
 
@@ -61,7 +61,6 @@ __all__ = [
     "pull_phases",
     "pull_timeline",
     "pull_memory",
-    "pull_cost",
     "PullFaultOutcome",
     "apply_pull_faults",
     "assemble_pull_phases",
@@ -148,7 +147,7 @@ def survivor_share(x: np.ndarray, rounds: int, alive: np.ndarray,
                    n_alive: int) -> np.ndarray:
     """One round's per-rank quota of ``x``, dead ranks' share redistributed
     equally over the survivors."""
-    xr = x / rounds
+    xr = x / rounds if rounds > 1 else x
     if n_alive == alive.size:
         return xr
     lost = float(xr[~alive].sum())
@@ -157,11 +156,8 @@ def survivor_share(x: np.ndarray, rounds: int, alive: np.ndarray,
 
 def mean_read_bytes(assignment: WorkloadAssignment) -> float:
     """Average size of one pulled read (0 when nothing is pulled)."""
-    return (
-        assignment.lookup_bytes.sum() / assignment.lookups.sum()
-        if assignment.lookups.sum() > 0
-        else 0.0
-    )
+    lookups = assignment.lookups.sum()
+    return assignment.lookup_bytes.sum() / lookups if lookups > 0 else 0.0
 
 
 # -- the BSP superstep model (§3.1) ------------------------------------------
@@ -209,7 +205,7 @@ def bsp_model(config: EngineConfig, machine: MachineSpec,
 
 
 def bsp_superstep(
-    net: NetworkModel, model: BspModel, factors: np.ndarray,
+    net: NetworkModel, model: BspModel, factors: np.ndarray | None,
     alive: np.ndarray, n_alive: int,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """One fault-free superstep for a membership mask.
@@ -217,9 +213,9 @@ def bsp_superstep(
     Returns ``(duration, personal, align_part, phase)``: the blocking
     exchange's duration, each rank's personal (pre-wait) share of it, and
     the noise-dilated per-rank alignment and total (alignment + overhead)
-    compute seconds of the round.  A rank exchanges with roughly the same
-    peer set every round, so splitting the volume across rounds shrinks
-    the per-source messages.
+    compute seconds of the round (``factors=None``: no noise).  A rank
+    exchanges with roughly the same peer set every round, so splitting
+    the volume across rounds shrinks the per-source messages.
     """
     rounds = model.rounds
     round_send = survivor_share(model.send, rounds, alive, n_alive)
@@ -232,11 +228,12 @@ def bsp_superstep(
         round_send, round_recv, model.avg_sources,
         efficiency_scale=model.eff_scale,
     )
-    align_part = factors * survivor_share(model.compute, rounds,
-                                          alive, n_alive)
-    phase = align_part + factors * survivor_share(model.overhead, rounds,
-                                                  alive, n_alive)
-    return duration, personal, align_part, phase
+    align_part = survivor_share(model.compute, rounds, alive, n_alive)
+    overhead = survivor_share(model.overhead, rounds, alive, n_alive)
+    if factors is not None:
+        align_part = factors * align_part
+        overhead = factors * overhead
+    return duration, personal, align_part, align_part + overhead
 
 
 def bsp_memory(assignment: WorkloadAssignment, rounds: int) -> np.ndarray:
@@ -256,8 +253,9 @@ def bsp_memory(assignment: WorkloadAssignment, rounds: int) -> np.ndarray:
 class PullPhases:
     """Per-rank phase costs of one pull-engine run (§3.2).
 
-    The arrays are freshly computed, never views of the assignment: the
-    fault code adjusts them in place.
+    Without noise the compute arrays may be the assignment's own
+    read-only arrays; the fault code adjusts only the dilated copies it
+    makes, in place.
     """
 
     local_compute: np.ndarray
@@ -283,9 +281,10 @@ class PullTimeline(NamedTuple):
 
 
 def pull_phases(config: EngineConfig, assignment: WorkloadAssignment,
-                net: NetworkModel, agg: float, factors: np.ndarray, *,
-                batch_fill_stall: bool) -> PullPhases:
-    """Fault-free phase costs with ``agg`` reads coalesced per RPC.
+                net: NetworkModel, agg: float, factors: np.ndarray | None,
+                *, batch_fill_stall: bool) -> PullPhases:
+    """Fault-free phase costs with ``agg`` reads coalesced per RPC
+    (``factors=None``: no noise).
 
     Aggregation keeps the bytes and halves nothing — it divides the
     *message counts* (injection gaps, service-queue depth, window slots).
@@ -298,10 +297,12 @@ def pull_phases(config: EngineConfig, assignment: WorkloadAssignment,
     if config.mode is ExecutionMode.COMM_ONLY:
         local_compute, remote_compute = np.zeros(P), np.zeros(P)
     else:
-        local_compute = factors * assignment.local_pair_seconds
-        remote_compute = factors * (
-            assignment.compute_seconds - assignment.local_pair_seconds
-        )
+        local_compute = assignment.local_pair_seconds
+        remote_compute = (assignment.compute_seconds
+                          - assignment.local_pair_seconds)
+        if factors is not None:
+            local_compute = factors * local_compute
+            remote_compute = factors * remote_compute
     overhead = (
         assignment.tasks_per_rank * ASYNC_TASK_OVERHEAD
         + assignment.lookups * ASYNC_READ_OVERHEAD
@@ -368,31 +369,16 @@ def pull_memory(config: EngineConfig, assignment: WorkloadAssignment,
     )
 
 
-def pull_cost(config: EngineConfig, assignment: WorkloadAssignment,
-              machine: MachineSpec, *, agg: float, batch_fill_stall: bool,
-              window_factor: float) -> dict:
-    """Cost-hook result of a pull engine: the phases :func:`run_pull_engine`
-    charges, at unit noise factors, read off without charging them."""
-    phases = pull_phases(config, assignment, NetworkModel(machine), agg,
-                         np.ones(assignment.num_ranks),
-                         batch_fill_stall=batch_fill_stall)
-    memory = pull_memory(config, assignment, window_factor)
-    return {
-        "wall": pull_timeline(phases).wall,
-        "peak_memory": float(memory.max(initial=0.0)),
-        "rounds": 0,
-    }
-
-
 @dataclass
 class PullFaultOutcome:
     """Fault-adjusted phases plus degradation bookkeeping."""
 
     phases: PullPhases
-    fault_stall: np.ndarray
-    retry_counts: np.ndarray
+    #: per-rank arrays, ``None`` on fault-free runs
+    fault_stall: np.ndarray | None
+    retry_counts: np.ndarray | None
     tasks_redistributed: float
-    redist_counts: np.ndarray
+    redist_counts: np.ndarray | None
     ranks_lost: list[int]
     #: membership accounting (``None`` on fault-free runs)
     ledger: MigrationLedger | None = None
@@ -440,15 +426,13 @@ def apply_pull_faults(
     (degraded links), stalls callers (message faults), and redistributes
     dead ranks' unfinished work over the survivors.
     """
-    P = assignment.num_ranks
     faults = ctx.faults
+    if faults is None:
+        return PullFaultOutcome(phases, None, None, 0.0, None, [])
+
+    P = assignment.num_ranks
     fault_stall = np.zeros(P)
     retry_counts = np.zeros(P)
-    redist_counts = np.zeros(P)
-    if faults is None:
-        return PullFaultOutcome(phases, fault_stall, retry_counts, 0.0,
-                                redist_counts, [])
-
     net = ctx.net
     plan = faults.plan
     # fault-free horizon: where each rank *would* finish — places
@@ -667,7 +651,7 @@ def _pull_churn_events(
 def assemble_pull_phases(
     ctx: ExecutionContext,
     phases: PullPhases,
-    fault_stall: np.ndarray,
+    fault_stall: np.ndarray | None,
     start_delay: np.ndarray | None = None,
 ) -> PullTimeline:
     """Charge :func:`pull_timeline` to the timers and emit its trace.
@@ -748,8 +732,7 @@ def run_pull_engine(
     ctx = ExecutionContext.open(name, assignment, machine, config,
                                 tracer=tracer, metrics=metrics,
                                 faults=faults)
-    phases = pull_phases(config, assignment, ctx.net, agg,
-                         ctx.noise.factors(ctx.num_ranks),
+    phases = pull_phases(config, assignment, ctx.net, agg, ctx.factors(),
                          batch_fill_stall=batch_fill_stall)
     fo = apply_pull_faults(ctx, assignment, agg, phases)
     tl = assemble_pull_phases(ctx, fo.phases, fo.fault_stall,
@@ -774,7 +757,7 @@ def run_pull_engine(
         extra_counters=(
             ("rpc_issued", np.ceil(assignment.lookups / agg)),
             ("rpc_bytes", assignment.lookup_bytes),
-        ),
+        ) if metrics is not None else (),
         redist_counts=fo.redist_counts,
         tasks_redistributed=fo.tasks_redistributed,
     )

@@ -1,11 +1,10 @@
 """The shared execution scaffold every engine runs inside.
 
 Before this module existed, each engine re-implemented the same run
-prologue (rank validation, ambient-tracer resolution, ``begin_run``,
-network/noise-model construction, phase-timer allocation) and the same
-epilogue (breakdown assembly, conservation checking, common counter
-rollups, fault-detail reporting).  :class:`ExecutionContext` bundles that
-wiring once:
+prologue (rank validation, ``begin_run``, network/noise-model
+construction, phase-timer allocation) and the same epilogue (breakdown
+assembly, conservation checking, common counter rollups, fault-detail
+reporting).  :class:`ExecutionContext` bundles that wiring once:
 
 * :meth:`ExecutionContext.open` — validated prologue for macro engines;
 * tracer/metrics emission helpers that no-op when observability is
@@ -16,7 +15,7 @@ wiring once:
   ``validate()``, the independent trace re-sum
   (``assert_conserved(check_trace(...))``), and the common counters
   (``tasks``, ``lookups``, engine extras, redistribution);
-* :func:`resolve_tracer` / :func:`resolve_executor` / :func:`finish_run` —
+* :func:`begin_trace` / :func:`resolve_executor` / :func:`finish_run` —
   the same prologue/epilogue pieces for the micro engines, whose per-rank
   machinery lives in :class:`repro.runtime.context.SpmdContext`.
 
@@ -50,20 +49,22 @@ from repro.obs import (
     assert_conserved,
     check_breakdown,
     check_trace,
-    get_default_tracer,
 )
 from repro.pipeline.workload import WorkloadAssignment
 from repro.runtime.executor import TaskExecutor, make_task_executor
 from repro.utils.rng import RngFactory
 
-__all__ = ["ExecutionContext", "resolve_tracer", "resolve_executor",
+__all__ = ["ExecutionContext", "begin_trace", "resolve_executor",
            "finish_run"]
 
 
-def resolve_tracer(tracer: Tracer | None, engine_name: str,
-                   workload_name: str, machine: MachineSpec) -> Tracer | None:
-    """Fall back to the ambient tracer and open this run's trace process."""
-    tracer = tracer if tracer is not None else get_default_tracer()
+def begin_trace(tracer: Tracer | None, engine_name: str,
+                workload_name: str, machine: MachineSpec) -> Tracer | None:
+    """Open this run's trace process, when a tracer is attached.
+
+    The ambient tracer is not consulted here: ``run_alignment`` resolves
+    it once, so an engine run the planner makes stays untraced.
+    """
     if tracer is not None:
         tracer.begin_run(
             f"{engine_name} {workload_name} nodes={machine.nodes} "
@@ -174,7 +175,7 @@ class ExecutionContext:
                 f"assignment is for {assignment.num_ranks} ranks but machine "
                 f"has {machine.total_ranks}"
             )
-        tracer = resolve_tracer(tracer, engine_name, assignment.name, machine)
+        tracer = begin_trace(tracer, engine_name, assignment.name, machine)
         return cls(
             engine_name=engine_name,
             machine=machine,
@@ -191,6 +192,11 @@ class ExecutionContext:
     @property
     def num_ranks(self) -> int:
         return self.machine.total_ranks
+
+    def factors(self) -> np.ndarray | None:
+        """The run's per-rank noise factors; ``None`` on an isolated
+        machine, whose factors are all one."""
+        return self.noise.factors(self.num_ranks) if self.noise.active else None
 
     # -- emission helpers (no-ops when observability is detached) -----------
 

@@ -31,22 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engines.base import EngineConfig
-from repro.engines.common import pull_cost, run_pull_engine
-from repro.engines.registry import register_cost_hook, register_engine
+from repro.engines.common import run_pull_engine
+from repro.engines.registry import register_engine
 from repro.engines.report import RunResult
 from repro.machine.config import MachineSpec
 from repro.obs import MetricsRegistry, Tracer
 from repro.pipeline.workload import WorkloadAssignment
 
 __all__ = ["HybridEngine"]
-
-
-def _model_params(config: EngineConfig) -> dict:
-    """Fewer, larger messages through the same service model — but a batch
-    must fill before it injects, and each window slot stages a whole
-    batch, not a single read."""
-    agg = float(config.hybrid_aggregation)
-    return {"agg": agg, "batch_fill_stall": True, "window_factor": agg}
 
 
 @register_engine("hybrid", description="asynchronous pulls aggregated into "
@@ -63,10 +55,13 @@ class HybridEngine:
             tracer: Tracer | None = None,
             metrics: MetricsRegistry | None = None,
             faults=None) -> RunResult:
-        params = _model_params(self.config)
-        agg = params["agg"]
+        # fewer, larger messages through the same service model — but a
+        # batch must fill before it injects, and each window slot stages a
+        # whole batch, not a single read
+        agg = float(self.config.hybrid_aggregation)
         return run_pull_engine(
-            self.name, self.config, assignment, machine, **params,
+            self.name, self.config, assignment, machine, agg=agg,
+            batch_fill_stall=True, window_factor=agg,
             extra_details={
                 "aggregation": int(agg),
                 "rpc_messages": float(
@@ -74,11 +69,3 @@ class HybridEngine:
             },
             tracer=tracer, metrics=metrics, faults=faults,
         )
-
-
-@register_cost_hook("hybrid")
-def _predict_hybrid(assignment: WorkloadAssignment, machine: MachineSpec,
-                    config: EngineConfig) -> dict:
-    """Fault-free wall clock and footprint of :class:`HybridEngine`: the
-    phases :meth:`HybridEngine.run` charges, evaluated without charging."""
-    return pull_cost(config, assignment, machine, **_model_params(config))

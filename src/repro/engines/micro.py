@@ -36,7 +36,7 @@ from repro.engines.common import (
     bsp_num_rounds,
     internode_fraction,
 )
-from repro.engines.harness import finish_run, resolve_executor, resolve_tracer
+from repro.engines.harness import begin_trace, finish_run, resolve_executor
 from repro.engines.rebalance import (
     ChurnPool,
     MigrationLedger,
@@ -120,7 +120,7 @@ class _MicroBase:
                 "micro engines are message-level simulations; use the macro "
                 "engines beyond a few thousand ranks"
             )
-        tracer = resolve_tracer(tracer, self.name, workload.name, machine)
+        tracer = begin_trace(tracer, self.name, workload.name, machine)
         plan = workload.micro_plan(P)
         ctx = SpmdContext(machine, tracer=tracer, metrics=metrics,
                           faults=faults)

@@ -31,11 +31,8 @@ from repro.errors import ConfigurationError
 __all__ = [
     "EngineInfo",
     "register_engine",
-    "register_cost_hook",
     "get_engine",
-    "get_cost_hook",
     "available_engines",
-    "engines_with_cost_hooks",
     "create_engine",
 ]
 
@@ -43,9 +40,6 @@ MACRO = "macro"
 MICRO = "micro"
 
 _REGISTRY: dict[str, "EngineInfo"] = {}
-
-#: engine name -> analytic cost predictor (see :func:`register_cost_hook`)
-_COST_HOOKS: dict[str, object] = {}
 
 
 @dataclass(frozen=True)
@@ -89,60 +83,6 @@ def register_engine(name: str, *, kind: str = MACRO, description: str = ""):
         return cls
 
     return deco
-
-
-def register_cost_hook(name: str):
-    """Function decorator attaching an analytic cost predictor to engine
-    ``name`` (the planner's extension point, mirroring
-    :func:`register_engine`).
-
-    A cost hook has the signature ``fn(assignment, machine, config) ->
-    dict`` and returns at least ``{"wall": seconds}`` — the engine's
-    predicted fault-free, noise-free wall clock on that assignment and
-    machine under that :class:`~repro.engines.base.EngineConfig` — plus
-    optional ``"peak_memory"`` (bytes) and ``"rounds"`` keys.  It may
-    raise :class:`~repro.errors.ConfigurationError` for infeasible
-    configurations (e.g. the BSP partition not fitting per-rank memory);
-    the planner records such grid points as infeasible instead of
-    crashing the plan.
-
-    A hook does not price a phase itself: it calls the phase functions
-    in :mod:`repro.engines.common` that the engine's ``run`` charges and
-    reads the wall clock off their result, so the prediction is the run's
-    own model (``tools/check_imports.py`` rejects a hook that calls a
-    ``NetworkModel`` cost method directly).
-
-    Engines without a hook (the micro SPMD engines) are simply not
-    rankable analytically: ``repro.perf.planner`` lists them as
-    "measure instead" and ``run --engine auto`` falls back to exhaustive
-    measurement when no hook-backed plan is feasible.
-    """
-
-    def deco(fn):
-        if name in _COST_HOOKS:
-            raise ConfigurationError(
-                f"cost hook for engine {name!r} is already registered "
-                f"(by {_COST_HOOKS[name].__qualname__})"
-            )
-        _COST_HOOKS[name] = fn
-        return fn
-
-    return deco
-
-
-def get_cost_hook(name: str):
-    """The cost predictor registered for ``name``, or ``None``.
-
-    ``None`` means the engine cannot be ranked analytically (no
-    :func:`register_cost_hook` call) — callers should fall back to
-    measuring it.
-    """
-    return _COST_HOOKS.get(name)
-
-
-def engines_with_cost_hooks() -> tuple[str, ...]:
-    """Registered engine names that have a cost hook (registration order)."""
-    return tuple(name for name in _REGISTRY if name in _COST_HOOKS)
 
 
 def get_engine(name: str) -> EngineInfo:

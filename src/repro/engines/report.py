@@ -147,9 +147,14 @@ class RuntimeBreakdown:
         Every rank is always in exactly one state (computing, communicating,
         or waiting), so category sums must equal the wall time.
         """
+        # np.allclose's test, |total - wall| <= 1e-9 + rtol * |wall|, on
+        # the worst rank, which is the largest or the smallest total; a
+        # NaN anywhere makes both extremes NaN and fails it
         totals = self.per_rank_total
-        if not np.allclose(totals, self.wall_time, rtol=rtol, atol=1e-9):
-            worst = float(np.abs(totals - self.wall_time).max())
+        wall = self.wall_time
+        worst = max(float(totals.max(initial=wall)) - wall,
+                    wall - float(totals.min(initial=wall)))
+        if not worst <= 1e-9 + rtol * abs(wall):
             raise SimulationError(
                 f"per-rank breakdown does not tile wall time "
                 f"(max deviation {worst:.3e}s of {self.wall_time:.3e}s)"

@@ -196,7 +196,7 @@ class NetworkModel:
         """Time for one rank to pull ``lookups`` remote reads via RPC while
         serving ``incoming_lookups`` for other ranks — or, given per-rank
         arrays, for every rank in one vector pass (which is what lets a
-        macro run and its planner prediction both skip a per-rank loop).
+        macro run skip a per-rank loop).
 
         With a deep-enough outstanding window the round trip is paid ~once;
         steady state is the max of (a) CPU-side work — injection gaps plus
@@ -220,8 +220,13 @@ class NetworkModel:
         busy = (
             np.maximum(np.maximum(inject + service, volume), window_limited)
             + ramp
-            + self.rpc_overload_extra(incoming_lookups)
         )
-        idle = np.logical_and(np.less_equal(lookups, 0),
-                              np.less_equal(incoming_lookups, 0))
-        return _scalar_or_array(np.where(idle, 0.0, busy))
+        # the overload term is zero below the threshold and ``busy`` is
+        # positive, so adding it only where some rank crosses is exact
+        if np.any(np.greater(incoming_lookups, net.rpc_overload_threshold)):
+            busy = busy + self.rpc_overload_extra(incoming_lookups)
+        if np.any(np.less_equal(lookups, 0)):
+            idle = np.logical_and(np.less_equal(lookups, 0),
+                                  np.less_equal(incoming_lookups, 0))
+            busy = np.where(idle, 0.0, busy)
+        return _scalar_or_array(busy)

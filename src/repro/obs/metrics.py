@@ -29,7 +29,9 @@ class PhaseTimers:
 
     def __init__(self, num_ranks: int):
         self.num_ranks = num_ranks
-        self._t = {c: np.zeros(num_ranks, dtype=np.float64) for c in CATEGORIES}
+        # the four rows share one allocation
+        rows = np.zeros((len(CATEGORIES), num_ranks), dtype=np.float64)
+        self._t = dict(zip(CATEGORIES, rows))
 
     def add(self, category: str, rank: int, seconds: float) -> None:
         if category not in self._t:
@@ -39,12 +41,19 @@ class PhaseTimers:
         self._t[category][rank] += seconds
 
     def add_array(self, category: str, seconds: np.ndarray) -> None:
-        if category not in self._t:
+        """Add one value per rank (a scalar adds to every rank);
+        round-off negatives down to -1e-12 s count as zero, anything
+        below raises."""
+        row = self._t.get(category)
+        if row is None:
             raise SimulationError(f"unknown timing category {category!r}")
         arr = np.asarray(seconds, dtype=np.float64)
-        if np.any(arr < -1e-12):
-            raise SimulationError(f"negative time array for {category!r}")
-        self._t[category] += np.maximum(arr, 0.0)
+        low = arr.min(initial=0.0)
+        if low < 0.0:
+            if low < -1e-12:
+                raise SimulationError(f"negative time array for {category!r}")
+            arr = np.maximum(arr, 0.0)
+        row += arr
 
     def get(self, category: str) -> np.ndarray:
         return self._t[category]

@@ -3,7 +3,6 @@
 from repro.perf.planner import (
     DEFAULT_KNOB_GRID,
     PlanPoint,
-    WorkloadStats,
     knob_grid_points,
     plan,
     predict,
@@ -37,7 +36,6 @@ __all__ = [
     "render_breakdown_rows",
     "DEFAULT_KNOB_GRID",
     "PlanPoint",
-    "WorkloadStats",
     "knob_grid_points",
     "plan",
     "predict",

@@ -1,30 +1,25 @@
-"""Cost-model planner: predict the winning engine, then run only it.
+"""Cost-model planner: rank the engine × knob grid, then keep the winner.
 
-The machine model already prices every phase of every engine analytically
-— that is how the macro engines work at all.  This module *inverts* it:
-instead of running the full engine × knob grid through
-:func:`repro.core.api.scaling_sweep` to find the winner (the slowest path
-in the repo), :func:`predict` evaluates each engine's registered cost
-hook (:func:`repro.engines.registry.register_cost_hook`) on the workload
-assignment, and :func:`plan` returns the candidate grid ranked by
-predicted wall clock.  ``run_alignment(..., approach="auto")`` executes
-the top-ranked plan and records predicted-vs-actual in
-``RunResult.details["plan"]``; the ``repro plan`` CLI prints the table
-without running anything.
+``compare_engines`` answers "which engine wins?" at one knob setting per
+engine.  :func:`plan` widens the question to the whole knob grid: it runs
+every macro engine at every grid point (:data:`DEFAULT_KNOB_GRID`) on the
+workload's rendered assignment and returns the points ranked by wall
+clock.  A macro run is a handful of vector passes over per-rank arrays,
+so the grid costs milliseconds once the assignment is rendered, and the
+ranking is the engines' own model, not a second copy of it: the
+predicted wall *is* the wall of an untraced, fault-free run, on an
+isolated machine or not.  ``run_alignment(..., approach="auto")`` keeps
+the top point's run (or re-runs it when a tracer, counters or faults are
+attached) and records predicted-vs-actual in
+``RunResult.details["plan"]``; the ``repro plan`` CLI prints the table.
+``docs/PLANNER.md`` documents the methodology.
 
-A hook calls the phase functions its engine's ``run`` charges
-(:mod:`repro.engines.common`), so on the default (noise-isolated) Cori
-configuration predictions *equal* the fault-free measured walls by
-construction and top-1 regret is zero; ``benchmarks/bench_planner.py``
-measures the regret empirically and ``docs/PLANNER.md`` documents the
-methodology.
-
-The knob grid covers the knobs that change an engine's predicted wall:
-BSP round sizing (``exchange_memory_fraction``), async and hybrid
-aggregation.  The execution ``backend`` is deliberately *not* swept —
-the determinism contract pins every backend to identical simulated
-results, so it cannot change the predicted wall; the planner records the
-caller's backend as a pass-through knob instead.
+The knob grid covers the knobs that change an engine's wall: BSP round
+sizing (``exchange_memory_fraction``), async and hybrid aggregation.  The
+execution ``backend`` is deliberately *not* swept — the determinism
+contract pins every backend to identical simulated results, so it cannot
+change the wall; the planner records the caller's backend as a
+pass-through knob instead.
 """
 
 from __future__ import annotations
@@ -33,67 +28,28 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from repro.engines.base import EngineConfig
-from repro.engines.registry import (
-    MACRO,
-    available_engines,
-    get_cost_hook,
-    get_engine,
-)
+from repro.engines.registry import MACRO, available_engines, get_engine
+from repro.engines.report import RunResult
 from repro.errors import ConfigurationError
 from repro.machine.config import MachineSpec
 from repro.pipeline.workload import WorkloadAssignment
 
 __all__ = [
     "DEFAULT_KNOB_GRID",
-    "WorkloadStats",
     "PlanPoint",
     "knob_grid_points",
     "predict",
     "plan",
 ]
 
-#: engine -> {knob name -> candidate values}.  Only knobs that feed the
-#: engine's cost hook belong here; the grid is the cross product per
-#: engine (engines ignore other engines' knobs).
+#: engine -> {knob name -> candidate values}.  Only knobs that change the
+#: engine's wall belong here; the grid is the cross product per engine
+#: (engines ignore other engines' knobs).
 DEFAULT_KNOB_GRID: dict[str, dict[str, tuple]] = {
     "bsp": {"exchange_memory_fraction": (0.1, 0.25, 0.4, 0.8)},
     "async": {"async_aggregation": (1, 4, 16)},
     "hybrid": {"hybrid_aggregation": (1, 4, 16, 64)},
 }
-
-
-@dataclass(frozen=True)
-class WorkloadStats:
-    """The workload summary the planner predicts from.
-
-    Carries the rendered per-rank assignment (the cost hooks evaluate
-    the engines' own per-rank phase functions, so they want the real
-    arrays, not just scalar aggregates) plus the scalar headline numbers
-    that the plan table and ``details["plan"]`` report.
-    """
-
-    name: str
-    num_ranks: int
-    assignment: WorkloadAssignment = field(repr=False)
-    total_tasks: float
-    total_lookup_bytes: float
-    max_compute_seconds: float
-
-    @classmethod
-    def from_workload(cls, workload, machine: MachineSpec) -> "WorkloadStats":
-        """Render (or fetch from the workload's per-P LRU cache) the
-        assignment for this machine's rank count and summarize it."""
-        assignment = workload.assignment(machine.total_ranks)
-        return cls(
-            name=getattr(workload, "name", "workload"),
-            num_ranks=assignment.num_ranks,
-            assignment=assignment,
-            total_tasks=float(assignment.tasks_per_rank.sum()),
-            total_lookup_bytes=float(assignment.lookup_bytes.sum()),
-            max_compute_seconds=float(
-                assignment.compute_seconds.max(initial=0.0)
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -108,8 +64,12 @@ class PlanPoint:
     predicted_rounds: int
     backend: str
     feasible: bool = True
-    #: why the point cannot be (or was not) predicted, when infeasible
+    #: why the point cannot run, when infeasible
     reason: str = ""
+    #: the untraced, fault-free run the prediction was read from
+    #: (``None`` when infeasible); not part of the point's identity
+    result: RunResult | None = field(default=None, repr=False,
+                                     compare=False)
 
     def apply(self, base: EngineConfig | None = None) -> EngineConfig:
         """The engine config that executes this plan point."""
@@ -137,10 +97,10 @@ class PlanPoint:
 
 def knob_grid_points(engine: str,
                      grid: dict[str, dict[str, tuple]] | None = None):
-    """The knob combinations to predict for ``engine`` (cross product).
+    """The knob combinations to run for ``engine`` (cross product).
 
-    Engines absent from the grid get a single empty point — predicted at
-    the base config.  Knob names iterate sorted so the grid order (and
+    Engines absent from the grid get a single empty point — run at the
+    base config.  Knob names iterate sorted so the grid order (and
     hence tie-breaking in :func:`plan`) is deterministic.
     """
     g = DEFAULT_KNOB_GRID if grid is None else grid
@@ -155,31 +115,32 @@ def knob_grid_points(engine: str,
 
 
 def predict(
-    stats: WorkloadStats,
+    assignment: WorkloadAssignment,
     machine: MachineSpec,
     engine: str,
     config: EngineConfig | None = None,
     knobs: tuple = (),
 ) -> PlanPoint:
-    """Predict one grid point through the engine's registered cost hook.
+    """Run one grid point: ``engine`` on ``assignment``, knobs applied.
 
-    Raises :class:`ConfigurationError` when the engine has no cost hook
-    (micro engines: measure instead).  A hook that itself raises
-    ``ConfigurationError`` (e.g. the BSP partition not fitting memory)
-    yields an *infeasible* point with the reason recorded, not an
-    exception — an infeasible corner of the grid must not kill the plan.
+    Raises :class:`ConfigurationError` for a message-level (micro)
+    engine, which has no per-rank assignment model: measure it instead.
+    A run that itself raises ``ConfigurationError`` (e.g. the BSP
+    partition not fitting memory) yields an *infeasible* point with the
+    reason recorded, not an exception — an infeasible corner of the grid
+    must not kill the plan.
     """
-    get_engine(engine)  # fail fast on typos, same error text as run
-    hook = get_cost_hook(engine)
-    if hook is None:
+    info = get_engine(engine)  # fail fast on typos, same error text as run
+    if info.is_micro:
         raise ConfigurationError(
-            f"engine {engine!r} has no registered cost hook; run it to "
-            f"measure (see docs/PLANNER.md)"
+            f"engine {engine!r} is a message-level engine; the planner "
+            f"ranks macro engines only, so run it to measure "
+            f"(see docs/PLANNER.md)"
         )
     base = config if config is not None else EngineConfig()
     point_config = replace(base, **dict(knobs)) if knobs else base
     try:
-        cost = hook(stats.assignment, machine, point_config)
+        result = info.factory(config=point_config).run(assignment, machine)
     except ConfigurationError as exc:
         return PlanPoint(
             engine=engine, knobs=tuple(knobs),
@@ -190,15 +151,16 @@ def predict(
     return PlanPoint(
         engine=engine,
         knobs=tuple(knobs),
-        predicted_wall=float(cost["wall"]),
-        predicted_memory=float(cost.get("peak_memory", 0.0)),
-        predicted_rounds=int(cost.get("rounds", 0)),
+        predicted_wall=result.wall_time,
+        predicted_memory=result.max_memory_per_rank,
+        predicted_rounds=result.exchange_rounds,
         backend=base.backend,
+        result=result,
     )
 
 
 def plan(
-    workload=None,
+    workload,
     nodes: int | None = None,
     *,
     machine: MachineSpec | None = None,
@@ -206,21 +168,15 @@ def plan(
     config: EngineConfig | None = None,
     engines=None,
     grid: dict[str, dict[str, tuple]] | None = None,
-    stats: WorkloadStats | None = None,
 ) -> list[PlanPoint]:
-    """Rank the engine × knob grid by predicted wall clock.
+    """Rank the engine × knob grid by wall clock.
 
     Returns every grid point, best first; ties break on
-    ``(engine, knobs)`` so the ranking is deterministic for equal
-    predictions.  Points whose hook raised come back infeasible
-    (``predicted_wall=inf``) and sort last; engines *without* a hook
-    (the micro engines, or any engine registered without
-    :func:`~repro.engines.registry.register_cost_hook`) come back as a
-    single infeasible point marked ``"no cost hook: measure instead"``.
-
-    Pass either a ``workload`` + ``nodes`` (the usual path) or a
-    pre-built ``stats`` + ``machine`` (the bench path, avoiding repeated
-    assignment renders).
+    ``(engine, knobs)`` so the ranking is deterministic for equal walls.
+    Points whose run raised ``ConfigurationError`` come back infeasible
+    (``predicted_wall=inf``) and sort last; a message-level engine comes
+    back as a single infeasible point marked ``"measure instead"``.
+    Pass ``nodes`` (and ``cores_per_node``) or a built ``machine``.
     """
     if machine is None:
         if nodes is None:
@@ -230,29 +186,24 @@ def plan(
         from repro.core.api import make_machine
 
         machine = make_machine(nodes, cores_per_node)
-    if stats is None:
-        if workload is None:
-            raise ConfigurationError(
-                "plan() needs either workload= or stats="
-            )
-        stats = WorkloadStats.from_workload(workload, machine)
     base = config if config is not None else EngineConfig()
     names = (tuple(engines) if engines is not None
              else available_engines(kind=MACRO))
-    for name in names:
-        get_engine(name)  # fail fast on typos before predicting anything
+    infos = [get_engine(name) for name in names]  # fail fast on typos
+    assignment = workload.assignment(machine.total_ranks)
     points: list[PlanPoint] = []
-    for name in names:
-        if get_cost_hook(name) is None:
+    for info in infos:
+        if info.is_micro:
             points.append(PlanPoint(
-                engine=name, knobs=(),
+                engine=info.name, knobs=(),
                 predicted_wall=float("inf"), predicted_memory=float("inf"),
                 predicted_rounds=0, backend=base.backend,
-                feasible=False, reason="no cost hook: measure instead",
+                feasible=False,
+                reason="message-level engine: measure instead",
             ))
             continue
-        for knobs in knob_grid_points(name, grid):
-            points.append(predict(stats, machine, name,
+        for knobs in knob_grid_points(info.name, grid):
+            points.append(predict(assignment, machine, info.name,
                                   config=base, knobs=knobs))
     points.sort(key=lambda p: (p.predicted_wall, p.engine, p.knobs))
     return points

@@ -19,14 +19,13 @@ Three pieces:
   instants and counters it forwards.  RPC issue/callback instants,
   superstep boundaries and window counters are dropped at the call.
   Into the job's log it forwards phase records, fault injections, churn
-  membership/migration events, periodic percent-complete estimates
-  against the planner's predicted wall when one is available, and — for
-  real-kernel micro jobs — one ``alignments_resolved`` progress event
-  per kernel call of the flush that follows the simulation.  It is also
-  the cancellation hook: every record call, kept or dropped, checks the
-  job's cancel flag and raises the typed
-  :class:`~repro.errors.JobCancelledError`, which aborts the engine
-  mid-run while its ``with``-held executors tear down cleanly.
+  membership/migration events, periodic ``progress`` events on the
+  simulated clock, and — for real-kernel micro jobs — one
+  ``alignments_resolved`` progress event per kernel call of the flush
+  that follows the simulation.  It is also the cancellation hook: every
+  record call, kept or dropped, checks the job's cancel flag and raises
+  the typed :class:`~repro.errors.JobCancelledError`, which aborts the
+  engine mid-run while its ``with``-held executors tear down cleanly.
 
 Forwarding never changes results: the tracer only observes, and a job
 run with a ``ProgressTracer`` attached produces a
@@ -270,17 +269,15 @@ def _check_since(since: int) -> None:
 class ProgressTracer(Tracer):
     """Tracer sink that tails a run into its job's event log.
 
-    ``predicted_wall`` (planner prediction, when the engine has a cost
-    hook) turns the periodic ``progress`` events into percent-complete
-    estimates; without it they carry the simulated clock only.  Every
-    phase event is recorded and forwarded as the same object; an instant
-    or counter that is not forwarded is not recorded either.
+    The periodic ``progress`` events carry the simulated clock and the
+    phase count.  Every phase event is recorded and forwarded as the same
+    object; an instant or counter that is not forwarded is not recorded
+    either.
     """
 
-    def __init__(self, job, predicted_wall: float | None = None):
+    def __init__(self, job):
         super().__init__()
         self.job = job
-        self.predicted_wall = predicted_wall
         self._phases_seen = 0
         self._sim_time = 0.0
 
@@ -293,13 +290,8 @@ class ProgressTracer(Tracer):
             )
 
     def _progress(self, **extra: Any) -> None:
-        payload: dict[str, Any] = {"sim_time": self._sim_time,
-                                   "phases": self._phases_seen, **extra}
-        if self.predicted_wall and self.predicted_wall > 0:
-            payload["percent"] = min(
-                99.0, 100.0 * self._sim_time / self.predicted_wall
-            )
-        self.job.events.append("progress", **payload)
+        self.job.events.append("progress", sim_time=self._sim_time,
+                               phases=self._phases_seen, **extra)
 
     def phase(self, rank: int, category: str, start: float,
               duration: float, name: str = "") -> None:

@@ -385,23 +385,6 @@ class Job:
 
 # -- execution ---------------------------------------------------------------
 
-def _predicted_wall(workload, machine, engine: str,
-                    config: EngineConfig) -> float | None:
-    """Planner prediction for percent-complete, when a cost hook exists."""
-    from repro.engines.registry import get_cost_hook
-
-    if engine == "auto" or get_cost_hook(engine) is None:
-        return None
-    from repro.perf.planner import WorkloadStats, predict
-
-    try:
-        point = predict(WorkloadStats.from_workload(workload, machine),
-                        machine, engine, config)
-    except ConfigurationError:
-        return None
-    return point.predicted_wall if point.feasible else None
-
-
 def execute_request(job: Job) -> RunResult:
     """Run one job's request with a progress tracer attached.
 
@@ -418,8 +401,7 @@ def execute_request(job: Job) -> RunResult:
         max_resident_shards=req.max_resident_shards,
     )
     machine = make_machine(req.nodes, req.cores_per_node)
-    predicted = _predicted_wall(workload, machine, req.engine, config)
-    tracer = ProgressTracer(job, predicted_wall=predicted)
+    tracer = ProgressTracer(job)
     fault_plan = None
     if req.faults:
         from repro.faults import parse_fault_spec

@@ -11,6 +11,8 @@ single root seed via :class:`numpy.random.SeedSequence` spawning, so that
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = ["RngFactory", "spawn_rng"]
@@ -62,7 +64,12 @@ class RngFactory:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._root = np.random.SeedSequence(self.seed)
+
+    @cached_property
+    def _root(self) -> np.random.SeedSequence:
+        # built on the first draw: a noise-isolated engine run makes a
+        # factory and never draws from it
+        return np.random.SeedSequence(self.seed)
 
     def stream(self, name: str, *subkeys: int) -> np.random.Generator:
         """Return the generator for stream ``name`` (+ optional subkeys).

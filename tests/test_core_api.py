@@ -105,6 +105,52 @@ def test_phase_timers_validation():
     assert t.per_rank_total()[0] == 1.0
 
 
+def test_phase_timers_add_array_checks_and_clamps():
+    t = PhaseTimers(3)
+    with pytest.raises(SimulationError, match="unknown timing category"):
+        t.add_array("bogus", np.zeros(3))
+    with pytest.raises(SimulationError, match="negative time array"):
+        t.add_array("sync", np.array([0.0, -2e-12, 1.0]))
+    assert not t.get("sync").any()  # a rejected array adds nothing
+    t.add_array("sync", np.array([-1e-13, 0.5, 0.0]))
+    t.add_array("sync", np.array([-1e-13, 0.25, 1.0]))
+    # round-off negatives clamp to exactly zero, never to -0.0
+    assert t.get("sync").tolist() == [0.0, 0.75, 1.0]
+    assert not np.signbit(t.get("sync")).any()
+
+
+def _tiling(wall, totals):
+    m = cori_knl(1, app_cores_per_node=len(totals))
+    n = len(totals)
+    return RuntimeBreakdown(
+        engine="x", machine=m, workload="w", wall_time=wall,
+        compute_align=np.asarray(totals, dtype=float),
+        compute_overhead=np.zeros(n), comm=np.zeros(n), sync=np.zeros(n),
+    )
+
+
+def test_breakdown_validate_tolerance():
+    # rtol=1e-6 of the wall plus atol=1e-9: 2.001e-6 s at a 2 s wall
+    _tiling(2.0, [2.0 + 1.9e-6, 2.0 - 1.9e-6]).validate()
+    with pytest.raises(SimulationError, match="does not tile"):
+        _tiling(2.0, [2.0, 2.0 + 2.1e-6]).validate()
+    _tiling(0.0, [5e-10, 0.0]).validate()
+    with pytest.raises(SimulationError, match="does not tile"):
+        _tiling(0.0, [2e-9, 0.0]).validate()
+    # a looser rtol is honoured
+    _tiling(2.0, [2.1, 2.0]).validate(rtol=0.1)
+
+
+@pytest.mark.parametrize("wall,totals", [
+    (float("nan"), [1.0, 1.0]),
+    (1.0, [1.0, float("nan")]),
+    (float("nan"), [float("nan"), float("nan")]),
+])
+def test_breakdown_validate_rejects_nan(wall, totals):
+    with pytest.raises(SimulationError, match="does not tile"):
+        _tiling(wall, totals).validate()
+
+
 def test_breakdown_validate_and_fractions():
     m = cori_knl(1, app_cores_per_node=2)
     good = RuntimeBreakdown(

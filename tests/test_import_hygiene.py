@@ -133,29 +133,6 @@ def test_detects_flagless_unique_in_pipeline_and_engines(tmp_path):
     assert any(p.startswith("repro.engines.bsp:4 ") for p in problems)
 
 
-def test_detects_cost_hook_calling_network_model(tmp_path):
-    _write_pkg(tmp_path, {
-        "__init__.py": "",
-        "engines/__init__.py": "",
-        "engines/registry.py": "def register_cost_hook(name): ...\n",
-        "engines/bsp.py": """\
-            from repro.engines.registry import register_cost_hook
-            @register_cost_hook("bsp")
-            def _predict(assignment, machine, config):
-                net = make_net(machine)
-                wall = net.alltoallv_time(1.0, 1.0, 1.0) + net.barrier_time()
-                return {"wall": wall + net.rpc_pull_time(1, 1, 1, 1)}
-            def run(net):
-                return net.ptp_time(8.0)  # engines themselves may
-            """,
-    })
-    problems = check_imports.run(tmp_path)
-    assert len(problems) == 2
-    assert all("cost hook _predict" in p for p in problems)
-    assert any("NetworkModel.alltoallv_time" in p for p in problems)
-    assert any("NetworkModel.rpc_pull_time" in p for p in problems)
-
-
 def test_detects_shard_awareness_and_extra_dispatch_sites(tmp_path):
     _write_pkg(tmp_path, {
         "__init__.py": "",

@@ -1,4 +1,4 @@
-"""Cost-model planner: predictions, ranking, regret, and the grid drivers."""
+"""Cost-model planner: grid runs, ranking, regret, and the grid drivers."""
 
 import random
 
@@ -12,26 +12,21 @@ from repro.core.api import (
     machine_cache_stats,
     make_machine,
     run_alignment,
-    run_plan_points,
     scaling_sweep,
 )
 from repro.cli import main
 from repro.engines.base import EngineConfig, ExecutionMode
-from repro.engines.registry import (
-    MACRO,
-    available_engines,
-    engines_with_cost_hooks,
-    get_cost_hook,
-    register_cost_hook,
-)
+from repro.engines.registry import MACRO, available_engines, get_engine
 from repro.errors import ConfigurationError
+from repro.machine.config import MachineSpec, NodeSpec
+from repro.obs import Tracer, set_default_tracer
 from repro.perf.planner import (
     DEFAULT_KNOB_GRID,
-    WorkloadStats,
     knob_grid_points,
     plan,
     predict,
 )
+from repro.utils.units import MB
 
 SLOW = settings(
     max_examples=20,
@@ -41,6 +36,7 @@ SLOW = settings(
 
 NODES = 2
 CORES = 4
+GRID_POINTS = sum(len(knob_grid_points(e)) for e in DEFAULT_KNOB_GRID)
 
 
 @pytest.fixture(scope="module")
@@ -54,30 +50,8 @@ def machine():
 
 
 @pytest.fixture(scope="module")
-def stats(workload, machine):
-    return WorkloadStats.from_workload(workload, machine)
-
-
-# -- registry ----------------------------------------------------------------
-
-
-def test_macro_engines_all_have_cost_hooks():
-    hooked = set(engines_with_cost_hooks())
-    for name in available_engines(kind=MACRO):
-        assert name in hooked
-        assert get_cost_hook(name) is not None
-
-
-def test_micro_engines_have_no_cost_hooks():
-    assert get_cost_hook("bsp-micro") is None
-    assert get_cost_hook("async-micro") is None
-
-
-def test_duplicate_cost_hook_rejected():
-    with pytest.raises(ConfigurationError, match="already registered"):
-        @register_cost_hook("bsp")
-        def _dup(assignment, machine, config):  # pragma: no cover
-            return {"wall": 0.0}
+def assignment(workload, machine):
+    return workload.assignment(machine.total_ranks)
 
 
 # -- predictions -------------------------------------------------------------
@@ -92,10 +66,10 @@ def test_duplicate_cost_hook_rejected():
     engine=st.sampled_from(("bsp", "async", "hybrid")),
 )
 def test_predicted_wall_finite_positive_over_knob_space(
-        stats, machine, emf, agg, hagg, engine):
+        assignment, machine, emf, agg, hagg, engine):
     cfg = EngineConfig(exchange_memory_fraction=emf,
                        async_aggregation=agg, hybrid_aggregation=hagg)
-    point = predict(stats, machine, engine, config=cfg)
+    point = predict(assignment, machine, engine, config=cfg)
     assert point.feasible
     assert point.predicted_wall > 0.0
     assert point.predicted_wall < float("inf")
@@ -126,13 +100,13 @@ def _exactness_cases():
                          _exactness_cases())
 def test_prediction_matches_engine_exactly(name, nodes, cores, engine,
                                            overrides):
-    """The hook evaluates the phases the engine charges (noise is off on
-    the default allocation), so wall, memory and rounds are equal — not
-    close — under every config the planner can hand it."""
+    """A prediction is an untraced, fault-free run, so wall, memory and
+    rounds equal an independent ``run_alignment`` — not close — under
+    every config the planner can hand it."""
     workload = get_workload(name)
     machine = make_machine(nodes, cores)
     config = EngineConfig(**overrides)
-    point = predict(WorkloadStats.from_workload(workload, machine),
+    point = predict(workload.assignment(machine.total_ranks),
                     machine, engine, config=config)
     res = run_alignment(workload, nodes, engine, cores_per_node=cores,
                         config=config)
@@ -143,14 +117,16 @@ def test_prediction_matches_engine_exactly(name, nodes, cores, engine,
         assert res.exchange_rounds == 98  # the multi-round case is one
 
 
-def test_predict_unknown_engine_fails_fast(stats, machine):
+def test_predict_unknown_engine_fails_fast(assignment, machine):
     with pytest.raises(ConfigurationError, match="unknown approach"):
-        predict(stats, machine, "bps")
+        predict(assignment, machine, "bps")
 
 
-def test_predict_without_hook_raises(stats, machine):
-    with pytest.raises(ConfigurationError, match="no registered cost hook"):
-        predict(stats, machine, "bsp-micro")
+def test_predict_without_hook_raises(assignment, machine):
+    """A message-level engine has no assignment model: measure it."""
+    assert get_engine("bsp-micro").is_micro
+    with pytest.raises(ConfigurationError, match="message-level engine"):
+        predict(assignment, machine, "bsp-micro")
 
 
 def test_knob_grid_covers_default_grid():
@@ -194,36 +170,49 @@ def test_plan_lists_hookless_engine_as_measure_instead(workload, machine):
     assert not micro[0].feasible
     assert "measure instead" in micro[0].reason
     assert micro[0].predicted_wall == float("inf")
+    assert micro[0].result is None
     assert points[-1] is micro[0]  # infeasible sorts last
 
 
-def test_infeasible_grid_point_recorded_not_raised(
-        workload, machine, monkeypatch):
-    from repro.engines import registry as reg
+def test_infeasible_grid_point_recorded_not_raised(workload):
+    """A rank memory below the BSP base footprint cannot hold the input
+    partition: every BSP point is infeasible, async still runs."""
+    machine = MachineSpec(nodes=NODES,
+                          node=NodeSpec(app_memory_per_core=50 * MB),
+                          app_cores_per_node=CORES)
+    points = plan(workload, machine=machine, engines=["bsp", "async"])
+    bsp = [p for p in points if p.engine == "bsp"]
+    assert len(bsp) == len(DEFAULT_KNOB_GRID["bsp"]["exchange_memory_fraction"])
+    assert all(not p.feasible for p in bsp)
+    assert all(p.predicted_wall == float("inf") for p in bsp)
+    assert all("memory" in p.reason and p.result is None for p in bsp)
+    assert all(p.feasible for p in points if p.engine == "async")
+    assert points[-len(bsp):] == bsp  # infeasible sorts last
 
-    def _boom(assignment, machine, config):
-        raise ConfigurationError("per-rank memory cannot hold the partition")
 
-    monkeypatch.setitem(reg._COST_HOOKS, "bsp", _boom)
-    points = plan(workload, machine=machine, engines=["bsp"])
-    assert all(not p.feasible for p in points)
-    assert all(p.predicted_wall == float("inf") for p in points)
-    assert all("memory" in p.reason for p in points)
+def test_plan_points_carry_their_run(workload, machine):
+    for p in plan(workload, machine=machine):
+        assert p.result.wall_time == p.predicted_wall
+        assert p.result.max_memory_per_rank == p.predicted_memory
+        assert "result" not in p.as_dict()
+        assert "result" not in repr(p)
 
 
 # -- regret ------------------------------------------------------------------
 
 
 def test_top1_regret_below_bound_on_tiny_grid(workload):
+    """plan()'s top against an independent run of every grid point."""
     points = plan(workload, nodes=NODES, cores_per_node=CORES)
-    results = run_plan_points(workload, NODES, points,
-                              cores_per_node=CORES)
-    measured = [r.breakdown.wall_time for r in results if r is not None]
-    top = next(p for p in points if p.feasible)
-    top_measured = results[points.index(top)].breakdown.wall_time
-    regret = top_measured / min(measured) - 1.0
+    measured = [
+        run_alignment(workload, NODES, p.engine, p.apply(),
+                      cores_per_node=CORES).wall_time
+        for p in points
+    ]
+    assert measured == [p.predicted_wall for p in points]
+    regret = measured[0] / min(measured) - 1.0
     assert regret <= 0.10
-    # stronger: predictions are exact here, so regret is exactly zero
+    # stronger: the plan ran every point itself, so regret is exactly zero
     assert regret == 0.0
 
 
@@ -242,12 +231,53 @@ def test_auto_runs_top_plan_and_records_regret(workload):
     assert info["actual_wall"] <= 1.10 * best
 
 
-def test_run_plan_points_aligns_with_points(workload, machine):
-    points = plan(workload, machine=machine, engines=["bsp", "bsp-micro"])
-    results = run_plan_points(workload, NODES, points, cores_per_node=CORES)
-    assert len(results) == len(points)
-    for p, r in zip(points, results):
-        assert (r is None) == (not p.feasible)
+def test_auto_is_exact_under_os_noise():
+    """68 cores per node leave no core to isolate the OS, so every run
+    draws seeded noise; the plan's runs draw the same noise as the run
+    they predict."""
+    workload = get_workload("micro")
+    assert not make_machine(2, 68).system_isolated
+    res = run_alignment(workload, 2, "auto", cores_per_node=68)
+    assert res.details["plan"]["prediction_error"] == 0.0
+
+
+def _spy_on_macro_runs(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    for name in available_engines(kind=MACRO):
+        cls = get_engine(name).factory
+        original = cls.run
+
+        def spy(self, *args, _original=original, **kwargs):
+            calls.append(self.name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "run", spy)
+    return calls
+
+
+def test_untraced_auto_runs_each_grid_point_once(workload, monkeypatch):
+    calls = _spy_on_macro_runs(monkeypatch)
+    res = run_alignment(workload, NODES, "auto", cores_per_node=CORES)
+    assert len(calls) == GRID_POINTS == 11
+    assert sorted(set(calls)) == sorted(DEFAULT_KNOB_GRID)
+    # a traced auto re-runs the winner with the tracer: same bits
+    traced = run_alignment(workload, NODES, "auto", cores_per_node=CORES,
+                           tracer=Tracer())
+    assert len(calls) == 2 * GRID_POINTS + 1
+    assert traced.signature() == res.signature()
+
+
+def test_auto_leaves_one_run_in_the_ambient_tracer(workload):
+    tracer = Tracer()
+    set_default_tracer(tracer)
+    try:
+        res = run_alignment(workload, NODES, "auto", cores_per_node=CORES)
+    finally:
+        set_default_tracer(None)
+    assert tracer.current_pid == 0  # one begin_run: the winner's
+    assert {e.pid for e in tracer.events} == {0}
+    assert tracer.phase_events()
+    assert res.details["plan"]["prediction_error"] == 0.0
 
 
 # -- compare_engines ----------------------------------------------------------

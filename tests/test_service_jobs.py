@@ -422,15 +422,16 @@ def test_progress_tracer_forwards_phases_and_keeps_recording():
                                   "sim_end", "seq", "event"]
 
 
-def test_progress_tracer_emits_percent_against_prediction():
+def test_progress_tracer_emits_progress_every_stride():
     job = Job(JobRequest())
-    tracer = ProgressTracer(job, predicted_wall=float(PROGRESS_EVERY))
-    for i in range(PROGRESS_EVERY):
+    tracer = ProgressTracer(job)
+    for i in range(2 * PROGRESS_EVERY - 1):
         tracer.phase(0, "comm", float(i), 1.0)
     progress = [e for e in job.events.snapshot() if e["event"] == "progress"]
     assert len(progress) == 1
     assert progress[0]["phases"] == PROGRESS_EVERY
-    assert progress[0]["percent"] == 99.0  # capped, never reports 100 early
+    assert progress[0]["sim_time"] == float(PROGRESS_EVERY)
+    assert "percent" not in progress[0]
 
 
 def test_progress_tracer_forwards_fault_and_churn_instants():

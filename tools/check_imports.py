@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Ten classes of violation, all enforced in CI (and mirrored by
+Nine classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -32,12 +32,8 @@ Ten classes of violation, all enforced in CI (and mirrored by
    ``repro.utils.arrays.sorted_unique``.  Calls with ``return_counts`` /
    ``return_inverse`` take numpy's sort path and are fine.
 
-4. **Cost hooks pricing a phase themselves.**  A function decorated with
-   ``@register_cost_hook`` under ``repro/engines`` may not call a
-   ``NetworkModel`` cost method (``alltoallv_*``, ``rpc_pull_time``,
-   ``ptp_time``): it must go through the phase functions in
-   ``engines.common`` that the engine's ``run`` charges, so a prediction
-   cannot become a second copy of the model (docs/PLANNER.md).
+4. *(Retired: the planner runs the engines, so no second copy of the
+   model remains to check.  Rules 5-10 keep their numbers.)*
 
 5. **Shards below ``pipeline/``, or a second kernel dispatch site.**  No
    identifier or attribute under ``repro/engines`` or ``repro/runtime``
@@ -109,12 +105,6 @@ ENGINE_IMPLS = {
 
 #: packages whose hot paths must not call flag-less ``np.unique``
 NO_BARE_UNIQUE = ("repro.pipeline", "repro.engines")
-
-#: where cost hooks live, and the NetworkModel methods they may not call
-COST_HOOK_PACKAGE = "repro.engines"
-NETWORK_COST_METHODS = ("rpc_pull_time", "ptp_time")
-NETWORK_COST_PREFIX = "alltoallv_"
-
 
 #: packages that must not know how a workload is stored
 SHARD_BLIND = ("repro.engines", "repro.runtime")
@@ -287,44 +277,6 @@ def bare_unique_calls(src_root: Path) -> list[str]:
                     f"hash-then-sort cliff on numpy >= 2.3; use "
                     f"repro.utils.arrays.sorted_unique"
                 )
-    return problems
-
-
-def _is_cost_hook(fn: ast.FunctionDef) -> bool:
-    for deco in fn.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = (target.attr if isinstance(target, ast.Attribute)
-                else getattr(target, "id", ""))
-        if name == "register_cost_hook":
-            return True
-    return False
-
-
-def cost_hook_network_calls(src_root: Path) -> list[str]:
-    """``NetworkModel`` cost-method calls inside ``@register_cost_hook``
-    functions of the :data:`COST_HOOK_PACKAGE` package."""
-    problems: list[str] = []
-    for path in sorted((src_root / PACKAGE).rglob("*.py")):
-        name = module_name(path, src_root)
-        if not name.startswith(COST_HOOK_PACKAGE):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for fn in ast.walk(tree):
-            if not (isinstance(fn, ast.FunctionDef) and _is_cost_hook(fn)):
-                continue
-            for node in ast.walk(fn):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and (node.func.attr in NETWORK_COST_METHODS
-                         or node.func.attr.startswith(NETWORK_COST_PREFIX))
-                ):
-                    problems.append(
-                        f"{name}:{node.lineno} cost hook {fn.name} calls "
-                        f"NetworkModel.{node.func.attr} directly; price the "
-                        f"phase through the shared functions in "
-                        f"repro.engines.common that the engine's run charges"
-                    )
     return problems
 
 
@@ -533,7 +485,6 @@ def run(src_root: Path) -> list[str]:
     ]
     problems += banned_imports(graph)
     problems += bare_unique_calls(src_root)
-    problems += cost_hook_network_calls(src_root)
     problems += dispatch_path_violations(src_root)
     problems += banned_package_imports(src_root)
     problems += renderer_violations(src_root)
@@ -552,7 +503,7 @@ def main(argv: list[str]) -> int:
         graph = build_graph(src_root)
         print(f"import hygiene OK: {len(graph)} modules, no cycles, "
               f"no banned imports, no flag-less np.unique in "
-              f"pipeline/engines, no cost hook pricing a phase itself, "
+              f"pipeline/engines, "
               f"no shard-aware engine/runtime code, one kernel dispatch "
               f"site, no scipy, one task-row renderer, no hand-rolled LRU, "
               f"one process pool, one thread site below the service")
