@@ -82,6 +82,12 @@ WIDE_ID_SPEC = DatasetSpec(
 )
 WIDE_ID_SHARDS = (1 << 16, 75_000)
 
+#: rank counts where the task-row renderer's owner ids and keys change
+#: type, on the block-aligned wide-id shards: the last 8-bit owner id
+#: (P = 256), and 32-bit owner ids whose ``requester * n_reads + read``
+#: keys pass 2**32 (P = 65 537 over 70 000 reads)
+WIDE_ID_BOUNDARY_RANKS = (256, 65_537)
+
 CONCRETE_RANKS = (2, 8)
 CONCRETE_SHARD_TASKS = 97
 
@@ -230,7 +236,8 @@ def assignment_cases():
         wide = lru_cache(maxsize=1)(partial(
             ShardedWorkload.synthetic, WIDE_ID_SPEC, seed=0,
             shard_tasks=shard, max_resident_shards=2))
-        for p in SYNTH_RANKS:
+        boundary = WIDE_ID_BOUNDARY_RANKS if shard == WIDE_ID_SHARDS[0] else ()
+        for p in SYNTH_RANKS + boundary:
             yield (f"sharded-synthetic/{WIDE_ID_SPEC.name}@0/s{shard}/p{p}",
                    wide, p)
     sharded = partial(micro, shard_tasks=CONCRETE_SHARD_TASKS,
