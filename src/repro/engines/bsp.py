@@ -313,7 +313,7 @@ class BSPEngine:
                 ctx.inc("faults_injected", d)
 
         details = {
-            "exchange_budget": self.exchange_budget(machine, assignment),
+            "exchange_budget": model.exchange_budget,
             "avg_sources": model.avg_sources,
             "exchange_time_total": exchange_total,
         }

@@ -20,7 +20,7 @@ that touches a tracer, a timer or a fault injector is layered on top
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -138,9 +138,7 @@ def exchange_budget(config: EngineConfig, machine: MachineSpec,
 def bsp_num_rounds(config: EngineConfig, machine: MachineSpec,
                    assignment: WorkloadAssignment) -> int:
     """Rounds needed so every rank's round receive fits its budget."""
-    budget = exchange_budget(config, machine, assignment)
-    max_recv = float(assignment.recv_bytes.max(initial=0.0))
-    return max(1, int(np.ceil(max_recv / budget)))
+    return bsp_model(config, machine, assignment).rounds
 
 
 def survivor_share(x: np.ndarray, rounds: int, alive: np.ndarray,
@@ -166,6 +164,8 @@ def mean_read_bytes(assignment: WorkloadAssignment) -> float:
 class BspModel:
     """Per-run constants of the superstep model, built once per run."""
 
+    #: receive-buffer bytes one rank may devote to a single round
+    exchange_budget: float
     rounds: int
     send: np.ndarray
     recv: np.ndarray
@@ -186,9 +186,12 @@ def bsp_model(config: EngineConfig, machine: MachineSpec,
     memory (the planner records such grid points as infeasible).
     """
     P = assignment.num_ranks
-    rounds = bsp_num_rounds(config, machine, assignment)
+    budget = exchange_budget(config, machine, assignment)
+    max_recv = float(assignment.recv_bytes.max(initial=0.0))
+    rounds = max(1, int(np.ceil(max_recv / budget)))
     comm_only = config.mode is ExecutionMode.COMM_ONLY
     return BspModel(
+        exchange_budget=budget,
         rounds=rounds,
         send=assignment.send_bytes,
         recv=assignment.recv_bytes,
@@ -266,6 +269,8 @@ class PullPhases:
     overhead_cb: np.ndarray
     comm: np.ndarray
     bar: float
+    #: RPCs each rank issues: ``ceil(lookups / agg)``
+    messages: np.ndarray
 
 
 class PullTimeline(NamedTuple):
@@ -316,12 +321,12 @@ def pull_phases(config: EngineConfig, assignment: WorkloadAssignment,
         assignment.incoming_lookups / agg,
         assignment.incoming_bytes,
     )
+    messages = np.ceil(assignment.lookups / agg)
     if batch_fill_stall:
-        n_batches = np.ceil(assignment.lookups / agg)
-        comm = comm + n_batches * (agg - 1.0) * machine.network.msg_gap
+        comm = comm + messages * (agg - 1.0) * machine.network.msg_gap
     return PullPhases(
         local_compute, remote_compute, overhead_pre, overhead - overhead_pre,
-        comm, net.barrier_time(),
+        comm, net.barrier_time(), messages,
     )
 
 
@@ -416,7 +421,6 @@ def _hand_off_unfinished(phases: PullPhases, fault_stall: np.ndarray,
 def apply_pull_faults(
     ctx: ExecutionContext,
     assignment: WorkloadAssignment,
-    agg: float,
     phases: PullPhases,
 ) -> PullFaultOutcome:
     """Fault adjustments of the pull model (analytic; docs/RESILIENCE.md).
@@ -456,6 +460,7 @@ def apply_pull_faults(
         phases.overhead_cb * straggle,
         phases.comm * faults.schedule.mean_link_dilation(0.0, wall0),
         phases.bar,
+        phases.messages,
     )
 
     # message faults: a dropped pull stalls its caller for the
@@ -467,7 +472,7 @@ def apply_pull_faults(
     backoff = (plan.rpc_backoff if plan.rpc_backoff is not None
                else 10.0 * ctx.machine.network.rtt)
     for i in range(P):
-        n_calls = int(np.ceil(float(assignment.lookups[i]) / agg))
+        n_calls = int(phases.messages[i])
         drops, delays, dups = faults.rank_rpc_fault_counts(i, n_calls)
         fault_stall[i] = (
             drops * (timeout + backoff)
@@ -717,7 +722,7 @@ def run_pull_engine(
     agg: float,
     batch_fill_stall: bool,
     window_factor: float,
-    extra_details: dict | None = None,
+    extra_details: Callable[[PullPhases], dict] | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     faults=None,
@@ -727,18 +732,19 @@ def run_pull_engine(
 
     ``async`` and ``hybrid`` differ only in the three model parameters
     (see :func:`pull_phases` and :func:`pull_memory`) and in
-    ``extra_details``, engine-specific keys of the result's ``details``.
+    ``extra_details``, which maps the fault-free phases to
+    engine-specific keys of the result's ``details``.
     """
     ctx = ExecutionContext.open(name, assignment, machine, config,
                                 tracer=tracer, metrics=metrics,
                                 faults=faults)
     phases = pull_phases(config, assignment, ctx.net, agg, ctx.factors(),
                          batch_fill_stall=batch_fill_stall)
-    fo = apply_pull_faults(ctx, assignment, agg, phases)
+    fo = apply_pull_faults(ctx, assignment, phases)
     tl = assemble_pull_phases(ctx, fo.phases, fo.fault_stall,
                               start_delay=fo.start_delay)
 
-    details = dict(extra_details or {})
+    details = extra_details(phases) if extra_details is not None else {}
     details["hidden_comm"] = float(np.minimum(fo.phases.comm, tl.busy).sum())
     details["raw_comm"] = fo.phases.comm
     if faults is not None:
@@ -755,7 +761,7 @@ def run_pull_engine(
         exchange_rounds=0,
         details=details,
         extra_counters=(
-            ("rpc_issued", np.ceil(assignment.lookups / agg)),
+            ("rpc_issued", phases.messages),
             ("rpc_bytes", assignment.lookup_bytes),
         ) if metrics is not None else (),
         redist_counts=fo.redist_counts,

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.engines.base import EngineConfig
 from repro.engines.common import run_pull_engine
 from repro.engines.registry import register_engine
@@ -62,10 +60,9 @@ class HybridEngine:
         return run_pull_engine(
             self.name, self.config, assignment, machine, agg=agg,
             batch_fill_stall=True, window_factor=agg,
-            extra_details={
+            extra_details=lambda phases: {
                 "aggregation": int(agg),
-                "rpc_messages": float(
-                    np.ceil(assignment.lookups / agg).sum()),
+                "rpc_messages": float(phases.messages.sum()),
             },
             tracer=tracer, metrics=metrics, faults=faults,
         )

@@ -78,10 +78,13 @@ def owner_table(boundaries: np.ndarray) -> np.ndarray:
     """Owner rank of every read id: ``table[i]`` for ``0 <= i < n_reads``.
 
     Equals :func:`owners_from_boundaries` on every valid id; an empty rank
-    (repeated boundaries) simply contributes no entries.
+    (repeated boundaries) simply contributes no entries.  Ranks are stored
+    in ``np.min_scalar_type(P - 1)``: the gathers and selects over task
+    columns then move one or two bytes a row, not eight.
     """
     num_ranks = len(boundaries) - 1
-    return np.repeat(np.arange(num_ranks, dtype=np.int64), np.diff(boundaries))
+    ranks = np.arange(num_ranks, dtype=np.min_scalar_type(num_ranks - 1))
+    return np.repeat(ranks, np.diff(boundaries))
 
 
 class ReadPartition(NamedTuple):
@@ -90,13 +93,14 @@ class ReadPartition(NamedTuple):
     boundaries: np.ndarray       # (P + 1,) int64
     reads_per_rank: np.ndarray   # (P,) float64
     partition_bytes: np.ndarray  # (P,) float64
-    owner_table: np.ndarray      # (n_reads,) int64, read id -> owner rank
+    owner_table: np.ndarray      # (n_reads,) read id -> owner rank, narrow
 
     def owners(self, read_ids: np.ndarray) -> np.ndarray:
         """Owner rank of each read id of a task column (table gather).
 
         A gather would silently wrap a negative id to the last rank, so
-        the column's range is checked first — once per array.
+        the column's range is checked first — once per array.  The owners
+        come back in the table's narrow type.
         """
         read_ids = np.asarray(read_ids)
         n_reads = self.owner_table.size
@@ -105,7 +109,7 @@ class ReadPartition(NamedTuple):
                 f"read id out of range [0, {n_reads}): column spans "
                 f"[{read_ids.min()}, {read_ids.max()}]"
             )
-        return self.owner_table[read_ids]
+        return self.owner_table.take(read_ids)
 
 
 class PartitionMemo:

@@ -63,6 +63,7 @@ from repro.pipeline.workload import (
     TaskRowWorkload,
     calibrated_cost_dist,
     generate_read_lengths,
+    key_dtype,
     spec_rngs,
 )
 from repro.utils.arrays import sorted_unique
@@ -311,16 +312,15 @@ class _KeyBuckets:
             n_buckets = min(2 * n_buckets, num_ranks)
         self.n_buckets = n_buckets
         self._edges = edges
-        # the narrowest type that sorts a whole pass's keys (uint32 unless
-        # num_ranks * n_reads exceeds it)
-        self._key_dtype = np.min_scalar_type(int(edges[-1]) - 1)
+        # the type the renderer builds a pass's keys in
+        self._key_dtype = key_dtype(num_ranks, n_reads)
         self._dir = tempfile.mkdtemp(prefix="keys-", dir=dirpath)
         self._files: dict[int, object] = {}
 
     def add(self, keys: np.ndarray) -> None:
         if keys.size == 0:
             return
-        keys = sorted_unique(keys.astype(self._key_dtype))
+        keys = sorted_unique(keys.astype(self._key_dtype, copy=False))
         cuts = np.searchsorted(keys, self._edges)
         lower = self._edges[:-1].astype(keys.dtype)
         offsets = (keys - np.repeat(lower, np.diff(cuts))).astype(
@@ -458,8 +458,8 @@ class ShardedWorkload(TaskRowWorkload):
             read_a = rng.integers(0, n_reads, m)
             read_b = rng.integers(0, n_reads, m)
             pick_a = rng.random(m) < 0.5
-            cost = cost_dist.sample_seconds(lengths_f[read_a],
-                                            lengths_f[read_b], rng)
+            cost = cost_dist.sample_seconds(lengths_f.take(read_a),
+                                            lengths_f.take(read_b), rng)
             cols = {"read_a": read_a, "read_b": read_b,
                     "pick_a": pick_a, "cost": cost}
             memo["id"] = block_id

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -156,6 +156,32 @@ class MicroPlan:
         return owners_from_boundaries(read_ids, self.boundaries)
 
 
+def key_dtype(num_ranks: int, n_reads: int) -> np.dtype:
+    """The type ``requester * n_reads + read`` keys are built and sorted
+    in: the narrowest that holds ``num_ranks * n_reads`` itself, so
+    ``n_reads`` fits as a factor (uint32 on ecoli30x, uint64 once the key
+    space passes 2**32)."""
+    return np.min_scalar_type(num_ranks * n_reads)
+
+
+class _PlanChunk(NamedTuple):
+    """One chunk of task rows placed on the ranks.
+
+    From :meth:`TaskRowWorkload._plan_chunks`, ranks are in the
+    partition's narrow owner type and reads in the chunk's read-id type;
+    the resident fold passes the micro plan's int64 columns.
+    ``remote_read`` is the read the executing rank pulls; it means
+    nothing where ``both_local`` is set.
+    """
+
+    owner_a: np.ndarray
+    owner_b: np.ndarray
+    assigned: np.ndarray
+    remote_read: np.ndarray
+    both_local: np.ndarray
+    cost: np.ndarray
+
+
 class _ResidentKeys:
     """Distinct remote-read keys of resident rows: one in-memory sort."""
 
@@ -167,7 +193,9 @@ class _ResidentKeys:
 
     def drain(self) -> Iterator[np.ndarray]:
         if self._chunks:
-            yield sorted_unique(np.concatenate(self._chunks))
+            keys = sorted_unique(np.concatenate(self._chunks))
+            if keys.size:
+                yield keys.astype(np.int64, copy=False)
 
     def close(self) -> None:
         self._chunks = []
@@ -182,8 +210,10 @@ class TaskRowWorkload:
     (:meth:`_key_sink`).  Read ids may be any integer type.  A task goes
     to read a's owner where :meth:`_pick_a` is set and to read b's where
     it is clear: the chunk's own bool ``pick_a`` column, unless a
-    subclass derives it.  Folds are in-order ``np.add.at`` and distinct
-    keys fold ascending, so any chunking gives bit-identical arrays.
+    subclass derives it.  Cost folds are in-order ``np.add.at``, counts
+    and bytes are integer sums, and distinct keys (built in
+    :func:`key_dtype`, drained as int64) fold ascending, so any chunking
+    gives bit-identical arrays.
     """
 
     #: rows are in memory: :meth:`assignment` folds the cached micro plan
@@ -214,17 +244,25 @@ class TaskRowWorkload:
         """Whether read a's owner, not read b's, executes each task."""
         return columns["pick_a"]
 
-    def _plan_chunks(self, num_ranks: int, part: ReadPartition):
-        """``(owner_a, owner_b, assigned, remote_read, cost)`` per chunk."""
+    def _plan_chunks(self, num_ranks: int,
+                     part: ReadPartition) -> Iterator[_PlanChunk]:
+        """Each chunk of rows placed on the ranks (:class:`_PlanChunk`)."""
         for columns in self._row_chunks():
             read_a, read_b = columns["read_a"], columns["read_b"]
             owner_a = part.owners(read_a)
             owner_b = part.owners(read_b)
             pick_a = self._pick_a(columns, owner_a, owner_b, num_ranks)
-            assigned = np.where(pick_a, owner_a, owner_b)
-            remote_read = np.where(pick_a, read_b, read_a).astype(np.int64)
-            remote_read[owner_a == owner_b] = -1
-            yield owner_a, owner_b, assigned, remote_read, columns["cost"]
+            # select by arithmetic, not np.where: on a random coin a
+            # branchy select mispredicts every other row.  Unsigned
+            # differences wrap, and wrap back on the add, so the values
+            # are exactly the selected ones
+            yield _PlanChunk(
+                owner_a, owner_b,
+                owner_b + pick_a * (owner_a - owner_b),
+                read_a + pick_a * (read_b - read_a),
+                owner_a == owner_b,
+                columns["cost"],
+            )
 
     def micro_plan(self, num_ranks: int) -> MicroPlan:
         """Per-task rendering for the message-level engines (cached)."""
@@ -233,16 +271,20 @@ class TaskRowWorkload:
 
     def _render_micro_plan(self, num_ranks: int) -> MicroPlan:
         part = self._partition(num_ranks)
-        owner_a, owner_b, assigned, remote_read = (
+        owner_a, owner_b, assigned, remote_read, both_local = (
             np.concatenate(col) for col in
-            list(zip(*self._plan_chunks(num_ranks, part)))[:4]
+            list(zip(*self._plan_chunks(num_ranks, part)))[:5]
         )
+        # the micro engines consume int64 columns, with -1 for a task
+        # whose reads are both local
+        remote_read = remote_read.astype(np.int64, copy=False)
+        remote_read[both_local] = -1
         return MicroPlan(
             num_ranks=num_ranks,
             boundaries=part.boundaries,
-            assigned=assigned,
-            owner_a=owner_a,
-            owner_b=owner_b,
+            assigned=assigned.astype(np.int64),
+            owner_a=owner_a.astype(np.int64),
+            owner_b=owner_b.astype(np.int64),
             remote_read=remote_read,
         )
 
@@ -255,42 +297,56 @@ class TaskRowWorkload:
         part = self._partition(num_ranks)
         if self.rows_resident:
             plan = self.micro_plan(num_ranks)
-            chunks = [(plan.owner_a, plan.owner_b, plan.assigned,
-                       plan.remote_read, self.task_costs)]
+            chunks = [_PlanChunk(plan.owner_a, plan.owner_b, plan.assigned,
+                                 plan.remote_read, plan.remote_read < 0,
+                                 self.task_costs)]
         else:
             chunks = self._plan_chunks(num_ranks, part)
         n_reads = self.n_reads
+        keys_in = key_dtype(num_ranks, n_reads)
         tasks_count = np.zeros(num_ranks, dtype=np.int64)
         compute_seconds = np.zeros(num_ranks, dtype=np.float64)
         local_pair_seconds = np.zeros(num_ranks, dtype=np.float64)
         lookups_count = np.zeros(num_ranks, dtype=np.int64)
-        lookup_bytes = np.zeros(num_ranks, dtype=np.float64)
-        incoming_count = np.zeros(num_ranks, dtype=np.int64)
-        incoming_bytes = np.zeros(num_ranks, dtype=np.float64)
+        lookup_bytes = np.zeros(num_ranks, dtype=np.int64)
+        requests = np.zeros(n_reads, dtype=np.int64)
         keys = self._key_sink(num_ranks)
         try:
-            for owner_a, owner_b, assigned, remote_read, cost in chunks:
+            for chunk in chunks:
+                assigned, both_local, cost = (
+                    chunk.assigned, chunk.both_local, chunk.cost)
                 tasks_count += np.bincount(assigned, minlength=num_ranks)
                 np.add.at(compute_seconds, assigned, cost)
-                both_local = owner_a == owner_b
                 np.add.at(local_pair_seconds, assigned[both_local],
                           cost[both_local])
-                has_remote = remote_read >= 0
-                keys.add(assigned[has_remote] * n_reads
-                         + remote_read[has_remote])
+                key = assigned.astype(keys_in)
+                key *= n_reads
+                key += chunk.remote_read.astype(keys_in, copy=False)
+                keys.add(key[~both_local])
             # one (requester, read) pair counts once — "parallel processors
-            # retrieve remote reads no more than once" (§3.2)
+            # retrieve remote reads no more than once" (§3.2).  A run of
+            # keys ascends, so each requester's keys are one slice of it,
+            # cut where the requester's first key would sit.  Counts and
+            # bytes are integers, summed in int64: below 2**53 that is the
+            # float64 any order of float adds would give
             for uniq in keys.drain():
-                req_rank = uniq // n_reads
-                read_id = uniq % n_reads
-                lengths = self.read_lengths[read_id].astype(np.float64)
-                lookups_count += np.bincount(req_rank, minlength=num_ranks)
-                np.add.at(lookup_bytes, req_rank, lengths)
-                owner = part.owner_table[read_id]
-                incoming_count += np.bincount(owner, minlength=num_ranks)
-                np.add.at(incoming_bytes, owner, lengths)
+                first = int(uniq[0] // n_reads)
+                last = int(uniq[-1] // n_reads) + 1
+                starts = np.arange(first, last + 1) * n_reads
+                cuts = np.searchsorted(uniq, starts)
+                per_rank = np.diff(cuts)
+                read_id = uniq - np.repeat(starts[:-1], per_rank)
+                pulled = counts_to_offsets(self.read_lengths.take(read_id))
+                lookups_count[first:last] += per_rank
+                lookup_bytes[first:last] += np.diff(pulled[cuts])
+                requests += np.bincount(read_id, minlength=n_reads)
         finally:
             keys.close()
+        # a rank serves the requests for the reads it owns, one
+        # contiguous range of them
+        incoming_count = np.diff(counts_to_offsets(requests)[part.boundaries])
+        incoming_bytes = np.diff(counts_to_offsets(
+            requests * self.read_lengths)[part.boundaries])
 
         return WorkloadAssignment(
             name=self.name,
@@ -301,9 +357,9 @@ class TaskRowWorkload:
             compute_seconds=compute_seconds,
             local_pair_seconds=local_pair_seconds,
             lookups=lookups_count.astype(np.float64),
-            lookup_bytes=lookup_bytes,
+            lookup_bytes=lookup_bytes.astype(np.float64),
             incoming_lookups=incoming_count.astype(np.float64),
-            incoming_bytes=incoming_bytes,
+            incoming_bytes=incoming_bytes.astype(np.float64),
             total_reads=self.n_reads,
             total_tasks=self.n_tasks,
         )

@@ -81,7 +81,8 @@ def test_owner_table_equals_searchsorted_owners(reads_per_rank):
     boundaries = np.concatenate([[0], np.cumsum(reads_per_rank)])
     table = owner_table(boundaries)
     every_read = np.arange(boundaries[-1])
-    assert table.dtype == np.int64
+    # the narrowest type that holds every rank
+    assert table.dtype == np.min_scalar_type(len(reads_per_rank) - 1)
     assert np.array_equal(table, owners_from_boundaries(every_read, boundaries))
 
 

@@ -16,8 +16,10 @@ cache keying on the full calibration tuple.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from repro.core.api import (
 )
 from repro.errors import ConfigurationError, PartitionError
 from repro.genome.datasets import DATASETS, DatasetSpec
+from repro.pipeline.partition import partition_reads_by_size
 from repro.pipeline.sharded import (
     BUCKET_SPAN_LIMIT,
     GEN_BLOCK,
@@ -57,6 +60,14 @@ TINY_STAT = DatasetSpec(
 
 #: a shard size that streams TINY_STAT as 15 shards, 13 of them spilled
 SMALL_SHARD = 10_000
+
+# the wide-id preset and its pinned boundary rank counts live with the
+# assignment goldens
+_spec = importlib.util.spec_from_file_location(
+    "regen_goldens",
+    Path(__file__).resolve().parent.parent / "tools" / "regen_goldens.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
 def synthetic(shard_tasks: int, seed: int = 5,
@@ -117,6 +128,134 @@ def test_assignment_field_identity_all_shard_sizes(twin, num_ranks):
             )
         finally:
             sw.close()
+
+
+# -- narrow ids at their type boundaries ------------------------------------
+
+
+def wide_reference(read_lengths, rows: dict, num_ranks: int) -> dict:
+    """The nine assignment arrays and the micro plan's four task columns,
+    computed as the renderer did before its ids went narrow: an int64
+    owner table, ``np.where`` selects, int64 keys, one ``np.unique``."""
+    lengths = np.asarray(read_lengths, dtype=np.int64)
+    n_reads = lengths.size
+    boundaries = partition_reads_by_size(lengths, num_ranks)
+    table = np.repeat(np.arange(num_ranks, dtype=np.int64),
+                      np.diff(boundaries))
+    read_a = rows["read_a"].astype(np.int64)
+    read_b = rows["read_b"].astype(np.int64)
+    pick_a, cost = rows["pick_a"], rows["cost"]
+    owner_a, owner_b = table[read_a], table[read_b]
+    both_local = owner_a == owner_b
+    assigned = np.where(pick_a, owner_a, owner_b)
+    remote_read = np.where(pick_a, read_b, read_a)
+    remote_read[both_local] = -1
+    compute = np.zeros(num_ranks)
+    np.add.at(compute, assigned, cost)
+    local = np.zeros(num_ranks)
+    np.add.at(local, assigned[both_local], cost[both_local])
+    keys = np.unique(assigned[~both_local] * n_reads
+                     + remote_read[~both_local])
+    requester, read = keys // n_reads, keys % n_reads
+    pulled = lengths[read].astype(np.float64)
+    lookup_bytes = np.zeros(num_ranks)
+    np.add.at(lookup_bytes, requester, pulled)
+    incoming_bytes = np.zeros(num_ranks)
+    np.add.at(incoming_bytes, table[read], pulled)
+
+    def count(ranks):
+        return np.bincount(ranks, minlength=num_ranks).astype(np.float64)
+
+    prefix = np.concatenate([[0], np.cumsum(lengths)])
+    return {
+        "reads_per_rank": np.diff(boundaries).astype(np.float64),
+        "partition_bytes": np.diff(prefix[boundaries]).astype(np.float64),
+        "tasks_per_rank": count(assigned),
+        "compute_seconds": compute,
+        "local_pair_seconds": local,
+        "lookups": count(requester),
+        "lookup_bytes": lookup_bytes,
+        "incoming_lookups": count(table[read]),
+        "incoming_bytes": incoming_bytes,
+        "assigned": assigned,
+        "owner_a": owner_a,
+        "owner_b": owner_b,
+        "remote_read": remote_read,
+    }
+
+
+def assert_matches_reference(assignment, ref: dict, context: str) -> None:
+    for field in ASSIGNMENT_FIELDS:
+        got = getattr(assignment, field)
+        assert got.dtype == np.float64, f"{context}: {field} dtype"
+        assert got.tobytes() == ref[field].tobytes(), (
+            f"{context}: {field} diverged from the wide reference")
+
+
+class Resident(OneChunk):
+    """The same rows through the resident path: the cached micro plan,
+    folded as one chunk."""
+
+    rows_resident = True
+
+    @property
+    def task_costs(self):
+        return self._rows["cost"]
+
+
+def check_boundary(streamed, rows: dict, num_ranks: int) -> None:
+    """The streamed and resident renders of ``rows`` equal the reference,
+    and so does the resident micro plan, in its int64 columns."""
+    ref = wide_reference(streamed.read_lengths, rows, num_ranks)
+    assert_matches_reference(streamed.assignment(num_ranks), ref,
+                             f"streamed P={num_ranks}")
+    resident = Resident(streamed.name, streamed.read_lengths, rows)
+    assert_matches_reference(resident.assignment(num_ranks), ref,
+                             f"resident P={num_ranks}")
+    plan = resident.micro_plan(num_ranks)
+    for column in ("assigned", "owner_a", "owner_b", "remote_read"):
+        got = getattr(plan, column)
+        assert got.dtype == np.int64, column
+        assert np.array_equal(got, ref[column]), (
+            f"micro plan P={num_ranks}: {column} diverged")
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """The wide-id preset streamed as four shards under a two-shard
+    budget, and all of its rows (random coins) gathered once."""
+    sw = ShardedWorkload.synthetic(regen.WIDE_ID_SPEC, seed=0,
+                                   shard_tasks=1 << 16,
+                                   max_resident_shards=2)
+    chunks = [columns for _sid, columns in sw.store]
+    rows = {key: np.concatenate([c[key] for c in chunks])
+            for key in chunks[0]}
+    yield sw, rows
+    sw.close()
+
+
+@pytest.mark.parametrize("num_ranks,owner_type,key_type", [
+    (255, np.uint8, np.uint32),
+    (256, np.uint8, np.uint32),
+    (65_535, np.uint16, np.uint64),
+    (65_537, np.uint32, np.uint64),
+])
+def test_boundary_id_types_render_the_wide_reference(wide, num_ranks,
+                                                     owner_type, key_type):
+    """Rank counts on both sides of the 8- and 16-bit owner types, with
+    the highest rank owning reads, and keys past 2**32 (70 000 reads on
+    65 535 ranks and more), which uint32 would wrap: streamed with
+    spills, and the same rows resident."""
+    sw, rows = wide
+    owners = sw._partition(num_ranks).owner_table
+    assert owners.dtype == owner_type
+    assert owners.max() == num_ranks - 1
+    sink = sw._key_sink(num_ranks)
+    sink.close()
+    assert sink._key_dtype == key_type
+    assert (num_ranks * sw.n_reads > 2**32) == (key_type == np.uint64)
+    check_boundary(sw, rows, num_ranks)
+    assert sw.store.stats()["spilled"] > 0
 
 
 # -- synthetic (paper-scale) rows --------------------------------------------
