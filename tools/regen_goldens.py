@@ -64,6 +64,9 @@ ASSIGNMENT_FIELDS = (
 #: does not divide the task total, and the benchmark's cold-request size
 STAT_RANKS = (1, 8, 64, 513, 4096)
 
+#: the ``macro_cold_request`` benchmark's render: ecoli100x on 64 nodes
+COLD_REQUEST_PRESET, COLD_REQUEST_RANKS = "ecoli100x", 4096
+
 #: sharded-synthetic renderer: one generator block per shard, two, and a
 #: single shard holding everything (n_tasks + 1)
 SYNTH_RANKS = (8, 64)
@@ -222,6 +225,9 @@ def assignment_cases():
     micro = partial(get_workload, "micro", seed=11)
     for p in STAT_RANKS:
         yield f"statistical/ecoli30x@0/p{p}", stat, p
+    yield (f"statistical/{COLD_REQUEST_PRESET}@0/p{COLD_REQUEST_RANKS}",
+           partial(get_workload, COLD_REQUEST_PRESET, seed=0),
+           COLD_REQUEST_RANKS)
     yield (f"statistical/{EMPTY_RANK_SPEC.name}@0/p{EMPTY_RANK_RANKS}",
            partial(StatisticalWorkload, EMPTY_RANK_SPEC, seed=0),
            EMPTY_RANK_RANKS)
