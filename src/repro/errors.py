@@ -94,10 +94,13 @@ class JobExpiredError(ServiceError):
 
 
 class WorkerCrashError(ExecutorError):
-    """A process-backend worker died mid-batch.
+    """A worker process died mid-batch or mid-render.
 
     Wraps :class:`concurrent.futures.process.BrokenProcessPool` so callers
     never have to catch a ``concurrent.futures`` internal: the message
-    carries the pool shape (workers, chunk size) and the failing batch's
-    task count, which is what a reproduction needs.  The pool is unusable
-    afterwards; ``close()`` still tears down cleanly (no shm leak)."""
+    carries the pool shape and what the pool was doing (the failing
+    batch's task count; the workload and rank count of a statistical
+    render), which is what a reproduction needs.  The process backend's
+    pool is unusable afterwards, and ``close()`` still tears down cleanly
+    (no shm leak); a statistical render joins its pool before it raises
+    and caches nothing."""

@@ -24,15 +24,18 @@ seed — the substitution for the unavailable SRA datasets (DESIGN.md §2).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro.align.cost import MEAN_TASK_COST, AlignmentCostModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerCrashError
 from repro.genome.datasets import DatasetSpec
 from repro.genome.sequence import ReadSet
 from repro.pipeline.partition import (
@@ -40,6 +43,7 @@ from repro.pipeline.partition import (
     ReadPartition,
     assign_tasks_balanced,
     owners_from_boundaries,
+    partition_reads_by_size,
 )
 from repro.pipeline.tasks import TaskTable
 from repro.utils.arrays import counts_to_offsets, sorted_unique
@@ -51,11 +55,14 @@ from repro.utils.rng import RngFactory
 #: of distinct rank counts live at once
 ASSIGNMENT_CACHE_CAP = 16
 
-#: a statistical render whose ranks draw fewer tasks each than this stays
-#: on one thread: the smaller a rank's draws, the more of its time holds
-#: the GIL, and below ~4 000 tasks two threads render slower than one
+#: a statistical render of fewer tasks than this stays in the calling
+#: process: a spawned worker takes ~0.3 s to start, and below ~6 M tasks
+#: (~0.5 s of serial rendering) it wins nothing back
 #: (docs/PERFORMANCE.md "Rendering across cores")
-THREADED_RANK_TASKS = 1 << 12
+PROCESS_RENDER_TASKS = 8_000_000
+
+#: rank chunks a process-parallel statistical render is cut into
+RENDER_CHUNKS = 32
 
 __all__ = ["WorkloadAssignment", "MicroPlan", "ConcreteWorkload", "StatisticalWorkload"]
 
@@ -539,6 +546,132 @@ def _render_workers() -> int:
     return os.cpu_count() or 1
 
 
+class _RankDraws(NamedTuple):
+    """What the per-rank loop of one ``P``-rank statistical render reads."""
+
+    rngs: RngFactory
+    cost_dist: TaskCostDistribution
+    lengths_f: np.ndarray       # read lengths, float64
+    boundaries: np.ndarray      # the ``P + 1`` read-partition boundaries
+    n_tasks: int
+    cost_sigma: float
+
+
+def _render_ranks(draws: _RankDraws, lo: int, hi: int, sums: np.ndarray,
+                  requests: np.ndarray) -> None:
+    """Draw ranks ``lo .. hi - 1`` of a statistical render.
+
+    ``sums`` has one column per rank of the range and four rows: compute
+    seconds, local-pair seconds, distinct remote reads and their bytes.
+    ``requests`` gains one for each distinct remote read a rank pulls.
+    Each rank draws from its own ``(P, rank)`` stream and writes only its
+    own column, so any cut of the ranks into ranges, rendered in any
+    process, gives the same bits.
+    """
+    lengths_f, boundaries = draws.lengths_f, draws.boundaries
+    n_reads = lengths_f.size
+    num_ranks = boundaries.size - 1
+    base, extra = divmod(draws.n_tasks, num_ranks)
+    for rank in range(lo, hi):
+        n_r = base + (rank < extra)
+        if n_r == 0:
+            continue
+        rng = draws.rngs.stream("workload-block", 2, num_ranks, rank)
+        # local read of each task: one of this rank's reads (by byte weight
+        # a longer read seeds more tasks, but uniform-by-read is an
+        # adequate model for cost purposes)
+        lo_r, hi_r = int(boundaries[rank]), int(boundaries[rank + 1])
+        if hi_r > lo_r:
+            local_reads = rng.integers(lo_r, hi_r, n_r)
+        else:
+            local_reads = rng.integers(0, n_reads, n_r)
+        partners = rng.integers(0, n_reads, n_r)
+
+        len_local = lengths_f[local_reads]
+        len_partner = lengths_f[partners]
+        costs = draws.cost_dist.sample_seconds(len_local, len_partner, rng)
+        if draws.cost_sigma > 0:
+            costs = costs * float(rng.lognormal(
+                -0.5 * draws.cost_sigma**2, draws.cost_sigma))
+        col = rank - lo
+        sums[0, col] = costs.sum()
+
+        partner_local = (partners >= lo_r) & (partners < hi_r)
+        sums[1, col] = costs[partner_local].sum()
+
+        remote = sorted_unique(partners[~partner_local])
+        sums[2, col] = remote.size
+        sums[3, col] = lengths_f[remote].sum()
+        requests[remote] += 1  # `remote` is distinct: no lost updates
+
+
+#: a spawned render worker's draws, set once by :func:`_init_render_worker`
+_WORKER_DRAWS: _RankDraws | None = None
+
+
+def _init_render_worker(spec: DatasetSpec, rngs: RngFactory,
+                        cost_dist: TaskCostDistribution, num_ranks: int,
+                        cost_sigma: float) -> None:
+    """Give a spawned render worker the draws of its one render.
+
+    The read lengths and the partition are rebuilt here from ``(spec,
+    rngs)``, as the workload built them, rather than sent: spawn writes
+    the initializer's arguments into a 64 KiB pipe that the worker reads
+    only after importing numpy, so sending ecoli100x's 0.7 MiB of lengths
+    held the caller in ``submit`` for the worker's whole start-up.
+    """
+    global _WORKER_DRAWS
+    lengths = generate_read_lengths(spec, rngs)
+    _WORKER_DRAWS = _RankDraws(
+        rngs, cost_dist, lengths.astype(np.float64),
+        partition_reads_by_size(lengths, num_ranks), spec.n_tasks,
+        cost_sigma)
+
+
+def _render_chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """A worker's render of ranks ``lo .. hi - 1``: sums and requests."""
+    draws = _WORKER_DRAWS
+    sums = np.zeros((4, hi - lo))
+    # each rank of the chunk requests a read at most once
+    requests = np.zeros(draws.lengths_f.size,
+                        dtype=np.min_scalar_type(hi - lo))
+    _render_ranks(draws, lo, hi, sums, requests)
+    return sums, requests
+
+
+def _share_chunks(pool: ProcessPoolExecutor, workers: int,
+                  draws: _RankDraws, cuts: list[int], sums: np.ndarray,
+                  requests: np.ndarray) -> None:
+    """Render the rank chunks ``cuts`` delimits in ``pool`` and here.
+
+    The workers take chunks from the low end, the caller from the high
+    end, until the two meet.  A chunk goes to the pool only when it is
+    submitted, at most two per worker ahead (one running, one queued), so
+    the caller never takes a chunk a worker was given and no future is
+    ever cancelled (on Python 3.11 a pool that breaks while it holds a
+    cancelled future kills its own manager thread, which then skips its
+    clean-up).  A worker's chunk is folded (its columns copied, its
+    request row added in exact int64) as soon as the caller finds it
+    finished, and then dropped.
+    """
+    submitted: deque = deque()  # (chunk, future), ascending
+    low, high = 0, len(cuts) - 1  # chunks low .. high - 1 are nobody's yet
+    while submitted or low < high:
+        while low < high and len(submitted) < 2 * workers:
+            submitted.append((low, pool.submit(
+                _render_chunk, cuts[low], cuts[low + 1])))
+            low += 1
+        if submitted and (low == high or submitted[0][1].done()):
+            chunk, future = submitted.popleft()
+            chunk_sums, chunk_requests = future.result()
+            sums[:, cuts[chunk]:cuts[chunk + 1]] = chunk_sums
+            requests += chunk_requests
+        else:
+            high -= 1
+            lo, hi = cuts[high], cuts[high + 1]
+            _render_ranks(draws, lo, hi, sums[:, lo:hi], requests)
+
+
 def calibrated_cost_dist(
     spec: DatasetSpec,
     rngs: RngFactory,
@@ -633,7 +766,6 @@ class StatisticalWorkload:
         n_reads = self.n_reads
         n_tasks = self.n_tasks
         lengths = self.read_lengths
-        lengths_f = lengths.astype(np.float64)
         part = self._partition(num_ranks)
         boundaries = part.boundaries
 
@@ -641,72 +773,45 @@ class StatisticalWorkload:
         tasks_per_rank = np.full(num_ranks, base, dtype=np.float64)
         tasks_per_rank[:extra] += 1
 
-        compute_seconds = np.zeros(num_ranks)
-        local_pair_seconds = np.zeros(num_ranks)
-        lookups = np.zeros(num_ranks)
-        lookup_bytes = np.zeros(num_ranks)
-
         cluster_scale = np.sqrt(num_ranks / n_tasks)
         cost_sigma = self.cost_kappa * cluster_scale
         comm_sigma = self.comm_kappa * cluster_scale
 
-        # Each rank draws from its own (P, rank) stream and writes only its
-        # own slots, so contiguous rank ranges render on threads with every
-        # bit as on one.  Each range counts, per read, how many of its
-        # ranks request it; the serve side folds from the sum of the
-        # ranges' counts, an integer sum exact in any order.
-        workers = (1 if base < THREADED_RANK_TASKS
-                   else min(_render_workers(), num_ranks))
-        cuts = [num_ranks * i // workers for i in range(workers + 1)]
-        range_requests = np.zeros((workers, n_reads), dtype=np.int64)
-
-        def render_range(i: int) -> None:
-            requests = range_requests[i]
-            for rank in range(cuts[i], cuts[i + 1]):
-                n_r = int(tasks_per_rank[rank])
-                if n_r == 0:
-                    continue
-                rng = self.rngs.stream("workload-block", 2, num_ranks, rank)
-                # local read of each task: one of this rank's reads (by
-                # byte weight a longer read seeds more tasks, but
-                # uniform-by-read is an adequate model for cost purposes)
-                lo_r, hi_r = int(boundaries[rank]), int(boundaries[rank + 1])
-                if hi_r > lo_r:
-                    local_reads = rng.integers(lo_r, hi_r, n_r)
-                else:
-                    local_reads = rng.integers(0, n_reads, n_r)
-                partners = rng.integers(0, n_reads, n_r)
-
-                len_local = lengths_f[local_reads]
-                len_partner = lengths_f[partners]
-                costs = self.cost_dist.sample_seconds(len_local, len_partner,
-                                                      rng)
-                if cost_sigma > 0:
-                    costs = costs * float(
-                        rng.lognormal(-0.5 * cost_sigma**2, cost_sigma)
-                    )
-                compute_seconds[rank] = costs.sum()
-
-                partner_local = (partners >= lo_r) & (partners < hi_r)
-                local_pair_seconds[rank] = costs[partner_local].sum()
-
-                remote = sorted_unique(partners[~partner_local])
-                lookups[rank] = remote.size
-                lookup_bytes[rank] = lengths_f[remote].sum()
-                requests[remote] += 1  # `remote` is distinct: no lost updates
-
-        if workers == 1:
-            render_range(0)
+        draws = _RankDraws(self.rngs, self.cost_dist,
+                           lengths.astype(np.float64), boundaries, n_tasks,
+                           cost_sigma)
+        sums = np.zeros((4, num_ranks))
+        requests = np.zeros(n_reads, dtype=np.int64)
+        chunks = min(RENDER_CHUNKS, num_ranks)
+        cpus = (1 if n_tasks < PROCESS_RENDER_TASKS
+                else min(_render_workers(), chunks))
+        if cpus == 1:
+            _render_ranks(draws, 0, num_ranks, sums, requests)
         else:
-            # the caller renders the first range; no thread outlives the
-            # `with`, and a failing range raises here
-            with ThreadPoolExecutor(workers - 1) as pool:
-                others = [pool.submit(render_range, i)
-                          for i in range(1, workers)]
-                render_range(0)
-                for future in others:
-                    future.result()
-        requests = range_requests.sum(axis=0)
+            # the caller and `cpus - 1` spawned workers render the chunks.
+            # The pool lives for this call only: its workers are joined
+            # before the call returns or raises
+            pool = ProcessPoolExecutor(
+                cpus - 1, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_render_worker,
+                initargs=(self.spec, self.rngs, self.cost_dist, num_ranks,
+                          cost_sigma))
+            try:
+                _share_chunks(pool, cpus - 1, draws,
+                              [num_ranks * i // chunks
+                               for i in range(chunks + 1)],
+                              sums, requests)
+            except BrokenProcessPool as exc:
+                raise WorkerCrashError(
+                    f"a render worker died while drawing {self.name} on "
+                    f"{num_ranks} ranks (pool: workers={cpus - 1}); "
+                    f"nothing was cached.  A spawned worker imports the "
+                    f"main script: keep its top-level code under "
+                    f"`if __name__ == \"__main__\":`"
+                ) from exc
+            finally:
+                pool.shutdown(cancel_futures=True)
+        compute_seconds, local_pair_seconds, lookups, lookup_bytes = sums
 
         # Serve side: what each owner receives is a sum over the reads it
         # owns, i.e. a prefix difference at `boundaries`.  This re-associates

@@ -8,9 +8,9 @@ method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``,
 exactly one ``align_tasks`` call in ``engines/micro.py``, no scipy import
 anywhere, one task-row renderer under ``pipeline/``, no hand-rolled
 LRU outside ``utils/cache.py`` and ``pipeline/sharded.py``, no process
-pool built outside ``ProcessExecutor.__init__``, and no thread started
-under ``pipeline/``, ``engines/`` or ``runtime/`` outside the statistical
-renderer.  The synthetic
+pool built outside ``ProcessExecutor.__init__`` but the statistical
+renderer's one spawn-context pool, and no thread started under
+``pipeline/``, ``engines/`` or ``runtime/``.  The synthetic
 cases prove the checker actually detects what it claims to; subprocesses
 prove the public entry points load no scipy and that every runtime module
 imports first in a fresh interpreter.
@@ -292,6 +292,8 @@ def test_detects_second_process_pool(tmp_path):
 
 
 def test_detects_threads_outside_the_statistical_renderer(tmp_path):
+    """And inside it: the renderer runs its ranks in processes, so no
+    thread starts anywhere under pipeline/, engines/ or runtime/."""
     _write_pkg(tmp_path, {
         "__init__.py": "",
         "pipeline/__init__.py": "",
@@ -326,12 +328,75 @@ def test_detects_threads_outside_the_statistical_renderer(tmp_path):
             """,
     })
     problems = check_imports.run(tmp_path)
-    assert len(problems) == 3, problems
+    assert len(problems) == 4, problems
     assert problems[0].startswith("repro.engines.bsp:3 constructs a Thread")
     assert problems[1].startswith(
-        "repro.pipeline.workload:7 constructs a ThreadPoolExecutor")
+        "repro.pipeline.workload:4 constructs a ThreadPoolExecutor")
     assert problems[2].startswith(
+        "repro.pipeline.workload:7 constructs a ThreadPoolExecutor")
+    assert problems[3].startswith(
         "repro.runtime.executor:3 constructs a Thread")
+
+
+def test_renderer_pool_must_spawn(tmp_path):
+    """The statistical renderer may build one ProcessPoolExecutor, and only
+    with a literal spawn context: fork and forkserver pools, a context
+    passed in a variable, a second pool and a Pool are all flagged."""
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "pipeline/__init__.py": "",
+        "pipeline/workload.py": """\
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            class StatisticalWorkload:
+                def _render_assignment(self, num_ranks):
+                    ProcessPoolExecutor(
+                        1, mp_context=multiprocessing.get_context("spawn"))
+                    ProcessPoolExecutor(
+                        1, mp_context=multiprocessing.get_context("spawn"))
+                    ProcessPoolExecutor(
+                        1, mp_context=multiprocessing.get_context("fork"))
+                    ProcessPoolExecutor(
+                        1, mp_context=multiprocessing.get_context(
+                            "forkserver"))
+                    ctx = multiprocessing.get_context("spawn")
+                    ProcessPoolExecutor(1, mp_context=ctx)
+                    ProcessPoolExecutor(1)
+                    multiprocessing.get_context("spawn").Pool(1)
+                def assignment(self, num_ranks):
+                    ProcessPoolExecutor(
+                        1, mp_context=multiprocessing.get_context("spawn"))
+            """,
+    })
+    problems = check_imports.run(tmp_path)
+    assert [p.split(";")[0] for p in problems] == [
+        f"repro.pipeline.workload:{line} constructs a {callee}"
+        for line, callee in [
+            (7, "ProcessPoolExecutor"), (9, "ProcessPoolExecutor"),
+            (11, "ProcessPoolExecutor"), (15, "ProcessPoolExecutor"),
+            (16, "ProcessPoolExecutor"), (17, "Pool"),
+            (19, "ProcessPoolExecutor"),
+        ]
+    ], problems
+    assert all("spawn" in p for p in problems[:6])
+    assert "second fork site" in problems[6]
+
+
+def test_renderer_pool_with_spawn_passes(tmp_path):
+    _write_pkg(tmp_path, {
+        "__init__.py": "",
+        "pipeline/__init__.py": "",
+        "pipeline/workload.py": """\
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            class StatisticalWorkload:
+                def _render_assignment(self, num_ranks):
+                    ProcessPoolExecutor(
+                        2, mp_context=multiprocessing.get_context("spawn"),
+                        initializer=print)
+            """,
+    })
+    assert check_imports.run(tmp_path) == []
 
 
 def test_cli_reaches_service_only_lazily():

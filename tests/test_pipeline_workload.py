@@ -2,11 +2,11 @@
 
 import importlib.util
 import json
+import multiprocessing
 import os
-import sys
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 import repro.pipeline.workload as workload_mod
 from repro.align.cost import AlignmentCostModel
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError, PartitionError, WorkerCrashError
 from repro.genome.datasets import DatasetSpec, DATASETS, synthesize_dataset
 from repro.pipeline.tasks import TaskTable
 from repro.pipeline.workload import (
@@ -22,6 +22,7 @@ from repro.pipeline.workload import (
     StatisticalWorkload,
     TaskCostDistribution,
 )
+from tests.render_faults import FailingRngs, RankFailed
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -222,80 +223,133 @@ def test_statistical_empty_ranks_serve_nothing():
     assert np.all(a.incoming_lookups[~empty] > 0)
 
 
-def test_statistical_render_is_thread_count_invariant(monkeypatch):
-    """Rank ranges rendered on 1, 2 or 3 threads give the serial arrays bit
-    for bit: ranks with no reads (P = 16 over 6 reads) and with no tasks
-    (P = 2 500 over 2 000 tasks) included.  The serial render is the
-    pinned one wherever a pin exists."""
-    started = []
+class _SpyPool(ProcessPoolExecutor):
+    """The renderer's pool, counting the workers each render asked for."""
 
-    class Spy(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
+    started: list[int] = []
 
-    monkeypatch.setattr(workload_mod, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(workload_mod, "THREADED_RANK_TASKS", 0)
+    def __init__(self, max_workers, **kwargs):
+        _SpyPool.started.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.fixture
+def process_render(monkeypatch):
+    """Every statistical render in this process goes to worker processes
+    (the threshold is forced to 0 here, in the parent), on the number of
+    CPUs the returned setter gives; the caller's own chunks are logged."""
+    monkeypatch.setattr(workload_mod, "PROCESS_RENDER_TASKS", 0)
+    monkeypatch.setattr(workload_mod, "ProcessPoolExecutor", _SpyPool)
+    caller_chunks = []
+    real = workload_mod._render_ranks
+
+    def logged(draws, lo, hi, sums, requests):
+        caller_chunks.append((lo, hi))
+        real(draws, lo, hi, sums, requests)
+
+    monkeypatch.setattr(workload_mod, "_render_ranks", logged)
+
+    def use_cpus(cpus: int) -> list:
+        monkeypatch.setattr(workload_mod, "_render_workers", lambda: cpus)
+        caller_chunks.clear()
+        _SpyPool.started.clear()
+        return caller_chunks
+
+    yield use_cpus
+    assert not multiprocessing.active_children()
+
+
+def test_statistical_render_is_process_count_invariant(process_render):
+    """Rank chunks rendered in 1 or 2 spawned workers besides the caller
+    give the serial arrays bit for bit: ranks with no reads (P = 16 over
+    6 reads) and with no tasks (P = 2 500 over 2 000 tasks) included.  The
+    workers render the low chunks, the caller the high ones."""
     cases = [(DATASETS["ecoli30x"], p) for p in (1, 7, 64, 513)]
     cases += [(regen.EMPTY_RANK_SPEC, regen.EMPTY_RANK_RANKS),
               (regen.EMPTY_RANK_SPEC, 2_500)]
-    interval = sys.getswitchinterval()
     for spec, num_ranks in cases:
         wl = StatisticalWorkload(spec, seed=0)
         renders = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(workload_mod, "_render_workers",
-                                lambda: workers)
-            started.clear()
-            # hand the GIL over often, so that ranges interleave finely
-            sys.setswitchinterval(1e-5)
-            try:
-                renders[workers] = wl._render_assignment(num_ranks)
-            finally:
-                sys.setswitchinterval(interval)
-            # the caller renders one range, the pool the others
-            threads = min(workers, num_ranks)
-            assert started == ([threads - 1] if threads > 1 else [])
+        for cpus in (1, 2, 3):
+            caller_chunks = process_render(cpus)
+            renders[cpus] = wl._render_assignment(num_ranks)
+            chunks = min(workload_mod.RENDER_CHUNKS, num_ranks)
+            workers = min(cpus, chunks) - 1
+            assert _SpyPool.started == ([workers] if workers else [])
+            if workers:
+                # the caller took chunks from the top, none of the first
+                # two per worker, which are submitted before it starts
+                los = [lo for lo, _ in caller_chunks]
+                assert los == sorted(los, reverse=True)
+                assert caller_chunks[0][1] == num_ranks
+                assert min(los, default=num_ranks) >= (
+                    num_ranks * min(2 * workers, chunks) // chunks)
         pin = ASSIGNMENT_PINS.get(f"statistical/{spec.name}@0/p{num_ranks}")
         if pin is not None:
             assert regen.assignment_digest(renders[1]) == pin
-        for workers in (2, 3):
+        for cpus in (2, 3):
             for field in regen.ASSIGNMENT_FIELDS:
                 serial = getattr(renders[1], field)
-                threaded = getattr(renders[workers], field)
-                assert threaded.dtype == serial.dtype, (num_ranks, field)
-                assert threaded.tobytes() == serial.tobytes(), (
-                    f"{spec.name} P={num_ranks} on {workers} threads: "
+                spread = getattr(renders[cpus], field)
+                assert spread.dtype == serial.dtype, (num_ranks, field)
+                assert spread.tobytes() == serial.tobytes(), (
+                    f"{spec.name} P={num_ranks} on {cpus} CPUs: "
                     f"{field} moved")
 
 
-class _RangeFailed(RuntimeError):
-    pass
+STATISTICAL_PINS = sorted(k for k in ASSIGNMENT_PINS
+                          if k.startswith("statistical/"))
 
 
-@pytest.mark.parametrize("failing", ["caller", "pool"])
-def test_statistical_render_failure_joins_every_thread(monkeypatch, failing):
-    """A range that raises reaches the caller as itself, after every thread
-    has been joined, and caches nothing."""
-    monkeypatch.setattr(workload_mod, "_render_workers", lambda: 3)
-    monkeypatch.setattr(workload_mod, "THREADED_RANK_TASKS", 0)
+@pytest.mark.parametrize("key", STATISTICAL_PINS)
+def test_statistical_pins_hold_in_worker_processes(key, process_render):
+    factory, num_ranks = ASSIGNMENT_CASES[key]
+    process_render(2)
+    digest = regen.assignment_digest(factory()._render_assignment(num_ranks))
+    assert digest == ASSIGNMENT_PINS[key]
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_statistical_render_failure_joins_every_worker(process_render,
+                                                      monkeypatch, failing):
+    """A rank that raises, in the caller or in a worker, reaches the caller
+    as its own exception type after every worker has been joined, and
+    the render caches nothing."""
+    process_render(3)
     wl = StatisticalWorkload(tiny_spec(), seed=3)
     num_ranks = 24
-    # the caller renders ranks 0..7, the pool 8..15 and 16..23
-    bad_rank = 0 if failing == "caller" else num_ranks - 1
-    real_stream = wl.rngs.stream
-
-    def stream(name, *keys):
-        if keys[0] == 2 and keys[-1] == bad_rank:
-            raise _RangeFailed(f"rank {bad_rank}")
-        return real_stream(name, *keys)
-
-    monkeypatch.setattr(wl.rngs, "stream", stream)
-    baseline = threading.active_count()
-    with pytest.raises(_RangeFailed, match=f"rank {bad_rank}"):
+    # workers are given chunks 0-3 before the caller takes the top one
+    bad_rank = 0 if failing == "worker" else num_ranks - 1
+    monkeypatch.setattr(wl, "rngs", FailingRngs(wl.rngs, bad_rank))
+    threads = threading.active_count()
+    with pytest.raises(RankFailed, match=f"rank {bad_rank}"):
         wl.assignment(num_ranks)
-    assert threading.active_count() == baseline
+    assert _SpyPool.started == [2]
+    assert not multiprocessing.active_children()
+    assert threading.active_count() == threads
     assert num_ranks not in wl.assignment_cache
+
+
+def test_statistical_render_worker_killed_is_typed(process_render,
+                                                   monkeypatch):
+    """A worker SIGKILLed mid-render fails the render with the typed
+    WorkerCrashError, joins the pool and caches nothing."""
+    process_render(2)
+    wl = StatisticalWorkload(tiny_spec(), seed=3)
+    num_ranks = 24
+    monkeypatch.setattr(wl, "rngs", FailingRngs(wl.rngs, 0, how="kill"))
+    threads = threading.active_count()
+    with pytest.raises(WorkerCrashError, match="render worker died"):
+        wl.assignment(num_ranks)
+    assert not multiprocessing.active_children()
+    assert threading.active_count() == threads
+    assert num_ranks not in wl.assignment_cache
+    # the next render of the same workload starts a fresh pool
+    monkeypatch.setattr(wl, "rngs", wl.rngs.rngs)
+    assert regen.assignment_digest(wl.assignment(num_ranks)) == \
+        regen.assignment_digest(
+            StatisticalWorkload(tiny_spec(), seed=3)._render_assignment(
+                num_ranks))
 
 
 @pytest.mark.parametrize("bad", [-1, 3])

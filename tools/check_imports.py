@@ -68,20 +68,22 @@ Nine classes of violation, all enforced in CI (and mirrored by
 9. **A second process pool.**  A ``ProcessPoolExecutor(``,
    ``multiprocessing.Pool(`` or ``get_context(...).Pool(`` call anywhere
    under ``repro/`` outside ``ProcessExecutor.__init__`` in
-   ``runtime/executor.py``.  Each pool is a fork site, and forking from a
-   process that already runs threads is the service's fork-safety
-   hazard; a grid fan-out once forked a pool per call and ran 4-12x
-   slower than the serial loop it replaced (docs/PLANNER.md "Why grids
-   run serially").
+   ``runtime/executor.py`` and one ``ProcessPoolExecutor(`` in
+   ``StatisticalWorkload._render_assignment`` in ``pipeline/workload.py``
+   whose ``mp_context`` is a literal ``get_context("spawn")``.  Each
+   other pool is a fork site, and forking from a process that already
+   runs threads is the service's fork-safety hazard; a grid fan-out once
+   forked a pool per call and ran 4-12x slower than the serial loop it
+   replaced (docs/PLANNER.md "Why grids run serially").  The renderer's
+   spawned workers start from a fresh interpreter (docs/PARALLEL.md "The
+   statistical renderer's worker processes"); a fork or forkserver
+   context there is flagged.
 
 10. **Threads below the service.**  A ``threading.Thread(`` or
-    ``ThreadPoolExecutor(`` call under ``repro/pipeline``,
-    ``repro/engines`` or ``repro/runtime`` outside
-    ``StatisticalWorkload._render_assignment`` in ``pipeline/workload.py``,
-    which renders independent rank ranges on the process's CPUs and joins
-    its threads before it returns (docs/PERFORMANCE.md "Rendering across
-    cores").  The engines and the executor stay single-threaded, so no
-    thread of theirs is alive when the executor forks its pool.
+    ``ThreadPoolExecutor(`` call anywhere under ``repro/pipeline``,
+    ``repro/engines`` or ``repro/runtime``.  The engines, the renderers
+    and the executor stay single-threaded, so no thread of theirs is
+    alive when the executor forks its pool.
 
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
@@ -128,16 +130,16 @@ RENDER_METHODS = ("assignment", "micro_plan")
 LRU_MODULES = ("repro.utils.cache", "repro.pipeline.sharded")
 LRU_NAMES = ("OrderedDict", "move_to_end")
 
-#: the one place a process pool is constructed, and the callees that make one
-POOL_MODULE = "repro.runtime.executor"
-POOL_SITE = ("ProcessExecutor", "__init__")
+#: the callees that make a process pool; the executor's pool site, which
+#: may make any; and the statistical renderer's, which may make one
+#: spawn-context ``ProcessPoolExecutor``
 POOL_CONSTRUCTORS = ("ProcessPoolExecutor", "Pool")
+POOL_SITE = ("repro.runtime.executor", "ProcessExecutor", "__init__")
+SPAWN_POOL_SITE = ("repro.pipeline.workload", "StatisticalWorkload",
+                   "_render_assignment")
 
-#: packages whose threads are started at one site only, that site, and the
-#: callees that start one
+#: packages that start no thread, and the callees that start one
 THREAD_PACKAGES = ("repro.pipeline", "repro.engines", "repro.runtime")
-THREAD_MODULE = "repro.pipeline.workload"
-THREAD_SITE = ("StatisticalWorkload", "_render_assignment")
 THREAD_CONSTRUCTORS = ("Thread", "ThreadPoolExecutor")
 
 
@@ -425,56 +427,83 @@ def hand_rolled_lru(src_root: Path) -> list[str]:
     return problems
 
 
-def _calls_outside(src_root: Path, packages: tuple[str, ...], module: str,
-                   site: tuple[str, str], callees: tuple[str, ...]):
-    """``(module, lineno, callee)`` of each call to one of ``callees``
-    under ``packages`` outside the method ``site`` of ``module``."""
-    hits = set()
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+
+
+def _calls(src_root: Path, packages: tuple[str, ...],
+           callees: tuple[str, ...]):
+    """``(site, callee, call)`` per call to one of ``callees`` under
+    ``packages``, in source order.  ``site`` is ``(module, class,
+    method)`` of the method whose body holds the call (``None`` for class
+    and method outside one)."""
+    hits = []
     for path in sorted((src_root / PACKAGE).rglob("*.py")):
         name = module_name(path, src_root)
         if not name.startswith(packages):
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        allowed: set[int] = set()
-        if name == module:
-            cls_name, fn_name = site
-            for cls in tree.body:
-                if isinstance(cls, ast.ClassDef) and cls.name == cls_name:
-                    for fn in cls.body:
-                        if (isinstance(fn, ast.FunctionDef)
-                                and fn.name == fn_name):
-                            allowed.update(map(id, ast.walk(fn)))
+        methods: dict[int, tuple[str, str]] = {}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        methods.update(dict.fromkeys(
+                            map(id, ast.walk(fn)), (cls.name, fn.name)))
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or id(node) in allowed:
-                continue
-            callee = (node.func.attr if isinstance(node.func, ast.Attribute)
-                      else getattr(node.func, "id", None))
-            if callee in callees:
-                hits.add((name, node.lineno, callee))
-    return sorted(hits)
+            if isinstance(node, ast.Call) and _callee(node) in callees:
+                site = (name, *methods.get(id(node), (None, None)))
+                hits.append((site, _callee(node), node))
+    return sorted(hits, key=lambda h: (h[0][0], h[2].lineno,
+                                       h[2].col_offset))
+
+
+def _spawn_context(call: ast.Call) -> bool:
+    """Whether ``call`` passes ``mp_context=...get_context("spawn")``."""
+    return any(
+        kw.arg == "mp_context" and isinstance(kw.value, ast.Call)
+        and _callee(kw.value) == "get_context" and not kw.value.keywords
+        and [getattr(a, "value", None) for a in kw.value.args] == ["spawn"]
+        for kw in call.keywords
+    )
 
 
 def pool_constructions(src_root: Path) -> list[str]:
-    """:data:`POOL_CONSTRUCTORS` calls outside :data:`POOL_SITE` of
-    :data:`POOL_MODULE`."""
-    return [
-        f"{name}:{lineno} constructs a {callee}; the one process pool is "
-        f"ProcessExecutor's (a second pool is a second fork site)"
-        for name, lineno, callee in _calls_outside(
-            src_root, (PACKAGE,), POOL_MODULE, POOL_SITE, POOL_CONSTRUCTORS)
-    ]
+    """:data:`POOL_CONSTRUCTORS` calls outside :data:`POOL_SITE`, but for
+    one spawn-context ``ProcessPoolExecutor`` at :data:`SPAWN_POOL_SITE`."""
+    problems = []
+    spawn_pools = 0
+    for site, callee, call in _calls(src_root, (PACKAGE,),
+                                     POOL_CONSTRUCTORS):
+        if site == POOL_SITE:
+            continue
+        where = f"{site[0]}:{call.lineno} constructs a {callee}"
+        if site != SPAWN_POOL_SITE:
+            problems.append(
+                f"{where}; the process pools are ProcessExecutor's and the "
+                f"statistical renderer's (a second pool is a second fork "
+                f"site)")
+        elif (callee == "ProcessPoolExecutor" and _spawn_context(call)
+                and not spawn_pools):
+            spawn_pools += 1
+        else:
+            problems.append(
+                f"{where}; the statistical renderer builds one "
+                f"ProcessPoolExecutor, with "
+                f'mp_context=multiprocessing.get_context("spawn") (a fork '
+                f"or forkserver pool is a fork site)")
+    return problems
 
 
 def thread_starts(src_root: Path) -> list[str]:
-    """:data:`THREAD_CONSTRUCTORS` calls in the :data:`THREAD_PACKAGES`
-    outside :data:`THREAD_SITE` of :data:`THREAD_MODULE`."""
+    """:data:`THREAD_CONSTRUCTORS` calls in the :data:`THREAD_PACKAGES`."""
     return [
-        f"{name}:{lineno} constructs a {callee}; below the service only the "
-        f"statistical renderer runs threads, and joins them before it "
-        f"returns"
-        for name, lineno, callee in _calls_outside(
-            src_root, THREAD_PACKAGES, THREAD_MODULE, THREAD_SITE,
-            THREAD_CONSTRUCTORS)
+        f"{site[0]}:{call.lineno} constructs a {callee}; below the service "
+        f"nothing starts a thread"
+        for site, callee, call in _calls(src_root, THREAD_PACKAGES,
+                                         THREAD_CONSTRUCTORS)
     ]
 
 
@@ -506,7 +535,8 @@ def main(argv: list[str]) -> int:
               f"pipeline/engines, "
               f"no shard-aware engine/runtime code, one kernel dispatch "
               f"site, no scipy, one task-row renderer, no hand-rolled LRU, "
-              f"one process pool, one thread site below the service")
+              f"two process pools (one spawned), no thread below the "
+              f"service")
     return 1 if problems else 0
 
 
