@@ -273,6 +273,7 @@ def test_statistical_render_is_process_count_invariant(process_render):
         for cpus in (1, 2, 3):
             caller_chunks = process_render(cpus)
             renders[cpus] = wl._render_assignment(num_ranks)
+            assert num_ranks not in wl.assignment_cache
             chunks = min(workload_mod.RENDER_CHUNKS, num_ranks)
             workers = min(cpus, chunks) - 1
             assert _SpyPool.started == ([workers] if workers else [])
