@@ -474,7 +474,7 @@ def pool_constructions(src_root: Path) -> list[str]:
     """:data:`POOL_CONSTRUCTORS` calls outside :data:`POOL_SITE`, but for
     one spawn-context ``ProcessPoolExecutor`` at :data:`SPAWN_POOL_SITE`."""
     problems = []
-    spawn_pools = 0
+    spawned = False
     for site, callee, call in _calls(src_root, (PACKAGE,),
                                      POOL_CONSTRUCTORS):
         if site == POOL_SITE:
@@ -486,8 +486,8 @@ def pool_constructions(src_root: Path) -> list[str]:
                 f"statistical renderer's (a second pool is a second fork "
                 f"site)")
         elif (callee == "ProcessPoolExecutor" and _spawn_context(call)
-                and not spawn_pools):
-            spawn_pools += 1
+                and not spawned):
+            spawned = True
         else:
             problems.append(
                 f"{where}; the statistical renderer builds one "
