@@ -93,12 +93,12 @@ class BSPEngine:
         retry_counts = np.zeros(P)
 
         # --- membership (kills, graced evictions, joins; docs/RESILIENCE.md)
-        # One deterministic, time-ordered event stream; same-time events
-        # are ordered join < evict < kill, then by rank.  BSP reassigns at
-        # superstep boundaries: events are honored at the first round start
-        # at/after their time, so a single-round run only sees events at t=0.
+        # The schedule's one time-ordered event stream, notices skipped.
+        # BSP reassigns at superstep boundaries: events are honored at the
+        # first round start at/after their time, so a single-round run only
+        # sees events at t=0.
         ledger = MigrationLedger()
-        pending: list[tuple] = []
+        pending: list = []
         # ranks whose unfinished quotas are *redone* by survivors (kills
         # and grace-0 evictions); graced evictions hand their remainder off
         # via checkpoint instead, and pre-join rounds of a joiner are simply
@@ -108,17 +108,8 @@ class BSPEngine:
             plan = faults.plan
             for j in plan.joins:
                 alive[j.rank] = False  # absent until the join is honored
-            if not alive.any():
-                raise RankFailureError(
-                    "no initial members: every rank of the machine joins "
-                    "mid-run; at least one rank must start the job"
-                )
-            pending = sorted(
-                [(j.time, 0, "join", j.rank, 0.0) for j in plan.joins]
-                + [(e.departure, 1, "evict", e.rank, e.grace)
-                   for e in plan.evictions]
-                + [(k.time, 2, "kill", k.rank, 0.0) for k in plan.kills]
-            )
+            pending = [ev for ev in faults.schedule.membership_events()
+                       if ev.kind != "evict_notice"]
         for r in range(rounds):
             t0 = wall  # superstep start
             ctx.instant(ENGINE_LANE, "superstep", t0, round=r, rounds=rounds)
@@ -127,30 +118,23 @@ class BSPEngine:
             movers: list[int] = []
             if pending:
                 remaining = (rounds - r) / rounds
-                while pending and pending[0][0] <= t0:
-                    t, _, kind, d, grace = pending.pop(0)
-                    if kind == "join":
+                while pending and pending[0].time <= t0:
+                    ev = pending.pop(0)
+                    d = ev.rank
+                    if ev.kind == "join":
                         alive[d] = True
                         moved = remaining * float(assignment.tasks_per_rank[d])
                         mig_bytes += (float(assignment.partition_bytes[d])
                                       + moved * BSP_TASK_RECORD_BYTES)
                         mig_tasks += moved
                         movers.append(d)
-                        ledger.record_join(d)
-                        faults.note_join(d)
+                        ctx.record_join(ledger, d, t0, round=r)
                         faults.note_migration(int(round(moved)))
-                        ctx.instant(ENGINE_LANE, "rank_join", t0,
-                                    joiner=d, round=r)
-                        ctx.inc("faults_injected", d)
-                    elif kind == "evict":
+                    elif ev.kind == "evict_depart":
                         alive[d] = False
                         ranks_lost.append(d)
-                        ledger.record_evict(d)
-                        faults.note_evict(d)
-                        ctx.instant(ENGINE_LANE, "rank_evict", t0,
-                                    victim=d, grace=grace, round=r)
-                        ctx.inc("faults_injected", d)
-                        if grace > 0:
+                        ctx.record_evict(ledger, d, t0, ev.grace, round=r)
+                        if ev.grace > 0:
                             # the grace window covered a checkpoint: the
                             # remainder migrates instead of being redone
                             moved = remaining * float(
@@ -165,8 +149,8 @@ class BSPEngine:
                     else:  # kill — abrupt, still needs the redistribute flag
                         if not plan.redistribute:
                             raise RankFailureError(
-                                f"rank {d} died at t={t:.6g}s before BSP "
-                                f"round {r}; add 'redistribute' to the "
+                                f"rank {d} died at t={ev.time:.6g}s before "
+                                f"BSP round {r}; add 'redistribute' to the "
                                 f"fault plan for graceful degradation"
                             )
                         alive[d] = False
@@ -291,26 +275,23 @@ class BSPEngine:
         # already merged, so in redistribute mode the run just records the
         # loss.  A join this late is not honored (the work is finished —
         # there is nothing left to hand the joiner).
-        for t, _, kind, d, grace in pending:
-            if t >= wall or kind == "join":
+        for ev in pending:
+            if ev.time >= wall or ev.kind == "join":
                 continue
+            d = ev.rank
             alive[d] = False
             ranks_lost.append(d)
-            if kind == "kill":
+            if ev.kind == "kill":
                 if not plan.redistribute:
                     raise RankFailureError(
-                        f"rank {d} died at t={t:.6g}s during the final "
+                        f"rank {d} died at t={ev.time:.6g}s during the final "
                         f"superstep (detected at the exit barrier); add "
                         f"'redistribute' to the fault plan for graceful "
                         f"degradation"
                     )
-                ctx.record_kill(d, t)
+                ctx.record_kill(d, ev.time)
             else:  # eviction departing inside the final superstep
-                ledger.record_evict(d)
-                faults.note_evict(d)
-                ctx.instant(ENGINE_LANE, "rank_evict", t,
-                            victim=d, grace=grace)
-                ctx.inc("faults_injected", d)
+                ctx.record_evict(ledger, d, ev.time, ev.grace)
 
         details = {
             "exchange_budget": model.exchange_budget,

@@ -513,7 +513,8 @@ def _pull_churn_events(
     ledger: MigrationLedger,
     start_delay: np.ndarray,
 ) -> tuple[float, np.ndarray, list[int]]:
-    """Process joins, evictions, and kills on the analytic pull timeline.
+    """Process joins, evictions, and kills on the analytic pull timeline,
+    in the schedule's :meth:`membership_events` order.
 
     Joiner work is *loaned* to the initial members at t=0; a join reclaims
     the unfinished fraction (``1 - t/wall0``) of the loan plus a migration
@@ -541,11 +542,6 @@ def _pull_churn_events(
               phases.overhead_pre, phases.overhead_cb, comm)
     for j in plan.joins:
         alive[j.rank] = False
-    if not alive.any():
-        raise RankFailureError(
-            "every rank joins mid-run; at least one initial member is "
-            "required"
-        )
     # loan not-yet-joined ranks' work equally to the initial members,
     # remembering the original totals for reclaim at join time
     n_init = int(alive.sum())
@@ -583,15 +579,11 @@ def _pull_churn_events(
             tasks_redistributed += moved
             redist_counts[alive] += moved / n_alive
 
-    events = sorted(
-        [(j.time, 0, j.rank, 0.0) for j in plan.joins]
-        + [(e.departure, 1, e.rank, e.grace) for e in plan.evictions]
-        + [(k.time, 2, k.rank, 0.0) for k in plan.kills]
-    )
-    for t, kind, r, grace in events:
-        if t >= wall0:
+    for ev in faults.schedule.membership_events():
+        r, t = ev.rank, ev.time
+        if t >= wall0 or ev.kind == "evict_notice":
             continue
-        if kind == 0:  # join
+        if ev.kind == "join":
             if alive[r]:
                 continue
             n_members = int(alive.sum())
@@ -614,25 +606,14 @@ def _pull_churn_events(
                       + moved * ASYNC_TASK_RECORD_BYTES)
             msec = net.ptp_time(mbytes)
             comm[r] += msec
-            ledger.record_join(r)
             ledger.record_migration(moved, mbytes, msec)
-            faults.note_join(r)
+            ctx.record_join(ledger, r, t)
             faults.note_migration(int(round(moved)))
-            if ctx.tracer is not None:
-                ctx.tracer.instant(ENGINE_LANE, "rank_join", t, joiner=r)
-            if ctx.metrics is not None:
-                ctx.metrics.inc("faults_injected", r)
-        elif kind == 1:  # eviction departure
+        elif ev.kind == "evict_depart":
             if not alive[r]:
                 continue
-            depart(r, t, checkpointed=grace > 0, killed=False)
-            ledger.record_evict(r)
-            faults.note_evict(r)
-            if ctx.tracer is not None:
-                ctx.tracer.instant(ENGINE_LANE, "rank_evict", t, victim=r,
-                                   grace=grace)
-            if ctx.metrics is not None:
-                ctx.metrics.inc("faults_injected", r)
+            depart(r, t, checkpointed=ev.grace > 0, killed=False)
+            ctx.record_evict(ledger, r, t, ev.grace)
         else:  # kill
             if not alive[r]:
                 continue
@@ -643,12 +624,7 @@ def _pull_churn_events(
                     f"fault plan for graceful degradation"
                 )
             ranks_lost.append(r)
-            faults.note_kill(r)
-            if ctx.tracer is not None:
-                ctx.tracer.instant(ENGINE_LANE, "fault_inject", t,
-                                   kind="rank_kill", victim=r)
-            if ctx.metrics is not None:
-                ctx.metrics.inc("faults_injected", r)
+            ctx.record_kill(r, t)
             depart(r, t, checkpointed=False, killed=True)
     return tasks_redistributed, redist_counts, ranks_lost
 

@@ -6,7 +6,8 @@ construction, phase-timer allocation) and the same epilogue (breakdown
 assembly, conservation checking, common counter rollups, fault-detail
 reporting).  :class:`ExecutionContext` bundles that wiring once:
 
-* :meth:`ExecutionContext.open` — validated prologue for macro engines;
+* :meth:`ExecutionContext.open` — validated prologue for macro engines
+  (it checks a fault plan against the machine);
 * tracer/metrics emission helpers that no-op when observability is
   detached, so engine code never guards ``if tracer is not None`` for the
   common cases;
@@ -175,6 +176,8 @@ class ExecutionContext:
                 f"assignment is for {assignment.num_ranks} ranks but machine "
                 f"has {machine.total_ranks}"
             )
+        if faults is not None:
+            faults.schedule.check_machine(machine.total_ranks)
         tracer = begin_trace(tracer, engine_name, assignment.name, machine)
         return cls(
             engine_name=engine_name,
@@ -219,6 +222,22 @@ class ExecutionContext:
         self.faults.note_kill(rank)
         self.instant(ENGINE_LANE, "fault_inject", ts,
                      kind="rank_kill", victim=rank, **args)
+        self.inc("faults_injected", rank)
+
+    def record_join(self, ledger, rank: int, ts: float, **args) -> None:
+        """Book one honored join: ledger + injector count + trace + counter."""
+        ledger.record_join(rank)
+        self.faults.note_join(rank)
+        self.instant(ENGINE_LANE, "rank_join", ts, joiner=rank, **args)
+        self.inc("faults_injected", rank)
+
+    def record_evict(self, ledger, rank: int, ts: float, grace: float,
+                     **args) -> None:
+        """Book one honored eviction departure, as :meth:`record_join`."""
+        ledger.record_evict(rank)
+        self.faults.note_evict(rank)
+        self.instant(ENGINE_LANE, "rank_evict", ts, victim=rank,
+                     grace=grace, **args)
         self.inc("faults_injected", rank)
 
     # -- epilogue ------------------------------------------------------------

@@ -120,6 +120,8 @@ class _MicroBase:
                 "micro engines are message-level simulations; use the macro "
                 "engines beyond a few thousand ranks"
             )
+        if faults is not None:
+            faults.schedule.check_machine(P)
         tracer = begin_trace(tracer, self.name, workload.name, machine)
         plan = workload.micro_plan(P)
         ctx = SpmdContext(machine, tracer=tracer, metrics=metrics,

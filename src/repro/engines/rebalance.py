@@ -16,9 +16,9 @@ churn *conserved and bit-reproducibly*:
   items (owner departed, or not yet joined) in ascending owner order, so
   no unfinished work is ever stranded by a departure.
 
-The macro engines' membership math lives in their one time-ordered event
-loop each (``BSPEngine.run`` and ``apply_pull_faults`` in
-:mod:`repro.engines.common`) —
+The macro engines' membership math lives in ``BSPEngine.run`` and
+``_pull_churn_events`` in :mod:`repro.engines.common`, each walking the
+schedule's one ordered event stream —
 this module deliberately sits below ``common`` in the import graph so both
 layers can share the ledger.
 
@@ -65,11 +65,6 @@ class MigrationLedger:
         self.tasks_migrated += float(tasks)
         self.migration_bytes += float(nbytes)
         self.migration_seconds += float(seconds)
-
-    @property
-    def active(self) -> bool:
-        """Did any membership event actually get honored?"""
-        return bool(self.joins or self.evictions or self.tasks_migrated)
 
     def churn_details(self) -> dict:
         """The uniform ``details["churn"]`` section of a churned run."""

@@ -178,16 +178,8 @@ class FaultPlan:
             f"degrade={w.bandwidth_factor:g}@{w.start:g}:{w.end:g}"
             for w in self.links
         )
-        parts.extend(
-            f"straggle={w.factor:g}@r{w.rank}:{w.start:g}:{w.end:g}"
-            for w in self.stragglers
-        )
-        parts.extend(f"kill=r{k.rank}@{k.time:g}" for k in self.kills)
-        parts.extend(f"join=r{j.rank}@{j.time:g}" for j in self.joins)
-        parts.extend(
-            f"evict=r{e.rank}@{e.time:g}:grace={e.grace:g}"
-            for e in self.evictions
-        )
+        parts.extend(c.clause for c in (*self.stragglers, *self.kills,
+                                        *self.joins, *self.evictions))
         if self.redistribute:
             parts.append("redistribute")
         return ",".join(parts) if parts else "<no faults>"

@@ -17,7 +17,7 @@ documentation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.utils.units import GB, GIB, US
@@ -163,10 +163,6 @@ class MachineSpec:
     def node_of_rank(self, rank: int) -> int:
         """Block mapping of ranks to nodes (rank r runs on node r // cpn)."""
         return rank // self.app_cores_per_node
-
-    def with_nodes(self, nodes: int) -> "MachineSpec":
-        """Same machine scaled to a different node count (strong scaling)."""
-        return replace(self, nodes=nodes)
 
     def describe(self) -> str:
         return (

@@ -28,9 +28,11 @@ Membership events change who is alive:
   degenerates to :class:`RankKill` at the notice time: nothing can be
   checkpointed, the work is simply lost to the survivors to redo.
 
-The queryable membership timeline (:meth:`DegradationSchedule.alive_set`,
-:meth:`alive_mask`, :meth:`membership_events`, ...) is what the engines'
-churn layer (:mod:`repro.engines.rebalance`) consumes.
+:meth:`DegradationSchedule.membership_events` is the one ordered stream of
+those events that every engine and ``repro faults validate`` reads: equal
+times apply joins, then evictions, then kills.
+:meth:`DegradationSchedule.check_machine` is the one check that a schedule
+fits a machine; the engines call it before any simulated time passes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RankFailureError
 
 __all__ = [
     "LinkWindow",
@@ -104,6 +106,11 @@ class StraggleWindow:
                 f"straggle factor must be >= 1 (got {self.factor})"
             )
 
+    @property
+    def clause(self) -> str:
+        return (f"straggle={self.factor:g}@r{self.rank}:"
+                f"{self.start:g}:{self.end:g}")
+
 
 @dataclass(frozen=True)
 class RankKill:
@@ -117,6 +124,10 @@ class RankKill:
             raise ConfigurationError(f"killed rank must be >= 0 (got {self.rank})")
         if self.time < 0:
             raise ConfigurationError(f"kill time must be >= 0 (got {self.time})")
+
+    @property
+    def clause(self) -> str:
+        return f"kill=r{self.rank}@{self.time:g}"
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,10 @@ class RankJoin:
                 f"join time must be > 0 (got {self.time}); a rank joining "
                 f"at t=0 is an ordinary initial member, not a join"
             )
+
+    @property
+    def clause(self) -> str:
+        return f"join=r{self.rank}@{self.time:g}"
 
 
 @dataclass(frozen=True)
@@ -169,6 +184,10 @@ class RankEviction:
             )
 
     @property
+    def clause(self) -> str:
+        return f"evict=r{self.rank}@{self.time:g}:grace={self.grace:g}"
+
+    @property
     def departure(self) -> float:
         """When the evicted rank actually leaves: notice + grace."""
         return self.time + self.grace
@@ -188,6 +207,12 @@ class MembershipEvent:
     rank: int
     #: grace seconds for eviction events, 0.0 otherwise
     grace: float = 0.0
+
+
+#: the tie-break of equal-time membership events: joins first, then
+#: evictions (a notice and a departure alike — one rank's two never share
+#: a time), then kills
+_KIND_ORDER = {"join": 0, "evict_notice": 1, "evict_depart": 1, "kill": 2}
 
 
 @dataclass(frozen=True)
@@ -253,6 +278,29 @@ class DegradationSchedule:
                     f"only joins at t={join.time:g}; a rank cannot be "
                     f"evicted before it arrives"
                 )
+
+    def check_machine(self, num_ranks: int) -> None:
+        """Reject a schedule that does not fit a machine of ``num_ranks``.
+
+        Every rank a join, eviction, kill or straggle clause names must
+        exist (:class:`ConfigurationError` naming the clause), and at
+        least one rank must start the job rather than join it
+        (:class:`RankFailureError`).
+        """
+        for item in (*self.joins, *self.evictions, *self.kills,
+                     *self.stragglers):
+            if item.rank >= num_ranks:
+                raise ConfigurationError(
+                    f"fault clause '{item.clause}' names rank {item.rank}, "
+                    f"but the machine has {num_ranks} ranks "
+                    f"(0..{num_ranks - 1})"
+                )
+        # joins name distinct ranks, all in range by now
+        if len(self.joins) == num_ranks:
+            raise RankFailureError(
+                "no initial members: every rank of the machine joins "
+                "mid-run; at least one rank must start the job"
+            )
 
     def _join_of(self, rank: int) -> RankJoin | None:
         for j in self.joins:
@@ -386,10 +434,6 @@ class DegradationSchedule:
         dt = self.departure_time(rank)
         return dt is None or t < dt
 
-    def alive_set(self, t: float, num_ranks: int) -> set[int]:
-        """The set of member ranks at simulated time ``t``."""
-        return {r for r in range(num_ranks) if self.alive(r, t)}
-
     def alive_mask(self, t: float, num_ranks: int):
         """Boolean numpy mask of shape ``(num_ranks,)``: alive at ``t``."""
         return np.fromiter(
@@ -399,7 +443,8 @@ class DegradationSchedule:
         )
 
     def membership_events(self) -> list[MembershipEvent]:
-        """All membership events in deterministic (time, kind, rank) order.
+        """All membership events, ordered by time, then join < evict <
+        kill, then rank: the order every engine applies them in.
 
         Eviction notices and departures appear as separate events; a
         ``grace=0`` eviction collapses to a single ``evict_depart`` (the
@@ -418,7 +463,7 @@ class DegradationSchedule:
             events.append(
                 MembershipEvent(ev.departure, "evict_depart", ev.rank, ev.grace)
             )
-        events.sort(key=lambda e: (e.time, e.kind, e.rank))
+        events.sort(key=lambda e: (e.time, _KIND_ORDER[e.kind], e.rank))
         return events
 
     def next_membership_change(self, t: float) -> float | None:
@@ -433,12 +478,3 @@ class DegradationSchedule:
             if e.kind != "evict_notice" and e.time > t
         ]
         return min(times) if times else None
-
-    def last_membership_change(self) -> float:
-        """Latest membership-changing event time (0.0 when there is none)."""
-        times = [
-            e.time
-            for e in self.membership_events()
-            if e.kind != "evict_notice"
-        ]
-        return max(times) if times else 0.0

@@ -97,6 +97,3 @@ class MemoryTracker:
     def rank_high_water(self) -> np.ndarray:
         """Per-rank peak footprint (bytes) — Figure 11's quantity."""
         return self._rank_high_water.copy()
-
-    def max_rank_high_water(self) -> float:
-        return float(self._rank_high_water.max(initial=0.0))

@@ -121,7 +121,7 @@ def test_parse_error_echoes_token_and_position():
 def test_kill_at_time_zero():
     sched = DegradationSchedule(kills=(RankKill(rank=0, time=0.0),))
     assert not sched.alive(0, 0.0)
-    assert sched.alive_set(0.0, 2) == {1}
+    assert [r for r in range(2) if sched.alive(r, 0.0)] == [1]
     assert [(e.kind, e.rank, e.time) for e in sched.membership_events()] \
         == [("kill", 0, 0.0)]
 
@@ -142,7 +142,29 @@ def test_evict_at_time_zero_with_grace_keeps_rank_through_window():
     assert not sched.alive(0, 2.0)
     # notices are not membership *changes*
     assert sched.next_membership_change(0.0) == 2.0
-    assert sched.last_membership_change() == 2.0
+    assert sched.next_membership_change(2.0) is None
+
+
+#: one join, one grace-0 eviction and one kill at the same instant
+EQUAL_TIME_SPEC = "join=r3@5,evict=r1@5:grace=0,kill=r2@5,redistribute"
+
+
+def test_equal_time_events_apply_join_then_evict_then_kill():
+    sched = parse_fault_spec(EQUAL_TIME_SPEC).schedule
+    assert [(e.kind, e.rank) for e in sched.membership_events()] \
+        == [("join", 3), ("evict_depart", 1), ("kill", 2)]
+
+
+def test_equal_time_notice_and_departure_both_sort_as_evictions():
+    # rank 2's notice and rank 1's departure share t=5: both are evictions,
+    # so they go by rank, after the join and before the kill
+    sched = parse_fault_spec(
+        "kill=r0@5,evict=r2@5:grace=1,evict=r1@3:grace=2,join=r4@5,"
+        "redistribute").schedule
+    assert [(e.time, e.kind, e.rank) for e in sched.membership_events()] \
+        == [(3.0, "evict_notice", 1), (5.0, "join", 4),
+            (5.0, "evict_depart", 1), (5.0, "evict_notice", 2),
+            (5.0, "kill", 0), (6.0, "evict_depart", 2)]
 
 
 def test_overlapping_straggle_windows_multiply():
@@ -298,6 +320,43 @@ def test_kill_plus_join_with_flag_completes(engine):
     assert res.details["churn"]["joins_honored"] == [3]
 
 
+# -- one plan-vs-machine check, one wording, on every engine -----------------
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_all_join_plan_is_refused_with_one_wording(engine):
+    spec = ",".join(f"join=r{r}@1ms" for r in range(NODES * CORES))
+    with pytest.raises(RankFailureError) as info:
+        _churn_run(engine, spec)
+    assert str(info.value) == (
+        "no initial members: every rank of the machine joins mid-run; "
+        "at least one rank must start the job")
+
+
+@pytest.mark.parametrize("clause,rendered", [
+    ("join=r8@1ms", "join=r8@0.001"),
+    ("evict=r8@1ms:grace=1ms", "evict=r8@0.001:grace=0.001"),
+    ("kill=r8@1ms", "kill=r8@0.001"),
+    ("straggle=2@r8:0:1", "straggle=2@r8:0:1"),
+])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_clause_on_a_missing_rank_is_a_configuration_error(engine, clause,
+                                                           rendered):
+    with pytest.raises(ConfigurationError) as info:
+        _churn_run(engine, clause + ",redistribute")
+    assert str(info.value) == (
+        f"fault clause '{rendered}' names rank 8, but the machine has "
+        f"8 ranks (0..7)")
+
+
+def test_cli_run_rank_out_of_range_exits_2(capsys):
+    rc = main(["run", "--workload", "micro", "--nodes", "1",
+               "--cores-per-node", "2", "--faults", "join=r9@1ms"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fault clause 'join=r9@0.001' names rank 9" in err
+    assert "Traceback" not in err
+
+
 # -- the makespan-under-churn report ----------------------------------------
 
 def test_churn_summary_absent_without_churn():
@@ -326,6 +385,15 @@ def test_cli_faults_validate_prints_timeline(capsys):
     assert "rank 3 joins" in out
     assert "rank 2 killed" in out
     assert "redistribute=on" in out
+
+
+def test_cli_faults_validate_prints_equal_time_events_in_order(capsys):
+    assert main(["faults", "validate", EQUAL_TIME_SPEC]) == 0
+    out = capsys.readouterr().out
+    joins = out.index("rank 3 joins")
+    departs = out.index("rank 1 departs")
+    killed = out.index("rank 2 killed")
+    assert joins < departs < killed
 
 
 def test_cli_faults_validate_bad_spec_exits_2(capsys):

@@ -35,11 +35,6 @@ def test_node_of_rank():
     assert m.node_of_rank(64) == 1
 
 
-def test_with_nodes():
-    m = cori_knl(2).with_nodes(8)
-    assert m.nodes == 8 and m.total_ranks == 512
-
-
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         MachineSpec(nodes=0)
@@ -185,7 +180,6 @@ def test_memory_tracker_budget_and_high_water():
     tracker.allocate(0, "buf2", 50 * MB)
     tracker.free(0, "buf")
     assert tracker.rank_high_water()[0] == pytest.approx(150 * MB)
-    assert tracker.max_rank_high_water() == pytest.approx(150 * MB)
 
 
 def test_memory_tracker_overflow():

@@ -20,21 +20,28 @@ from repro.core.api import get_workload
 from repro.engines.async_ import AsyncEngine
 from repro.engines.bsp import BSPEngine
 from repro.engines.micro import MicroAsyncEngine, MicroBSPEngine
-from repro.errors import FaultError
+from repro.errors import ConfigurationError, FaultError, RankFailureError
 from repro.faults import FaultInjector, FaultPlan
 from repro.genome.datasets import DatasetSpec
 from repro.machine.config import cori_knl
-from repro.machine.degradation import LinkWindow, RankKill, StraggleWindow
+from repro.machine.degradation import (
+    LinkWindow,
+    RankJoin,
+    RankKill,
+    StraggleWindow,
+)
 from repro.obs import MetricsRegistry, Tracer, check_breakdown, check_trace
 from repro.pipeline.workload import StatisticalWorkload
 
+# about a third of the drawn plans do not fit the machine and are refused
+# up front; the example counts keep ~12 and ~5 fitting plans running
 MACRO = settings(
-    max_examples=12,
+    max_examples=18,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 MICRO = settings(
-    max_examples=5,
+    max_examples=8,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -54,7 +61,9 @@ def make_wl(seed):
 
 @st.composite
 def fault_plans(draw, kills_allowed=True):
-    """An arbitrary-but-valid FaultPlan."""
+    """An arbitrary-but-valid FaultPlan, which may not fit the machine:
+    straggle and kill clauses may name ranks up to P + 1, and every rank
+    may join mid-run."""
     drop = draw(st.sampled_from([0.0, 0.02, 0.1]))
     delay = draw(st.sampled_from([0.0, 0.05]))
     dup = draw(st.sampled_from([0.0, 0.05]))
@@ -68,22 +77,26 @@ def fault_plans(draw, kills_allowed=True):
     stragglers = ()
     if draw(st.booleans()):
         stragglers = (StraggleWindow(
-            rank=draw(st.integers(0, NUM_RANKS - 1)),
+            rank=draw(st.integers(0, NUM_RANKS + 1)),
             start=0.0, end=draw(st.sampled_from([2.0, 1e6])),
             factor=draw(st.sampled_from([1.5, 3.0]))),)
     kills = ()
     redistribute = False
     if kills_allowed and draw(st.booleans()):
-        kills = (RankKill(rank=draw(st.integers(0, NUM_RANKS - 1)),
+        kills = (RankKill(rank=draw(st.integers(0, NUM_RANKS + 1)),
                           time=draw(st.sampled_from([0.5, 5.0, 60.0]))),)
         redistribute = draw(st.booleans())
+    joins = ()
+    if draw(st.sampled_from([False, False, False, True])):
+        # before every kill time, so the plan itself stays valid
+        joins = tuple(RankJoin(rank=r, time=0.1) for r in range(NUM_RANKS))
 
     return FaultPlan(
         drop_prob=drop,
         delay_prob=delay, delay_seconds=2e-3 if delay else 0.0,
         dup_prob=dup,
         exchange_drop_prob=xchg,
-        links=links, stragglers=stragglers, kills=kills,
+        links=links, stragglers=stragglers, kills=kills, joins=joins,
         redistribute=redistribute,
         rpc_max_retries=10,
     )
@@ -95,19 +108,39 @@ def _norm(details):
             for k, v in details.items()}
 
 
+def _misfit(plan, num_ranks):
+    """The error a plan that does not fit the machine must raise up front:
+    a clause naming a rank >= P, else every rank joining; ``None`` when
+    the plan fits."""
+    if any(c.rank >= num_ranks for c in (*plan.joins, *plan.evictions,
+                                         *plan.kills, *plan.stragglers)):
+        return ConfigurationError
+    if len(plan.joins) == num_ranks:
+        return RankFailureError
+    return None
+
+
 def _run_checked(engine, run_args, machine, plan, fault_seed):
     """Run under the plan; return (result, tracer, metrics) on completion,
-    None when the engine (correctly) raised a typed fault error."""
+    None when the engine (correctly) raised a typed error."""
     tracer = Tracer()
     metrics = MetricsRegistry(machine.total_ranks)
+    misfit = _misfit(plan, machine.total_ranks)
     try:
         res = engine.run(*run_args, machine, tracer=tracer, metrics=metrics,
                          faults=FaultInjector(plan, fault_seed))
-    except FaultError:
+    except (ConfigurationError, FaultError) as exc:
+        if misfit is not None:
+            # a plan that does not fit the machine is refused before any
+            # simulated time passes, with the check's own error
+            assert type(exc) is misfit, exc
+            assert not tracer.events
+            return None
         # typed refusal is an acceptable outcome — but only if the plan
         # could actually have killed someone
-        assert plan.kills
+        assert isinstance(exc, FaultError) and plan.kills
         return None
+    assert misfit is None, "a plan that does not fit the machine ran"
     breakdown_report = check_breakdown(res.breakdown)
     trace_report = check_trace(tracer, res.wall_time, machine.total_ranks)
     assert breakdown_report.ok, breakdown_report.describe()
@@ -175,7 +208,10 @@ def test_micro_faulty_run_conserves_and_computes_everything(engine_cls, plan,
     wl = get_workload("micro", seed=0)
     machine = cori_knl(2, app_cores_per_node=4)
     out = _run_checked(engine_cls(), (wl,), machine, plan, fault_seed)
-    assert out is not None  # no kills => the run must complete
+    if out is None:
+        # no kills => only a plan that does not fit may stop the run
+        assert _misfit(plan, machine.total_ranks) is not None
+        return
     _, _, metrics = out
     m_clean = MetricsRegistry(machine.total_ranks)
     engine_cls().run(wl, machine, metrics=m_clean)
@@ -193,6 +229,9 @@ def test_micro_same_seed_same_run(engine_cls, plan, fault_seed):
     machine = cori_knl(2, app_cores_per_node=4)
     a = _run_checked(engine_cls(), (wl,), machine, plan, fault_seed)
     b = _run_checked(engine_cls(), (wl,), machine, plan, fault_seed)
+    if a is None or b is None:
+        assert (a is None) == (b is None)
+        return
     res_a, tr_a, m_a = a
     res_b, tr_b, m_b = b
     assert res_a.wall_time == res_b.wall_time
