@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 
 from repro.core.api import (
@@ -165,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--backlog", type=int, default=64,
                          help="queued-job bound; submissions beyond it are "
                               "rejected with HTTP 429")
-    p_serve.add_argument("--total-workers", type=int, default=None,
-                         help="summed process-pool workers admitted jobs may "
-                              "hold (default: the machine's core count)")
     p_serve.add_argument("--memory-mb", type=int, default=2048,
                          help="admission memory ledger capacity (MiB)")
     p_serve.add_argument("--cache-entries", type=int, default=None,
@@ -354,6 +352,7 @@ def _print_fault_plan(plan) -> None:
 def _cmd_serve(args) -> int:
     # imported lazily: the service layer sits above the CLI's usual
     # dependencies and only loads when asked for
+    from repro.runtime import pool
     from repro.service import RunQueue, ServiceServer
     from repro.utils.cache import LruCache
 
@@ -361,7 +360,6 @@ def _cmd_serve(args) -> int:
         queue = RunQueue(
             slots=args.slots,
             backlog=args.backlog,
-            total_workers=args.total_workers,
             memory_bytes=float(args.memory_mb) * 1024 ** 2,
             cache=(None if args.cache_entries is None
                    else LruCache(args.cache_entries)),
@@ -377,6 +375,9 @@ def _cmd_serve(args) -> int:
         print(f"error: cannot bind {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 2
+    # a shell starts a background job with SIGINT ignored; the drain
+    # below is how the server stops, so take SIGINT back
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     print(f"repro service listening on http://{server.host}:{server.port} "
           f"({args.slots} slots, backlog {args.backlog}, "
           f"cache {queue.cache.maxsize} entries); Ctrl-C to stop",
@@ -385,6 +386,7 @@ def _cmd_serve(args) -> int:
         server.serve_forever()
     finally:
         queue.shutdown(cancel_running=True)
+        pool.shutdown()
     print("service stopped; queue drained")
     return 0
 

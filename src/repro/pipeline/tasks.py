@@ -9,12 +9,11 @@ pointer-based-container overhead is *modeled*, §4.6 / Figure 13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.utils.arrays import counts_to_offsets
 
 __all__ = ["Candidate", "TaskTable"]
 
@@ -86,42 +85,3 @@ class TaskTable:
             bool(self.reverse[i]),
             1 if self.shared_seeds is None else int(self.shared_seeds[i]),
         )
-
-    def with_owner(self, owner: np.ndarray) -> "TaskTable":
-        return replace(self, owner=owner)
-
-    def with_cost(self, cost: np.ndarray) -> "TaskTable":
-        return replace(self, cost=cost)
-
-    def tasks_of_rank(self, rank: int) -> np.ndarray:
-        """Indices of tasks assigned to ``rank``."""
-        if self.owner is None:
-            raise PartitionError("tasks have no owner assignment yet")
-        return np.nonzero(self.owner == rank)[0]
-
-    def remote_read_of(self, task_indices: np.ndarray, owner_of_read, rank: int
-                       ) -> np.ndarray:
-        """Global id of the remotely-owned read of each task (-1 if both local).
-
-        ``owner_of_read`` maps global read ids to owner ranks (callable on
-        arrays).  For tasks with both reads remote the partitioner's
-        invariant is violated and an error is raised.
-        """
-        a = self.read_a[task_indices]
-        b = self.read_b[task_indices]
-        owner_a = owner_of_read(a)
-        owner_b = owner_of_read(b)
-        a_local = owner_a == rank
-        b_local = owner_b == rank
-        if not np.all(a_local | b_local):
-            raise PartitionError("task with both reads remote (invariant broken)")
-        out = np.where(a_local & b_local, -1, np.where(a_local, b, a))
-        return out.astype(np.int64)
-
-    def group_by_owner(self, num_ranks: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted task indices, CSR offsets per rank)."""
-        if self.owner is None:
-            raise PartitionError("tasks have no owner assignment yet")
-        order = np.argsort(self.owner, kind="stable")
-        counts = np.bincount(self.owner, minlength=num_ranks)
-        return order, counts_to_offsets(counts)

@@ -24,11 +24,10 @@ seed — the substitution for the unavailable SRA datasets (DESIGN.md §2).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import pickle
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -56,9 +55,10 @@ from repro.utils.rng import RngFactory
 ASSIGNMENT_CACHE_CAP = 16
 
 #: a statistical render of fewer tasks than this stays in the calling
-#: process: a spawned worker takes ~0.3 s to start, and below ~6 M tasks
-#: (~0.5 s of serial rendering) it wins nothing back
-#: (docs/PERFORMANCE.md "Rendering across cores")
+#: process: a one-shot render starts the process's pool, whose first worker
+#: takes ~0.3 s to start, and below ~6 M tasks (~0.5 s of serial
+#: rendering) it wins nothing back (docs/PERFORMANCE.md "One pool per
+#: process")
 PROCESS_RENDER_TASKS = 8_000_000
 
 #: rank chunks a process-parallel statistical render is cut into
@@ -539,13 +539,6 @@ def generate_read_lengths(spec: DatasetSpec, rngs: RngFactory) -> np.ndarray:
     return out
 
 
-def _render_workers() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _RankDraws(NamedTuple):
     """What the per-rank loop of one ``P``-rank statistical render reads."""
 
@@ -605,32 +598,33 @@ def _render_ranks(draws: _RankDraws, lo: int, hi: int, sums: np.ndarray,
         requests[remote] += 1  # `remote` is distinct: no lost updates
 
 
-#: a spawned render worker's draws, set once by :func:`_init_render_worker`
-_WORKER_DRAWS: _RankDraws | None = None
+#: a pool worker's draws for the last render key it was given
+_WORKER_DRAWS: tuple[bytes, _RankDraws] | None = None
 
 
-def _init_render_worker(spec: DatasetSpec, rngs: RngFactory,
-                        cost_dist: TaskCostDistribution, num_ranks: int,
-                        cost_sigma: float) -> None:
-    """Give a spawned render worker the draws of its one render.
+def _key_draws(key: bytes) -> _RankDraws:
+    """The draws of the render ``key`` names, rebuilt when it changes.
 
-    The read lengths and the partition are rebuilt here from ``(spec,
-    rngs)``, as the workload built them, rather than sent: spawn writes
-    the initializer's arguments into a 64 KiB pipe that the worker reads
-    only after importing numpy, so sending ecoli100x's 0.7 MiB of lengths
-    held the caller in ``submit`` for the worker's whole start-up.
+    ``key`` pickles ``(spec, rngs, cost_dist, P, cost_sigma)``.  The read
+    lengths and the partition are rebuilt from it (~5 ms), as the
+    workload built them, rather than sent: ecoli100x's 0.7 MiB of lengths
+    would travel with every chunk.
     """
     global _WORKER_DRAWS
-    lengths = generate_read_lengths(spec, rngs)
-    _WORKER_DRAWS = _RankDraws(
-        rngs, cost_dist, lengths.astype(np.float64),
-        partition_reads_by_size(lengths, num_ranks), spec.n_tasks,
-        cost_sigma)
+    if _WORKER_DRAWS is None or _WORKER_DRAWS[0] != key:
+        spec, rngs, cost_dist, num_ranks, cost_sigma = pickle.loads(key)
+        lengths = generate_read_lengths(spec, rngs)
+        _WORKER_DRAWS = key, _RankDraws(
+            rngs, cost_dist, lengths.astype(np.float64),
+            partition_reads_by_size(lengths, num_ranks), spec.n_tasks,
+            cost_sigma)
+    return _WORKER_DRAWS[1]
 
 
-def _render_chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """A worker's render of ranks ``lo .. hi - 1``: sums and requests."""
-    draws = _WORKER_DRAWS
+def _render_chunk(key: bytes, lo: int,
+                  hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """A pool worker's render of ranks ``lo .. hi - 1``: sums and requests."""
+    draws = _key_draws(key)
     sums = np.zeros((4, hi - lo))
     # each rank of the chunk requests a read at most once
     requests = np.zeros(draws.lengths_f.size,
@@ -639,37 +633,44 @@ def _render_chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, requests
 
 
-def _share_chunks(pool: ProcessPoolExecutor, workers: int,
-                  draws: _RankDraws, cuts: list[int], sums: np.ndarray,
+def _share_chunks(submit, key: bytes, workers: int, draws: _RankDraws,
+                  cuts: list[int], sums: np.ndarray,
                   requests: np.ndarray) -> None:
-    """Render the rank chunks ``cuts`` delimits in ``pool`` and here.
+    """Render the rank chunks ``cuts`` delimits in the pool and here.
 
     The workers take chunks from the low end, the caller from the high
     end, until the two meet.  A chunk goes to the pool only when it is
-    submitted, at most two per worker ahead (one running, one queued), so
-    the caller never takes a chunk a worker was given and no future is
-    ever cancelled (on Python 3.11 a pool that breaks while it holds a
-    cancelled future kills its own manager thread, which then skips its
-    clean-up).  A worker's chunk is folded (its columns copied, its
-    request row added in exact int64) as soon as the caller finds it
-    finished, and then dropped.
+    submitted, at most one per worker, so no more than ``workers`` of the
+    pool's processes render beside the caller (a queued second chunk would
+    start one more of them), the caller never takes a chunk a worker was
+    given, and no future is ever cancelled (on Python 3.11 a pool that
+    breaks while it holds a cancelled future kills its own manager thread,
+    which then skips its clean-up).  A worker's chunk is folded (its
+    columns copied, its request row added in exact int64) as soon as the
+    caller finds it finished, and then dropped.  On a failure every chunk
+    still in the pool is awaited before the error propagates, so no
+    render outlives its call.
     """
     submitted: deque = deque()  # (chunk, future), ascending
     low, high = 0, len(cuts) - 1  # chunks low .. high - 1 are nobody's yet
-    while submitted or low < high:
-        while low < high and len(submitted) < 2 * workers:
-            submitted.append((low, pool.submit(
-                _render_chunk, cuts[low], cuts[low + 1])))
-            low += 1
-        if submitted and (low == high or submitted[0][1].done()):
-            chunk, future = submitted.popleft()
-            chunk_sums, chunk_requests = future.result()
-            sums[:, cuts[chunk]:cuts[chunk + 1]] = chunk_sums
-            requests += chunk_requests
-        else:
-            high -= 1
-            lo, hi = cuts[high], cuts[high + 1]
-            _render_ranks(draws, lo, hi, sums[:, lo:hi], requests)
+    try:
+        while submitted or low < high:
+            while low < high and len(submitted) < workers:
+                submitted.append((low, submit(
+                    _render_chunk, key, cuts[low], cuts[low + 1])))
+                low += 1
+            if submitted and (low == high or submitted[0][1].done()):
+                chunk, future = submitted.popleft()
+                chunk_sums, chunk_requests = future.result()
+                sums[:, cuts[chunk]:cuts[chunk + 1]] = chunk_sums
+                requests += chunk_requests
+            else:
+                high -= 1
+                lo, hi = cuts[high], cuts[high + 1]
+                _render_ranks(draws, lo, hi, sums[:, lo:hi], requests)
+    except BaseException:
+        futures_wait([future for _, future in submitted])
+        raise
 
 
 def calibrated_cost_dist(
@@ -783,34 +784,31 @@ class StatisticalWorkload:
         sums = np.zeros((4, num_ranks))
         requests = np.zeros(n_reads, dtype=np.int64)
         chunks = min(RENDER_CHUNKS, num_ranks)
-        cpus = (1 if n_tasks < PROCESS_RENDER_TASKS
-                else min(_render_workers(), chunks))
+        cpus = 1
+        if n_tasks >= PROCESS_RENDER_TASKS:
+            from repro.runtime import pool
+
+            cpus = min(pool.usable_cpus(), chunks)
         if cpus == 1:
             _render_ranks(draws, 0, num_ranks, sums, requests)
         else:
-            # the caller and `cpus - 1` spawned workers render the chunks.
-            # The pool lives for this call only: its workers are joined
-            # before the call returns or raises
-            pool = ProcessPoolExecutor(
-                cpus - 1, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_init_render_worker,
-                initargs=(self.spec, self.rngs, self.cost_dist, num_ranks,
-                          cost_sigma))
+            # the caller and `cpus - 1` of the process's pool workers
+            # render the chunks
+            key = pickle.dumps((self.spec, self.rngs, self.cost_dist,
+                                num_ranks, cost_sigma))
             try:
-                _share_chunks(pool, cpus - 1, draws,
+                _share_chunks(pool.submit, key, cpus - 1, draws,
                               [num_ranks * i // chunks
                                for i in range(chunks + 1)],
                               sums, requests)
-            except BrokenProcessPool as exc:
+            except BrokenExecutor as exc:
                 raise WorkerCrashError(
                     f"a render worker died while drawing {self.name} on "
-                    f"{num_ranks} ranks (pool: workers={cpus - 1}); "
-                    f"nothing was cached.  A spawned worker imports the "
-                    f"main script: keep its top-level code under "
-                    f"`if __name__ == \"__main__\":`"
+                    f"{num_ranks} ranks; nothing was cached, and the next "
+                    f"render starts a fresh pool.  A spawned worker "
+                    f"imports the main script: keep its top-level code "
+                    f"under `if __name__ == \"__main__\":`"
                 ) from exc
-            finally:
-                pool.shutdown(cancel_futures=True)
         compute_seconds, local_pair_seconds, lookups, lookup_bytes = sums
 
         # Serve side: what each owner receives is a sum over the reads it

@@ -8,19 +8,20 @@ align_batch`:
 
 * ``serial`` — :class:`SerialExecutor` runs the batch inline, exactly as
   the engines always did;
-* ``process`` — :class:`ProcessExecutor` fans the batch out to a pool of
-  **persistent** worker processes.  Workers are seeded exactly once, at
-  pool start, with the workload's sequence bytes and task descriptors via
+* ``process`` — :class:`ProcessExecutor` fans the batch out to the
+  process's one worker pool (:mod:`repro.runtime.pool`).  The workload's
+  sequence bytes and task descriptors are published once per executor in
   POSIX shared memory (:class:`SharedReadStore` wraps the existing numpy
   arrays — the ``ReadSet`` code buffer / CSR offsets and the flat
-  ``TaskTable`` columns).  Per batch, workers receive only
-  ``(task_index_chunk, output_offset)`` descriptors — never sequence
-  copies — align their chunk with the batched wavefront kernel, and write
-  compact ``(n, 7)`` int64 result rows **directly into a preallocated
-  shared-memory output array at their chunk offsets**.  Nothing is
-  pickled on the return path beyond a ``(pid, seconds, count)`` triple;
-  the parent rehydrates :class:`Alignment` objects from the shared rows
-  (:meth:`align_tasks`).
+  ``TaskTable`` columns).  Per batch, each chunk carries the store's
+  names, the kernel parameters and ``(task_index_chunk,
+  output_offset)`` — never sequence copies; a worker attaches the store
+  it was last given, aligns its chunk with the batched wavefront kernel,
+  and writes compact ``(n, 7)`` int64 result rows **directly into a
+  preallocated shared-memory output array at their chunk offsets**.
+  Nothing is pickled on the return path beyond a ``(pid, seconds,
+  count)`` triple; the parent rehydrates :class:`Alignment` objects from
+  the shared rows (:meth:`align_tasks`).
 * ``auto`` — :class:`AutoExecutor` measures, then chooses.  The first
   real batches run serial to sample kernel throughput; if the machine has
   spare cores and the batches are big enough to amortize dispatch, the
@@ -32,8 +33,8 @@ align_batch`:
 Who calls: the micro engines record the tasks their simulation executes
 and resolve the recording once, after it drains, in a few kernel calls of
 up to ``engines.micro.FLUSH_TASKS`` tasks each — so every backend sees
-large batches whichever engine ran, and one store published at pool
-start serves the whole run.
+large batches whichever engine ran, and one store published when the
+executor opens serves the whole run.
 
 Determinism contract: the batched kernel is bit-identical to the scalar
 kernel per pair (``repro.align.batch``), so chunk boundaries cannot change
@@ -44,7 +45,7 @@ bit-identical to a ``serial`` run for any worker count — locked down by
 ``tests/test_executor.py`` and the golden-signature suite.
 
 When ``serial`` wins: dispatching a chunk costs roughly a millisecond of
-IPC and starting the pool tens of milliseconds, which a run of a few
+IPC and starting the pool's workers ~0.3 s, which a run of a few
 hundred tasks cannot earn back — ``auto`` exists precisely to make that
 call from measurements instead of folklore; see ``docs/PARALLEL.md`` for
 the design discussion and ``docs/PERFORMANCE.md`` ("Kernel dispatch")
@@ -53,18 +54,17 @@ for the measurements.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.align.seedextend import Alignment, SeedExtendAligner
 from repro.errors import ConfigurationError, WorkerCrashError
+from repro.runtime import pool
 
 __all__ = [
     "BACKENDS",
@@ -308,43 +308,12 @@ class _SharedOutput:
         self.name = None
 
 
-def _pool_context():
-    """Start-method context for the pool: ``fork`` wherever available.
-
-    Forked workers share the parent's resource-tracker process, so their
-    attach-time re-registration of the shared segments is an idempotent
-    set-add and the parent's ``unlink()`` stays the single owner of the
-    cleanup.  (Under ``spawn`` each worker gets its *own* tracker, which
-    must be disowned instead — see :class:`_WorkerState`.)
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platform
-        return multiprocessing.get_context()
-
-
-def _disown_tracker_claim(shm: shared_memory.SharedMemory) -> None:
-    """Hand a worker-side attach registration back to the parent.
-
-    On < 3.13, attaching also *registers* the segment with the worker's
-    own resource tracker (spawn/forkserver), which would unlink it a
-    second time after the parent already has and warn about a leak that
-    never happened.  The parent owns the lifecycle.
-    """
-    try:  # pragma: no cover - exercised only under spawn
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
 class _WorkerState:
-    """Per-worker-process view of the shared store + a private aligner."""
+    """A pool worker's view of one shared store + a private aligner."""
 
-    def __init__(self, spec: dict, x_drop: int, scoring,
-                 disown_tracker: bool = False):
-        self._disown = disown_tracker
+    def __init__(self, spec: dict, x_drop: int, scoring):
+        self.spec = spec
+        self.aligner = SeedExtendAligner(x_drop=x_drop, scoring=scoring)
         self._out_shm: shared_memory.SharedMemory | None = None
         self._out_name: str | None = None
         self._out_view: np.ndarray | None = None
@@ -352,8 +321,6 @@ class _WorkerState:
         arrays: dict[str, np.ndarray] = {}
         for name, (shm_name, shape, dtype) in spec["arrays"].items():
             shm = shared_memory.SharedMemory(name=shm_name)
-            if disown_tracker:
-                _disown_tracker_claim(shm)
             self._shms.append(shm)
             arrays[name] = np.ndarray(
                 shape, dtype=np.dtype(dtype), buffer=shm.buf
@@ -365,7 +332,6 @@ class _WorkerState:
             pos_a=arrays["pos_a"], pos_b=arrays["pos_b"],
             reverse=arrays["reverse"], k=spec["k"],
         )
-        self.aligner = SeedExtendAligner(x_drop=x_drop, scoring=scoring)
 
     def codes(self, read_id: int) -> np.ndarray:
         return self.buffer[self.offsets[read_id]: self.offsets[read_id + 1]]
@@ -379,14 +345,19 @@ class _WorkerState:
         if name != self._out_name:
             if self._out_shm is not None:
                 self._out_shm.close()
-            shm = shared_memory.SharedMemory(name=name)
-            if self._disown:
-                _disown_tracker_claim(shm)
-            self._out_shm = shm
+            self._out_shm = shared_memory.SharedMemory(name=name)
             self._out_name = name
             self._out_view = np.ndarray((capacity, _ROW_WIDTH),
-                                        dtype=np.int64, buffer=shm.buf)
+                                        dtype=np.int64,
+                                        buffer=self._out_shm.buf)
         return self._out_view
+
+    def close(self) -> None:
+        """Drop this worker's mappings; the parent owns the segments."""
+        self.buffer = self.offsets = self.tasks = self._out_view = None
+        for shm in (*self._shms, self._out_shm):
+            if shm is not None:
+                shm.close()
 
 
 class _TaskColumns:
@@ -401,25 +372,29 @@ class _TaskColumns:
         self.k = k
 
 
+#: a pool worker's state for the last store it was given
 _WORKER_STATE: _WorkerState | None = None
 
 
-def _worker_init(spec: dict, x_drop: int, scoring,
-                 disown_tracker: bool = False) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = _WorkerState(spec, x_drop, scoring, disown_tracker)
-
-
-def _align_chunk(indices: np.ndarray, offset: int, out_name: str,
+def _align_chunk(spec: dict, x_drop: int, scoring, indices: np.ndarray,
+                 offset: int, out_name: str,
                  out_capacity: int) -> tuple[int, float, int]:
     """Worker entry: align one chunk, write rows into the shared output.
 
-    Results land directly in the parent's preallocated output array at
-    ``[offset, offset + len(indices))`` — score, begin_a, end_a, begin_b,
-    end_b, cells, terminated_early per row — so the only thing pickled
-    back is this ``(pid, seconds, count)`` triple.
+    The worker keeps the last store it was given attached.  A spawned
+    worker shares its parent's resource tracker, so attaching re-registers
+    a segment idempotently and the parent's ``unlink()`` stays the one
+    clean-up.  Rows land in the parent's output array at ``[offset,
+    offset + len(indices))``; only a ``(pid, seconds, count)`` triple is
+    pickled back.
     """
+    global _WORKER_STATE
     st = _WORKER_STATE
+    if st is None or st.spec != spec or st.aligner.x_drop != x_drop \
+            or st.aligner.scoring != scoring:
+        if st is not None:
+            st.close()
+        st = _WORKER_STATE = _WorkerState(spec, x_drop, scoring)
     t0 = time.perf_counter()
     alignments = st.aligner.align_batch(
         _task_pairs(st.codes, st.tasks, indices)
@@ -430,11 +405,11 @@ def _align_chunk(indices: np.ndarray, offset: int, out_name: str,
 
 
 class ProcessExecutor(TaskExecutor):
-    """Persistent worker pool over the shared read store.
+    """Kernel batches on the process's worker pool, over a shared store.
 
-    Each batch splits evenly across the workers (one chunk per worker).
-    Chunks write disjoint output rows at their submission offsets, so
-    chunking is invisible in the output.
+    Each batch splits evenly into ``workers`` chunks, which run on the
+    pool of :mod:`repro.runtime.pool`.  Chunks write disjoint output rows
+    at their submission offsets, so chunking is invisible in the output.
     """
 
     backend = "process"
@@ -453,69 +428,48 @@ class ProcessExecutor(TaskExecutor):
         self._per_worker: dict[int, dict] = {}
         self._store = SharedReadStore(workload)
         self._out = _SharedOutput()
-        try:
-            ctx = _pool_context()
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=ctx,
-                initializer=_worker_init,
-                initargs=(self._store.spec, aligner.x_drop, aligner.scoring,
-                          ctx.get_start_method() != "fork"),
-            )
-        except BaseException:
-            self._store.close()
-            self._out.close()
-            raise
         self._closed = False
 
     def _chunk_size(self, n: int) -> int:
         return max(1, -(-n // self.workers))
 
-    def _crash(self, n: int, exc: BrokenProcessPool) -> WorkerCrashError:
+    def _crash(self, n: int) -> WorkerCrashError:
         return WorkerCrashError(
             f"a worker process died while aligning a {n}-task batch "
-            f"(pool: workers={self.workers}); "
-            f"the pool cannot be reused — rerun with backend='serial' to "
-            f"isolate, or backend='auto' to let the run choose"
+            f"(chunks: workers={self.workers}); the next batch starts a "
+            f"fresh pool — rerun with backend='serial' to isolate"
         )
 
     def _run_chunks(self, idx: np.ndarray) -> np.ndarray:
         """Fan one batch out; return the filled view of the output rows.
 
         ``dispatch_s`` counts future submission only, ``wait_s`` the wait
-        for worker completion.  On any worker failure the outstanding
-        futures are cancelled and awaited (so no straggler writes into a
-        reused output array), the batch counters stay untouched except
-        ``failed_batches``, and :class:`BrokenProcessPool` is wrapped in
-        the typed :class:`~repro.errors.WorkerCrashError`.
+        for worker completion.  On any chunk failure the other chunks are
+        awaited, not cancelled (so no straggler writes into a reused
+        output array, and the shared pool never holds a cancelled
+        future), the batch counters stay untouched except
+        ``failed_batches``, and a broken pool is reported as the typed
+        :class:`~repro.errors.WorkerCrashError`.
         """
         n = int(idx.size)
         self._out.ensure(n)
         chunk = self._chunk_size(n)
+        args = (self._store.spec, self.aligner.x_drop, self.aligner.scoring)
         t0 = time.perf_counter()
+        futures = []
         try:
-            futures = [
-                self._pool.submit(
-                    _align_chunk, idx[s: s + chunk], s,
+            for s in range(0, n, chunk):
+                futures.append(pool.submit(
+                    _align_chunk, *args, idx[s: s + chunk], s,
                     self._out.name, self._out.capacity,
-                )
-                for s in range(0, n, chunk)
-            ]
-        except BrokenProcessPool as exc:
-            self._stats["failed_batches"] += 1
-            raise self._crash(n, exc) from exc
-        t1 = time.perf_counter()
-        results: list[tuple[int, float, int]] = []
-        try:
-            for fut in futures:
-                results.append(fut.result())
+                ))
+            t1 = time.perf_counter()
+            results = [fut.result() for fut in futures]
         except BaseException as exc:
-            for fut in futures:
-                fut.cancel()
             futures_wait(futures)
             self._stats["failed_batches"] += 1
-            if isinstance(exc, BrokenProcessPool):
-                raise self._crash(n, exc) from exc
+            if isinstance(exc, BrokenExecutor):
+                raise self._crash(n) from exc
             raise
         t2 = time.perf_counter()
         for pid, align_s, _count in results:
@@ -553,11 +507,10 @@ class ProcessExecutor(TaskExecutor):
         }
 
     def close(self) -> None:
-        """Stop the pool, then unlink the shared segments (idempotent)."""
+        """Unlink the shared segments (idempotent); the pool stays."""
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(wait=True)
         self._store.close()
         self._out.close()
 
@@ -599,8 +552,8 @@ class AutoExecutor(TaskExecutor):
                  workers: int = 1):
         self.workload = workload
         self.aligner = aligner
-        cpus = os.cpu_count() or 1
-        #: pool size the process candidate would use: the explicit
+        cpus = pool.usable_cpus()
+        #: chunks per batch the process candidate would use: the explicit
         #: ``workers`` knob when set (> 1), else one worker per core
         #: (capped — beyond 8 the probe itself gets expensive)
         self.workers = workers if workers > 1 else max(1, min(cpus, 8))
@@ -610,7 +563,6 @@ class AutoExecutor(TaskExecutor):
         self._reason: str | None = None
         self._serial_samples: list[tuple[int, float]] = []
         self._process_samples: list[tuple[int, float]] = []
-        self._pool_start_s = 0.0
         self._closed = False
         if cpus < 2:
             self._commit(self._serial, "single_core")
@@ -643,15 +595,9 @@ class AutoExecutor(TaskExecutor):
             target, samples = self._serial, self._serial_samples
         else:
             if self._process is None:
-                t0 = time.perf_counter()
-                try:
-                    self._process = ProcessExecutor(
-                        self.workload, self.aligner, workers=self.workers,
-                    )
-                except OSError:  # pragma: no cover - resource exhaustion
-                    self._commit(self._serial, "pool_unavailable")
-                    return self._serial.align_tasks(task_indices)
-                self._pool_start_s = time.perf_counter() - t0
+                self._process = ProcessExecutor(
+                    self.workload, self.aligner, workers=self.workers,
+                )
             target, samples = self._process, self._process_samples
         t0 = time.perf_counter()
         out = target.align_tasks(task_indices)
@@ -694,7 +640,6 @@ class AutoExecutor(TaskExecutor):
             "auto_reason": self._reason or "probing",
             "auto_chose_process": float(self._chosen is not None
                                         and self._chosen is self._process),
-            "auto_pool_start_s": self._pool_start_s,
         }
         if self._serial_samples:
             s["auto_probe_serial_pps"] = self._pps(self._serial_samples)

@@ -42,7 +42,7 @@ from typing import Any, Callable, Mapping
 from repro.engines.base import EngineConfig, check_int
 from repro.engines.registry import available_engines, get_engine
 from repro.engines.report import RunResult
-from repro.errors import ConfigurationError, JobStateError
+from repro.errors import ConfigurationError, JobStateError, RankFailureError
 from repro.genome.datasets import DATASETS
 from repro.pipeline.sharded import DEFAULT_RESIDENT_SHARDS
 from repro.service.events import JobEventLog, ProgressTracer
@@ -186,7 +186,12 @@ class JobRequest:
         if self.faults:
             from repro.faults import parse_fault_spec
 
-            parse_fault_spec(self.faults)  # ConfigurationError on bad specs
+            # ConfigurationError on a bad spec or a rank the machine lacks
+            schedule = parse_fault_spec(self.faults).schedule
+            try:
+                schedule.check_machine(self.nodes * self.cores_per_node)
+            except RankFailureError as exc:  # every rank joins mid-run
+                raise ConfigurationError(str(exc)) from exc
 
     def cache_key(self) -> str:
         """SHA-256 identity over every result-affecting field.
@@ -261,7 +266,7 @@ class Job:
         self.cache_source: str | None = None
         #: leader job id when this submission was coalesced
         self.coalesced_into: str | None = None
-        #: admission budget the queue reserved: {"workers": n, "bytes": b}
+        #: admission budget the queue reserved: {"bytes": b}
         self.budget: dict = {}
         self.created_at = time.time()
         self.admitted_at: float | None = None

@@ -11,13 +11,14 @@ The multiplexing layer between the job API and the engines.  A
   ``(-priority, submission_seq)``; only the head is ever considered for
   admission (no low-priority bypass when the head is waiting on
   resources), which makes admission order a testable contract;
-* **admission control** — ``slots`` worker threads, plus a per-job budget
-  of worker processes and bytes charged against a
+* **admission control** — ``slots`` worker threads, plus a per-job
+  budget of bytes charged against a
   :class:`~repro.machine.memory.NodeMemory` ledger, so concurrent jobs
-  cannot oversubscribe the process pool or the node: a job is admitted
-  only when both its worker count and its memory estimate fit what is
-  currently free.  Budgets that could *never* fit are rejected at submit
-  (fail fast, not deadlock);
+  cannot oversubscribe the node: a job is admitted only when its memory
+  estimate fits what is currently free.  The process's one worker pool
+  (:mod:`repro.runtime.pool`), which every job shares, is charged once,
+  when the queue is built.  Budgets that could *never* fit are rejected
+  at submit (fail fast, not deadlock);
 * **single-flight execution** — submissions whose
   :meth:`~repro.service.jobs.JobRequest.cache_key` matches an in-flight
   job coalesce onto it as followers: the engine runs **once** and every
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import threading
 from collections import deque
 
@@ -64,6 +64,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.machine.memory import NodeMemory
+from repro.runtime import pool
 from repro.service.jobs import Job, JobRequest, JobState, execute_request
 from repro.utils.cache import LruCache
 from repro.utils.units import fmt_bytes
@@ -87,8 +88,8 @@ DEFAULT_SERVICE_MEMORY_BYTES = 2 * 1024 ** 3
 #: assignment arrays, result vectors)
 BASE_JOB_BYTES = 32 * 1024 ** 2
 
-#: admission estimate: each process-backend worker adds a forked
-#: interpreter plus its shared-memory attachments
+#: admission estimate: each worker of the process's pool, a spawned
+#: interpreter plus its shared-memory attachments, charged once per queue
 PER_WORKER_BYTES = 16 * 1024 ** 2
 
 #: admission estimate: real-kernel runs additionally hold the read store
@@ -100,18 +101,16 @@ class RunQueue:
     """Bounded, budgeted, single-flight job queue over the engines.
 
     ``slots`` is the number of concurrently *running* jobs (one worker
-    thread each); ``total_workers`` bounds the summed process-pool
-    workers of admitted jobs (defaults to the machine's core count);
-    ``memory_bytes`` is the admission ledger capacity.  Use as a context
-    manager, or call :meth:`shutdown` — queued jobs are then cancelled
-    with the typed error rather than left to hang.
+    thread each); ``memory_bytes`` is the admission ledger capacity, of
+    which the process pool holds one worker's charge per usable CPU.  Use
+    as a context manager, or call :meth:`shutdown` — queued jobs are then
+    cancelled with the typed error rather than left to hang.
     """
 
     def __init__(
         self,
         slots: int = 2,
         backlog: int = 64,
-        total_workers: int | None = None,
         memory_bytes: float = DEFAULT_SERVICE_MEMORY_BYTES,
         cache: LruCache | None = None,
         start: bool = True,
@@ -132,8 +131,14 @@ class RunQueue:
         self._inflight: dict[str, Job] = {}
         self._followers: dict[str, list[Job]] = {}
         self._mem = NodeMemory(capacity=float(memory_bytes))
-        self._workers_total = total_workers or (os.cpu_count() or 1)
-        self._workers_free = self._workers_total
+        self._pool_bytes = float(pool.usable_cpus() * PER_WORKER_BYTES)
+        if self._pool_bytes > self._mem.capacity:
+            raise ConfigurationError(
+                f"the queue's memory ledger holds "
+                f"{fmt_bytes(self._mem.capacity)}, less than the "
+                f"{fmt_bytes(self._pool_bytes)} its worker pool is charged"
+            )
+        self._mem.allocate("pool", self._pool_bytes)
         self._shutdown = False
         #: job ids in the order admission granted them resources — the
         #: observable priority contract (tests assert on it)
@@ -212,26 +217,16 @@ class RunQueue:
 
     # -- submission ----------------------------------------------------------
 
-    def _budget(self, request: JobRequest) -> dict:
-        """Admission estimate: worker processes + bytes for one request.
+    @staticmethod
+    def _budget(request: JobRequest) -> dict:
+        """Admission estimate: the bytes one request holds while it runs.
 
-        Mirrors the executor's sizing rules: serial jobs hold one worker
-        (the slot thread itself); ``process`` holds its configured pool;
-        ``auto`` with the default ``workers=1`` would build a one-per-core
-        pool capped at 8 (:class:`~repro.runtime.executor.AutoExecutor`),
-        so that is what admission reserves.
+        Its workers are the process pool's, charged once for every job.
         """
-        cfg = request.engine_config()
-        workers = 1
-        if cfg.backend != "serial":
-            if cfg.backend == "auto" and cfg.workers == 1:
-                workers = max(1, min(os.cpu_count() or 1, 8))
-            else:
-                workers = max(1, cfg.workers)
-        nbytes = BASE_JOB_BYTES + workers * PER_WORKER_BYTES
+        nbytes = BASE_JOB_BYTES
         if request.kernel == "real":
             nbytes += REAL_KERNEL_BYTES
-        return {"workers": workers, "bytes": float(nbytes)}
+        return {"bytes": float(nbytes)}
 
     def submit(self, request: JobRequest) -> Job:
         """Validate, dedupe, admit-or-queue one request; returns its Job.
@@ -244,18 +239,12 @@ class RunQueue:
         request.validate()
         key = request.cache_key()
         budget = self._budget(request)
-        if budget["workers"] > self._workers_total:
-            raise ConfigurationError(
-                f"request needs {budget['workers']} pool workers but the "
-                f"queue budget is {self._workers_total}; lower workers= or "
-                f"raise total_workers"
-            )
-        if budget["bytes"] > self._mem.capacity:
+        if budget["bytes"] > self._mem.capacity - self._pool_bytes:
             raise ConfigurationError(
                 f"request is budgeted at {fmt_bytes(budget['bytes'])} but "
                 f"the queue's memory ledger holds "
-                f"{fmt_bytes(self._mem.capacity)}; it could never be "
-                f"admitted"
+                f"{fmt_bytes(self._mem.capacity - self._pool_bytes)} "
+                f"beside its worker pool; it could never be admitted"
             )
         job = Job(request)
         job.budget = budget
@@ -324,9 +313,8 @@ class RunQueue:
                 "backlog": len(self._heap),
                 "running": running,
                 "slots": self.slots,
-                "workers_free": self._workers_free,
-                "workers_total": self._workers_total,
                 "memory_used": self._mem.used,
+                "memory_pool": self._pool_bytes,
                 "memory_capacity": self._mem.capacity,
                 "memory_high_water": self._mem.high_water,
                 "cache": self.cache.stats(),
@@ -421,13 +409,10 @@ class RunQueue:
             if job.done:
                 heapq.heappop(self._heap)
                 continue
-            if job.budget["workers"] > self._workers_free:
-                return None
             try:
                 self._mem.allocate(job.id, job.budget["bytes"])
             except MemoryLimitError:
                 return None
-            self._workers_free -= job.budget["workers"]
             heapq.heappop(self._heap)
             job.mark_admitted()
             self.admission_order.append(job.id)
@@ -478,5 +463,4 @@ class RunQueue:
         finally:
             with self._cond:
                 self._mem.free(job.id)
-                self._workers_free += job.budget["workers"]
                 self._cond.notify_all()

@@ -1,4 +1,4 @@
-"""Fault injection for the statistical renderer's spawned workers.
+"""Fault injection for the process pool's spawned workers.
 
 Kept apart from the test module so that a worker, which imports this
 module to unpickle the injected stream factory, does not import pytest
@@ -32,3 +32,21 @@ class FailingRngs:
             if self.how == "raise":
                 raise RankFailed(f"rank {self.rank}")
         return self.rngs.stream(name, *keys)
+
+
+class KillingScoring:
+    """A scoring scheme whose copy SIGKILLs the worker process that
+    unpickles it, so a kernel chunk dies on arrival; the parent's copy is
+    the wrapped scheme."""
+
+    def __init__(self, scoring):
+        self.scoring = scoring
+
+    def __reduce__(self):
+        return _kill_in_worker, (self.scoring,)
+
+
+def _kill_in_worker(scoring):
+    if multiprocessing.parent_process():
+        os.kill(os.getpid(), signal.SIGKILL)
+    return scoring

@@ -2,8 +2,9 @@
 
 The contract under test (docs/PARALLEL.md): the ``process`` backend is
 bit-identical to ``serial`` for *any* worker count and chunk size, and a
-run — finished or fault-aborted — leaves behind no worker processes and no
-shared-memory segments.
+run — finished or fault-aborted — leaves behind no shared-memory
+segments; its worker processes are the process's one pool's, which
+outlives the run until it is shut down.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.engines.base import EngineConfig
 from repro.errors import ConfigurationError, RankFailureError, WorkerCrashError
 from repro.faults import parse_fault_spec
 from repro.machine.config import cori_knl
+from repro.runtime import pool
 from repro.runtime.executor import (
     AUTO_MIN_PROBE_TASKS,
     AutoExecutor,
@@ -46,7 +48,8 @@ def serial(workload):
 
 @pytest.fixture(scope="module")
 def pools(workload):
-    """One persistent pool per worker count, shared across examples."""
+    """One executor per chunk count, shared across examples (all three
+    lease the process's one pool)."""
     executors = {
         w: ProcessExecutor(workload, SeedExtendAligner(), workers=w)
         for w in (1, 2, 3)
@@ -185,25 +188,32 @@ def _alive(pid: int) -> bool:
 
 
 def test_close_reaps_workers_and_segments(workload):
+    """Closing an executor unlinks its segments; the workers it used are
+    the pool's, at most one per usable CPU, and the pool's shutdown
+    reaps them."""
+    import multiprocessing
+
     baseline = active_shm_segments()  # other fixtures may hold segments
     ex = ProcessExecutor(workload, SeedExtendAligner(), workers=2)
     ex.align_tasks(range(6))
     assert active_shm_segments() - baseline  # store is live while running
-    pids = list(ex._pool._processes)
-    assert pids and all(_alive(p) for p in pids)
+    pids = [p.pid for p in multiprocessing.active_children()]
+    assert 1 <= len(pids) <= pool.usable_cpus()
     ex.close()
     ex.close()  # idempotent
     assert active_shm_segments() == baseline
+    assert all(_alive(p) for p in pids)
+    pool.shutdown()
     assert not any(_alive(p) for p in pids)
+    assert not multiprocessing.active_children()
 
 
 def test_resource_tracker_claims_balance(workload, monkeypatch):
     """Every parent-side tracker registration is released exactly once.
 
-    Guards the fork-context subtlety: workers share the parent's resource
-    tracker, so an extra worker-side unregister (or a missing parent-side
-    unlink) would unbalance the tracker's cache and spew KeyError noise at
-    interpreter exit.
+    Spawned workers share the parent's resource tracker, so an extra
+    worker-side unregister (or a missing parent-side unlink) would
+    unbalance the tracker's cache and spew KeyError noise from it.
     """
     from multiprocessing import resource_tracker
 
@@ -232,6 +242,25 @@ def test_resource_tracker_claims_balance(workload, monkeypatch):
     unregistered = [n for op, n in events if op == "-"]
     assert sorted(registered) == sorted(unregistered)
     assert len(set(registered)) == len(registered)
+
+
+def test_one_shot_process_run_exits_quietly():
+    """A ``repro run`` on the process backend exits 0 with nothing on
+    stderr: its spawned workers share its resource tracker, so neither a
+    tracker ``KeyError`` nor a leaked-segment warning appears."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "--workload", "micro",
+         "--nodes", "1", "--cores-per-node", "4", "--engine", "bsp-micro",
+         "--kernel", "real", "--backend", "process", "--workers", "2"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_fault_abort_leaves_no_leaks(workload, monkeypatch):
@@ -282,21 +311,76 @@ def test_worker_exception_cancels_and_keeps_counters_consistent(workload):
         ex.close()
 
 
-def test_worker_crash_raises_typed_error_no_leak(workload):
-    """SIGKILLed workers surface as WorkerCrashError, not a cf internal."""
-    import signal
+def test_worker_crash_raises_typed_error_no_leak(workload, serial):
+    """A worker SIGKILLed mid-chunk surfaces as WorkerCrashError, not a cf
+    internal; the next batch runs on a fresh pool with the serial bits."""
+    from tests.render_faults import KillingScoring
 
     baseline = active_shm_segments()
-    ex = ProcessExecutor(workload, SeedExtendAligner(), workers=2)
+    aligner = SeedExtendAligner()
+    ex = ProcessExecutor(workload, aligner, workers=2)
     try:
         ex.align_tasks(range(8))  # spin the workers up
-        for pid in list(ex._pool._processes):
-            os.kill(pid, signal.SIGKILL)
+        ex.aligner = SeedExtendAligner(scoring=KillingScoring(
+            aligner.scoring))
         with pytest.raises(WorkerCrashError, match="worker process died"):
             ex.align_tasks(range(8))
         assert ex.stats()["failed_batches"] == 1
+        ex.aligner = aligner
+        got = ex.align_tasks(range(8))
+        assert [_fields(a) for a in got] == \
+            [_fields(a) for a in serial.align_tasks(range(8))]
     finally:
         ex.close()
+    assert active_shm_segments() == baseline
+
+
+def test_render_and_kernel_share_the_pool_from_two_threads(workload,
+                                                           serial,
+                                                           monkeypatch):
+    """A statistical render and a process-backend batch lease the pool at
+    once, from two threads, and both give their serial bits."""
+    import threading
+
+    import repro.pipeline.workload as workload_mod
+    from repro.pipeline.workload import StatisticalWorkload
+    from repro.genome.datasets import DATASETS
+
+    baseline = active_shm_segments()  # the module's executors hold some
+    spec, num_ranks = DATASETS["ecoli30x"], 64
+    want_render = StatisticalWorkload(spec, seed=0)._render_assignment(
+        num_ranks)
+    want_rows = serial.align_tasks(range(N_TASK_CAP))
+    monkeypatch.setattr(workload_mod, "PROCESS_RENDER_TASKS", 0)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 3)
+    pool.shutdown()
+    got = {}
+    barrier = threading.Barrier(2, timeout=30)
+
+    def render():
+        barrier.wait()
+        got["render"] = StatisticalWorkload(spec, seed=0)._render_assignment(
+            num_ranks)
+
+    def kernel():
+        with ProcessExecutor(workload, SeedExtendAligner(), workers=3) as ex:
+            barrier.wait()
+            for _ in range(3):
+                got.setdefault("rows", []).append(
+                    ex.align_tasks(range(N_TASK_CAP)))
+
+    threads = [threading.Thread(target=f) for f in (render, kernel)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    pool.shutdown()
+    for field in ("compute_seconds", "lookups", "incoming_bytes"):
+        assert getattr(got["render"], field).tobytes() == \
+            getattr(want_render, field).tobytes()
+    assert len(got["rows"]) == 3
+    for rows in got["rows"]:
+        assert [_fields(a) for a in rows] == [_fields(a) for a in want_rows]
     assert active_shm_segments() == baseline
 
 
@@ -305,7 +389,7 @@ def test_worker_crash_raises_typed_error_no_leak(workload):
 
 def test_auto_single_core_commits_serial_without_a_pool(workload, serial,
                                                         monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
     baseline = active_shm_segments()
     with AutoExecutor(workload, SeedExtendAligner()) as ex:
         assert ex.chosen == "serial"
@@ -322,7 +406,7 @@ def test_auto_single_core_commits_serial_without_a_pool(workload, serial,
 def test_auto_tiny_batches_never_probe_the_pool(workload, serial,
                                                 monkeypatch):
     """Sub-probe-size batches (async callback groups) stay inline forever."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 4)
     baseline = active_shm_segments()
     with AutoExecutor(workload, SeedExtendAligner()) as ex:
         for _ in range(10):
@@ -337,7 +421,7 @@ def test_auto_tiny_batches_never_probe_the_pool(workload, serial,
 
 def test_auto_probes_then_commits(workload, serial, monkeypatch):
     """Big batches advance serial probe -> pool probe -> a committed choice."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 4)
     baseline = active_shm_segments()
     with AutoExecutor(workload, SeedExtendAligner(), workers=2) as ex:
         want = serial.align_tasks(range(80))

@@ -258,17 +258,35 @@ def test_detects_hand_rolled_lru(tmp_path):
 
 
 def test_detects_second_process_pool(tmp_path):
+    """Any pool outside runtime/pool.py is flagged, a spawn pool left in
+    the executor or the renderer included."""
     _write_pkg(tmp_path, {
         "__init__.py": "",
         "runtime/__init__.py": "",
+        "runtime/pool.py": """\
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            def submit(fn):
+                return ProcessPoolExecutor(
+                    2, mp_context=multiprocessing.get_context("spawn"))
+            """,
         "runtime/executor.py": """\
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             class ProcessExecutor:
                 def __init__(self, workers):
-                    self._pool = ProcessPoolExecutor(max_workers=workers)
-            def fanout_map(fn, payloads, workers):
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    return list(pool.map(fn, payloads))
+                    self._pool = ProcessPoolExecutor(
+                        workers,
+                        mp_context=multiprocessing.get_context("spawn"))
+            """,
+        "pipeline/__init__.py": "",
+        "pipeline/workload.py": """\
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            class StatisticalWorkload:
+                def _render_assignment(self, num_ranks):
+                    ProcessPoolExecutor(
+                        1, mp_context=multiprocessing.get_context("spawn"))
             """,
         "core/__init__.py": "",
         "core/api.py": """\
@@ -283,12 +301,14 @@ def test_detects_second_process_pool(tmp_path):
             """,
     })
     problems = check_imports.run(tmp_path)
-    assert len(problems) == 4, problems
-    assert problems[0].startswith("repro.core.api:3 constructs a Pool")
-    assert problems[1].startswith("repro.core.api:6 constructs a Pool")
-    assert problems[2].startswith("repro.core.api:7 constructs a Pool")
-    assert problems[3].startswith(
-        "repro.runtime.executor:6 constructs a ProcessPoolExecutor")
+    assert [p.split(";")[0] for p in problems] == [
+        "repro.core.api:3 constructs a Pool",
+        "repro.core.api:6 constructs a Pool",
+        "repro.core.api:7 constructs a Pool",
+        "repro.pipeline.workload:5 constructs a ProcessPoolExecutor",
+        "repro.runtime.executor:5 constructs a ProcessPoolExecutor",
+    ], problems
+    assert all("second fork site" in p for p in problems)
 
 
 def test_detects_threads_outside_the_statistical_renderer(tmp_path):
@@ -339,61 +359,55 @@ def test_detects_threads_outside_the_statistical_renderer(tmp_path):
 
 
 def test_renderer_pool_must_spawn(tmp_path):
-    """The statistical renderer may build one ProcessPoolExecutor, and only
-    with a literal spawn context: fork and forkserver pools, a context
-    passed in a variable, a second pool and a Pool are all flagged."""
+    """The pool the renderer and the executor lease is runtime/pool.py's
+    one ProcessPoolExecutor, with a literal spawn context: a second spawn
+    pool, fork and forkserver pools, a context passed in a variable, a
+    pool without a context and a Pool there are all flagged."""
     _write_pkg(tmp_path, {
         "__init__.py": "",
-        "pipeline/__init__.py": "",
-        "pipeline/workload.py": """\
+        "runtime/__init__.py": "",
+        "runtime/pool.py": """\
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            class StatisticalWorkload:
-                def _render_assignment(self, num_ranks):
-                    ProcessPoolExecutor(
-                        1, mp_context=multiprocessing.get_context("spawn"))
-                    ProcessPoolExecutor(
-                        1, mp_context=multiprocessing.get_context("spawn"))
-                    ProcessPoolExecutor(
-                        1, mp_context=multiprocessing.get_context("fork"))
-                    ProcessPoolExecutor(
-                        1, mp_context=multiprocessing.get_context(
-                            "forkserver"))
-                    ctx = multiprocessing.get_context("spawn")
-                    ProcessPoolExecutor(1, mp_context=ctx)
-                    ProcessPoolExecutor(1)
-                    multiprocessing.get_context("spawn").Pool(1)
-                def assignment(self, num_ranks):
-                    ProcessPoolExecutor(
-                        1, mp_context=multiprocessing.get_context("spawn"))
+            def submit(fn):
+                ProcessPoolExecutor(
+                    1, mp_context=multiprocessing.get_context("spawn"))
+                ProcessPoolExecutor(
+                    1, mp_context=multiprocessing.get_context("spawn"))
+                ProcessPoolExecutor(
+                    1, mp_context=multiprocessing.get_context("fork"))
+                ProcessPoolExecutor(
+                    1, mp_context=multiprocessing.get_context(
+                        "forkserver"))
+                ctx = multiprocessing.get_context("spawn")
+                ProcessPoolExecutor(1, mp_context=ctx)
+                ProcessPoolExecutor(1)
+                multiprocessing.get_context("spawn").Pool(1)
             """,
     })
     problems = check_imports.run(tmp_path)
     assert [p.split(";")[0] for p in problems] == [
-        f"repro.pipeline.workload:{line} constructs a {callee}"
+        f"repro.runtime.pool:{line} constructs a {callee}"
         for line, callee in [
-            (7, "ProcessPoolExecutor"), (9, "ProcessPoolExecutor"),
-            (11, "ProcessPoolExecutor"), (15, "ProcessPoolExecutor"),
-            (16, "ProcessPoolExecutor"), (17, "Pool"),
-            (19, "ProcessPoolExecutor"),
+            (6, "ProcessPoolExecutor"), (8, "ProcessPoolExecutor"),
+            (10, "ProcessPoolExecutor"), (14, "ProcessPoolExecutor"),
+            (15, "ProcessPoolExecutor"), (16, "Pool"),
         ]
     ], problems
-    assert all("spawn" in p for p in problems[:6])
-    assert "second fork site" in problems[6]
+    assert all('get_context("spawn")' in p for p in problems)
 
 
 def test_renderer_pool_with_spawn_passes(tmp_path):
     _write_pkg(tmp_path, {
         "__init__.py": "",
-        "pipeline/__init__.py": "",
-        "pipeline/workload.py": """\
+        "runtime/__init__.py": "",
+        "runtime/pool.py": """\
             import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            class StatisticalWorkload:
-                def _render_assignment(self, num_ranks):
-                    ProcessPoolExecutor(
-                        2, mp_context=multiprocessing.get_context("spawn"),
-                        initializer=print)
+            from concurrent.futures.process import ProcessPoolExecutor
+            def submit(fn, *args):
+                return ProcessPoolExecutor(
+                    2, mp_context=multiprocessing.get_context("spawn")
+                ).submit(fn, *args)
             """,
     })
     assert check_imports.run(tmp_path) == []

@@ -5,8 +5,6 @@ import json
 import multiprocessing
 import os
 import tempfile
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +20,7 @@ from repro.pipeline.workload import (
     StatisticalWorkload,
     TaskCostDistribution,
 )
+from repro.runtime import pool
 from tests.render_faults import FailingRngs, RankFailed
 
 
@@ -223,44 +222,48 @@ def test_statistical_empty_ranks_serve_nothing():
     assert np.all(a.incoming_lookups[~empty] > 0)
 
 
-class _SpyPool(ProcessPoolExecutor):
-    """The renderer's pool, counting the workers each render asked for."""
-
-    started: list[int] = []
-
-    def __init__(self, max_workers, **kwargs):
-        _SpyPool.started.append(max_workers)
-        super().__init__(max_workers, **kwargs)
-
-
 @pytest.fixture
 def process_render(monkeypatch):
-    """Every statistical render in this process goes to worker processes
-    (the threshold is forced to 0 here, in the parent), on the number of
-    CPUs the returned setter gives; the caller's own chunks are logged."""
+    """Every statistical render in this process goes to the process's
+    pool (the threshold is forced to 0 here, in the parent), sized to the
+    number of CPUs the returned setter gives; the caller's own chunks and
+    the pool's futures are logged.
+
+    After a render the only live children are the pool's workers, at
+    most one per CPU; after the pool's shutdown there are none."""
     monkeypatch.setattr(workload_mod, "PROCESS_RENDER_TASKS", 0)
-    monkeypatch.setattr(workload_mod, "ProcessPoolExecutor", _SpyPool)
-    caller_chunks = []
-    real = workload_mod._render_ranks
+    caller_chunks, futures, sizes = [], [], []
+    real_render, real_submit = workload_mod._render_ranks, pool.submit
 
     def logged(draws, lo, hi, sums, requests):
         caller_chunks.append((lo, hi))
-        real(draws, lo, hi, sums, requests)
+        real_render(draws, lo, hi, sums, requests)
+
+    def submit(fn, *args):
+        futures.append(real_submit(fn, *args))
+        assert len(multiprocessing.active_children()) <= sizes[-1]
+        return futures[-1]
 
     monkeypatch.setattr(workload_mod, "_render_ranks", logged)
+    monkeypatch.setattr(pool, "submit", submit)
 
     def use_cpus(cpus: int) -> list:
-        monkeypatch.setattr(workload_mod, "_render_workers", lambda: cpus)
+        pool.shutdown()  # the next submit builds a pool of `cpus` workers
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        sizes.append(cpus)
         caller_chunks.clear()
-        _SpyPool.started.clear()
+        futures.clear()
         return caller_chunks
 
+    use_cpus.futures = futures
     yield use_cpus
+    assert len(multiprocessing.active_children()) <= sizes[-1]
+    pool.shutdown()
     assert not multiprocessing.active_children()
 
 
 def test_statistical_render_is_process_count_invariant(process_render):
-    """Rank chunks rendered in 1 or 2 spawned workers besides the caller
+    """Rank chunks rendered in 1 or 2 pool workers besides the caller
     give the serial arrays bit for bit: ranks with no reads (P = 16 over
     6 reads) and with no tasks (P = 2 500 over 2 000 tasks) included.  The
     workers render the low chunks, the caller the high ones."""
@@ -276,15 +279,15 @@ def test_statistical_render_is_process_count_invariant(process_render):
             assert num_ranks not in wl.assignment_cache
             chunks = min(workload_mod.RENDER_CHUNKS, num_ranks)
             workers = min(cpus, chunks) - 1
-            assert _SpyPool.started == ([workers] if workers else [])
+            assert bool(process_render.futures) == bool(workers)
             if workers:
                 # the caller took chunks from the top, none of the first
-                # two per worker, which are submitted before it starts
+                # one per worker, which are submitted before it starts
                 los = [lo for lo, _ in caller_chunks]
                 assert los == sorted(los, reverse=True)
                 assert caller_chunks[0][1] == num_ranks
                 assert min(los, default=num_ranks) >= (
-                    num_ranks * min(2 * workers, chunks) // chunks)
+                    num_ranks * workers // chunks)
         pin = ASSIGNMENT_PINS.get(f"statistical/{spec.name}@0/p{num_ranks}")
         if pin is not None:
             assert regen.assignment_digest(renders[1]) == pin
@@ -310,42 +313,67 @@ def test_statistical_pins_hold_in_worker_processes(key, process_render):
     assert digest == ASSIGNMENT_PINS[key]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_one_pool_holds_every_pin_on_any_cpu_count(cpus, process_render):
+    """On a pool of 1, 2 or 3 workers, every statistical pin renders its
+    bits, and a real-kernel micro run gives the serial run's bits on the
+    serial, process and auto backends; each executor leaves no segment."""
+    from repro.core.api import get_workload, run_alignment
+    from repro.engines.base import EngineConfig
+    from repro.machine.config import cori_knl
+    from repro.runtime.executor import active_shm_segments
+
+    process_render(cpus)
+    for key in STATISTICAL_PINS:
+        factory, num_ranks = ASSIGNMENT_CASES[key]
+        assert regen.assignment_digest(
+            factory()._render_assignment(num_ranks)) == ASSIGNMENT_PINS[key]
+    micro = get_workload("micro", seed=11)
+    machine = cori_knl(1, app_cores_per_node=4)
+    runs = {}
+    for backend in ("serial", "process", "auto"):
+        runs[backend] = run_alignment(
+            micro, 1, "bsp-micro", machine=machine, kernel="real",
+            config=EngineConfig(backend=backend,
+                                workers=1 if backend == "serial" else 2))
+        assert not active_shm_segments()
+    for backend in ("process", "auto"):
+        assert runs[backend].signature() == runs["serial"].signature()
+        assert runs[backend].alignments == runs["serial"].alignments
+
+
 @pytest.mark.parametrize("failing", ["caller", "worker"])
 def test_statistical_render_failure_joins_every_worker(process_render,
                                                       monkeypatch, failing):
     """A rank that raises, in the caller or in a worker, reaches the caller
-    as its own exception type after every worker has been joined, and
-    the render caches nothing."""
+    as its own exception type after every chunk it gave the pool has
+    finished, and the render caches nothing."""
     process_render(3)
     wl = StatisticalWorkload(tiny_spec(), seed=3)
     num_ranks = 24
-    # workers are given chunks 0-3 before the caller takes the top one
+    # workers are given chunks 0-1 before the caller takes the top one
     bad_rank = 0 if failing == "worker" else num_ranks - 1
     monkeypatch.setattr(wl, "rngs", FailingRngs(wl.rngs, bad_rank))
-    threads = threading.active_count()
     with pytest.raises(RankFailed, match=f"rank {bad_rank}"):
         wl.assignment(num_ranks)
-    assert _SpyPool.started == [2]
-    assert not multiprocessing.active_children()
-    assert threading.active_count() == threads
+    assert len(process_render.futures) >= 2
+    assert all(f.done() for f in process_render.futures)
     assert num_ranks not in wl.assignment_cache
 
 
 def test_statistical_render_worker_killed_is_typed(process_render,
                                                    monkeypatch):
     """A worker SIGKILLed mid-render fails the render with the typed
-    WorkerCrashError, joins the pool and caches nothing."""
+    WorkerCrashError and caches nothing; the next render builds a new
+    pool and gives the serial bits."""
     process_render(2)
     wl = StatisticalWorkload(tiny_spec(), seed=3)
     num_ranks = 24
     monkeypatch.setattr(wl, "rngs", FailingRngs(wl.rngs, 0, how="kill"))
-    threads = threading.active_count()
     with pytest.raises(WorkerCrashError, match="render worker died"):
         wl.assignment(num_ranks)
-    assert not multiprocessing.active_children()
-    assert threading.active_count() == threads
+    assert all(f.done() for f in process_render.futures)
     assert num_ranks not in wl.assignment_cache
-    # the next render of the same workload starts a fresh pool
     monkeypatch.setattr(wl, "rngs", wl.rngs.rngs)
     assert regen.assignment_digest(wl.assignment(num_ranks)) == \
         regen.assignment_digest(

@@ -439,6 +439,28 @@ def test_error_statuses(server, method, path, body, code):
     assert "error" in json.load(err.value)
 
 
+@pytest.mark.parametrize("faults,wording", [
+    ("join=r9@1ms", "fault clause 'join=r9@0.001' names rank 9, but the "
+                    "machine has 2 ranks"),
+    ("join=r0@1ms,join=r1@1ms", "no initial members: every rank of the "
+                                "machine joins mid-run"),
+])
+def test_fault_plan_that_does_not_fit_the_machine_is_400(server, faults,
+                                                         wording):
+    """A plan naming a rank the 1 x 2 machine lacks, or one where every
+    rank joins, is refused at submit in the schedule check's own words,
+    not admitted to fail later (nor, for the all-join plan, a 500)."""
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _request(server.url("/jobs"), "POST",
+                 {"workload": "micro", "engine": "bsp", "nodes": 1,
+                  "cores_per_node": 2, "faults": faults})
+    assert err.value.code == 400
+    body = json.load(err.value)
+    assert body["error"] == "ConfigurationError"
+    assert wording in body["message"]
+    assert server.queue.stats()["submitted"] == 0
+
+
 def test_wrongly_typed_field_is_a_typed_400(server):
     """A string where an integer belongs is answered, not a dead handler
     thread and a connection closed without a status."""
@@ -670,3 +692,26 @@ def test_serve_cli_boots_serves_and_stops_cleanly():
             proc.kill()
             raise AssertionError("serve did not exit on SIGINT")
     assert rc == 0
+
+
+def test_serve_started_with_sigint_ignored_still_stops_on_it():
+    """A shell starts a background job (``serve &``) with SIGINT ignored;
+    the server takes SIGINT back, so the signal still drains it."""
+    repo = Path(__file__).parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--slots", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, cwd=repo,
+        env={**os.environ, "PYTHONPATH": str(repo / "src")}, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        assert "listening on http://" in proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=30) == 0
+        assert "service stopped" in proc.stdout.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

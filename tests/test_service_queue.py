@@ -3,8 +3,9 @@
 What docs/SERVICE.md promises and the service relies on:
 
 * the backlog is bounded — overflow is a typed ``QueueFullError``;
-* admission is FIFO-with-priority and budgeted against worker slots and
-  a :class:`~repro.machine.memory.NodeMemory` ledger;
+* admission is FIFO-with-priority and budgeted against a
+  :class:`~repro.machine.memory.NodeMemory` ledger, which charges the
+  process's worker pool once;
 * identical in-flight submissions run the engine **once** (single-flight
   coalescing + result cache), every submitter getting bit-identical
   results — pinned here as a hypothesis property;
@@ -130,16 +131,26 @@ def test_backlog_overflow_is_a_typed_rejection():
         q.shutdown()
 
 
-def test_never_admittable_requests_fail_at_submit():
-    q = RunQueue(start=False, memory_bytes=1024.0)
+def test_never_admittable_requests_fail_at_submit(monkeypatch):
+    """A job that cannot fit beside the pool's one charge fails at submit,
+    whatever its worker count; a ledger that cannot hold the pool fails
+    at construction."""
+    monkeypatch.setattr(queue_mod.pool, "usable_cpus", lambda: 2)
+    pool_bytes = 2 * queue_mod.PER_WORKER_BYTES
+    q = RunQueue(start=False, memory_bytes=pool_bytes + 1024.0)
+    assert q.stats()["memory_used"] == q.stats()["memory_pool"] == pool_bytes
     with pytest.raises(ConfigurationError, match="never"):
         q.submit(JobRequest(seed=33))
     q.shutdown()
-    q2 = RunQueue(start=False, total_workers=1)
-    with pytest.raises(ConfigurationError, match="pool workers"):
-        q2.submit(JobRequest(engine="bsp-micro", kernel="real",
-                             config={"backend": "process", "workers": 4}))
+    q2 = RunQueue(start=False, memory_bytes=pool_bytes
+                  + queue_mod.BASE_JOB_BYTES + queue_mod.REAL_KERNEL_BYTES)
+    job = q2.submit(JobRequest(engine="bsp-micro", kernel="real",
+                               config={"backend": "process", "workers": 64}))
+    assert job.budget == {"bytes": float(queue_mod.BASE_JOB_BYTES
+                                         + queue_mod.REAL_KERNEL_BYTES)}
     q2.shutdown()
+    with pytest.raises(ConfigurationError, match="worker pool"):
+        RunQueue(start=False, memory_bytes=pool_bytes - 1.0)
 
 
 def test_admission_order_respects_priority_then_fifo():
@@ -161,9 +172,8 @@ def test_memory_ledger_balances_after_the_queue_drains():
         jobs = [q.submit(JobRequest(seed=50 + i)) for i in range(4)]
         _drain(q, jobs)
         stats = q.stats()
-        assert stats["memory_used"] == 0.0
-        assert stats["memory_high_water"] > 0.0
-        assert stats["workers_free"] == stats["workers_total"]
+        assert stats["memory_used"] == stats["memory_pool"]
+        assert stats["memory_high_water"] > stats["memory_pool"]
         assert stats["executed"] == 4
 
 
@@ -419,9 +429,7 @@ def test_stress_sixteen_mixed_jobs_over_two_slots():
     assert len(requests) == 16
     assert len({r.cache_key() for r in requests}) == 16  # all distinct
 
-    # total_workers=4 keeps the real-kernel pool jobs admittable on
-    # single-core CI boxes; with 2 slots at most 2x2 workers are held
-    q = RunQueue(slots=2, start=False, total_workers=4)
+    q = RunQueue(slots=2, start=False)
     jobs = [q.submit(r) for r in requests]
     q.start()
     try:
@@ -437,8 +445,7 @@ def test_stress_sixteen_mixed_jobs_over_two_slots():
         assert admitted_prio == sorted(admitted_prio, reverse=True)
         stats = q.stats()
         assert stats["executed"] + stats["failed"] == 16
-        assert stats["memory_used"] == 0.0
-        assert stats["workers_free"] == stats["workers_total"]
+        assert stats["memory_used"] == stats["memory_pool"]
     finally:
         q.shutdown()
     assert active_shm_segments() == baseline

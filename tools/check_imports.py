@@ -67,23 +67,22 @@ Nine classes of violation, all enforced in CI (and mirrored by
 
 9. **A second process pool.**  A ``ProcessPoolExecutor(``,
    ``multiprocessing.Pool(`` or ``get_context(...).Pool(`` call anywhere
-   under ``repro/`` outside ``ProcessExecutor.__init__`` in
-   ``runtime/executor.py`` and one ``ProcessPoolExecutor(`` in
-   ``StatisticalWorkload._render_assignment`` in ``pipeline/workload.py``
-   whose ``mp_context`` is a literal ``get_context("spawn")``.  Each
-   other pool is a fork site, and forking from a process that already
-   runs threads is the service's fork-safety hazard; a grid fan-out once
-   forked a pool per call and ran 4-12x slower than the serial loop it
-   replaced (docs/PLANNER.md "Why grids run serially").  The renderer's
-   spawned workers start from a fresh interpreter (docs/PARALLEL.md "The
-   statistical renderer's worker processes"); a fork or forkserver
-   context there is flagged.
+   under ``repro/`` but one ``ProcessPoolExecutor(`` in
+   ``runtime/pool.py`` whose ``mp_context`` is a literal
+   ``get_context("spawn")``.  That module owns the process's one pool,
+   which the statistical renderer and the ``process`` backend lease
+   (docs/PARALLEL.md "One worker pool per process").  Each other pool is
+   a second set of workers nobody counts, and a fork or forkserver pool
+   is a fork site: forking from a process that already runs threads is
+   the service's fork-safety hazard, and a grid fan-out once forked a
+   pool per call and ran 4-12x slower than the serial loop it replaced
+   (docs/PLANNER.md "Why grids run serially").
 
 10. **Threads below the service.**  A ``threading.Thread(`` or
     ``ThreadPoolExecutor(`` call anywhere under ``repro/pipeline``,
     ``repro/engines`` or ``repro/runtime``.  The engines, the renderers
-    and the executor stay single-threaded, so no thread of theirs is
-    alive when the executor forks its pool.
+    and the executor stay single-threaded: the service's slot threads
+    are the only threads that run them.
 
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
 prints one line per violation.
@@ -130,13 +129,10 @@ RENDER_METHODS = ("assignment", "micro_plan")
 LRU_MODULES = ("repro.utils.cache", "repro.pipeline.sharded")
 LRU_NAMES = ("OrderedDict", "move_to_end")
 
-#: the callees that make a process pool; the executor's pool site, which
-#: may make any; and the statistical renderer's, which may make one
-#: spawn-context ``ProcessPoolExecutor``
+#: the callees that make a process pool, and the one module that may make
+#: one spawn-context ``ProcessPoolExecutor``
 POOL_CONSTRUCTORS = ("ProcessPoolExecutor", "Pool")
-POOL_SITE = ("repro.runtime.executor", "ProcessExecutor", "__init__")
-SPAWN_POOL_SITE = ("repro.pipeline.workload", "StatisticalWorkload",
-                   "_render_assignment")
+POOL_MODULE = "repro.runtime.pool"
 
 #: packages that start no thread, and the callees that start one
 THREAD_PACKAGES = ("repro.pipeline", "repro.engines", "repro.runtime")
@@ -435,29 +431,18 @@ def _callee(call: ast.Call) -> str | None:
 
 def _calls(src_root: Path, packages: tuple[str, ...],
            callees: tuple[str, ...]):
-    """``(site, callee, call)`` per call to one of ``callees`` under
-    ``packages``, in source order.  ``site`` is ``(module, class,
-    method)`` of the method whose body holds the call (``None`` for class
-    and method outside one)."""
+    """``(module, callee, call)`` per call to one of ``callees`` under
+    ``packages``, in source order."""
     hits = []
     for path in sorted((src_root / PACKAGE).rglob("*.py")):
         name = module_name(path, src_root)
         if not name.startswith(packages):
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        methods: dict[int, tuple[str, str]] = {}
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef):
-                for fn in cls.body:
-                    if isinstance(fn, ast.FunctionDef):
-                        methods.update(dict.fromkeys(
-                            map(id, ast.walk(fn)), (cls.name, fn.name)))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _callee(node) in callees:
-                site = (name, *methods.get(id(node), (None, None)))
-                hits.append((site, _callee(node), node))
-    return sorted(hits, key=lambda h: (h[0][0], h[2].lineno,
-                                       h[2].col_offset))
+                hits.append((name, _callee(node), node))
+    return sorted(hits, key=lambda h: (h[0], h[2].lineno, h[2].col_offset))
 
 
 def _spawn_context(call: ast.Call) -> bool:
@@ -471,39 +456,35 @@ def _spawn_context(call: ast.Call) -> bool:
 
 
 def pool_constructions(src_root: Path) -> list[str]:
-    """:data:`POOL_CONSTRUCTORS` calls outside :data:`POOL_SITE`, but for
-    one spawn-context ``ProcessPoolExecutor`` at :data:`SPAWN_POOL_SITE`."""
+    """:data:`POOL_CONSTRUCTORS` calls, but for one spawn-context
+    ``ProcessPoolExecutor`` in :data:`POOL_MODULE`."""
     problems = []
     spawned = False
-    for site, callee, call in _calls(src_root, (PACKAGE,),
-                                     POOL_CONSTRUCTORS):
-        if site == POOL_SITE:
-            continue
-        where = f"{site[0]}:{call.lineno} constructs a {callee}"
-        if site != SPAWN_POOL_SITE:
+    for module, callee, call in _calls(src_root, (PACKAGE,),
+                                       POOL_CONSTRUCTORS):
+        where = f"{module}:{call.lineno} constructs a {callee}"
+        if module != POOL_MODULE:
             problems.append(
-                f"{where}; the process pools are ProcessExecutor's and the "
-                f"statistical renderer's (a second pool is a second fork "
-                f"site)")
+                f"{where}; the process has one pool, {POOL_MODULE}'s (a "
+                f"second pool is a second fork site)")
         elif (callee == "ProcessPoolExecutor" and _spawn_context(call)
                 and not spawned):
             spawned = True
         else:
             problems.append(
-                f"{where}; the statistical renderer builds one "
-                f"ProcessPoolExecutor, with "
-                f'mp_context=multiprocessing.get_context("spawn") (a fork '
-                f"or forkserver pool is a fork site)")
+                f"{where}; {POOL_MODULE} builds one ProcessPoolExecutor, "
+                f'with mp_context=multiprocessing.get_context("spawn") (a '
+                f"fork or forkserver pool is a fork site)")
     return problems
 
 
 def thread_starts(src_root: Path) -> list[str]:
     """:data:`THREAD_CONSTRUCTORS` calls in the :data:`THREAD_PACKAGES`."""
     return [
-        f"{site[0]}:{call.lineno} constructs a {callee}; below the service "
+        f"{module}:{call.lineno} constructs a {callee}; below the service "
         f"nothing starts a thread"
-        for site, callee, call in _calls(src_root, THREAD_PACKAGES,
-                                         THREAD_CONSTRUCTORS)
+        for module, callee, call in _calls(src_root, THREAD_PACKAGES,
+                                           THREAD_CONSTRUCTORS)
     ]
 
 
@@ -535,7 +516,7 @@ def main(argv: list[str]) -> int:
               f"pipeline/engines, "
               f"no shard-aware engine/runtime code, one kernel dispatch "
               f"site, no scipy, one task-row renderer, no hand-rolled LRU, "
-              f"two process pools (one spawned), no thread below the "
+              f"one spawned process pool, no thread below the "
               f"service")
     return 1 if problems else 0
 
