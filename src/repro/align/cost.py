@@ -113,12 +113,3 @@ class AlignmentCostModel:
     def mean_task_cost(self, dataset: str) -> float:
         """Calibrated mean per-task cost for a named dataset."""
         return MEAN_TASK_COST[dataset]
-
-    def implied_mean_overlap(self, dataset: str) -> float:
-        """Overlap length whose band sweep costs the dataset's mean task.
-
-        Used by the statistical workloads to anchor their overlap-length
-        distributions to the single-core runtime anchors.
-        """
-        mean_cost = self.mean_task_cost(dataset)
-        return mean_cost * self.cell_rate / self.band_width

@@ -113,10 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--backend", choices=list(BACKENDS), default="serial",
                        help="compute backend for --kernel real task batches: "
                             "serial inline, process pool, or auto "
-                            "(measures both, keeps the winner; "
+                            "(the pool on >= 2 usable CPUs and a large "
+                            "enough workload, else serial; "
                             "docs/PARALLEL.md)")
     p_run.add_argument("--workers", type=int, default=1,
-                       help="worker-process count for --backend process")
+                       help="chunks each kernel call is split into on the "
+                            "worker pool (--backend process or auto)")
 
     p_cmp = sub.add_parser("compare",
                            help="run the macro engines side by side")

@@ -74,14 +74,15 @@ class EngineConfig:
     backend : compute backend for the micro engines' real-kernel batches
         (``"serial"``, ``"process"`` or ``"auto"``, see
         :mod:`repro.runtime.executor` and docs/PARALLEL.md).  ``auto``
-        measures serial vs pool throughput on the first batches and
-        commits to whichever wins on this machine/workload.  Affects only
-        real wall-clock — results and simulated times are bit-identical
-        across backends.
-    workers : worker-process count of the ``process`` backend (>= 1;
-        ignored by ``serial``).  For ``auto``, the default 1 means "one
-        worker per core (capped at 8)"; any value > 1 is used as-is.
-        The pool splits each kernel call evenly over its workers.
+        resolves to one of the other two before the run: the pool when
+        the process may use two CPUs or more and the workload is large
+        enough to pay for it, serial otherwise.  Affects only real
+        wall-clock — results and simulated times are bit-identical across
+        backends.
+    workers : chunks each kernel call is split into on the process's one
+        worker pool (>= 1; ignored by ``serial``).  The pool itself has a
+        worker per usable CPU whatever this is.  For ``auto``, the default
+        1 means one chunk per usable CPU; any value > 1 is used as-is.
     """
 
     mode: ExecutionMode = ExecutionMode.FULL

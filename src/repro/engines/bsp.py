@@ -30,9 +30,7 @@ from repro.engines.common import (
     BSP_TASK_RECORD_BYTES,
     bsp_memory,
     bsp_model,
-    bsp_num_rounds,
     bsp_superstep,
-    exchange_budget,
 )
 from repro.engines.harness import ExecutionContext
 from repro.engines.rebalance import MigrationLedger
@@ -54,18 +52,6 @@ class BSPEngine:
 
     config: EngineConfig = field(default_factory=EngineConfig)
     name: str = "bsp"
-
-    # -- round sizing (the §3.1 dynamic superstep logic) --------------------
-
-    def exchange_budget(self, machine: MachineSpec,
-                        assignment: WorkloadAssignment) -> float:
-        """Receive-buffer bytes one rank may devote to a single round."""
-        return exchange_budget(self.config, machine, assignment)
-
-    def num_rounds(self, machine: MachineSpec,
-                   assignment: WorkloadAssignment) -> int:
-        """Rounds needed so every rank's round receive fits its budget."""
-        return bsp_num_rounds(self.config, machine, assignment)
 
     # -- simulation ----------------------------------------------------------
 

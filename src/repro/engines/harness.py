@@ -16,15 +16,9 @@ reporting).  :class:`ExecutionContext` bundles that wiring once:
   ``validate()``, the independent trace re-sum
   (``assert_conserved(check_trace(...))``), and the common counters
   (``tasks``, ``lookups``, engine extras, redistribution);
-* :func:`begin_trace` / :func:`resolve_executor` / :func:`finish_run` —
-  the same prologue/epilogue pieces for the micro engines, whose per-rank
-  machinery lives in :class:`repro.runtime.context.SpmdContext`.
-
-The micro engines route real-kernel batches through the *compute
-backend* :func:`resolve_executor` builds (a
-:class:`repro.runtime.executor.TaskExecutor`) rather than calling the
-aligner directly, so a run can fan kernel work out to a process pool with
-zero engine-code changes (docs/PARALLEL.md).
+* :func:`begin_trace` / :func:`finish_run` — the same prologue/epilogue
+  pieces for the micro engines, whose per-rank machinery lives in
+  :class:`repro.runtime.context.SpmdContext`.
 
 New engines (see ``docs/ARCHITECTURE.md``) should never need to touch the
 observability or conservation plumbing: open a context, charge phases,
@@ -52,11 +46,9 @@ from repro.obs import (
     check_trace,
 )
 from repro.pipeline.workload import WorkloadAssignment
-from repro.runtime.executor import TaskExecutor, make_task_executor
 from repro.utils.rng import RngFactory
 
-__all__ = ["ExecutionContext", "begin_trace", "resolve_executor",
-           "finish_run"]
+__all__ = ["ExecutionContext", "begin_trace", "finish_run"]
 
 
 def begin_trace(tracer: Tracer | None, engine_name: str,
@@ -72,20 +64,6 @@ def begin_trace(tracer: Tracer | None, engine_name: str,
             f"P={machine.total_ranks}"
         )
     return tracer
-
-
-def resolve_executor(config: EngineConfig, workload, aligner) -> TaskExecutor:
-    """Build the kernel-batch backend of one run from its config.
-
-    Engines hold the result in a ``with`` block so the pool and its
-    shared-memory segments are torn down even when a fault plan aborts the
-    run mid-flight (``tests/test_executor.py`` asserts nothing leaks).
-    ``backend="auto"`` resolves to the measure-then-choose
-    :class:`~repro.runtime.executor.AutoExecutor`; a pool request on a
-    model-kernel run is a :class:`~repro.errors.ConfigurationError`.
-    """
-    return make_task_executor(workload, aligner, backend=config.backend,
-                              workers=config.workers)
 
 
 def finish_run(

@@ -36,7 +36,7 @@ from repro.engines.common import (
     bsp_num_rounds,
     internode_fraction,
 )
-from repro.engines.harness import begin_trace, finish_run, resolve_executor
+from repro.engines.harness import begin_trace, finish_run
 from repro.engines.rebalance import (
     ChurnPool,
     MigrationLedger,
@@ -51,6 +51,7 @@ from repro.obs import ENGINE_LANE, MetricsRegistry, Tracer
 from repro.pipeline.workload import ConcreteWorkload
 from repro.runtime.collectives import Collectives
 from repro.runtime.context import SpmdContext
+from repro.runtime.executor import make_task_executor
 from repro.runtime.rpc import RpcLayer
 from repro.utils.arrays import sorted_unique
 
@@ -102,11 +103,13 @@ class _MicroBase:
         the configured backend (``config.backend``/``workers``, see
         docs/PARALLEL.md) in a few large kernel
         calls.  A run that aborts (fault plan, cancellation) before that
-        point spends no kernel time; the ``with`` block guarantees pool +
-        shared-memory teardown either way.
+        point spends no kernel time; the ``with`` block unlinks the
+        shared-memory segments either way.
         """
         aligner = SeedExtendAligner() if kernel == "real" else None
-        with resolve_executor(self.config, workload, aligner) as executor:
+        with make_task_executor(workload, aligner,
+                                backend=self.config.backend,
+                                workers=self.config.workers) as executor:
             return self._run(workload, machine, executor,
                              tracer=tracer, metrics=metrics, faults=faults)
 

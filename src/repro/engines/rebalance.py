@@ -141,16 +141,6 @@ class ChurnPool:
                 return q.popleft()
         return None
 
-    def claimable(self, rank: int, is_member) -> bool:
-        """Would :meth:`claim` currently return an item for ``rank``?"""
-        q = self._queues.get(rank)
-        if q:
-            return True
-        return any(
-            orig != rank and q and not is_member(orig)
-            for orig, q in self._queues.items()
-        )
-
     def pending_anywhere(self) -> bool:
         """Is any item still unclaimed (regardless of membership)?"""
         return any(self._queues.values())

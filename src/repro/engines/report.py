@@ -131,16 +131,6 @@ class RuntimeBreakdown:
             for c in CATEGORIES
         }
 
-    def compute_imbalance(self) -> float:
-        """max/avg of per-rank alignment compute (Figure 5's right axis)."""
-        return self.summary("compute_align").imbalance
-
-    def normalized_to(self, other: "RuntimeBreakdown") -> float:
-        """This run's wall time as a fraction of ``other``'s (Figure 8-10)."""
-        if other.wall_time <= 0:
-            raise SimulationError("cannot normalize to zero runtime")
-        return self.wall_time / other.wall_time
-
     def validate(self, rtol: float = 1e-6) -> None:
         """Per-rank categories must tile the wall clock (within tolerance).
 

@@ -71,20 +71,6 @@ class DatasetSpec:
     genome_size: int = 0
     sequence_level: bool = False
 
-    @property
-    def tasks_per_read(self) -> float:
-        return self.n_tasks / max(1, self.n_reads)
-
-    @property
-    def total_read_bases(self) -> float:
-        return self.n_reads * self.mean_read_length
-
-    def implied_genome_size(self) -> float:
-        """Genome size implied by read volume and coverage."""
-        if self.genome_size:
-            return float(self.genome_size)
-        return self.total_read_bases / self.coverage
-
 
 def _exact(name, species, reads, tasks, coverage, err, mean_len, sigma) -> DatasetSpec:
     return DatasetSpec(

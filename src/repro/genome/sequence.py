@@ -154,18 +154,6 @@ class ReadSet:
         for i in range(len(self)):
             yield self.read(i)
 
-    def index_of(self, read_id: int) -> int:
-        """Local index of a global read id (O(n) first call, cached map)."""
-        try:
-            lookup = self._id_lookup  # type: ignore[has-type]
-        except AttributeError:
-            lookup = {int(g): i for i, g in enumerate(self.ids)}
-            self._id_lookup = lookup
-        try:
-            return lookup[int(read_id)]
-        except KeyError:
-            raise SequenceError(f"read id {read_id} not in this ReadSet") from None
-
     def subset(self, indices: np.ndarray) -> "ReadSet":
         """New ReadSet with the given local indices (copies the data)."""
         indices = np.asarray(indices, dtype=np.int64)

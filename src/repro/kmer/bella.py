@@ -18,15 +18,12 @@ length ``k`` to choose which k-mer multiplicities mark *reliable* seeds:
 
 This module implements that calculation in exact integer arithmetic (the
 float ``p`` and ``tail_prob`` are dyadic rationals, so every binomial term
-scaled by ``den**d`` is an integer) and exposes both the bounds and the
-retention probability curve for tests.
+scaled by ``den**d`` is an integer) and exposes the bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -109,12 +106,6 @@ class BellaModel:
     def bounds(self) -> tuple[int, int]:
         """``(lo, hi)`` multiplicity band of reliable k-mers."""
         return self.min_count, self.upper_bound()
-
-    def retention_probability(self, multiplicity: np.ndarray) -> np.ndarray:
-        """Indicator of retention for each multiplicity (vectorized)."""
-        lo, hi = self.bounds()
-        m = np.asarray(multiplicity)
-        return ((m >= lo) & (m <= hi)).astype(float)
 
     def describe(self) -> dict:
         lo, hi = self.bounds()

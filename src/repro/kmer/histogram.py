@@ -50,10 +50,6 @@ class KmerHistogram:
             raise ValueError("kmers/counts length mismatch")
 
     @property
-    def num_distinct(self) -> int:
-        return int(self.kmers.size)
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -72,11 +68,6 @@ class KmerHistogram:
         """Keep k-mers with ``lo <= count <= hi`` (the reliable band)."""
         keep = (self.counts >= lo) & (self.counts <= hi)
         return KmerHistogram(self.kmers[keep], self.counts[keep], self.k)
-
-    def multiplicity_spectrum(self, max_count: int = 64) -> np.ndarray:
-        """Histogram-of-the-histogram: #distinct k-mers at each multiplicity."""
-        clipped = np.minimum(self.counts, max_count)
-        return np.bincount(clipped, minlength=max_count + 1)
 
     def merge(self, other: "KmerHistogram") -> "KmerHistogram":
         """Union two histograms, summing counts (the all-to-all reduction)."""

@@ -135,7 +135,3 @@ class KmerExtractor:
         if self.canonical:
             kmers = np.minimum(kmers, revcomp_packed(kmers, k))
         return kmers, rids, pos
-
-    def expected_kmers(self, genome_size: int, coverage: float) -> float:
-        """Paper §2: O(genome_size x coverage) k-mers for the whole input."""
-        return float(genome_size) * float(coverage)

@@ -112,14 +112,6 @@ class SeedIndex:
             occ = [c[keep] for c in occ]
         return cls(*occ)
 
-    @property
-    def num_occurrences(self) -> int:
-        return int(self.kmers.size)
-
-    @property
-    def num_distinct(self) -> int:
-        return int(self.distinct.size)
-
 
 def _first_per_pair(key, occ_a, occ_b, shared):
     """Reduce pair rows to one per pair key: the first row of each key's

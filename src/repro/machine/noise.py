@@ -51,21 +51,3 @@ class NoiseModel:
             return np.ones(num_ranks)
         rng = self.rngs.stream("noise", phase_key)
         return 1.0 + rng.exponential(self.noise_fraction, size=num_ranks)
-
-    def dilate(self, durations: np.ndarray, phase_key: int) -> np.ndarray:
-        """Dilate a per-rank phase-duration vector.
-
-        ``phase_key`` namespaces the random draw so repeated phases get
-        independent noise but reruns are bit-reproducible.
-        """
-        durations = np.asarray(durations, dtype=np.float64)
-        if not self.active or self.noise_fraction <= 0:
-            return durations
-        return durations * self.factors(durations.shape[0], phase_key)
-
-    def dilate_scalar(self, duration: float, rank: int, phase_key: int) -> float:
-        """Dilate a single rank's phase duration."""
-        if not self.active or self.noise_fraction <= 0:
-            return duration
-        rng = self.rngs.stream("noise", phase_key, rank)
-        return duration * (1.0 + float(rng.exponential(self.noise_fraction)))

@@ -93,9 +93,8 @@ class MetricsRegistry:
         structure — e.g. the process-backend executor's
         dispatch/wait/merge split and per-worker timings
         (``exec_dispatch_s``, ``exec_wait_s``, ``exec_merge_s``,
-        ``exec_w0_align_wall_s``, ...) or the auto backend's probe
-        measurements.  Non-numeric values
-        are skipped, so callers can pass a stats dict verbatim.
+        ``exec_w0_align_wall_s``, ...).  Non-numeric values are
+        skipped, so callers can pass a stats dict verbatim.
         """
         for name, value in values.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -117,10 +116,6 @@ class MetricsRegistry:
 
     def summary(self, name: str) -> Summary:
         return summarize(self._array(name))
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of every counter, keyed by name."""
-        return {k: v.copy() for k, v in sorted(self._counters.items())}
 
     def rows(self) -> list[list]:
         """``[name, min, avg, max, sum]`` rows for table rendering."""

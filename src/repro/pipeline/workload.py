@@ -138,11 +138,6 @@ class WorkloadAssignment:
             + float(self.partition_bytes.mean())
         )
 
-    @property
-    def mean_task_cost(self) -> float:
-        total = self.tasks_per_rank.sum()
-        return float(self.compute_seconds.sum() / total) if total else 0.0
-
 
 @dataclass(frozen=True)
 class MicroPlan:

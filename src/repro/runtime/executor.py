@@ -22,13 +22,10 @@ align_batch`:
   Nothing is pickled on the return path beyond a ``(pid, seconds,
   count)`` triple; the parent rehydrates :class:`Alignment` objects from
   the shared rows (:meth:`align_tasks`).
-* ``auto`` — :class:`AutoExecutor` measures, then chooses.  The first
-  real batches run serial to sample kernel throughput; if the machine has
-  spare cores and the batches are big enough to amortize dispatch, the
-  next batches probe a process pool, and whichever side measures faster
-  wins the rest of the run.  Single-core machines and runs too small to
-  fill the probe commit to serial without ever paying for a pool, so
-  ``auto`` is a safe default everywhere.
+* ``auto`` — :func:`make_task_executor` picks one of the two before the
+  run, from what the run already knows: the pool when the process may
+  use two CPUs or more and the workload has at least
+  :data:`AUTO_POOL_TASKS` tasks, serial otherwise.
 
 Who calls: the micro engines record the tasks their simulation executes
 and resolve the recording once, after it drains, in a few kernel calls of
@@ -45,11 +42,11 @@ bit-identical to a ``serial`` run for any worker count — locked down by
 ``tests/test_executor.py`` and the golden-signature suite.
 
 When ``serial`` wins: dispatching a chunk costs roughly a millisecond of
-IPC and starting the pool's workers ~0.3 s, which a run of a few
-hundred tasks cannot earn back — ``auto`` exists precisely to make that
-call from measurements instead of folklore; see ``docs/PARALLEL.md`` for
-the design discussion and ``docs/PERFORMANCE.md`` ("Kernel dispatch")
-for the measurements.
+IPC and starting the pool's workers ~0.3 s, which a run of a few hundred
+tasks cannot earn back and one of a few thousand earns back only
+sometimes; :data:`AUTO_POOL_TASKS` is where a cold pool always measured
+faster (``docs/PARALLEL.md``; ``docs/PERFORMANCE.md`` "Kernel dispatch"
+for the kernel itself).
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ __all__ = [
     "TaskExecutor",
     "SerialExecutor",
     "ProcessExecutor",
-    "AutoExecutor",
+    "AUTO_POOL_TASKS",
     "SharedReadStore",
     "make_task_executor",
     "active_shm_segments",
@@ -200,9 +197,6 @@ class SerialExecutor(TaskExecutor):
             _task_pairs(self.workload.reads.codes, self.workload.tasks,
                         task_indices)
         )
-
-    def stats(self) -> dict:
-        return {"backend": self.backend}
 
 
 # -- process backend ---------------------------------------------------------
@@ -515,150 +509,13 @@ class ProcessExecutor(TaskExecutor):
         self._out.close()
 
 
-# -- adaptive backend --------------------------------------------------------
+# -- backend selection -------------------------------------------------------
 
-#: real batches sampled per candidate backend before ``auto`` commits
-AUTO_PROBE_BATCHES = 2
-
-#: batches below this task count neither advance the probe nor get
-#: dispatched to a committed pool — per-chunk IPC (~1 ms) cannot pay for
-#: itself under the batched kernel's per-task cost at this size
-AUTO_MIN_PROBE_TASKS = 16
-
-#: measured pool throughput must beat serial by this factor to win —
-#: hysteresis so measurement noise near the crossover keeps the cheaper
-#: (no-pool) configuration
-AUTO_ADVANTAGE = 1.05
-
-
-class AutoExecutor(TaskExecutor):
-    """Measure-then-choose backend: probe serial and the pool, keep the winner.
-
-    The chooser is cpu-count- and workload-aware without a model: on a
-    single-core machine it commits to serial immediately (a pool can only
-    lose); otherwise the first :data:`AUTO_PROBE_BATCHES` meaningfully
-    sized batches run serial to sample tasks/sec, the next ones run
-    through a lazily started :class:`ProcessExecutor`, and the side that
-    measured faster (pool discounted by :data:`AUTO_ADVANTAGE`) executes
-    the rest of the run.  Batches smaller than
-    :data:`AUTO_MIN_PROBE_TASKS` always run inline — they neither inform
-    nor use the pool.  Every path is bit-identical (same kernel, same
-    order), so probing is invisible in the results.
-    """
-
-    backend = "auto"
-
-    def __init__(self, workload, aligner: SeedExtendAligner,
-                 workers: int = 1):
-        self.workload = workload
-        self.aligner = aligner
-        cpus = pool.usable_cpus()
-        #: chunks per batch the process candidate would use: the explicit
-        #: ``workers`` knob when set (> 1), else one worker per core
-        #: (capped — beyond 8 the probe itself gets expensive)
-        self.workers = workers if workers > 1 else max(1, min(cpus, 8))
-        self._serial = SerialExecutor(workload, aligner)
-        self._process: ProcessExecutor | None = None
-        self._chosen: TaskExecutor | None = None
-        self._reason: str | None = None
-        self._serial_samples: list[tuple[int, float]] = []
-        self._process_samples: list[tuple[int, float]] = []
-        self._closed = False
-        if cpus < 2:
-            self._commit(self._serial, "single_core")
-
-    # -- decision ------------------------------------------------------------
-
-    @staticmethod
-    def decide(serial_pps: float, process_pps: float) -> bool:
-        """True when the measured pool throughput justifies the pool."""
-        return process_pps >= AUTO_ADVANTAGE * serial_pps
-
-    @staticmethod
-    def _pps(samples: list[tuple[int, float]]) -> float:
-        tasks = sum(n for n, _ in samples)
-        seconds = sum(s for _, s in samples)
-        return tasks / seconds if seconds > 0 else float("inf")
-
-    def _commit(self, executor: TaskExecutor, reason: str) -> None:
-        self._chosen = executor
-        self._reason = reason
-        if executor is not self._process and self._process is not None:
-            self._process.close()
-            self._process = None
-
-    def _probe(self, task_indices) -> list[Alignment]:
-        """Route one batch while undecided; commit when samples suffice."""
-        n = len(task_indices)
-        if n < AUTO_MIN_PROBE_TASKS or \
-                len(self._serial_samples) < AUTO_PROBE_BATCHES:
-            target, samples = self._serial, self._serial_samples
-        else:
-            if self._process is None:
-                self._process = ProcessExecutor(
-                    self.workload, self.aligner, workers=self.workers,
-                )
-            target, samples = self._process, self._process_samples
-        t0 = time.perf_counter()
-        out = target.align_tasks(task_indices)
-        if n >= AUTO_MIN_PROBE_TASKS:
-            samples.append((n, time.perf_counter() - t0))
-        if len(self._process_samples) >= AUTO_PROBE_BATCHES:
-            if self.decide(self._pps(self._serial_samples),
-                           self._pps(self._process_samples)):
-                self._commit(self._process, "measured_pool_faster")
-            else:
-                self._commit(self._serial, "pool_cannot_pay")
-        return out
-
-    # -- TaskExecutor surface ------------------------------------------------
-
-    def align_tasks(self, task_indices) -> list[Alignment]:
-        if len(task_indices) == 0:
-            return []
-        if self._chosen is None:
-            return self._probe(task_indices)
-        # committed — but sub-probe-size batches stay inline even when
-        # the pool won: per-chunk IPC dominates at that size
-        if (self._chosen is self._process
-                and len(task_indices) < AUTO_MIN_PROBE_TASKS):
-            return self._serial.align_tasks(task_indices)
-        return self._chosen.align_tasks(task_indices)
-
-    @property
-    def chosen(self) -> str:
-        """The committed backend name, or ``"probing"`` while undecided."""
-        if self._chosen is None:
-            return "probing"
-        return "process" if self._chosen is self._process else "serial"
-
-    def stats(self) -> dict:
-        s = {
-            "backend": self.backend,
-            "workers": self.workers,
-            "chosen": self.chosen,
-            "auto_reason": self._reason or "probing",
-            "auto_chose_process": float(self._chosen is not None
-                                        and self._chosen is self._process),
-        }
-        if self._serial_samples:
-            s["auto_probe_serial_pps"] = self._pps(self._serial_samples)
-        if self._process_samples:
-            s["auto_probe_process_pps"] = self._pps(self._process_samples)
-        if self._process is not None:
-            inner = self._process.stats()
-            inner.pop("backend")
-            inner.pop("workers")
-            s.update(inner)
-        return s
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._process is not None:
-            self._process.close()
-            self._process = None
+#: fewest tasks at which ``auto`` takes the pool: the smallest prefix of
+#: ``ecoli30x_tiny`` (4 096 to 61 931 tasks) on which a cold pool beat
+#: serial in every run, 5 fresh interleaved processes a size on 2 vCPU
+#: (docs/PARALLEL.md "When serial wins")
+AUTO_POOL_TASKS = 32_768
 
 
 def make_task_executor(workload, aligner: SeedExtendAligner | None, *,
@@ -666,6 +523,10 @@ def make_task_executor(workload, aligner: SeedExtendAligner | None, *,
                        workers: int = 1) -> TaskExecutor:
     """Build the backend an engine run charges its kernel batches through.
 
+    ``backend="auto"`` is decided here, once: the pool when this process
+    may use two CPUs or more and the workload has at least
+    :data:`AUTO_POOL_TASKS` tasks, serial otherwise.  Its chunk count is
+    ``workers`` when that is above 1, else one per usable CPU.
     Model-kernel runs (``aligner is None``) never invoke the kernel, so
     they get the (free) serial backend; asking for a pool there is a
     :class:`~repro.errors.ConfigurationError`, as everywhere else the
@@ -680,8 +541,12 @@ def make_task_executor(workload, aligner: SeedExtendAligner | None, *,
             f"backend={backend!r} needs the alignment kernel; this run "
             f"never invokes it (kernel='model') — use kernel='real'"
         )
+    if backend == "auto":
+        cpus = pool.usable_cpus()
+        if cpus >= 2 and workload.n_tasks >= AUTO_POOL_TASKS:
+            backend, workers = "process", workers if workers > 1 else cpus
+        else:
+            backend = "serial"
     if backend == "serial":
         return SerialExecutor(workload, aligner)
-    if backend == "auto":
-        return AutoExecutor(workload, aligner, workers=workers)
     return ProcessExecutor(workload, aligner, workers=workers)

@@ -71,14 +71,6 @@ def test_band_model_fits_real_kernel():
         assert 0.5 * res.cells < est < 2.0 * res.cells
 
 
-def test_implied_mean_overlap_sane():
-    m = AlignmentCostModel()
-    for ds in ("ecoli30x", "ecoli100x", "human_ccs"):
-        overlap = m.implied_mean_overlap(ds)
-        # mean effective alignment sweep must be sub-read-scale
-        assert 500 < overlap < 20_000
-
-
 def test_mean_task_cost_lookup():
     m = AlignmentCostModel()
     assert m.mean_task_cost("human_ccs") == MEAN_TASK_COST["human_ccs"]

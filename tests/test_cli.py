@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import _compare_verdict, build_parser, main
 from repro.pipeline.sharded import DEFAULT_RESIDENT_SHARDS
+from repro.runtime import executor, pool
 from repro.service.jobs import JobRequest
 
 
@@ -237,19 +238,25 @@ def test_run_micro_serial_vs_process_same_breakdown(capsys):
     assert serial_out == process_out
 
 
-def test_run_micro_with_auto_backend(capsys):
+def test_run_micro_with_auto_backend(capsys, monkeypatch):
+    """``micro`` is below ``AUTO_POOL_TASKS``: auto resolves to serial and
+    prints no ``exec_*`` row; at a threshold of 0 on two CPUs it takes the
+    pool and prints the process backend's counters."""
     base = ["run", "--workload", "micro", "--nodes", "1",
             "--cores-per-node", "4", "--engine", "bsp-micro",
             "--kernel", "real"]
     assert main(base) == 0
     serial_out = capsys.readouterr().out
-    rc = main(base + ["--backend", "auto", "--metrics"])
-    assert rc == 0
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    assert main(base + ["--backend", "auto", "--metrics"]) == 0
     auto_out = capsys.readouterr().out
-    # same simulated breakdown line, whatever auto committed to
     assert serial_out.splitlines()[1] in auto_out
-    # the chooser's accounting surfaces as exec_* counters
-    assert "exec_auto_chose_process" in auto_out
+    assert "exec_" not in auto_out
+    monkeypatch.setattr(executor, "AUTO_POOL_TASKS", 0)
+    assert main(base + ["--backend", "auto", "--metrics"]) == 0
+    auto_out = capsys.readouterr().out
+    assert serial_out.splitlines()[1] in auto_out
+    assert "exec_batches" in auto_out and "exec_w0_chunks" in auto_out
 
 
 @pytest.mark.parametrize("extra", [

@@ -174,18 +174,6 @@ def test_breakdown_validate_and_fractions():
         bad.validate()
 
 
-def test_breakdown_normalized_to():
-    m = cori_knl(1, app_cores_per_node=1)
-    mk = lambda wall: RuntimeBreakdown(
-        engine="x", machine=m, workload="w", wall_time=wall,
-        compute_align=np.array([wall]), compute_overhead=np.zeros(1),
-        comm=np.zeros(1), sync=np.zeros(1),
-    )
-    assert mk(5.0).normalized_to(mk(10.0)) == pytest.approx(0.5)
-    with pytest.raises(SimulationError):
-        mk(1.0).normalized_to(mk(0.0))
-
-
 def test_breakdown_category_access():
     m = cori_knl(1, app_cores_per_node=1)
     b = RuntimeBreakdown(
@@ -196,4 +184,4 @@ def test_breakdown_category_access():
     assert b.category("compute_align")[0] == 1.0
     with pytest.raises(SimulationError):
         b.category("nope")
-    assert b.compute_imbalance() == 1.0
+    assert b.summary("compute_align").imbalance == 1.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engines import common
 from repro.engines.async_ import AsyncEngine
 from repro.engines.base import EngineConfig, ExecutionMode
 from repro.engines.bsp import BSPEngine
@@ -94,8 +95,6 @@ def test_async_hides_communication(wl, machine):
 
 def test_memory_accounting(wl, machine):
     """BSP footprint carries the exchange buffers; async only a window."""
-    from repro.engines import common
-
     a = wl.assignment(machine.total_ranks)
     bsp = BSPEngine().run(a, machine)
     asy = AsyncEngine().run(a, machine)
@@ -119,16 +118,17 @@ def test_bsp_multi_round_when_memory_tight(wl):
     """Shrinking the exchange budget must force more rounds."""
     machine = cori_knl(2)
     a = wl.assignment(machine.total_ranks)
-    one = BSPEngine(config=EngineConfig(exchange_memory_fraction=1.0))
-    tight = BSPEngine(config=EngineConfig(exchange_memory_fraction=0.0001))
-    assert tight.num_rounds(machine, a) > one.num_rounds(machine, a)
+    one = EngineConfig(exchange_memory_fraction=1.0)
+    tight = EngineConfig(exchange_memory_fraction=0.0001)
+    assert (common.bsp_num_rounds(tight, machine, a)
+            > common.bsp_num_rounds(one, machine, a))
 
 
 def test_bsp_round_sizing_respects_budget(wl, machine):
     a = wl.assignment(machine.total_ranks)
-    engine = BSPEngine()
-    rounds = engine.num_rounds(machine, a)
-    budget = engine.exchange_budget(machine, a)
+    config = BSPEngine().config
+    rounds = common.bsp_num_rounds(config, machine, a)
+    budget = common.exchange_budget(config, machine, a)
     assert a.recv_bytes.max() / rounds <= budget * (1 + 1e-9)
 
 

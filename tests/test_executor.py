@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 
 from repro.align.seedextend import Alignment, SeedExtendAligner
 from repro.core.api import get_workload, run_alignment
+from repro.engines import micro
 from repro.engines.base import EngineConfig
 from repro.errors import ConfigurationError, RankFailureError, WorkerCrashError
 from repro.faults import parse_fault_spec
 from repro.machine.config import cori_knl
-from repro.runtime import pool
+from repro.obs import MetricsRegistry
+from repro.runtime import executor, pool
 from repro.runtime.executor import (
-    AUTO_MIN_PROBE_TASKS,
-    AutoExecutor,
     ProcessExecutor,
     SerialExecutor,
     active_shm_segments,
@@ -389,78 +389,64 @@ def test_render_and_kernel_share_the_pool_from_two_threads(workload,
 
 def test_auto_single_core_commits_serial_without_a_pool(workload, serial,
                                                         monkeypatch):
+    """One usable CPU: serial whatever the task count, and no store."""
     monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(executor, "AUTO_POOL_TASKS", 0)
     baseline = active_shm_segments()
-    with AutoExecutor(workload, SeedExtendAligner()) as ex:
-        assert ex.chosen == "serial"
-        assert ex.stats()["auto_reason"] == "single_core"
+    with make_task_executor(workload, SeedExtendAligner(),
+                            backend="auto") as ex:
+        assert type(ex) is SerialExecutor
         got = ex.align_tasks(range(40))
-        want = serial.align_tasks(range(40))
-        for g, w in zip(got, want):
-            assert _fields(g) == _fields(w)
-        # no pool, no shared memory — the cheap path really is cheap
-        assert ex._process is None
         assert active_shm_segments() == baseline
+    want = serial.align_tasks(range(40))
+    assert [_fields(g) for g in got] == [_fields(w) for w in want]
 
 
-def test_auto_tiny_batches_never_probe_the_pool(workload, serial,
-                                                monkeypatch):
-    """Sub-probe-size batches (async callback groups) stay inline forever."""
-    monkeypatch.setattr(pool, "usable_cpus", lambda: 4)
+def test_auto_decision_rule(workload, serial, monkeypatch):
+    """``auto`` takes the pool on >= 2 CPUs and >= AUTO_POOL_TASKS tasks,
+    with one chunk per CPU (or ``workers`` when above 1); otherwise
+    serial, which publishes no shared-memory segment."""
+    want_rows = [_fields(a) for a in serial.align_tasks(range(40))]
     baseline = active_shm_segments()
-    with AutoExecutor(workload, SeedExtendAligner()) as ex:
-        for _ in range(10):
-            got = ex.align_tasks(range(AUTO_MIN_PROBE_TASKS - 1))
-        assert ex.chosen == "probing"
-        assert ex._process is None
-        assert active_shm_segments() == baseline
-        want = serial.align_tasks(range(AUTO_MIN_PROBE_TASKS - 1))
-        for g, w in zip(got, want):
-            assert _fields(g) == _fields(w)
+    for cpus, below, workers, want, chunks in [
+        (1, False, 1, SerialExecutor, 0),
+        (2, True, 1, SerialExecutor, 0),
+        (2, False, 1, ProcessExecutor, 2),
+        (3, False, 1, ProcessExecutor, 3),
+        (2, False, 3, ProcessExecutor, 3),
+    ]:
+        case = (cpus, below, workers)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(executor, "AUTO_POOL_TASKS",
+                            workload.n_tasks + below)
+        with make_task_executor(workload, SeedExtendAligner(),
+                                backend="auto", workers=workers) as ex:
+            assert type(ex) is want, case
+            if want is SerialExecutor:
+                assert active_shm_segments() == baseline, case
+            got = ex.align_tasks(range(40))
+            if want is ProcessExecutor:
+                assert ex.stats()["chunks"] == chunks, case
+        assert [_fields(a) for a in got] == want_rows, case
+        assert active_shm_segments() == baseline, case
 
 
-def test_auto_probes_then_commits(workload, serial, monkeypatch):
-    """Big batches advance serial probe -> pool probe -> a committed choice."""
-    monkeypatch.setattr(pool, "usable_cpus", lambda: 4)
-    baseline = active_shm_segments()
-    with AutoExecutor(workload, SeedExtendAligner(), workers=2) as ex:
-        want = serial.align_tasks(range(80))
-        for _ in range(5):
-            got = ex.align_tasks(range(80))
-            for g, w in zip(got, want):
-                assert _fields(g) == _fields(w)
-        assert ex.chosen in ("serial", "process")
-        s = ex.stats()
-        assert s["auto_probe_serial_pps"] > 0
-        assert s["auto_probe_process_pps"] > 0
-        assert s["auto_reason"] in ("measured_pool_faster",
-                                    "pool_cannot_pay")
-        # the measurements and the commitment must agree
-        chose_pool = AutoExecutor.decide(s["auto_probe_serial_pps"],
-                                         s["auto_probe_process_pps"])
-        assert (ex.chosen == "process") == chose_pool
-    assert active_shm_segments() == baseline
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="pool cannot win without spare cores")
-def test_auto_picks_process_on_kernel_heavy_workload(workload):
-    """With real spare cores, sustained big batches should engage the pool."""
-    with AutoExecutor(workload, SeedExtendAligner()) as ex:
-        for _ in range(4):
-            ex.align_tasks(range(N_TASK_CAP))
-        s = ex.stats()
-        # the decision must match the measurements on this machine; on a
-        # quiet >=2-core box that means the pool (kernel work dominates
-        # the ~1 ms/chunk IPC at this batch size)
-        assert (ex.chosen == "process") == AutoExecutor.decide(
-            s["auto_probe_serial_pps"], s["auto_probe_process_pps"])
-
-
-def test_auto_decision_rule():
-    assert AutoExecutor.decide(100.0, 200.0)
-    assert not AutoExecutor.decide(100.0, 100.0)  # hysteresis: tie -> serial
-    assert not AutoExecutor.decide(100.0, 104.0)
+def test_auto_picks_process_on_kernel_heavy_workload(workload, monkeypatch):
+    """At the threshold on two CPUs, an engine run resolves to the pool:
+    its kernel calls show as ``exec_*`` rows, and the result is serial's."""
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(executor, "AUTO_POOL_TASKS", workload.n_tasks)
+    machine = cori_knl(1, app_cores_per_node=4)
+    metrics = MetricsRegistry(machine.total_ranks)
+    base = run_alignment(workload, 1, "bsp-micro", config=EngineConfig(),
+                         machine=machine, kernel="real")
+    auto = run_alignment(workload, 1, "bsp-micro",
+                         config=EngineConfig(backend="auto"),
+                         machine=machine, kernel="real", metrics=metrics)
+    assert metrics.get("exec_batches").sum() == -(-workload.n_tasks
+                                                  // micro.FLUSH_TASKS)
+    assert metrics.get("exec_workers").sum() == 2
+    assert auto.signature() == base.signature()
 
 
 @settings(max_examples=10, deadline=None,
@@ -470,7 +456,8 @@ def test_auto_decision_rule():
 def test_auto_backend_deterministic_and_matches_serial(workload, serial,
                                                        indices):
     """backend=auto is bit-identical to serial for any task subset, twice."""
-    with AutoExecutor(workload, SeedExtendAligner()) as ex:
+    with make_task_executor(workload, SeedExtendAligner(),
+                            backend="auto") as ex:
         first = ex.align_tasks(indices)
         second = ex.align_tasks(indices)
     want = serial.align_tasks(indices)

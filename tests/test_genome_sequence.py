@@ -40,13 +40,6 @@ def test_iteration_order():
     assert [str(r) for r in rs] == ["ACGT", "GG", "TTTTT"]
 
 
-def test_custom_ids_and_index_of():
-    rs = ReadSet.from_strings(["AC", "GT"], ids=np.array([10, 42]))
-    assert rs.index_of(42) == 1
-    with pytest.raises(SequenceError):
-        rs.index_of(7)
-
-
 def test_subset_preserves_metadata():
     reads = [
         Read(id=5, codes=alphabet.encode("ACGT"), name="a", origin=100,

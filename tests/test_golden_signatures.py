@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 from repro.engines import micro
 from repro.obs import MetricsRegistry
+from repro.runtime import executor, pool
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -70,20 +70,8 @@ def test_signature_matches_golden(key):
     )
 
 
-@pytest.mark.parametrize("backend", ["process", "auto"])
-@pytest.mark.parametrize("engine", ["bsp-micro", "async-micro"])
-def test_parallel_backends_hit_serial_golden(engine, backend, monkeypatch):
-    """process and auto must be bit-identical to serial: same digest.
-
-    ``auto`` samples two kernel calls serial and two on the pool before
-    it commits, and ``micro``'s 1 639 tasks resolve in two calls at the
-    default ``FLUSH_TASKS``.  So the run is cut into 7 calls of 256 tasks
-    or fewer, and the host reports two cores (one core commits to serial
-    before any probe): the pool is probed on any machine, and the digest
-    holds whichever side ``auto`` then keeps.
-    """
-    monkeypatch.setattr(micro, "FLUSH_TASKS", 256)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def _micro_real_run(engine: str, backend: str) -> MetricsRegistry:
+    """Run ``engine`` on ``micro`` with the real kernel; check the digest."""
     machine = regen.cori_knl(regen.NODES,
                              app_cores_per_node=regen.CORES_PER_NODE)
     metrics = MetricsRegistry(machine.total_ranks)
@@ -93,10 +81,29 @@ def test_parallel_backends_hit_serial_golden(engine, backend, monkeypatch):
         machine=machine, kernel="real", metrics=metrics,
     )
     assert res.signature() == GOLDENS[regen.case_key(engine, "micro", 11)]
+    return metrics
+
+
+@pytest.mark.parametrize("backend", ["process", "auto"])
+@pytest.mark.parametrize("engine", ["bsp-micro", "async-micro"])
+def test_parallel_backends_hit_serial_golden(engine, backend, monkeypatch):
+    """process and auto must be bit-identical to serial: same digest.
+
+    ``micro``'s 1 639 tasks are cut into 7 kernel calls of 256 tasks or
+    fewer, so the pool sees several batches.  The process reports two
+    usable CPUs, whatever the host has.  ``auto`` runs twice: as it
+    stands (``micro`` is below ``AUTO_POOL_TASKS``, so serial, and no
+    ``exec_*`` row), and with the threshold at 0 (the pool, 7 batches).
+    """
+    monkeypatch.setattr(micro, "FLUSH_TASKS", 256)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     if backend == "auto":
-        assert metrics.get("exec_auto_probe_process_pps").sum() > 0
-    else:
-        assert metrics.get("exec_batches").sum() == 7
+        metrics = _micro_real_run(engine, backend)
+        assert not [n for n in metrics.names() if n.startswith("exec_")]
+        monkeypatch.setattr(executor, "AUTO_POOL_TASKS", 0)
+    metrics = _micro_real_run(engine, backend)
+    assert metrics.get("exec_batches").sum() == 7
+    assert metrics.get("exec_chunks").sum() == 14
 
 
 @pytest.mark.parametrize("engine", regen.ENGINES)

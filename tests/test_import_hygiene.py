@@ -7,13 +7,13 @@ the assignment renderers, no cost hook calling a ``NetworkModel`` cost
 method directly, no ``shard`` identifier under ``engines/`` or ``runtime/``,
 exactly one ``align_tasks`` call in ``engines/micro.py``, no scipy import
 anywhere, one task-row renderer under ``pipeline/``, no hand-rolled
-LRU outside ``utils/cache.py`` and ``pipeline/sharded.py``, no process
-pool built outside ``ProcessExecutor.__init__`` but the statistical
-renderer's one spawn-context pool, and no thread started under
-``pipeline/``, ``engines/`` or ``runtime/``.  The synthetic
-cases prove the checker actually detects what it claims to; subprocesses
-prove the public entry points load no scipy and that every runtime module
-imports first in a fresh interpreter.
+LRU outside ``utils/cache.py`` and ``pipeline/sharded.py``, one process
+pool (a spawn-context one, built in ``runtime/pool.py``), no thread
+started under ``pipeline/``, ``engines/`` or ``runtime/``, and no public
+definition that only tests reach.  The synthetic cases prove the checker
+actually detects what it claims to; subprocesses prove the public entry
+points load no scipy and that every runtime module imports first in a
+fresh interpreter.
 """
 
 import os
@@ -411,6 +411,60 @@ def test_renderer_pool_with_spawn_passes(tmp_path):
             """,
     })
     assert check_imports.run(tmp_path) == []
+
+
+def test_source_tree_has_no_definition_only_tests_reach():
+    assert check_imports.unreached_definitions(REPO_ROOT / "src") == []
+
+
+def _write_unreached_tree(tmp_path: Path) -> Path:
+    src = _write_pkg(tmp_path / "src", {
+        "__init__.py": "",
+        "kmer.py": """\
+            __all__ = ["count", "spectrum", "Index", "Table"]
+            def count(reads):
+                return len(reads)
+            def spectrum(counts):
+                return sorted(counts)
+            class Index:
+                def build(self):
+                    return count([])
+                def probe(self):
+                    return 0
+                def _cache(self):
+                    return None
+            class Table:
+                pass
+            """,
+    })
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    tools.joinpath("report.py").write_text(
+        "from repro.kmer import Index\nIndex().build()\n")
+    return src
+
+
+def test_detects_definition_only_tests_reach(tmp_path):
+    """``spectrum``, ``Index.probe`` and ``Table`` are reached from no
+    code (their ``__all__`` strings are not uses); ``count`` is called
+    by ``Index.build``, which ``tools/`` calls; a private method is out
+    of scope; and an allowlist entry for a used name is reported."""
+    src = _write_unreached_tree(tmp_path)
+    problems = check_imports.unreached_definitions(
+        src, allowed={"repro.kmer.count": "stale"})
+    assert len(problems) == 4, problems
+    for name, line in (("spectrum", 4), ("probe", 9), ("Table", 13)):
+        assert any(p.startswith(f"repro.kmer:{line} defines {name},")
+                   for p in problems), problems
+    assert any("lists repro.kmer.count" in p for p in problems)
+
+
+def test_allowlisted_definition_only_tests_reach_passes(tmp_path):
+    src = _write_unreached_tree(tmp_path)
+    allowed = {"repro.kmer.spectrum": "oracle",
+               "repro.kmer.Index.probe": "oracle",
+               "repro.kmer.Table": "documented API"}
+    assert check_imports.unreached_definitions(src, allowed=allowed) == []
 
 
 def test_cli_reaches_service_only_lazily():

@@ -50,13 +50,6 @@ def test_upper_bound_is_binomial_tail():
         assert stats.binom.sf(hi - 2, d, p) >= 0.001
 
 
-def test_retention_probability_band():
-    m = BellaModel(coverage=30, error_rate=0.15)
-    lo, hi = m.bounds()
-    mult = np.array([lo - 1, lo, hi, hi + 1])
-    assert m.retention_probability(mult).tolist() == [0.0, 1.0, 1.0, 0.0]
-
-
 def test_describe_keys():
     d = BellaModel(coverage=30, error_rate=0.15).describe()
     assert {"coverage", "error_rate", "k", "p_correct",

@@ -12,13 +12,13 @@ from repro.kmer.kmers import canonical_kmers
 def test_count_kmers_simple():
     rs = ReadSet.from_strings(["ACGT", "ACGT"])
     hist = count_kmers(rs, k=4)
-    assert hist.num_distinct == 1  # ACGT is its own revcomp canonical class
+    assert hist.kmers.size == 1  # ACGT is its own revcomp canonical class
     assert hist.total == 2
 
 
 def test_count_kmers_empty():
     hist = count_kmers(ReadSet.from_strings([]), k=5)
-    assert hist.num_distinct == 0 and hist.total == 0
+    assert hist.kmers.size == 0 and hist.total == 0
 
 
 def test_frequency_of_lookup():
@@ -41,17 +41,6 @@ def test_filtered_band():
     f = hist.filtered(2, 5)
     assert f.kmers.tolist() == [2, 3]
     assert f.counts.tolist() == [2, 5]
-
-
-def test_multiplicity_spectrum():
-    hist = KmerHistogram(
-        np.array([1, 2, 3], dtype=np.uint64),
-        np.array([1, 1, 100], dtype=np.int64),
-        k=5,
-    )
-    spec = hist.multiplicity_spectrum(max_count=8)
-    assert spec[1] == 2
-    assert spec[8] == 1  # clipped
 
 
 def test_merge_equals_joint_count():

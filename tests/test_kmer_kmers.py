@@ -92,10 +92,6 @@ def test_extractor_readset():
     assert np.all(pos[rids == 0] == np.arange(6))
 
 
-def test_extractor_expected_kmers():
-    assert KmerExtractor(k=17).expected_kmers(1000, 30) == 30_000
-
-
 def test_extractor_invalid_k():
     with pytest.raises(SequenceError):
         KmerExtractor(k=40)

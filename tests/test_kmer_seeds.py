@@ -116,10 +116,10 @@ def test_generator_requires_model_or_bounds():
 def test_seed_index_build_counts():
     reads = ReadSet.from_strings(["ACGTACGT", "ACGT"])
     idx = SeedIndex.build(reads, k=4, retained=None)
-    assert idx.num_occurrences == 5 + 1
-    assert idx.num_distinct >= 1
+    assert idx.kmers.size == 5 + 1
+    assert idx.distinct.size >= 1
     # offsets are CSR over distinct kmers
-    assert idx.group_offsets[-1] == idx.num_occurrences
+    assert idx.group_offsets[-1] == idx.kmers.size
 
 
 def test_extract_with_orientation_consistency():

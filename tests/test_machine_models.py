@@ -209,26 +209,16 @@ def test_memory_shared_within_node():
 def test_noise_inactive_when_isolated():
     m = cori_knl(1, app_cores_per_node=64)
     noise = NoiseModel(m, RngFactory(0))
-    x = np.ones(64)
-    assert np.array_equal(noise.dilate(x, 0), x)
+    assert np.array_equal(noise.factors(64, 0), np.ones(64))
 
 
 def test_noise_active_and_deterministic():
     m = cori_knl(1, app_cores_per_node=68)
     noise = NoiseModel(m, RngFactory(0), noise_fraction=0.05)
-    x = np.ones(68)
-    d1 = noise.dilate(x, 0)
-    d2 = NoiseModel(m, RngFactory(0), noise_fraction=0.05).dilate(x, 0)
+    d1 = noise.factors(68, 0)
+    d2 = NoiseModel(m, RngFactory(0), noise_fraction=0.05).factors(68, 0)
     assert np.array_equal(d1, d2)
     assert np.all(d1 >= 1.0)
     assert d1.max() > 1.0
     # different phases draw different noise
-    assert not np.array_equal(d1, noise.dilate(x, 1))
-
-
-def test_noise_scalar():
-    m = cori_knl(1, app_cores_per_node=68)
-    noise = NoiseModel(m, RngFactory(0), noise_fraction=0.05)
-    v = noise.dilate_scalar(1.0, rank=3, phase_key=0)
-    assert v >= 1.0
-    assert v == noise.dilate_scalar(1.0, rank=3, phase_key=0)
+    assert not np.array_equal(d1, noise.factors(68, 1))

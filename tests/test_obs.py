@@ -100,9 +100,6 @@ def test_metrics_counters_and_rollups():
     assert m.summary("tasks").sum == 10
     assert m.names() == ["bytes", "messages", "tasks", "window"]
     assert all(len(row) == 5 for row in m.rows())
-    snap = m.snapshot()
-    snap["tasks"][0] = 99  # copies, not views
-    assert m.get("tasks")[0] == 1
 
 
 # -- conservation checker --------------------------------------------------

@@ -31,12 +31,13 @@ def test_table1_rows_exact():
 
 def test_dataset_registry_properties():
     spec = DATASETS["ecoli30x"]
-    assert spec.tasks_per_read == pytest.approx(2_270_260 / 16_890)
-    # implied genome size close to the real E. coli genome (~4.6 Mbp)
-    assert spec.implied_genome_size() == pytest.approx(4.6e6, rel=0.05)
+    # read volume over coverage is close to the real E. coli genome
+    # (~4.6 Mbp)
+    assert (spec.n_reads * spec.mean_read_length / spec.coverage
+            == pytest.approx(4.6e6, rel=0.05))
     micro = DATASETS["micro"]
     assert micro.sequence_level
-    assert micro.implied_genome_size() == 12_000
+    assert micro.genome_size == 12_000
 
 
 def test_render_breakdown_rows():

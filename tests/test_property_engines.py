@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.engines.async_ import AsyncEngine
 from repro.engines.base import EngineConfig
 from repro.engines.bsp import BSPEngine
+from repro.engines.common import bsp_num_rounds, exchange_budget
 from repro.genome.datasets import DatasetSpec
 from repro.machine.config import cori_knl
 from repro.pipeline.workload import StatisticalWorkload
@@ -97,13 +98,14 @@ def test_bsp_rounds_monotone_in_budget(frac, seed):
     wl = make_wl(800, 8000, 4000, seed)
     machine = cori_knl(2, app_cores_per_node=8)
     a = wl.assignment(machine.total_ranks)
-    tight = BSPEngine(config=EngineConfig(exchange_memory_fraction=frac))
-    loose = BSPEngine(config=EngineConfig(exchange_memory_fraction=1.0))
-    assert tight.num_rounds(machine, a) >= loose.num_rounds(machine, a)
+    tight = EngineConfig(exchange_memory_fraction=frac)
+    loose = EngineConfig(exchange_memory_fraction=1.0)
+    assert (bsp_num_rounds(tight, machine, a)
+            >= bsp_num_rounds(loose, machine, a))
     # and the rounds actually respect the budget
-    rounds = tight.num_rounds(machine, a)
+    rounds = bsp_num_rounds(tight, machine, a)
     assert (a.recv_bytes.max() / rounds
-            <= tight.exchange_budget(machine, a) * (1 + 1e-9))
+            <= exchange_budget(tight, machine, a) * (1 + 1e-9))
 
 
 @SLOW

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static import-hygiene check for ``src/repro``.
 
-Nine classes of violation, all enforced in CI (and mirrored by
+Ten classes of violation, all enforced in CI (and mirrored by
 ``tests/test_import_hygiene.py``):
 
 1. **Import cycles** anywhere in the package — found on the module-level
@@ -84,8 +84,20 @@ Nine classes of violation, all enforced in CI (and mirrored by
     and the executor stay single-threaded: the service's slot threads
     are the only threads that run them.
 
+11. **A public definition only tests reach.**  A public function, class
+    or method under ``repro/`` whose name appears in no code under
+    ``src/``, ``examples/``, ``benchmarks/`` or ``tools/`` but at its own
+    definition (an ``__all__`` entry is not a use).  Code that only its
+    own unit test calls is code to delete, with that test.  The
+    exceptions are listed in :data:`TEST_ONLY_ALLOWED`, each with its
+    reason; an entry the program reaches again, or that no longer
+    exists, is reported too.  The check reads names, not types, so a
+    method that shares its name with a used one passes.
+
 Usage: ``python tools/check_imports.py [src-root]`` — exits nonzero and
-prints one line per violation.
+prints one line per violation.  Rules 1-10 read the package under
+``src-root``; rule 11 also reads ``examples/``, ``benchmarks/`` and
+``tools/`` beside it.
 """
 
 from __future__ import annotations
@@ -137,6 +149,43 @@ POOL_MODULE = "repro.runtime.pool"
 #: packages that start no thread, and the callees that start one
 THREAD_PACKAGES = ("repro.pipeline", "repro.engines", "repro.runtime")
 THREAD_CONSTRUCTORS = ("Thread", "ThreadPoolExecutor")
+
+#: directories beside ``src`` whose code counts as a use of a definition
+USE_DIRS = ("examples", "benchmarks", "tools")
+
+#: public definitions that only tests reach, kept on purpose
+TEST_ONLY_ALLOWED = {
+    # oracles: tests hold the production path to these
+    "repro.align.seedextend.SeedExtendAligner.align_candidate":
+        "the scalar kernel the batched one is held to, per candidate",
+    "repro.align.seedextend.Alignment.aligned_length_a":
+        "how the integration tests score an alignment against the truth",
+    "repro.genome.alphabet.is_valid_codes":
+        "checks that synthesized sequences stay in the alphabet",
+    "repro.kmer.seeds.extract_with_orientation":
+        "the per-read extraction the vectorized seed index is held to",
+    "repro.runtime.rpc.RpcLayer.served":
+        "the per-rank served count the RPC tests read",
+    "repro.service.queue.RunQueue.executions":
+        "the execution count the coalescing tests read",
+    "repro.service.events.JobEventLog.snapshot":
+        "how the tests read a job's events without streaming them",
+    # http.server calls these by name
+    "repro.service.http.ServiceHandler.do_GET": "http.server hook",
+    "repro.service.http.ServiceHandler.do_POST": "http.server hook",
+    "repro.service.http.ServiceHandler.do_DELETE": "http.server hook",
+    # public API of an embedded server
+    "repro.service.http.ServiceServer.url":
+        "the address an in-process caller of the server sends to",
+    # not deleted yet: each goes with its own unit test (ROADMAP item 17)
+    "repro.align.cost.AlignmentCostModel.mean_task_cost": "pending deletion",
+    "repro.kmer.histogram.owner_of": "pending deletion",
+    "repro.kmer.histogram.KmerHistogram.merge": "pending deletion",
+    "repro.utils.arrays.bincount_exact": "pending deletion",
+    "repro.utils.arrays.segment_max": "pending deletion",
+    "repro.utils.arrays.segment_min": "pending deletion",
+    "repro.utils.stats.Summary.scaled": "pending deletion",
+}
 
 
 def module_name(path: Path, src_root: Path) -> str:
@@ -488,6 +537,85 @@ def thread_starts(src_root: Path) -> list[str]:
     ]
 
 
+def _public_definitions(tree: ast.Module, module: str):
+    """``(module, qualified name, name, lineno)`` of the module's public
+    functions and classes, and of the public methods of its classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield module, f"{module}.{node.name}", node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                        and not sub.name.startswith("_")):
+                    yield (module, f"{module}.{node.name}.{sub.name}",
+                           sub.name, sub.lineno)
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name a module uses: names, attributes, keywords, imported
+    names and string literals spelled like one (``getattr(w, "name")``),
+    but not the strings of ``__all__``."""
+    exported = {
+        id(const) for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for const in ast.walk(node.value)
+    }
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            used.add(node.arg)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in exported):
+            used.add(node.value)
+    return used
+
+
+def unreached_definitions(src_root: Path,
+                          allowed: dict[str, str] | None = None) -> list[str]:
+    """Rule 11: public definitions under ``repro/`` whose name no code
+    under ``src_root`` or the :data:`USE_DIRS` beside it uses, less the
+    ``allowed`` ones (default :data:`TEST_ONLY_ALLOWED`); and ``allowed``
+    entries that are not such a definition."""
+    allowed = TEST_ONLY_ALLOWED if allowed is None else allowed
+    used: set[str] = set()
+    definitions = []
+    roots = [src_root] + [src_root.parent / d for d in USE_DIRS]
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used |= _names_used(tree)
+            if root == src_root and path.is_relative_to(src_root / PACKAGE):
+                definitions += _public_definitions(
+                    tree, module_name(path, src_root))
+    problems = []
+    unreached = set()
+    for module, qualified, name, lineno in definitions:
+        if name in used:
+            continue
+        unreached.add(qualified)
+        if qualified not in allowed:
+            problems.append(
+                f"{module}:{lineno} defines {name}, which no code outside "
+                f"tests uses; delete it with its tests, or list it in "
+                f"TEST_ONLY_ALLOWED with the reason")
+    for qualified in sorted(set(allowed) - unreached):
+        problems.append(
+            f"TEST_ONLY_ALLOWED lists {qualified}, which is not a public "
+            f"definition only tests reach; drop the entry")
+    return problems
+
+
 def run(src_root: Path) -> list[str]:
     graph = build_graph(src_root)
     problems = [
@@ -506,7 +634,7 @@ def run(src_root: Path) -> list[str]:
 
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path("src")
-    problems = run(src_root)
+    problems = run(src_root) + unreached_definitions(src_root)
     for p in problems:
         print(f"error: {p}", file=sys.stderr)
     if not problems:
@@ -517,7 +645,7 @@ def main(argv: list[str]) -> int:
               f"no shard-aware engine/runtime code, one kernel dispatch "
               f"site, no scipy, one task-row renderer, no hand-rolled LRU, "
               f"one spawned process pool, no thread below the "
-              f"service")
+              f"service, no public definition only tests reach")
     return 1 if problems else 0
 
 
